@@ -1,23 +1,47 @@
 //! Live-heap accounting: a global allocator that forwards to the
-//! system allocator and counts the bytes currently allocated.
+//! system allocator and counts the bytes currently allocated, except
+//! inside [`uncounted`] (the benchmark's own host-speed references).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes currently allocated and not yet freed. A statistic only: it
 /// publishes no other data, so `Relaxed` is enough.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs inside [`uncounted`].
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
 /// The counting allocator installed as `#[global_allocator]`.
 #[derive(Debug)]
 pub struct Counting;
 
+fn counted() -> bool {
+    !UNCOUNTED.try_with(Cell::get).unwrap_or(false)
+}
+
 fn grew(bytes: usize) {
-    LIVE.fetch_add(bytes, Ordering::Relaxed);
+    if counted() {
+        LIVE.fetch_add(bytes, Ordering::Relaxed);
+    }
 }
 
 fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    if counted() {
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` with its allocations and frees left out of the live heap.
+/// Whatever `f` allocates must also be freed inside `uncounted`.
+pub fn uncounted<T>(f: impl FnOnce() -> T) -> T {
+    let was = UNCOUNTED.with(|u| u.replace(true));
+    let out = f();
+    UNCOUNTED.with(|u| u.set(was));
+    out
 }
 
 // SAFETY: every method forwards the caller's arguments unchanged to

@@ -5,7 +5,9 @@
 //! [`Tracked`] that forwards every call unchanged and, around those
 //! calls, (a) mirrors every tracked store into a `PersistentProcess`
 //! data plane and commits the mechanism's copy runs through the
-//! production `PersistentProcess::commit`, (b) snapshots the machine at
+//! production `PersistentProcess::commit`, timing each commit cold and
+//! then the benchmark's copy of the same runs (`refsim::CopyRef`) as its
+//! host-speed reference, (b) snapshots the machine at
 //! interval boundaries so statistics are deltas over the timed
 //! intervals, and (c) in a traced pass, records host-time spans around
 //! the calls into each layer. The wrappers never touch the machine
@@ -36,6 +38,7 @@ use prosper_trace::stack::StackModel;
 use prosper_trace::workloads::{Workload, WorkloadProfile};
 
 use crate::check::{self, CheckOut};
+use crate::refsim::CopyRef;
 use crate::spans::Recorder;
 
 /// One in this many stores (and trace events) is timed in a traced
@@ -61,12 +64,14 @@ pub struct WorkloadSpec {
     pub heap: bool,
     /// Spine-mode commits instead of eager apply.
     pub spine: bool,
-    /// Untimed intervals that fill the modelled caches first.
-    pub warmup: u64,
-    /// Timed intervals per second of `--seconds`. Fixed, not measured,
-    /// so every simulated statistic depends only on seed and length.
-    pub intervals_per_second: u64,
 }
+
+/// Untimed intervals that fill the modelled caches first.
+pub const WARMUP: u64 = 30;
+
+/// Timed intervals per second of `--seconds`. Fixed, not measured, so
+/// every simulated statistic depends only on seed and length.
+pub const INTERVALS_PER_SECOND: u64 = 100;
 
 /// The three benchmark workloads.
 pub const WORKLOADS: [WorkloadSpec; 3] = [
@@ -75,24 +80,18 @@ pub const WORKLOADS: [WorkloadSpec; 3] = [
         profile: WorkloadProfile::gapbs_pr,
         heap: false,
         spine: false,
-        warmup: 30,
-        intervals_per_second: 100,
     },
     WorkloadSpec {
         name: "ycsb_everywhere",
         profile: WorkloadProfile::ycsb_mem,
         heap: true,
         spine: false,
-        warmup: 30,
-        intervals_per_second: 100,
     },
     WorkloadSpec {
         name: "mcf_spine",
         profile: WorkloadProfile::mcf,
         heap: false,
         spine: true,
-        warmup: 30,
-        intervals_per_second: 100,
     },
 ];
 
@@ -153,8 +152,6 @@ pub struct IntervalTime {
     pub accesses: u64,
     /// Host ns of the reference slice run just before it.
     pub ref_ns: u64,
-    /// Host ns of the reference slice run just after its commit.
-    pub ref_after_ns: u64,
 }
 
 /// Counters a Prosper mechanism keeps (zero for the normaliser).
@@ -181,8 +178,11 @@ pub struct SourceCounts {
     events: Cell<u64>,
     accesses: Cell<u64>,
     traced: bool,
-    /// Host ns spent in sampled `next_event` calls.
+    /// Host ns spent in sampled `next_event` calls, each less the cost
+    /// of timing an empty span.
     sampled_ns: Cell<u64>,
+    /// That cost.
+    span_cost_ns: u64,
     /// Set at each boundary: the next event starts an interval.
     sample_live: Cell<bool>,
     /// Highest live heap seen when an interval started.
@@ -212,8 +212,8 @@ impl TraceSource for CountingSource {
         let ev = if c.traced && n.is_multiple_of(SAMPLE_EVERY) {
             let t = Instant::now();
             let ev = self.inner.next_event();
-            c.sampled_ns
-                .set(c.sampled_ns.get() + t.elapsed().as_nanos() as u64);
+            let ns = (t.elapsed().as_nanos() as u64).saturating_sub(c.span_cost_ns);
+            c.sampled_ns.set(c.sampled_ns.get() + ns);
             ev
         } else {
             self.inner.next_event()
@@ -243,6 +243,12 @@ pub struct DataPlane {
     pub touched: Vec<(u64, u64)>,
     /// Host ns of each timed `commit`.
     pub commit_ns: Vec<u64>,
+    /// The commit's host-speed reference.
+    pub reference: CopyRef,
+    /// Host ns of the reference copy run right after each timed commit.
+    pub ref_ns: Vec<u64>,
+    /// That copy's ns at nominal host speed.
+    pub ref_nominal_ns: Vec<f64>,
     /// Commits made, warm-up included.
     pub commits: u64,
     /// Commits after which the committed sequence was wrong.
@@ -318,21 +324,10 @@ impl Shared {
         for tid in 0..self.regions {
             *plane.process.regs_mut(tid) = regs_for(seq, tid);
         }
-        // Time the commit cache-warm: read the bytes it will stage and
-        // overwrite, and run the parallelism query it starts with, so
-        // other tenants' pressure on the host's shared caches does not
-        // decide its latency. Excluded from program time.
-        let warm = Instant::now();
-        for (tid, tid_runs) in &runs {
-            let stack = plane.process.stack(*tid);
-            for run in tid_runs {
-                let len = run.len as usize;
-                std::hint::black_box(stack.volatile().read(run.start, len));
-                std::hint::black_box(stack.persistent().read(run.start, len));
-            }
-        }
+        // `commit` starts with this query, which reads cgroup files:
+        // asking first keeps a cold kernel file cache out of the timed
+        // commit. The commit's own inputs are left cold.
         std::hint::black_box(std::thread::available_parallelism().ok());
-        self.bench_ns += warm.elapsed().as_nanos() as u64;
         let probe = self
             .recorder
             .as_ref()
@@ -345,7 +340,17 @@ impl Shared {
         if plane.process.committed_sequence() != seq {
             plane.failed_commits += 1;
         }
+        // The reference copies the same runs right after the commit,
+        // outside program time. It runs on warm-up commits too, so its
+        // images grow in step with the program's.
+        let t1 = Instant::now();
+        let (ref_ns, nominal_ns) = plane
+            .reference
+            .copy(runs.values().flatten().map(|r| (r.start.raw(), r.len)));
+        self.bench_ns += t1.elapsed().as_nanos() as u64;
         if timed {
+            plane.ref_ns.push(ref_ns);
+            plane.ref_nominal_ns.push(nominal_ns);
             plane.commit_ns.push(ns);
             if let (Some(rec), Some(probe)) = (self.recorder.as_mut(), probe) {
                 rec.commit(seq - 1, t, ns, probe);
@@ -527,7 +532,6 @@ impl PassOut {
                 ns: (w[1].at - w[0].after).as_nanos() as u64 - (w[1].bench_ns - w[0].bench_ns),
                 accesses: w[1].accesses - w[0].accesses,
                 ref_ns: w[0].ref_ns,
-                ref_after_ns: w[1].ref_ns,
             })
             .collect()
     }
@@ -613,9 +617,9 @@ pub fn run_pass(
     recorder: Option<Recorder>,
 ) -> PassOut {
     assert!(warmup <= intervals, "warm-up longer than the pass");
-    let traced = recorder.is_some();
     let counts = Rc::new(SourceCounts {
-        traced,
+        traced: recorder.is_some(),
+        span_cost_ns: recorder.as_ref().map_or(0, |r| r.span_cost_ns),
         ..SourceCounts::default()
     });
     let source = CountingSource {
@@ -636,6 +640,9 @@ pub fn run_pass(
         },
         touched: vec![(u64::MAX, 0); ranges.len()],
         commit_ns: Vec::new(),
+        reference: CopyRef::default(),
+        ref_ns: Vec::new(),
+        ref_nominal_ns: Vec::new(),
         commits: 0,
         failed_commits: 0,
     });

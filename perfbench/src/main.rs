@@ -27,7 +27,9 @@ use std::time::Instant;
 use prosper_trace::source::TraceSource;
 use prosper_trace::workloads::Workload;
 
-use harness::{run_pass, IntervalTime, Pass, WorkloadSpec, WORKLOADS};
+use harness::{
+    run_pass, DataPlane, IntervalTime, Pass, WorkloadSpec, INTERVALS_PER_SECOND, WARMUP, WORKLOADS,
+};
 use spans::Recorder;
 
 #[global_allocator]
@@ -152,7 +154,7 @@ fn per(a: u64, b: u64) -> f64 {
 const BLOCK: usize = 25;
 
 /// Host-speed normalisation of one pass's timed window: per interval,
-/// the factor `NOMINAL_NS / median reference slice of its block`.
+/// the speed factor of the median reference slice of its block.
 struct HostScale {
     intervals: Vec<IntervalTime>,
     scale: Vec<f64>,
@@ -165,7 +167,7 @@ impl HostScale {
             .chunks(BLOCK)
             .flat_map(|block| {
                 let refs: Vec<u64> = block.iter().map(|i| i.ref_ns).collect();
-                std::iter::repeat_n(refsim::NOMINAL_NS / refsim::median(&refs), block.len())
+                std::iter::repeat_n(refsim::speed_factor(refsim::median(&refs)), block.len())
             })
             .collect();
         Self { intervals, scale }
@@ -198,24 +200,46 @@ impl HostScale {
     }
 }
 
+/// The timed commits' host ns, each scaled by the copy reference of
+/// its block (the median over `BLOCK` commits of measured ÷ nominal
+/// reference time), and the median of that ratio over the window.
+fn commit_scaled(plane: &DataPlane) -> (Vec<u64>, f64) {
+    let mut slow: Vec<f64> = plane
+        .ref_ns
+        .iter()
+        .zip(&plane.ref_nominal_ns)
+        .map(|(&r, &n)| r as f64 / n)
+        .collect();
+    let scaled = plane
+        .commit_ns
+        .chunks(BLOCK)
+        .zip(slow.chunks(BLOCK))
+        .flat_map(|(c, s)| {
+            let f = median(&mut s.to_vec());
+            c.iter().map(move |&c| (c as f64 / f) as u64)
+        })
+        .collect();
+    (scaled, median(&mut slow))
+}
+
 /// The untraced run: `SETUP_REPS` complete set-ups (construction and
 /// warm-up), the last continuing into the timed window; the output
 /// check; then the no-persistence pass of the same trace that
 /// normalises `exec_overhead_ppm`.
 fn untraced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
-    let timed = spec.intervals_per_second * seconds;
-    let total = spec.warmup + timed;
+    let timed = INTERVALS_PER_SECOND * seconds;
+    let total = WARMUP + timed;
     let mut setup = Vec::new();
     let mut raw_setup = Vec::new();
     let mut run = None;
     for rep in 0..SETUP_REPS {
         let last = rep + 1 == SETUP_REPS;
-        let intervals = if last { total } else { spec.warmup };
+        let intervals = if last { total } else { WARMUP };
         let t0 = Instant::now();
-        let p = run_pass(spec, seed, spec.warmup, intervals, Pass::Prosper, None);
+        let p = run_pass(spec, seed, WARMUP, intervals, Pass::Prosper, None);
         let (ns, ref_ns) = p.setup(t0);
         raw_setup.push(ns as f64 / 1e9);
-        setup.push(ns as f64 / 1e9 * refsim::NOMINAL_NS / ref_ns);
+        setup.push(ns as f64 / 1e9 * refsim::speed_factor(ref_ns));
         if last {
             run = Some(p);
         }
@@ -223,7 +247,7 @@ fn untraced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
     let mut p = run.expect("the last set-up continues into the timed window");
     let check = p.check();
     let plane = p.plane.take().expect("a Prosper pass has a data plane");
-    let norm = run_pass(spec, seed, spec.warmup, total, Pass::Normaliser, None);
+    let norm = run_pass(spec, seed, WARMUP, total, Pass::Normaliser, None);
     let same_trace = p.accesses() == norm.accesses();
     for problem in &check.problems {
         println!("check: {problem}");
@@ -232,15 +256,7 @@ fn untraced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
         println!("check: the two passes replayed different traces");
     }
     let host = HostScale::of(&p);
-    // Each commit is scaled by the reference slice run right after it:
-    // commits are short enough for the host's speed at that moment to
-    // matter more than its speed over the block.
-    let mut commit_ns: Vec<u64> = plane
-        .commit_ns
-        .iter()
-        .zip(&host.intervals)
-        .map(|(&c, i)| (c as f64 * refsim::NOMINAL_NS / i.ref_after_ns as f64) as u64)
-        .collect();
+    let (mut commit_ns, copy_speed) = commit_scaled(&plane);
     commit_ns.sort_unstable();
     let mut raw_commit = plane.commit_ns.clone();
     raw_commit.sort_unstable();
@@ -251,13 +267,14 @@ fn untraced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
     );
     println!(
         "raw host time: {:.4} M/s, commit p50 {:.3} us p99 {:.3} us, setup {:.4} s; \
-         median reference slice {:.0} ns (nominal {:.0})",
+         median reference slice {:.0} ns (nominal {:.0}), median copy reference {:.3}x nominal",
         host.raw_rate(),
         percentile(&raw_commit, 50.0) / 1e3,
         percentile(&raw_commit, 99.0) / 1e3,
         median(&mut raw_setup),
         host.ref_ns(),
         refsim::NOMINAL_NS,
+        copy_speed,
     );
     let correct = check.failed == 0
         && check.problems.is_empty()
@@ -331,15 +348,15 @@ fn generation_ns_per_event(spec: &WorkloadSpec, seed: u64, events: u64) -> f64 {
         std::hint::black_box(w.next_event());
     }
     let ns = t.elapsed().as_nanos() as f64 / events.max(1) as f64;
-    ns * refsim::NOMINAL_NS / refsim::median(&refs)
+    ns * refsim::speed_factor(refsim::median(&refs))
 }
 
 /// The traced run: an untraced pass as the overhead reference, the
 /// traced pass, and a generation-only pass of the same seed.
 fn traced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
-    let timed = spec.intervals_per_second * seconds;
-    let total = spec.warmup + timed;
-    let plain = run_pass(spec, seed, spec.warmup, total, Pass::Prosper, None);
+    let timed = INTERVALS_PER_SECOND * seconds;
+    let total = WARMUP + timed;
+    let plain = run_pass(spec, seed, WARMUP, total, Pass::Prosper, None);
     let plain_rate = HostScale::of(&plain).rate();
     let plain_fp = plain.cycle_fingerprint();
     drop(plain);
@@ -347,7 +364,7 @@ fn traced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
     let mut t = run_pass(
         spec,
         seed,
-        spec.warmup,
+        WARMUP,
         total,
         Pass::Prosper,
         Some(Recorder::install()),
@@ -361,7 +378,7 @@ fn traced(spec: &WorkloadSpec, seed: u64, seconds: u64) -> Report {
     let rate = host.rate();
     // Per-layer host times are scaled to nominal host speed by the
     // pass's median reference slice.
-    let f = refsim::NOMINAL_NS / host.ref_ns();
+    let f = refsim::speed_factor(host.ref_ns());
     let check = t.check();
     for problem in &check.problems {
         println!("check: {problem}");

@@ -11,6 +11,7 @@
 //! │   ├── trace.next_event        sampled 1/SAMPLE_EVERY, scaled up
 //! │   ├── tracker.on_store        sampled 1/SAMPLE_EVERY, scaled up
 //! │   └── persist.record_store    sampled 1/SAMPLE_EVERY, scaled up
+//! │                               (each sample less the empty-span cost)
 //! └── checkpoint                  first end_interval → boundary
 //!     ├── oscomp.end_interval     one per region
 //!     └── recovery.commit
@@ -91,10 +92,26 @@ pub struct CommitProbe {
     merged_bytes: u64,
 }
 
+/// Host ns an empty timed span reads: the median over many back-to-back
+/// clock-read pairs. Sampled spans subtract it before they are scaled up.
+fn empty_span_ns() -> u64 {
+    let mut v: Vec<u64> = (0..1001)
+        .map(|_| {
+            let t = Instant::now();
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
 /// Per-pass span recorder; installing it turns the program's
 /// telemetry on for this thread until [`Recorder::finish`].
 pub struct Recorder {
     origin: Instant,
+    /// What timing an empty span costs, subtracted from every sampled
+    /// per-call span (see [`Recorder::sampled_ns`]).
+    pub span_cost_ns: u64,
     /// Every recorded span, in order.
     pub spans: Vec<Span>,
     /// Open interval: index and start.
@@ -137,6 +154,7 @@ impl Recorder {
         let r = tel.registry();
         Self {
             origin: Instant::now(),
+            span_cost_ns: empty_span_ns(),
             spans: Vec::new(),
             open: None,
             replay_end: None,
@@ -230,10 +248,15 @@ impl Recorder {
         self.replay_end = Some(at);
     }
 
+    /// A sampled span's ns without the cost of timing it.
+    pub fn sampled_ns(&self, ns: u64) -> u64 {
+        ns.saturating_sub(self.span_cost_ns)
+    }
+
     /// One sampled store: ns in the mechanism and in the mirror.
     pub fn sampled_store(&mut self, tracker_ns: u64, record_ns: u64) {
-        self.tracker_ns += tracker_ns;
-        self.record_ns += record_ns;
+        self.tracker_ns += self.sampled_ns(tracker_ns);
+        self.record_ns += self.sampled_ns(record_ns);
     }
 
     /// One region's `end_interval` call.
