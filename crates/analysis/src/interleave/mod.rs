@@ -1,9 +1,10 @@
 //! Miniature loom-style concurrency checker for the parallel commit
 //! protocol.
 //!
-//! The real `commit_with_workers` path in `prosper-core` fans stage
-//! and apply work out to scoped threads around a serial seal. Its
-//! correctness argument rests on a handful of ordering invariants
+//! The commit engine in `prosper-core`
+//! (`PersistentProcess::commit_with`) fans stage and apply work out
+//! to scoped threads around a serial seal. Its correctness argument
+//! rests on a handful of ordering invariants
 //! (see [`order`]): the seal is the single commit point, stage and
 //! apply for one sequence number never overlap, sequences never
 //! overlap each other, and the tracker quiescence handshake orders

@@ -1,7 +1,7 @@
 //! A faithful synchronization skeleton of the parallel commit
 //! protocol, plus deliberately seeded bugs.
 //!
-//! Thread layout mirrors `commit_with_workers` in
+//! Thread layout mirrors the commit engine (`commit_with`) in
 //! `crates/core/src/recovery.rs`:
 //!
 //! * thread `0` — the **coordinator**: quiescence handshake, bitmap

@@ -4,13 +4,14 @@
 //! The model explorer (see `interleave_explorer.rs`) proves the
 //! protocol *design* safe; this suite ties the design to the
 //! implementation: `CommitProbe` logs recorded inside
-//! `PersistentProcess::commit_with_workers_probed` are mapped onto
-//! the same `OrderEvent` trace format and checked with the same
-//! `check_order` — one checker, two witnesses.
+//! `PersistentProcess::commit_with` are mapped onto the same
+//! `OrderEvent` trace format and checked with the same `check_order`
+//! — one checker, two witnesses.
 
 use prosper_analysis::interleave::{check_order, OrderEvent};
 use prosper_core::bitmap::CopyRun;
-use prosper_core::recovery::{CommitProbe, CommitProbeEvent, PersistentProcess};
+use prosper_core::recovery::{CommitHooks, CommitProbe, CommitProbeEvent, PersistentProcess};
+use prosper_gemos::crash::FaultInjector;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use std::collections::BTreeMap;
 
@@ -56,29 +57,47 @@ fn to_trace(events: &[CommitProbeEvent]) -> Vec<OrderEvent> {
         .collect()
 }
 
+/// Commits `batches` through the commit engine with `probe` attached
+/// (and `inj`, when given).
+fn commit_probed(
+    p: &mut PersistentProcess,
+    batches: &[BTreeMap<u32, Vec<CopyRun>>],
+    workers: usize,
+    probe: &CommitProbe,
+    inj: Option<&mut FaultInjector>,
+) {
+    let hooks = CommitHooks {
+        faults: inj,
+        probe: Some(probe),
+        acct: None,
+    };
+    p.commit_with(batches, workers, hooks)
+        .expect("no injector that fires is attached");
+}
+
 fn probe_commit(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        p.commit_with_workers_probed(&runs, workers, Some(&probe));
+        commit_probed(&mut p, std::slice::from_ref(&runs), workers, &probe, None);
     }
     to_trace(&probe.events())
 }
 
-/// Drives the real pipelined burst (`commit_pipelined_attributed`)
-/// and returns its probe stream as a checker trace.
+/// Drives the real pipelined burst (a multi-batch `commit_with`) and
+/// returns its probe stream as a checker trace.
 fn probe_pipelined(threads: u32, workers: usize, batches: usize) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
     let runs = full_runs(&p, threads);
     let batches: Vec<_> = (0..batches).map(|_| runs.clone()).collect();
     let probe = CommitProbe::new();
-    p.commit_pipelined_attributed(&batches, workers, Some(&probe), None);
+    commit_probed(&mut p, &batches, workers, &probe, None);
     to_trace(&probe.events())
 }
 
-/// Drives the real staged-delta-spine commit (`commit_attributed` on
-/// a spine-configured process) and returns its probe stream.
+/// Drives the real staged-delta-spine commit (`commit_with` on a
+/// spine-configured process) and returns its probe stream.
 fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new_with_spine(
         &ranges(u64::from(threads)),
@@ -87,9 +106,67 @@ fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        p.commit_attributed(&runs, workers, Some(&probe), None);
+        commit_probed(&mut p, std::slice::from_ref(&runs), workers, &probe, None);
     }
     to_trace(&probe.events())
+}
+
+/// Probe streams of commits run with a disabled injector attached —
+/// the inline schedule the crash matrix enumerates: an eager commit
+/// followed by a 3-batch pipelined burst, and three spine commits that
+/// merge. One trace per process.
+fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
+    let mut inj = FaultInjector::disabled();
+    let mut eager = PersistentProcess::new(&ranges(u64::from(threads)));
+    let runs = full_runs(&eager, threads);
+    let probe = CommitProbe::new();
+    commit_probed(
+        &mut eager,
+        std::slice::from_ref(&runs),
+        1,
+        &probe,
+        Some(&mut inj),
+    );
+    let burst = [runs.clone(), runs.clone(), runs.clone()];
+    commit_probed(&mut eager, &burst, 1, &probe, Some(&mut inj));
+    let eager_trace = to_trace(&probe.events());
+
+    let mut spine = PersistentProcess::new_with_spine(
+        &ranges(u64::from(threads)),
+        prosper_core::SpineConfig::merge_always(),
+    );
+    let probe = CommitProbe::new();
+    for _ in 0..3 {
+        commit_probed(
+            &mut spine,
+            std::slice::from_ref(&runs),
+            1,
+            &probe,
+            Some(&mut inj),
+        );
+    }
+    [eager_trace, to_trace(&probe.events())]
+}
+
+#[test]
+fn crash_windowed_commit_conforms() {
+    // The body the crash matrix crashes emits a probe stream, and the
+    // same checker accepts it.
+    let [eager, spine] = probe_crash_windowed(3);
+    for (mode, trace) in [("eager", &eager), ("spine", &spine)] {
+        let violations = check_order(trace);
+        assert!(
+            violations.is_empty(),
+            "{mode}: crash-windowed commit violated protocol order: \
+             {violations:?}\ntrace: {trace:?}"
+        );
+    }
+    // Per sequence: 3 stages + 1 seal + 3 applies + 1 retire.
+    assert_eq!(eager.len(), 4 * 8, "one commit + a 3-batch burst");
+    assert!(
+        spine.iter().any(|e| matches!(e, OrderEvent::Merge { .. })),
+        "merge_always spine commits must emit merges"
+    );
 }
 
 #[test]

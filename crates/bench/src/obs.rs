@@ -94,7 +94,9 @@ pub struct TaxThreadRow {
 pub struct TaxSection {
     /// Section name (`micro`, `commit_w2`, `crash_recover`, ...).
     pub name: String,
-    /// Commit workers the section ran with (0: serial crash path).
+    /// Commit workers the section's whole-process commits are charged
+    /// at (0: the micro sections, which commit through the OS
+    /// component instead).
     pub workers: u64,
     /// Total simulated ns of the run (1 cycle = 1 ns).
     pub total_ns: u64,
@@ -324,7 +326,7 @@ pub fn collect(quick: bool) -> Result<TaxReport, String> {
     let sites = enumerate_crash_sites(&cfg);
     let last = (sites.len() as u64).saturating_sub(1);
     let (_, crash_run) = run_crash_attributed(&cfg, last)?;
-    sections.push(section_from_run("crash_recover", 0, &crash_run)?);
+    sections.push(section_from_run("crash_recover", 1, &crash_run)?);
     sections.push(fleet_section()?);
     Ok(TaxReport {
         schema: TAX_SCHEMA.to_string(),

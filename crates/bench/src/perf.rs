@@ -12,12 +12,13 @@
 //!    reference, reported as granules scanned per second and a
 //!    speedup ratio. The acceptance gate requires ≥ 5× on the
 //!    sparse-stack pattern.
-//! 2. **Parallel commit scaling** — `commit_with_workers` on an
-//!    8-thread process across worker counts, with the telemetry
-//!    per-phase timers (`stage`/`seal`/`apply`) broken out per
-//!    configuration. A companion subsection sweeps the PR 7
-//!    *pipelined* burst (`commit_pipelined_with_workers`, where
-//!    stage(N+1) overlaps apply(N)) over the same worker counts plus
+//! 2. **Parallel commit scaling** — single commits through
+//!    `PersistentProcess::commit_with` on an 8-thread process across
+//!    worker counts, with the telemetry per-phase timers
+//!    (`stage`/`seal`/`apply`) broken out per configuration. A
+//!    companion subsection sweeps the PR 7 *pipelined* burst (a
+//!    multi-batch `commit_with`, where stage(N+1) overlaps apply(N))
+//!    over the same worker counts plus
 //!    the adaptive selector's own pick, and gates the adaptive
 //!    configuration at ≥ 1.0× serial — skipped automatically on
 //!    single-core hosts, where no overlap is physically possible.
@@ -65,7 +66,7 @@ use prosper_core::bitmap::reference::SparseDirtyBitmap;
 use prosper_core::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
 use prosper_core::fleet::{CheckpointFleet, FleetConfig};
 use prosper_core::oscomp::ProsperMechanism;
-use prosper_core::recovery::PersistentProcess;
+use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_gemos::llalloc::FrameAlloc;
 use prosper_gemos::physmem::{PhysMemory, Pool};
@@ -449,7 +450,19 @@ fn host_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Measures `commit_with_workers` across worker counts.
+/// Commits `batches` through the commit engine at `workers`, with no
+/// hooks attached.
+fn commit_at(
+    process: &mut PersistentProcess,
+    batches: &[BTreeMap<u32, Vec<CopyRun>>],
+    workers: usize,
+) {
+    process
+        .commit_with(batches, workers, CommitHooks::default())
+        .expect("no injector is attached, so the commit cannot crash");
+}
+
+/// Measures single commits across worker counts.
 #[must_use]
 pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
     let (mut process, runs) = commit_fixture();
@@ -457,11 +470,12 @@ pub fn commit_section(cfg: &PerfConfig) -> CommitSection {
     let mut rows = Vec::new();
     let mut serial_mean = 0.0f64;
     for &workers in cfg.commit_workers() {
-        process.commit_with_workers(&runs, workers); // warm-up
+        let batches = std::slice::from_ref(&runs);
+        commit_at(&mut process, batches, workers); // warm-up
         let before = registry_snapshot();
         let t = Instant::now();
         for _ in 0..iters {
-            process.commit_with_workers(&runs, workers);
+            commit_at(&mut process, batches, workers);
         }
         let total_ns = t.elapsed().as_nanos() as u64;
         let delta = registry_snapshot() - before;
@@ -514,8 +528,8 @@ pub struct PipelineRow {
     pub burst_ns_mean: f64,
 }
 
-/// The pipelined commit-scaling study: `commit_pipelined_with_workers`
-/// bursts over the same workload shape as [`CommitSection`], plus the
+/// The pipelined commit-scaling study: multi-batch bursts over the
+/// same workload shape as [`CommitSection`], plus the
 /// adaptive selector's own configuration.
 #[derive(Clone, Debug, Serialize)]
 pub struct PipelineSection {
@@ -559,11 +573,11 @@ pub fn pipeline_section(cfg: &PerfConfig) -> PipelineSection {
 
     let iters = cfg.commit_iters();
     let time_bursts = |process: &mut PersistentProcess, workers: usize| {
-        process.commit_pipelined_with_workers(&batches, workers); // warm-up
+        commit_at(process, &batches, workers); // warm-up
         let before = registry_snapshot();
         let t = Instant::now();
         for _ in 0..iters {
-            process.commit_pipelined_with_workers(&batches, workers);
+            commit_at(process, &batches, workers);
         }
         let total_ns = t.elapsed().as_nanos() as u64;
         let delta = registry_snapshot() - before;
@@ -594,7 +608,7 @@ pub fn pipeline_section(cfg: &PerfConfig) -> PipelineSection {
     // the selector lands on a swept count — the gate then compares
     // one timed configuration against another, not two noisy timings
     // of the same one.
-    let adaptive_workers = process.planned_pipelined_workers(&batches);
+    let adaptive_workers = process.planned_workers(&batches);
     let adaptive_mean_ns = match rows.iter().find(|r| r.workers == adaptive_workers) {
         Some(row) => row.mean_ns,
         None => time_bursts(&mut process, adaptive_workers).0,
@@ -892,7 +906,13 @@ fn spine_commit_cost(
 ) -> (u64, u64) {
     let acct = StallAccountant::new_virtual();
     for _ in 0..commits {
-        process.commit_attributed(runs, 1, None, Some(&acct));
+        let hooks = CommitHooks {
+            acct: Some(&acct),
+            ..CommitHooks::default()
+        };
+        process
+            .commit_with(std::slice::from_ref(runs), 1, hooks)
+            .expect("no injector is attached, so the commit cannot crash");
     }
     let snap = acct.snapshot();
     let merge = snap.cause_total_ns(StallCause::Merge);

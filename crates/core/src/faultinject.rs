@@ -49,7 +49,7 @@ use prosper_telemetry::{AttributionSnapshot, StallAccountant};
 use crate::bitmap::CopyRun;
 use crate::multithread::MultiThreadTracker;
 use crate::persist::SpineConfig;
-use crate::recovery::PersistentProcess;
+use crate::recovery::{CommitHooks, PersistentProcess};
 use crate::tracker::TrackerConfig;
 
 /// Shape of the deterministic workload the crash matrix drives.
@@ -268,9 +268,9 @@ struct Driver {
     /// Cycles retired by machine epochs that ended in a power
     /// failure; the live machine's clock restarts from zero.
     prior_epochs_cycles: u64,
-    /// Parallel commit workers for attributed clean runs; 0 keeps the
-    /// serial crash-window commit path (required when an injector may
-    /// fire, since crash sites live on that path).
+    /// Commit workers (at least 1) the commit cost model charges. The
+    /// injector is always attached, so the engine runs its per-stack
+    /// passes inline in tid order whatever this count is.
     workers: usize,
     /// Allocator state once the allocator epilogue has started.
     alloc: Option<AllocState>,
@@ -301,7 +301,7 @@ impl Driver {
             expected_sequence: 0,
             acct: None,
             prior_epochs_cycles: 0,
-            workers: 0,
+            workers: 1,
             alloc: None,
         }
     }
@@ -312,11 +312,8 @@ impl Driver {
     }
 
     /// Wires a stall accountant through every layer the workload
-    /// stalls in: tracker quiescence, the commit path, and recovery.
-    /// `workers > 0` routes clean commits through the parallel
-    /// `commit_attributed` path with that worker count; `workers == 0`
-    /// keeps the serial crash-window path (mandatory when the
-    /// injector may fire).
+    /// stalls in: tracker quiescence, the commit path, and recovery,
+    /// with commits charged at `workers` commit workers.
     fn set_attribution(&mut self, acct: Arc<StallAccountant>, workers: usize) {
         self.mt.set_attribution(Arc::clone(&acct));
         self.acct = Some(acct);
@@ -422,23 +419,7 @@ impl Driver {
         // Whole-process two-phase commit.
         let sequence = self.commits_completed + 1;
         let snapshot = self.snapshot_now();
-        let commit_result = if self.workers > 0 {
-            // Attributed clean run: parallel commit with the
-            // deterministic cost model. Crash sites live on the
-            // serial path, so this is only reachable with a disabled
-            // injector.
-            self.process.commit_attributed(
-                &runs_per_thread,
-                self.workers,
-                None,
-                self.acct.as_deref(),
-            );
-            Ok(())
-        } else {
-            self.process
-                .commit_with_faults_attributed(&runs_per_thread, inj, self.acct.as_deref())
-        };
-        match commit_result {
+        match self.commit(&[runs_per_thread], inj) {
             Ok(()) => {
                 self.commits_completed = sequence;
                 self.expected_sequence = sequence;
@@ -455,6 +436,24 @@ impl Driver {
                 Err(err)
             }
         }
+    }
+
+    /// Commits `batches` through the commit engine with the injector
+    /// and the accountant attached as hooks.
+    fn commit(
+        &mut self,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        inj: &mut FaultInjector,
+    ) -> Result<(), CrashInjected> {
+        self.process.commit_with(
+            batches,
+            self.workers,
+            CommitHooks {
+                faults: Some(inj),
+                probe: None,
+                acct: self.acct.as_deref(),
+            },
+        )
     }
 
     /// Ground truth of the process's volatile state right now.
@@ -536,11 +535,7 @@ impl Driver {
             // Resume path: checkpoint N is durable, redo round 1 only.
             let runs = self.epilogue_round(1, inj)?;
             let snapshot = self.snapshot_now();
-            return match self.process.commit_with_faults_attributed(
-                &runs,
-                inj,
-                self.acct.as_deref(),
-            ) {
+            return match self.commit(&[runs], inj) {
                 Ok(()) => {
                     self.commits_completed = n + 1;
                     self.expected_sequence = n + 1;
@@ -570,12 +565,7 @@ impl Driver {
             images: images_n,
             regs: snap_n1.regs.clone(),
         };
-        match self.process.commit_pipelined_pair_with_faults_attributed(
-            &runs_n,
-            &runs_n1,
-            inj,
-            self.acct.as_deref(),
-        ) {
+        match self.commit(&[runs_n, runs_n1], inj) {
             Ok(()) => {
                 self.commits_completed = n + 1;
                 self.expected_sequence = n + 1;
@@ -841,19 +831,21 @@ fn freeze_attributed(acct: &StallAccountant, driver: &Driver) -> AttributedRun {
 }
 
 /// Runs the uninterrupted workload with a virtual-clock stall
-/// accountant wired through tracker quiescence and the parallel
-/// commit path (`workers` commit workers), and returns the
+/// accountant wired through tracker quiescence and the commit engine
+/// (charged at `workers` commit workers), and returns the
 /// cause-tagged attribution snapshot.
 ///
 /// The virtual clock advances only by the deterministic commit cost
 /// model and quiescence cycle counts, so two calls with the same
 /// config and worker count yield identical snapshots — and the
 /// snapshot always satisfies [`AttributionSnapshot::verify_conservation`].
+///
+/// # Panics
+///
+/// Panics if `workers` is 0: the cost model charges at least one
+/// commit worker.
 pub fn run_attributed(cfg: &CrashMatrixConfig, workers: usize) -> AttributedRun {
-    assert!(
-        workers > 0,
-        "attributed clean runs need at least one commit worker"
-    );
+    assert!(workers > 0, "commits are charged at least one worker");
     let acct = Arc::new(StallAccountant::new_virtual());
     let mut driver = Driver::new(*cfg);
     driver.set_attribution(Arc::clone(&acct), workers);
@@ -865,7 +857,8 @@ pub fn run_attributed(cfg: &CrashMatrixConfig, workers: usize) -> AttributedRun 
 }
 
 /// Runs the workload with a crash injected at boundary `index` and a
-/// stall accountant attached, recovers (attributing the replay to
+/// stall accountant attached (commits charged at one worker),
+/// recovers (attributing the replay to
 /// [`prosper_telemetry::StallCause::Recovery`]), verifies the
 /// recovery invariants, and returns the outcome together with the
 /// attribution snapshot covering the torn commit, the crash, and the
@@ -880,8 +873,7 @@ pub fn run_crash_attributed(
 ) -> Result<(CrashOutcome, AttributedRun), String> {
     let acct = Arc::new(StallAccountant::new_virtual());
     let mut driver = Driver::new(*cfg);
-    // workers == 0: crash sites live on the serial commit path.
-    driver.set_attribution(Arc::clone(&acct), 0);
+    driver.set_attribution(Arc::clone(&acct), 1);
     let mut inj = FaultInjector::at_index(index);
     let outcome = match driver.run_from(0, &mut inj) {
         Ok(()) => CrashOutcome {

@@ -39,7 +39,7 @@ use prosper_memsim::{BandwidthWindows, CkptPhase, Machine, MachineConfig, NvmPha
 use prosper_telemetry::{AttributionSnapshot, SloReport, SloTracker, StallAccountant, StallCause};
 
 use crate::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
-use crate::recovery::{commit_cost, PersistentProcess};
+use crate::recovery::{commit_cost, CommitHooks, PersistentProcess};
 
 /// Bytes of one tenant's stack span (what the dirty bitmap tracks and
 /// the store generator writes into).
@@ -481,7 +481,10 @@ impl CheckpointFleet {
 
                 // The real commit, for bytes and crash-consistency
                 // correctness; timing comes from the model above.
-                shard.process.commit_with_workers(&runs_map, 1);
+                shard
+                    .process
+                    .commit_with(std::slice::from_ref(&runs_map), 1, CommitHooks::default())
+                    .expect("no injector is attached, so the commit cannot crash");
                 commits += 1;
 
                 // Tagged NVM traffic: stage copy, seal record, apply

@@ -31,46 +31,53 @@
 //!    stack, then every thread's register slot is written; finally the
 //!    record is retired.
 //!
-//! Every step boundary is a named [`CrashSite`] observed through a
+//! # One commit engine
+//!
+//! [`PersistentProcess::commit_with`] is the only body of that
+//! protocol. [`PersistentProcess::commit`] and
+//! [`PersistentProcess::commit_pipelined`] are adaptive wrappers
+//! around it, and recovery's redo of a sealed record reuses its
+//! phase-two and register-tail step. Crash windows, probe events and
+//! stall attribution are [`CommitHooks`] on that one body: every step
+//! boundary is a named [`CrashSite`] observed by an attached
 //! [`FaultInjector`], so the exhaustive crash-point sweep in
-//! [`crate::faultinject`] can fire a simulated power failure at each
-//! one and assert the invariants above.
+//! [`crate::faultinject`] fires a simulated power failure inside the
+//! code production commits run, and asserts the invariants above.
 //!
 //! # Parallel staging and apply
 //!
 //! Stage and apply touch strictly per-thread state (each thread's
-//! staging buffer and persistent stack), so [`PersistentProcess::commit`]
-//! fans them out over `std::thread::scope` workers; the **seal stays
-//! the single serialization point** — one durable write on the
-//! coordinating thread — so crash atomicity is unchanged. Worker
-//! assignment is work-stealing: each worker claims the next unclaimed
-//! stack from a shared cursor, so uneven per-thread run lists no
-//! longer leave workers idle behind a pre-assigned contiguous chunk.
-//! Recovery's redo of a sealed record takes the same parallel apply
-//! path, which means the exhaustive crash matrix exercises it after
-//! every post-seal crash. Deterministic fault injection needs a fixed
-//! boundary order, so [`PersistentProcess::commit_with_faults`] keeps
-//! the serial schedule with its crash windows; the
-//! `parallel_commit_matches_serial` test pins the two paths to the
-//! same persistent state.
+//! staging buffer and persistent stack), so the engine fans them out
+//! over `std::thread::scope` workers; the **seal stays the single
+//! serialization point** — one durable write on the coordinating
+//! thread — so crash atomicity is unchanged. Worker assignment is
+//! work-stealing: each worker claims the next unclaimed stack from a
+//! shared cursor, so uneven per-thread run lists no longer leave
+//! workers idle behind a pre-assigned contiguous chunk. With an
+//! injector attached the per-stack passes run inline in tid order
+//! instead, so the crossed boundaries form one deterministic
+//! sequence; the `parallel_commit_matches_serial` test pins every
+//! worker count to that schedule's persistent state. Recovery's redo
+//! of a sealed record takes the parallel pass.
 //!
 //! # Adaptive worker selection
 //!
 //! Spawning scoped workers is not free: BENCH_pr3.json recorded 2
 //! workers at 0.85x serial and 8 at 0.59x on small commits, because
-//! `commit` blindly fanned out to `available_parallelism`.
-//! [`PersistentProcess::commit`] now evaluates the [`commit_cost`]
-//! model (the same per-phase model stall attribution charges) at every
-//! candidate worker count, including a per-worker spawn overhead, and
-//! picks the argmin — falling back to serial whenever the staged bytes
-//! sit below the parallelism break-even.
+//! `commit` blindly fanned out to `available_parallelism`. The
+//! adaptive wrappers evaluate the [`commit_cost`] model (the same
+//! per-phase model stall attribution charges) at every candidate
+//! worker count, including a per-worker spawn overhead, and pick the
+//! argmin — falling back to serial whenever the staged bytes sit
+//! below the parallelism break-even. A single commit is priced as a
+//! burst of one.
 //!
 //! # The pipelined burst
 //!
-//! When several checkpoints commit back to back,
-//! [`PersistentProcess::commit_pipelined`] overlaps sequence N's apply
-//! drain with sequence N+1's staging. The sharpened protocol invariant
-//! is:
+//! A [`PersistentProcess::commit_with`] call with several batches
+//! commits them back to back and, in eager mode, overlaps sequence
+//! N's apply drain with sequence N+1's staging. The sharpened protocol
+//! invariant is:
 //!
 //! - **stage(N+1) begins only after seal(N)** — the overlap window
 //!   opens at the commit point, never before, and
@@ -81,13 +88,10 @@
 //! `t`'s sequence-N buffer, retires it, and immediately stages N+1's
 //! runs into the same (single) buffer, tagged with its sequence
 //! ([`PersistentStack::begin_stage_at`]). A crash inside the overlap
-//! window leaves sealed record N pending while some stacks hold
-//! staging tagged N+1: redo replays only buffers tagged N and discards
-//! the unsealed staged-ahead ones, so recovery lands on exactly N — or
-//! N+1 once seal(N+1) is durable. The serial crash-windowed twin
-//! ([`PersistentProcess::commit_pipelined_pair_with_faults`]) walks the
-//! same schedule with a named [`CrashSite`] at every boundary,
-//! including [`CrashSite::MidPipelineStage`] inside the overlap.
+//! window ([`CrashSite::MidPipelineStage`]) leaves sealed record N
+//! pending while some stacks hold staging tagged N+1: redo replays
+//! only buffers tagged N and discards the unsealed staged-ahead ones,
+//! so recovery lands on exactly N — or N+1 once seal(N+1) is durable.
 //!
 //! # Spine mode (staged-delta spine)
 //!
@@ -108,7 +112,8 @@
 //! batch: only sealed-and-appended batches are ever folded, and a
 //! crash between merge steps is recovered by simply re-merging — each
 //! completed prefix of the newest-first fold writes a value-identical
-//! subset of the full fold.
+//! subset of the full fold. Spine mode has no apply drain to hide the
+//! next stage behind, so a burst's batches run back to back.
 
 use std::collections::BTreeMap;
 
@@ -138,7 +143,7 @@ struct ProcessCommitRecord {
 }
 
 /// One protocol-boundary event recorded by a [`CommitProbe`] during a
-/// parallel commit. The event stream is the observable ordering of the
+/// commit. The event stream is the observable ordering of the
 /// stage → seal → apply protocol: `prosper-analysis` checks it against
 /// the same happens-before invariants its interleaving explorer
 /// enforces on the protocol model (all stages before the seal, the
@@ -183,7 +188,7 @@ pub enum CommitProbeEvent {
     },
 }
 
-/// Collects [`CommitProbeEvent`]s from the parallel commit path.
+/// Collects [`CommitProbeEvent`]s from the commit engine.
 ///
 /// Shared by reference with the scoped stage/apply workers, so the
 /// recorded order is the *actual* cross-thread order of protocol
@@ -211,18 +216,19 @@ impl CommitProbe {
     }
 }
 
-/// Deterministic virtual-time cost model for the attributed commit
-/// path (see `prosper_telemetry::attribution`).
+/// Deterministic virtual-time cost model of the commit engine (see
+/// `prosper_telemetry::attribution`).
 ///
 /// Under a virtual-clock [`StallAccountant`] the coordinator advances
-/// the clock by these modelled costs — computed from the same
-/// contiguous chunk assignment `for_each_stack` uses — so attributed
-/// timelines are byte-identical across runs and still sensitive to
-/// the worker count. Under a wall-clock accountant `advance` is a
-/// no-op and real elapsed time is measured instead. Units are virtual
-/// ns; the values are loosely calibrated to the simulator's cycle
-/// costs — they only need to be *stable*, not accurate, because the
-/// conservation invariant holds under any clock.
+/// the clock by these modelled costs as each phase ends, pricing a
+/// per-stack pass by its makespan under the same work-stealing
+/// assignment the workers use, so attributed timelines are
+/// byte-identical across runs and still sensitive to the worker
+/// count. Under a wall-clock accountant `advance` is a no-op and real
+/// elapsed time is measured instead. Units are virtual ns; the values
+/// are loosely calibrated to the simulator's cycle costs — they only
+/// need to be *stable*, not accurate, because the conservation
+/// invariant holds under any clock.
 pub mod commit_cost {
     /// Fixed per-phase dispatch overhead.
     pub const PHASE_BASE_NS: u64 = 100;
@@ -266,69 +272,101 @@ pub mod commit_cost {
     pub const RECOVERY_BASE_NS: u64 = 400;
 }
 
-/// Records cause-tagged phase boundaries for the serial fault-injected
-/// commit. The scribe closes the in-progress phase when a crash window
-/// fires, so even a torn commit's stall window is exactly tiled by its
-/// segments — attribution survives injected crashes by construction.
-struct FaultScribe<'a> {
-    acct: &'a StallAccountant,
-    tids: Vec<u32>,
+/// Optional observers of one [`PersistentProcess::commit_with`] call;
+/// `Default` attaches none.
+#[derive(Debug, Default)]
+pub struct CommitHooks<'a> {
+    /// Crash windows: the injector observes every protocol boundary
+    /// the commit crosses, in order, and may fire a simulated power
+    /// failure at one of them.
+    pub faults: Option<&'a mut FaultInjector>,
+    /// Protocol-order witness: receives a [`CommitProbeEvent`] at
+    /// every stage, seal, apply, retire and merge.
+    pub probe: Option<&'a CommitProbe>,
+    /// Stall attribution: every phase is charged to every thread as a
+    /// cause-tagged segment, inside one stall window per sequence.
+    pub acct: Option<&'a StallAccountant>,
+}
+
+/// Stall attribution of one commit sequence under the engine's one
+/// charging rule: when a phase ends, the coordinator advances the
+/// clock by the phase's modelled cost and charges the phase to every
+/// thread as one segment — during a whole-process commit *every*
+/// thread is stalled, so the per-thread segments share the
+/// coordinator's boundaries. A crash closes the open phase at the
+/// crash instant without charging it, so even a torn commit's window
+/// is exactly tiled by its segments. A no-op without an accountant.
+struct Phases<'a> {
+    acct: Option<&'a StallAccountant>,
+    tids: &'a [u32],
     sequence: u64,
     window_start: u64,
     phase_start: u64,
-    cause: StallCause,
+    open: Option<StallCause>,
 }
 
-impl<'a> FaultScribe<'a> {
-    fn new(acct: &'a StallAccountant, tids: Vec<u32>, sequence: u64) -> Self {
-        let now = acct.now_ns();
-        FaultScribe {
+impl<'a> Phases<'a> {
+    /// Opens `sequence`'s stall window with `first` as its open phase.
+    fn open(
+        acct: Option<&'a StallAccountant>,
+        tids: &'a [u32],
+        sequence: u64,
+        first: StallCause,
+    ) -> Self {
+        let now = acct.map_or(0, StallAccountant::now_ns);
+        Phases {
             acct,
             tids,
             sequence,
             window_start: now,
             phase_start: now,
-            cause: StallCause::Stage,
+            open: Some(first),
         }
     }
 
-    /// Advances the virtual clock by one unit of modelled work.
-    fn work(&self, ns: u64) {
-        self.acct.advance(ns);
-    }
-
-    /// Closes the current phase at `now` and opens `cause`.
-    fn next_phase(&mut self, cause: StallCause) {
+    /// Ends the open phase, charging its modelled `cost` (evaluated
+    /// only under an accountant), and opens `next`.
+    fn end(&mut self, cost: impl FnOnce(&[u32]) -> u64, next: Option<StallCause>) {
+        if let Some(a) = self.acct {
+            a.advance(cost(self.tids));
+        }
         self.close_phase();
-        self.cause = cause;
+        self.open = next;
     }
 
-    /// [`Self::next_phase`] for a different sequence — the pipelined
-    /// pair commits two sequences under one scribe window.
-    fn next_phase_for(&mut self, cause: StallCause, sequence: u64) {
-        self.close_phase();
-        self.cause = cause;
-        self.sequence = sequence;
-    }
-
+    /// Records the open phase's segment up to now.
     fn close_phase(&mut self) {
-        let now = self.acct.now_ns();
-        for &tid in &self.tids {
-            self.acct
-                .record_segment(tid, self.cause, self.sequence, self.phase_start, now);
+        let (Some(a), Some(cause)) = (self.acct, self.open) else {
+            return;
+        };
+        let now = a.now_ns();
+        for &tid in self.tids {
+            a.record_segment(tid, cause, self.sequence, self.phase_start, now);
         }
         self.phase_start = now;
     }
 
-    /// Closes the final (possibly crash-interrupted) phase and the
-    /// per-thread stall windows.
-    fn finish(mut self) {
+    /// Closes the stall window: at the sequence's end, or at the crash
+    /// instant if a crash window fired.
+    fn close(mut self) {
         self.close_phase();
-        for &tid in &self.tids {
-            self.acct
-                .record_window(tid, self.window_start, self.phase_start);
+        if let Some(a) = self.acct {
+            for &tid in self.tids {
+                a.record_window(tid, self.window_start, self.phase_start);
+            }
         }
     }
+}
+
+/// Crosses crash window `site`: the attached injector, if any,
+/// observes it and may fire, aborting the interrupted operation
+/// exactly as a power failure would — persistent state is left as-is
+/// and the operation never continues.
+fn cross(faults: &mut Option<&mut FaultInjector>, site: CrashSite) -> Result<(), CrashInjected> {
+    if faults.as_deref_mut().is_some_and(|inj| inj.observe(site)) {
+        return Err(CrashInjected { site });
+    }
+    Ok(())
 }
 
 /// One claimable unit of the work-stealing stack fan-out: a worker
@@ -377,17 +415,6 @@ impl std::fmt::Display for SequenceSkew {
 }
 
 impl std::error::Error for SequenceSkew {}
-
-/// Fires the injector at `site`, aborting the interrupted operation
-/// exactly as a power failure would: persistent state is left as-is,
-/// the in-flight operation never continues.
-macro_rules! crash_window {
-    ($inj:expr, $site:expr) => {
-        if $inj.observe($site) {
-            return Err(CrashInjected { site: $site });
-        }
-    };
-}
 
 impl PersistentProcess {
     /// Creates a persistent process with `threads` threads whose
@@ -525,40 +552,31 @@ impl PersistentProcess {
             .max(1)
     }
 
-    /// Modelled wall cost of one whole-process commit at `workers`,
-    /// from the [`commit_cost`] model: both parallel phases under the
-    /// work-stealing assignment, the serial seal (with its coordinator
-    /// bookkeeping), the serial register tail — and, for `workers > 1`,
-    /// the spawn overhead of the scoped workers, which is what tiny
-    /// commits cannot amortize.
+    /// Modelled wall cost of committing `batches` at `workers`, from
+    /// the [`commit_cost`] model: per sequence, the phase charges stall
+    /// attribution makes — the stage pass (for a burst's head only in
+    /// eager mode, where every later batch stages inside the previous
+    /// apply pass), the seal, and the phase-two pass with the register
+    /// tail — plus, for `workers > 1`, the spawn overhead of each
+    /// parallel pass, which small commits cannot amortize. A single
+    /// commit is a burst of one.
     fn modeled_commit_ns(
         tids: &[u32],
         workers: usize,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
         spine: bool,
     ) -> u64 {
-        let cost = |tid: u32, per_run: u64, per_byte: u64| {
-            runs_per_thread
-                .get(&tid)
-                .map_or(0, |runs| Self::runs_cost(runs, per_run, per_byte))
-        };
-        // Spine mode replaces the per-byte apply copy with an O(1)
-        // batch append per stack, so its phase-two term is flat.
-        let phase_two = if spine {
-            Self::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
-        } else {
-            Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
-            })
-        };
-        2 * Self::spawn_cost(workers)
-            + Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
-            })
-            + commit_cost::SEAL_NS
-            + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-            + phase_two
-            + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
+        let mut total = 0;
+        for (i, batch) in batches.iter().enumerate() {
+            let ahead = batches.get(i + 1).filter(|_| !spine);
+            if i == 0 || spine {
+                total += Self::spawn_cost(workers) + Self::stage_cost(tids, workers, batch);
+            }
+            total += Self::seal_cost(tids)
+                + Self::spawn_cost(workers)
+                + Self::apply_cost(tids, workers, batch, ahead, spine);
+        }
+        total
     }
 
     /// Spawn overhead of one parallel pass: serial execution spawns
@@ -571,754 +589,69 @@ impl PersistentProcess {
         }
     }
 
-    /// The worker count in `1..=cap` with the lowest modelled cost;
-    /// ties go to the smallest count (serial wins a dead heat).
-    fn argmin_workers(cap: usize, cost: impl Fn(usize) -> u64) -> usize {
-        (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
-    }
-
-    /// Adaptive worker selection for [`Self::commit`]: evaluates the
-    /// modelled commit cost at every worker count up to the
-    /// machine-parallelism cap and returns the argmin. Commits whose
-    /// staged bytes sit below the parallelism break-even come out
-    /// serial — the fix for BENCH_pr3.json's w=2 → 0.85x regression,
-    /// where `commit` fanned out unconditionally.
-    fn select_workers(&self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) -> usize {
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let cap = Self::default_workers(tids.len());
-        let spine = self.spine_cfg.is_some();
-        Self::argmin_workers(cap, |w| {
-            Self::modeled_commit_ns(&tids, w, runs_per_thread, spine)
+    /// Modelled cost of the stage pass over `batch`.
+    fn stage_cost(tids: &[u32], workers: usize, batch: &BTreeMap<u32, Vec<CopyRun>>) -> u64 {
+        Self::stolen_phase_cost(tids, workers, |tid| {
+            Self::batch_cost(
+                batch,
+                tid,
+                commit_cost::STAGE_RUN_NS,
+                commit_cost::STAGE_BYTE_NS,
+            )
         })
     }
 
-    /// Commits one whole-process checkpoint: every thread's stack runs
-    /// (from its tracker's bitmap inspection) plus every thread's
-    /// registers, under the two-phase stage/seal/apply protocol, with
-    /// staging and apply fanned out across scoped workers (see the
-    /// module docs). The worker count is chosen adaptively from the
-    /// per-phase cost model; commits below the parallelism break-even
-    /// run serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
-        self.commit_with_workers(runs_per_thread, self.select_workers(runs_per_thread));
+    /// Modelled cost of the seal: the durable write plus the
+    /// coordinator's bookkeeping of every thread's register slot.
+    fn seal_cost(tids: &[u32]) -> u64 {
+        commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
     }
 
-    /// [`Self::commit`] with an explicit worker count (the perf suite
-    /// sweeps this to measure commit scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_workers(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        workers: usize,
-    ) {
-        self.commit_with_workers_probed(runs_per_thread, workers, None);
-    }
-
-    /// [`Self::commit_with_workers`] with a [`CommitProbe`] observing
-    /// every protocol boundary the workers and the coordinator cross —
-    /// the instrumentation hook the `prosper-analysis` conformance
-    /// suite drives to check the *real* parallel path against the
-    /// protocol-order invariants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_workers_probed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-    ) {
-        self.commit_attributed(runs_per_thread, workers, probe, None);
-    }
-
-    /// [`Self::commit_with_workers_probed`] plus causal stall
-    /// attribution: each phase boundary the coordinator crosses is
-    /// charged to every thread as a cause-tagged [`StallSegment`]
-    /// (during a whole-process commit *every* thread is stalled, so
-    /// the per-thread segments share the coordinator's boundaries),
-    /// and one [`StallWindow`] per thread brackets the whole commit.
-    /// The segments tile the window by construction — the telescoping
-    /// sum `(t1-t0)+(t2-t1)+(t3-t2) = t3-t0` — which the conservation
-    /// tests verify end-to-end. Under a virtual-clock accountant the
-    /// coordinator advances time from the [`commit_cost`] model over
-    /// the same chunk assignment the workers use; the workers never
-    /// touch the clock, so attributed timelines stay deterministic at
-    /// any worker count.
-    ///
-    /// [`StallSegment`]: prosper_telemetry::StallSegment
-    /// [`StallWindow`]: prosper_telemetry::StallWindow
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_attributed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-        acct: Option<&StallAccountant>,
-    ) {
-        for tid in self.stacks.keys() {
-            assert!(
-                runs_per_thread.contains_key(tid),
-                "no runs supplied for thread {tid}"
-            );
-        }
-        let sequence = self.next_sequence;
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let t0 = acct.map(StallAccountant::now_ns);
-        // Phase one (parallel): stage every thread's runs into its own
-        // NVM staging buffer — strictly per-thread state. The stage
-        // stopwatch brackets *only* this staging work: staging the
-        // register file into the commit record is coordinator
-        // bookkeeping charged to the seal phase below (PR 7 satellite
-        // regression — it used to inflate `stage_ns` and the ledger's
-        // Stage segments).
-        let stage_watch = telemetry::Stopwatch::start();
-        Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-            stack.begin_stage_at(sequence);
-            for run in &runs_per_thread[&tid] {
-                stack.stage_run(run);
-            }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::StageThread { tid, sequence });
-            }
-        });
-        let stage_ns = stage_watch.elapsed_ns();
-        let t1 = acct.map(|a| {
-            a.advance(Self::stolen_phase_cost(&tids, workers, |tid| {
-                Self::runs_cost(
-                    &runs_per_thread[&tid],
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
-                )
-            }));
-            a.now_ns()
-        });
-        // Seal phase: the register file is staged into the commit
-        // record (coordinator bookkeeping), then the single durable
-        // write — the single serialization point — commits the
-        // checkpoint.
-        let seal_watch = telemetry::Stopwatch::start();
-        let mut record = ProcessCommitRecord {
-            sequence,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(p) = probe {
-            p.record(CommitProbeEvent::Seal { sequence });
-        }
-        let seal_ns = seal_watch.elapsed_ns();
-        let t2 = acct.map(|a| {
-            a.advance(commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-            a.now_ns()
-        });
-        // Phase two. Spine mode retires each stack's sealed staging
-        // buffer as an immutable delta batch — no apply copy — then
-        // runs the deferred, policy-gated merge off the critical path;
-        // eager mode takes the classic parallel apply.
-        let apply_watch = telemetry::Stopwatch::start();
-        let mut merged: Option<(u64, MergeStats)> = None;
-        let (apply_ns, merge_ns, t3, t4) = if let Some(cfg) = self.spine_cfg {
-            Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-                stack.seal_to_spine(sequence);
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-                }
-            });
-            for (tid, regs) in record.staged_regs.iter().enumerate() {
-                self.registers.apply_thread_at(tid, *regs, sequence);
-            }
-            self.registers.set_committed_sequence(sequence);
-            self.pending = None;
-            self.next_sequence = sequence + 1;
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Retire { sequence });
-            }
-            let apply_ns = apply_watch.elapsed_ns();
-            let t3 = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |_| commit_cost::BATCH_APPEND_NS)
-                        + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            let merge_watch = telemetry::Stopwatch::start();
-            let mut stats = MergeStats::default();
-            let mut merges = 0u64;
-            let mut merge_model_ns = 0u64;
-            for (tid, stack) in &mut self.stacks {
-                if !stack.should_merge(&cfg) {
-                    continue;
-                }
-                let s = stack.merge_spine();
-                merges += 1;
-                merge_model_ns += s.batches_folded * commit_cost::MERGE_RUN_NS
-                    + s.written_bytes * commit_cost::MERGE_BYTE_NS;
-                stats.batches_folded += s.batches_folded;
-                stats.input_bytes += s.input_bytes;
-                stats.written_bytes += s.written_bytes;
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::MergeThread {
-                        tid: *tid,
-                        upto: sequence,
-                    });
-                }
-            }
-            let merge_ns = merge_watch.elapsed_ns();
-            let t4 = acct.map(|a| {
-                if merges > 0 {
-                    a.advance(commit_cost::PHASE_BASE_NS + merge_model_ns);
-                }
-                a.now_ns()
-            });
-            merged = Some((merges, stats));
-            (apply_ns, merge_ns, t3, t4)
-        } else {
-            self.apply_record_parallel(&record, workers, probe);
-            let apply_ns = apply_watch.elapsed_ns();
-            let t3 = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |tid| {
-                        Self::runs_cost(
-                            &runs_per_thread[&tid],
-                            commit_cost::APPLY_RUN_NS,
-                            commit_cost::APPLY_BYTE_NS,
-                        )
-                    }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            (apply_ns, 0, t3, t3)
-        };
-        if let (Some(a), Some(t0), Some(t1), Some(t2), Some(t3), Some(t4)) =
-            (acct, t0, t1, t2, t3, t4)
-        {
-            for &tid in &tids {
-                a.record_segment(tid, StallCause::Stage, sequence, t0, t1);
-                a.record_segment(tid, StallCause::Seal, sequence, t1, t2);
-                a.record_segment(tid, StallCause::Apply, sequence, t2, t3);
-                if t4 > t3 {
-                    a.record_segment(tid, StallCause::Merge, sequence, t3, t4);
-                }
-                a.record_window(tid, t0, t4);
-            }
-        }
-        if telemetry::enabled() {
-            let spine_total = self.spine_batches() as i64;
-            telemetry::with(|t| {
-                let r = t.registry();
-                r.gauge("prosper.commit.workers").set(workers as i64);
-                r.histogram("prosper.commit.phase.stage_ns")
-                    .record(stage_ns);
-                r.histogram("prosper.commit.phase.seal_ns").record(seal_ns);
-                r.histogram("prosper.commit.phase.apply_ns")
-                    .record(apply_ns);
-                if let Some((merges, stats)) = merged {
-                    r.histogram("prosper.commit.phase.merge_ns")
-                        .record(merge_ns);
-                    r.gauge("prosper.spine.batches").set(spine_total);
-                    if merges > 0 {
-                        r.counter("prosper.spine.merges").add(merges);
-                        r.counter("prosper.spine.merged_bytes")
-                            .add(stats.written_bytes);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Commits a back-to-back burst of whole-process checkpoints
-    /// through the pipelined protocol: while sequence N's apply
-    /// drains, sequence N+1's runs stage ahead on the stacks whose
-    /// apply already retired (see the module docs for the sharpened
-    /// invariant). The worker count is chosen adaptively from the
-    /// modelled burst cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined(&mut self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
-        let workers = self.select_pipelined_workers(batches);
-        self.commit_pipelined_attributed(batches, workers, None, None);
-    }
-
-    /// [`Self::commit_pipelined`] with an explicit worker count (the
-    /// perf suite sweeps this to measure pipelined commit scaling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined_with_workers(
-        &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        workers: usize,
-    ) {
-        self.commit_pipelined_attributed(batches, workers, None, None);
-    }
-
-    /// The worker count the adaptive selector picks for a pipelined
-    /// burst of `batches` — exposed so the perf suite can report the
-    /// selected configuration alongside the measured scaling.
-    #[must_use]
-    pub fn planned_pipelined_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        self.select_pipelined_workers(batches)
-    }
-
-    /// Adaptive worker selection for a pipelined burst: argmin of the
-    /// modelled burst cost over the machine-parallelism cap.
-    fn select_pipelined_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let cap = Self::default_workers(tids.len());
-        Self::argmin_workers(cap, |w| Self::modeled_pipelined_ns(&tids, w, batches))
-    }
-
-    /// Modelled wall cost of a pipelined burst at `workers`: the head
-    /// stage, then per sequence the serial seal (plus bookkeeping) and
-    /// the fused apply+stage-ahead pass, plus the register tail —
-    /// with one spawn charge per parallel pass.
-    fn modeled_pipelined_ns(
+    /// Modelled cost of the phase-two pass over `batch` — an apply
+    /// copy per run, or one flat batch append per stack in spine
+    /// mode — fused with staging `ahead`, plus the serial register
+    /// tail.
+    fn apply_cost(
         tids: &[u32],
         workers: usize,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        batch: &BTreeMap<u32, Vec<CopyRun>>,
+        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
+        spine: bool,
     ) -> u64 {
-        let cost = |batch: &BTreeMap<u32, Vec<CopyRun>>, tid: u32, per_run: u64, per_byte: u64| {
-            batch
-                .get(&tid)
-                .map_or(0, |runs| Self::runs_cost(runs, per_run, per_byte))
-        };
-        let Some(head) = batches.first() else {
-            return 0;
-        };
-        let mut total = Self::spawn_cost(workers)
-            + Self::stolen_phase_cost(tids, workers, |tid| {
-                cost(
-                    head,
+        Self::stolen_phase_cost(tids, workers, |tid| {
+            let phase_two = if spine {
+                commit_cost::BATCH_APPEND_NS
+            } else {
+                Self::batch_cost(
+                    batch,
                     tid,
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
+                    commit_cost::APPLY_RUN_NS,
+                    commit_cost::APPLY_BYTE_NS,
                 )
-            });
-        for (i, batch) in batches.iter().enumerate() {
-            let next = batches.get(i + 1);
-            total += commit_cost::SEAL_NS
-                + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-                + Self::spawn_cost(workers)
-                + Self::stolen_phase_cost(tids, workers, |tid| {
-                    cost(
-                        batch,
-                        tid,
-                        commit_cost::APPLY_RUN_NS,
-                        commit_cost::APPLY_BYTE_NS,
-                    ) + next.map_or(0, |n| {
-                        cost(
-                            n,
-                            tid,
-                            commit_cost::STAGE_RUN_NS,
-                            commit_cost::STAGE_BYTE_NS,
-                        )
-                    })
-                })
-                + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS;
-        }
-        total
-    }
-
-    /// [`Self::commit_pipelined_with_workers`] with a [`CommitProbe`]
-    /// observing every protocol boundary and optional stall
-    /// attribution.
-    ///
-    /// Probe streams from this path carry the legal cross-sequence
-    /// overlap — `StageThread` events for N+1 between seal(N) and
-    /// retire(N) — which the sharpened `prosper-analysis` commit-order
-    /// checker validates (stage(N+1) never before seal(N); seal(N+1)
-    /// never before apply(N) drains).
-    ///
-    /// Attribution: the overlap window's staged-ahead work hides
-    /// behind sequence N's apply drain, so it is charged to N's
-    /// `Apply` segment — that *is* the checkpoint-tax win being
-    /// measured. Each sequence's window is tiled by its segments as
-    /// ever (Stage only for the burst head; Seal; Apply), so the
-    /// conservation invariant holds unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined_attributed(
-        &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        workers: usize,
-        probe: Option<&CommitProbe>,
-        acct: Option<&StallAccountant>,
-    ) {
-        if batches.is_empty() {
-            return;
-        }
-        for batch in batches {
-            for tid in self.stacks.keys() {
-                assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
-            }
-        }
-        if self.spine_cfg.is_some() {
-            // Spine mode has no apply drain to hide the next stage
-            // behind — the burst degenerates to back-to-back spine
-            // commits, each already free of the apply copy.
-            let burst_watch = telemetry::Stopwatch::start();
-            for batch in batches {
-                self.commit_attributed(batch, workers, probe, acct);
-            }
-            let burst_ns = burst_watch.elapsed_ns();
-            if telemetry::enabled() {
-                telemetry::with(|t| {
-                    t.registry()
-                        .histogram("prosper.commit.pipeline.burst_ns")
-                        .record(burst_ns);
-                });
-            }
-            return;
-        }
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let first = self.next_sequence;
-        let burst_watch = telemetry::Stopwatch::start();
-        // Head stage: the burst's first batch has no prior apply to
-        // hide behind.
-        let mut window_start = acct.map(StallAccountant::now_ns);
-        Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-            stack.begin_stage_at(first);
-            for run in &batches[0][&tid] {
-                stack.stage_run(run);
-            }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::StageThread {
-                    tid,
-                    sequence: first,
-                });
-            }
-        });
-        let mut head_stage_end = acct.map(|a| {
-            a.advance(Self::stolen_phase_cost(&tids, workers, |tid| {
-                Self::runs_cost(
-                    &batches[0][&tid],
-                    commit_cost::STAGE_RUN_NS,
-                    commit_cost::STAGE_BYTE_NS,
-                )
-            }));
-            a.now_ns()
-        });
-        for (i, batch) in batches.iter().enumerate() {
-            let sequence = first + i as u64;
-            // Seal(sequence): stage(sequence) is complete and — for
-            // i > 0 — apply(sequence-1) fully drained in the previous
-            // fused pass. Bookkeeping + one durable write.
-            let mut record = ProcessCommitRecord {
-                sequence,
-                staged_regs: self.live_regs.clone(),
-                sealed: false,
             };
-            self.pending = Some(record.clone());
-            record.sealed = true;
-            self.pending = Some(record.clone());
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Seal { sequence });
-            }
-            let seal_end = acct.map(|a| {
-                a.advance(commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-                a.now_ns()
-            });
-            // The overlap window: apply(sequence) drains while the
-            // next batch stages ahead, fused per stack — a stack
-            // stages ahead only once its own apply retired, so the
-            // single staging buffer per stack is never torn between
-            // sequences.
-            let next = batches.get(i + 1);
-            let next_seq = sequence + 1;
-            Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-                for k in 0..stack.staged_runs() {
-                    stack.apply_run(k);
-                }
-                stack.finish_apply(sequence);
-                if let Some(p) = probe {
-                    p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-                }
-                if let Some(next) = next {
-                    stack.begin_stage_at(next_seq);
-                    for run in &next[&tid] {
-                        stack.stage_run(run);
-                    }
-                    if let Some(p) = probe {
-                        p.record(CommitProbeEvent::StageThread {
-                            tid,
-                            sequence: next_seq,
-                        });
-                    }
-                }
-            });
-            // Serial tail: register slots, then retire the record.
-            for (tid, regs) in record.staged_regs.iter().enumerate() {
-                self.registers.apply_thread_at(tid, *regs, sequence);
-            }
-            self.registers.set_committed_sequence(sequence);
-            self.pending = None;
-            self.next_sequence = next_seq;
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::Retire { sequence });
-            }
-            let retire_end = acct.map(|a| {
-                a.advance(
-                    Self::stolen_phase_cost(&tids, workers, |tid| {
-                        Self::runs_cost(
-                            &batch[&tid],
-                            commit_cost::APPLY_RUN_NS,
-                            commit_cost::APPLY_BYTE_NS,
-                        ) + next.map_or(0, |n| {
-                            Self::runs_cost(
-                                &n[&tid],
-                                commit_cost::STAGE_RUN_NS,
-                                commit_cost::STAGE_BYTE_NS,
-                            )
-                        })
-                    }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS,
-                );
-                a.now_ns()
-            });
-            if let (Some(a), Some(ws), Some(se), Some(re)) =
-                (acct, window_start, seal_end, retire_end)
-            {
-                for &tid in &tids {
-                    match head_stage_end {
-                        Some(st) => {
-                            a.record_segment(tid, StallCause::Stage, sequence, ws, st);
-                            a.record_segment(tid, StallCause::Seal, sequence, st, se);
-                        }
-                        None => a.record_segment(tid, StallCause::Seal, sequence, ws, se),
-                    }
-                    a.record_segment(tid, StallCause::Apply, sequence, se, re);
-                    a.record_window(tid, ws, re);
-                }
-            }
-            head_stage_end = None;
-            window_start = retire_end;
-        }
-        let burst_ns = burst_watch.elapsed_ns();
-        if telemetry::enabled() {
-            telemetry::with(|t| {
-                let r = t.registry();
-                r.gauge("prosper.commit.workers").set(workers as i64);
-                r.histogram("prosper.commit.pipeline.burst_ns")
-                    .record(burst_ns);
-            });
-        }
+            phase_two
+                + ahead.map_or(0, |next| {
+                    Self::batch_cost(
+                        next,
+                        tid,
+                        commit_cost::STAGE_RUN_NS,
+                        commit_cost::STAGE_BYTE_NS,
+                    )
+                })
+        }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
     }
 
-    /// Serial, crash-windowed twin of one pipelined hand-off: commits
-    /// sequence N and then N+1, staging N+1's runs inside N's apply
-    /// drain exactly as the pipelined burst does, with a named
-    /// [`CrashSite`] at every boundary — including
-    /// [`CrashSite::MidPipelineStage`] inside the overlap window. The
-    /// exhaustive crash matrix drives this path to prove recovery
-    /// lands on exactly N or N+1 from any point of the overlap.
-    ///
-    /// After a crash, the number of `PostSeal` boundaries in the
-    /// injector's crossed-site log equals the number of durable seals
-    /// — exactly how far past the pre-burst sequence recovery must
-    /// land.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either batch misses a registered thread.
-    pub fn commit_pipelined_pair_with_faults(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-    ) -> Result<(), CrashInjected> {
-        self.commit_pipelined_pair_with_faults_attributed(runs_n, runs_n1, inj, None)
-    }
-
-    /// [`Self::commit_pipelined_pair_with_faults`] with stall
-    /// attribution: one scribe window spans both sequences; the
-    /// staged-ahead work inside the overlap is charged to sequence N's
-    /// `Apply` phase (it hides behind the drain), and the scribe
-    /// closes the open phase at the crash instant so torn pipelined
-    /// commits conserve exactly, as the overlap-window crash tests
-    /// assert.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either batch misses a registered thread.
-    pub fn commit_pipelined_pair_with_faults_attributed(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        acct: Option<&StallAccountant>,
-    ) -> Result<(), CrashInjected> {
-        if self.spine_cfg.is_some() {
-            // Spine mode has no apply drain to hide stage(N+1) behind
-            // (see `commit_pipelined`): the pair degenerates to two
-            // back-to-back spine commits, each already free of the
-            // apply copy. The seal-counting recovery rule is
-            // unchanged — one `PostSeal` crossing per durable
-            // sequence.
-            self.commit_with_faults_attributed(runs_n, inj, acct)?;
-            return self.commit_with_faults_attributed(runs_n1, inj, acct);
-        }
-        let mut scribe = acct.map(|a| {
-            FaultScribe::new(a, self.stacks.keys().copied().collect(), self.next_sequence)
-        });
-        let result = self.pipelined_pair_inner(runs_n, runs_n1, inj, scribe.as_mut());
-        if let Some(s) = scribe {
-            s.finish();
-        }
-        result
-    }
-
-    fn pipelined_pair_inner(
-        &mut self,
-        runs_n: &BTreeMap<u32, Vec<CopyRun>>,
-        runs_n1: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        for tid in self.stacks.keys() {
-            assert!(
-                runs_n.contains_key(tid) && runs_n1.contains_key(tid),
-                "no runs supplied for thread {tid}"
-            );
-        }
-        let sequence = self.next_sequence;
-        let next_seq = sequence + 1;
-        crash_window!(inj, CrashSite::PreStage);
-        // Stage N (nothing to overlap with yet).
-        for (tid, stack) in &mut self.stacks {
-            stack.begin_stage_at(sequence);
-            for (k, run) in runs_n[tid].iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        let mut record = ProcessCommitRecord {
-            sequence,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Seal);
-            s.work(self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-        }
-        // Seal(N): the overlap window may open past this point.
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(s) = scribe.as_deref_mut() {
-            s.work(commit_cost::SEAL_NS);
-        }
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        // The overlap window: drain apply(N) stack by stack; each
-        // stack stages N+1's runs the moment its own apply retires,
-        // while later stacks' applies are still pending — the state a
-        // MidPipelineStage crash interrupts.
-        for (tid, stack) in &mut self.stacks {
-            for k in 0..stack.staged_runs() {
-                stack.apply_run(k);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(
-                        commit_cost::APPLY_RUN_NS
-                            + stack.staged_run_len(k) * commit_cost::APPLY_BYTE_NS,
-                    );
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidApply {
-                        tid: *tid,
-                        runs_applied: k as u32 + 1,
-                    }
-                );
-            }
-            stack.finish_apply(sequence);
-            crash_window!(inj, CrashSite::PostApplyThread { tid: *tid });
-            stack.begin_stage_at(next_seq);
-            for (k, run) in runs_n1[tid].iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidPipelineStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
-        }
-        self.registers.set_committed_sequence(sequence);
-        self.pending = None;
-        self.next_sequence = next_seq;
-        crash_window!(inj, CrashSite::PostCommit);
-        // Second hand-off: N+1 staged ahead in the overlap; only its
-        // seal and apply remain. seal(N+1) sits strictly after the
-        // drain of apply(N) — the sharpened invariant in code form.
-        let mut record = ProcessCommitRecord {
-            sequence: next_seq,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase_for(StallCause::Seal, next_seq);
-            s.work(
-                self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS + commit_cost::SEAL_NS,
-            );
-        }
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        self.apply_record(&record, inj, scribe)
+    /// [`Self::runs_cost`] of thread `tid`'s runs in `batch` (0 for a
+    /// thread the batch does not cover).
+    fn batch_cost(
+        batch: &BTreeMap<u32, Vec<CopyRun>>,
+        tid: u32,
+        per_run_ns: u64,
+        per_byte_ns: u64,
+    ) -> u64 {
+        batch
+            .get(&tid)
+            .map_or(0, |runs| Self::runs_cost(runs, per_run_ns, per_byte_ns))
     }
 
     /// Modelled cost of staging or applying `runs` for one thread.
@@ -1344,27 +677,452 @@ impl PersistentProcess {
         commit_cost::PHASE_BASE_NS + load.into_iter().max().unwrap_or(0)
     }
 
-    /// Runs `f` over every stack, fanned out across at most `workers`
-    /// scoped threads. Assignment is work-stealing: each worker claims
-    /// the next unclaimed stack from a shared cursor as it frees up,
-    /// so a worker stuck on a heavy stack never strands the light ones
-    /// behind it (the PR-3 contiguous-chunk scheme did exactly that).
-    fn for_each_stack<F>(stacks: &mut BTreeMap<u32, PersistentStack>, workers: usize, f: F)
-    where
-        F: Fn(u32, &mut PersistentStack) + Sync,
-    {
-        let refs: Vec<(u32, &mut PersistentStack)> =
-            stacks.iter_mut().map(|(tid, s)| (*tid, s)).collect();
-        let workers = workers.clamp(1, refs.len().max(1));
-        if workers == 1 {
-            for (tid, stack) in refs {
-                f(tid, stack);
+    /// The worker count in `1..=cap` with the lowest modelled cost;
+    /// ties go to the smallest count (serial wins a dead heat).
+    fn argmin_workers(cap: usize, cost: impl Fn(usize) -> u64) -> usize {
+        (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
+    }
+
+    /// The worker count the adaptive wrappers pick for committing
+    /// `batches`: the argmin of the modelled cost over every count up
+    /// to the machine-parallelism cap. Commits whose staged bytes sit
+    /// below the parallelism break-even come out serial — the fix for
+    /// BENCH_pr3.json's w=2 → 0.85x regression, where `commit` fanned
+    /// out unconditionally. Exposed so the perf suite can report the
+    /// selected configuration alongside the measured scaling.
+    #[must_use]
+    pub fn planned_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
+        let tids: Vec<u32> = self.stacks.keys().copied().collect();
+        let spine = self.spine_cfg.is_some();
+        Self::argmin_workers(Self::default_workers(tids.len()), |w| {
+            Self::modeled_commit_ns(&tids, w, batches, spine)
+        })
+    }
+
+    /// Commits one whole-process checkpoint: every thread's stack runs
+    /// (from its tracker's bitmap inspection) plus every thread's
+    /// registers, through [`Self::commit_with`] at the worker count
+    /// [`Self::planned_workers`] picks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `runs_per_thread` misses a registered thread.
+    pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
+        self.commit_pipelined(std::slice::from_ref(runs_per_thread));
+    }
+
+    /// Commits a back-to-back burst of whole-process checkpoints
+    /// through [`Self::commit_with`] at the worker count
+    /// [`Self::planned_workers`] picks for the whole burst.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any batch misses a registered thread.
+    pub fn commit_pipelined(&mut self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
+        // Without an injector no crash window can fire.
+        let _ = self.commit_with(
+            batches,
+            self.planned_workers(batches),
+            CommitHooks::default(),
+        );
+    }
+
+    /// The commit engine: commits `batches` as consecutive sequences
+    /// under the stage → seal → apply protocol, fanning each per-stack
+    /// pass out over `workers` scoped workers. In eager mode a
+    /// multi-batch call is a pipelined burst: staging batch N+1 is
+    /// fused into batch N's apply pass, after seal(N) and before
+    /// seal(N+1) (see the module docs). Spine mode runs the batches
+    /// back to back. Per sequence the boundaries are, in order:
+    ///
+    /// 1. stage — [`CrashSite::PreStage`], then
+    ///    [`CrashSite::MidStage`] after each staged run (a burst's
+    ///    later batches in eager mode were staged ahead and skip this);
+    /// 2. seal — [`CrashSite::PreSeal`], the one seal write,
+    ///    [`CrashSite::PostSeal`];
+    /// 3. per-stack phase two — [`CrashSite::MidApply`] after each
+    ///    applied run and [`CrashSite::PostApplyThread`] (eager), or
+    ///    [`CrashSite::BatchSeal`] (spine), then
+    ///    [`CrashSite::MidPipelineStage`] after each run staged ahead;
+    /// 4. register tail — [`CrashSite::PostApplyPreRegisters`], then
+    ///    [`CrashSite::MidRegisterApply`] after each slot;
+    /// 5. retire — [`CrashSite::PostCommit`];
+    /// 6. spine merge — [`CrashSite::MidMerge`] after each fold step
+    ///    and [`CrashSite::MergeRetire`] per folded spine.
+    ///
+    /// `hooks` observe that one body. With an injector attached the
+    /// per-stack passes run inline in tid order, one stack at a time,
+    /// so the boundary order above is deterministic; the cost model
+    /// still charges `workers`. The telemetry is the same on every
+    /// path: `prosper.commit.phase.{stage,seal,apply,merge}_ns` per
+    /// sequence (a burst's staged-ahead work is timed inside apply),
+    /// `prosper.commit.workers`, the `prosper.spine.*` instruments
+    /// and, for a multi-batch burst, `prosper.commit.pipeline.burst_ns`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrashInjected`] if the attached injector fired. The
+    /// commit stops there, leaving persistent state exactly as a power
+    /// failure at that boundary would: the caller then simulates the
+    /// crash ([`Self::crash`]) and recovers ([`Self::recover`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any batch misses a registered thread.
+    pub fn commit_with(
+        &mut self,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        workers: usize,
+        mut hooks: CommitHooks<'_>,
+    ) -> Result<(), CrashInjected> {
+        for batch in batches {
+            for tid in self.stacks.keys() {
+                assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
             }
-            return;
         }
-        let tasks: Vec<StackTask<'_>> = refs
-            .into_iter()
-            .map(|t| std::sync::Mutex::new(Some(t)))
+        let tids: Vec<u32> = self.stacks.keys().copied().collect();
+        let eager = self.spine_cfg.is_none();
+        let burst_watch = telemetry::Stopwatch::start();
+        for (i, batch) in batches.iter().enumerate() {
+            let staged = eager && i > 0;
+            let ahead = batches.get(i + 1).filter(|_| eager);
+            let first = if staged {
+                StallCause::Seal
+            } else {
+                StallCause::Stage
+            };
+            let mut phases = Phases::open(hooks.acct, &tids, self.next_sequence, first);
+            let result =
+                self.commit_sequence(batch, staged, ahead, workers, &mut hooks, &mut phases);
+            phases.close();
+            result?;
+        }
+        if batches.len() > 1 && telemetry::enabled() {
+            let burst_ns = burst_watch.elapsed_ns();
+            telemetry::with(|t| {
+                t.registry()
+                    .histogram("prosper.commit.pipeline.burst_ns")
+                    .record(burst_ns);
+            });
+        }
+        Ok(())
+    }
+
+    /// One sequence of [`Self::commit_with`]: stage `batch` unless it
+    /// was `staged` ahead, seal, run phase two (staging `ahead` on the
+    /// way), retire, merge.
+    fn commit_sequence(
+        &mut self,
+        batch: &BTreeMap<u32, Vec<CopyRun>>,
+        staged: bool,
+        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
+        workers: usize,
+        hooks: &mut CommitHooks<'_>,
+        phases: &mut Phases<'_>,
+    ) -> Result<(), CrashInjected> {
+        let sequence = self.next_sequence;
+        let probe = hooks.probe;
+        // 1. Stage: strictly per-thread state. The stopwatch brackets
+        // only the staging pass; staging the register file into the
+        // record is coordinator bookkeeping charged to the seal.
+        let stage_watch = telemetry::Stopwatch::start();
+        if !staged {
+            cross(&mut hooks.faults, CrashSite::PreStage)?;
+            Self::for_each_stack(
+                &mut self.stacks,
+                workers,
+                &mut hooks.faults,
+                |tid, stack, faults| {
+                    Self::stage_stack(
+                        stack,
+                        tid,
+                        sequence,
+                        &batch[&tid],
+                        faults,
+                        probe,
+                        |tid, runs_staged| CrashSite::MidStage { tid, runs_staged },
+                    )
+                },
+            )?;
+            phases.end(
+                |tids| Self::stage_cost(tids, workers, batch),
+                Some(StallCause::Seal),
+            );
+        }
+        let stage_ns = stage_watch.elapsed_ns();
+        // 2. Seal: the register file is staged into the commit record,
+        // then the single durable write — the single serialization
+        // point — commits the checkpoint.
+        let seal_watch = telemetry::Stopwatch::start();
+        let mut record = ProcessCommitRecord {
+            sequence,
+            staged_regs: self.live_regs.clone(),
+            sealed: false,
+        };
+        self.pending = Some(record.clone());
+        cross(&mut hooks.faults, CrashSite::PreSeal)?;
+        record.sealed = true;
+        self.pending = Some(record.clone());
+        if let Some(p) = probe {
+            p.record(CommitProbeEvent::Seal { sequence });
+        }
+        let seal_ns = seal_watch.elapsed_ns();
+        phases.end(Self::seal_cost, Some(StallCause::Apply));
+        cross(&mut hooks.faults, CrashSite::PostSeal)?;
+        // 3–5. Phase two, the register tail, retire.
+        let apply_watch = telemetry::Stopwatch::start();
+        let spine = self.spine_cfg;
+        self.apply_record(&record, spine.is_some(), ahead, workers, hooks)?;
+        let apply_ns = apply_watch.elapsed_ns();
+        phases.end(
+            |tids| Self::apply_cost(tids, workers, batch, ahead, spine.is_some()),
+            None,
+        );
+        cross(&mut hooks.faults, CrashSite::PostCommit)?;
+        // 6. Spine merge, off the critical path.
+        let merge_watch = telemetry::Stopwatch::start();
+        let merged = match spine {
+            Some(cfg) => Some(self.merge_spines(cfg, sequence, hooks, phases)?),
+            None => None,
+        };
+        let merge_ns = merge_watch.elapsed_ns();
+        if telemetry::enabled() {
+            let spine_total = self.spine_batches() as i64;
+            telemetry::with(|t| {
+                let r = t.registry();
+                r.gauge("prosper.commit.workers").set(workers as i64);
+                if !staged {
+                    r.histogram("prosper.commit.phase.stage_ns")
+                        .record(stage_ns);
+                }
+                r.histogram("prosper.commit.phase.seal_ns").record(seal_ns);
+                r.histogram("prosper.commit.phase.apply_ns")
+                    .record(apply_ns);
+                if let Some((merges, merged_bytes)) = merged {
+                    r.histogram("prosper.commit.phase.merge_ns")
+                        .record(merge_ns);
+                    r.gauge("prosper.spine.batches").set(spine_total);
+                    if merges > 0 {
+                        r.counter("prosper.spine.merges").add(merges);
+                        r.counter("prosper.spine.merged_bytes").add(merged_bytes);
+                    }
+                }
+            });
+        }
+        Ok(())
+    }
+
+    /// Stages thread `tid`'s `runs` for `sequence` into its staging
+    /// buffer, crossing `site(tid, runs_staged)` after each run.
+    fn stage_stack(
+        stack: &mut PersistentStack,
+        tid: u32,
+        sequence: u64,
+        runs: &[CopyRun],
+        faults: &mut Option<&mut FaultInjector>,
+        probe: Option<&CommitProbe>,
+        site: fn(u32, u32) -> CrashSite,
+    ) -> Result<(), CrashInjected> {
+        stack.begin_stage_at(sequence);
+        for (k, run) in runs.iter().enumerate() {
+            stack.stage_run(run);
+            cross(faults, site(tid, k as u32 + 1))?;
+        }
+        if let Some(p) = probe {
+            p.record(CommitProbeEvent::StageThread { tid, sequence });
+        }
+        Ok(())
+    }
+
+    /// Phase two and the register tail of the sealed `record`: every
+    /// stack's phase two ([`Self::apply_record_stack`]), fused with
+    /// staging `ahead` for the next sequence when a burst continues,
+    /// then every register slot, then the record retires. Idempotent,
+    /// so recovery's redo replays it from any interruption point;
+    /// recovery surface, so it stays panic-free (`PA-PANIC004`).
+    fn apply_record(
+        &mut self,
+        record: &ProcessCommitRecord,
+        spine: bool,
+        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
+        workers: usize,
+        hooks: &mut CommitHooks<'_>,
+    ) -> Result<(), CrashInjected> {
+        debug_assert!(record.sealed, "apply before the seal");
+        let sequence = record.sequence;
+        let probe = hooks.probe;
+        Self::for_each_stack(
+            &mut self.stacks,
+            workers,
+            &mut hooks.faults,
+            |tid, stack, faults| {
+                Self::apply_record_stack(stack, tid, sequence, spine, faults, probe)?;
+                // A stack stages ahead only once its own phase two
+                // finished, so its single staging buffer is never torn
+                // between sequences.
+                match ahead {
+                    Some(next) => {
+                        let runs = next.get(&tid).map_or(&[][..], Vec::as_slice);
+                        Self::stage_stack(
+                            stack,
+                            tid,
+                            sequence + 1,
+                            runs,
+                            faults,
+                            probe,
+                            |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged },
+                        )
+                    }
+                    None => Ok(()),
+                }
+            },
+        )?;
+        cross(&mut hooks.faults, CrashSite::PostApplyPreRegisters)?;
+        for (tid, regs) in record.staged_regs.iter().enumerate() {
+            self.registers.apply_thread_at(tid, *regs, sequence);
+            cross(
+                &mut hooks.faults,
+                CrashSite::MidRegisterApply { tid: tid as u32 },
+            )?;
+        }
+        self.registers.set_committed_sequence(sequence);
+        self.pending = None;
+        self.next_sequence = sequence + 1;
+        if let Some(p) = probe {
+            p.record(CommitProbeEvent::Retire { sequence });
+        }
+        Ok(())
+    }
+
+    /// Phase two of sealed `sequence` for one stack: its staging
+    /// buffer is applied to the persistent image, or in `spine` mode
+    /// retired to the spine as an immutable delta batch. Redo-safe: a
+    /// buffer staged ahead for a later, never-sealed sequence (a crash
+    /// inside a burst's overlap window) is discarded, a batch already
+    /// appended is not appended twice, and re-applying is idempotent.
+    fn apply_record_stack(
+        stack: &mut PersistentStack,
+        tid: u32,
+        sequence: u64,
+        spine: bool,
+        faults: &mut Option<&mut FaultInjector>,
+        probe: Option<&CommitProbe>,
+    ) -> Result<(), CrashInjected> {
+        let staged = stack.staging_sequence();
+        if staged > sequence {
+            stack.discard_staging();
+            return Ok(());
+        }
+        let site = if spine {
+            if staged == sequence {
+                stack.seal_to_spine(sequence);
+            }
+            CrashSite::BatchSeal { tid }
+        } else {
+            for k in 0..stack.staged_runs() {
+                stack.apply_run(k);
+                cross(
+                    faults,
+                    CrashSite::MidApply {
+                        tid,
+                        runs_applied: k as u32 + 1,
+                    },
+                )?;
+            }
+            stack.finish_apply(sequence);
+            CrashSite::PostApplyThread { tid }
+        };
+        if let Some(p) = probe {
+            p.record(CommitProbeEvent::ApplyThread { tid, sequence });
+        }
+        cross(faults, site)
+    }
+
+    /// The deferred, policy-gated spine merge after `sequence`
+    /// retired. It never crosses an unsealed batch: everything on a
+    /// spine is sealed by construction, and the commit fully retired
+    /// before the first fold step runs. Returns the spines folded and
+    /// the deduplicated bytes written.
+    fn merge_spines(
+        &mut self,
+        cfg: SpineConfig,
+        sequence: u64,
+        hooks: &mut CommitHooks<'_>,
+        phases: &mut Phases<'_>,
+    ) -> Result<(u64, u64), CrashInjected> {
+        let (mut merges, mut folded, mut written) = (0u64, 0u64, 0u64);
+        for (&tid, stack) in &mut self.stacks {
+            if !stack.should_merge(&cfg) {
+                continue;
+            }
+            if merges == 0 {
+                phases.open = Some(StallCause::Merge);
+            }
+            merges += 1;
+            for step in &stack.merge_plan() {
+                stack.apply_merge_step(step);
+                written += step.bytes();
+                cross(
+                    &mut hooks.faults,
+                    CrashSite::MidMerge {
+                        tid,
+                        batches_folded: step.batches_folded(),
+                    },
+                )?;
+            }
+            folded += stack.retire_spine() as u64;
+            if let Some(p) = hooks.probe {
+                p.record(CommitProbeEvent::MergeThread {
+                    tid,
+                    upto: sequence,
+                });
+            }
+            cross(&mut hooks.faults, CrashSite::MergeRetire { tid })?;
+        }
+        if merges > 0 {
+            phases.end(
+                |_| {
+                    commit_cost::PHASE_BASE_NS
+                        + folded * commit_cost::MERGE_RUN_NS
+                        + written * commit_cost::MERGE_BYTE_NS
+                },
+                None,
+            );
+        }
+        Ok((merges, written))
+    }
+
+    /// Runs `f` over every stack. With an injector attached the pass
+    /// runs inline in tid order and stops at the first crash, so the
+    /// crossed boundaries form one deterministic sequence. Otherwise it
+    /// fans out across at most `workers` scoped threads with
+    /// work-stealing assignment: each worker claims the next unclaimed
+    /// stack from a shared cursor as it frees up, so a worker stuck on
+    /// a heavy stack never strands the light ones behind it.
+    fn for_each_stack<F>(
+        stacks: &mut BTreeMap<u32, PersistentStack>,
+        workers: usize,
+        faults: &mut Option<&mut FaultInjector>,
+        f: F,
+    ) -> Result<(), CrashInjected>
+    where
+        F: Fn(
+                u32,
+                &mut PersistentStack,
+                &mut Option<&mut FaultInjector>,
+            ) -> Result<(), CrashInjected>
+            + Sync,
+    {
+        let workers = workers.clamp(1, stacks.len().max(1));
+        if workers == 1 || faults.is_some() {
+            for (&tid, stack) in stacks.iter_mut() {
+                f(tid, stack, faults)?;
+            }
+            return Ok(());
+        }
+        let tasks: Vec<StackTask<'_>> = stacks
+            .iter_mut()
+            .map(|(&tid, stack)| std::sync::Mutex::new(Some((tid, stack))))
             .collect();
         let cursor = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
@@ -1374,279 +1132,12 @@ impl PersistentProcess {
                     let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
                     if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
-                        f(tid, stack);
+                        // Without an injector no crash window can fire.
+                        let _ = f(tid, stack, &mut None);
                     }
                 });
             }
         });
-    }
-
-    /// [`Self::commit`] with a crash window at every step boundary.
-    ///
-    /// When the injector fires, the commit stops immediately and
-    /// returns [`CrashInjected`], leaving the persistent state exactly
-    /// as a power failure at that boundary would: the caller then
-    /// simulates the crash ([`Self::crash`]) and recovers
-    /// ([`Self::recover`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_faults(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-    ) -> Result<(), CrashInjected> {
-        self.commit_with_faults_attributed(runs_per_thread, inj, None)
-    }
-
-    /// [`Self::commit_with_faults`] with stall attribution. A
-    /// [`FaultScribe`] tracks the in-progress phase; when a crash
-    /// window fires, the scribe closes the partial segment and the
-    /// stall window at the crash instant, so a torn commit's ledger
-    /// still conserves exactly — the property the crash-matrix
-    /// attribution snapshot archives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrashInjected`] if the injector fired.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs_per_thread` misses a registered thread.
-    pub fn commit_with_faults_attributed(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        acct: Option<&StallAccountant>,
-    ) -> Result<(), CrashInjected> {
-        let mut scribe = acct.map(|a| {
-            FaultScribe::new(a, self.stacks.keys().copied().collect(), self.next_sequence)
-        });
-        let result = self.commit_with_faults_inner(runs_per_thread, inj, scribe.as_mut());
-        if let Some(s) = scribe {
-            s.finish();
-        }
-        result
-    }
-
-    fn commit_with_faults_inner(
-        &mut self,
-        runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        let sequence = self.next_sequence;
-        crash_window!(inj, CrashSite::PreStage);
-        // Phase one: stage every thread's runs...
-        for (tid, stack) in &mut self.stacks {
-            let runs = runs_per_thread
-                .get(tid)
-                .unwrap_or_else(|| panic!("no runs supplied for thread {tid}"));
-            stack.begin_stage_at(sequence);
-            for (k, run) in runs.iter().enumerate() {
-                stack.stage_run(run);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::STAGE_RUN_NS + run.len * commit_cost::STAGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidStage {
-                        tid: *tid,
-                        runs_staged: k as u32 + 1,
-                    }
-                );
-            }
-        }
-        // ...and the register file, into the unsealed commit record.
-        let mut record = ProcessCommitRecord {
-            sequence: self.next_sequence,
-            staged_regs: self.live_regs.clone(),
-            sealed: false,
-        };
-        self.pending = Some(record.clone());
-        crash_window!(inj, CrashSite::PreSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Seal);
-            // Coordinator bookkeeping (the record's register staging)
-            // is seal-phase work, matching the parallel path.
-            s.work(self.live_regs.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS);
-        }
-        // Seal: the single durable write that commits the checkpoint.
-        record.sealed = true;
-        self.pending = Some(record.clone());
-        if let Some(s) = scribe.as_deref_mut() {
-            s.work(commit_cost::SEAL_NS);
-        }
-        crash_window!(inj, CrashSite::PostSeal);
-        if let Some(s) = scribe.as_deref_mut() {
-            s.next_phase(StallCause::Apply);
-        }
-        // Phase two.
-        if let Some(cfg) = self.spine_cfg {
-            return self.spine_phase_two(&record, cfg, inj, scribe);
-        }
-        self.apply_record(&record, inj, scribe)
-    }
-
-    /// Spine-mode phase two of the fault-injected commit: every
-    /// stack's sealed staging buffer is retired to its spine (a crash
-    /// window at each [`CrashSite::BatchSeal`] boundary), the register
-    /// tail runs as in eager mode, the record retires, and the
-    /// deferred merge policy walks its crash-windowed steps
-    /// ([`CrashSite::MidMerge`] between fold steps,
-    /// [`CrashSite::MergeRetire`] after each spine retires).
-    /// Idempotent end to end: recovery re-appends any staging still
-    /// tagged with the record's sequence and re-folds any surviving
-    /// spine.
-    fn spine_phase_two(
-        &mut self,
-        record: &ProcessCommitRecord,
-        cfg: SpineConfig,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        debug_assert!(record.sealed, "spine phase two before the seal");
-        for (tid, stack) in &mut self.stacks {
-            stack.seal_to_spine(record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::BATCH_APPEND_NS);
-            }
-            crash_window!(inj, CrashSite::BatchSeal { tid: *tid });
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
-        }
-        self.registers.set_committed_sequence(record.sequence);
-        self.pending = None;
-        self.next_sequence = record.sequence + 1;
-        crash_window!(inj, CrashSite::PostCommit);
-        // Deferred merge: policy-gated, and it never crosses an
-        // unsealed batch — everything on the spine is sealed by
-        // construction, and the commit above fully retired before the
-        // first fold step runs.
-        for (tid, stack) in &mut self.stacks {
-            if !stack.should_merge(&cfg) {
-                continue;
-            }
-            if let Some(s) = scribe.as_deref_mut() {
-                s.next_phase(StallCause::Merge);
-            }
-            let plan = stack.merge_plan();
-            for step in &plan {
-                stack.apply_merge_step(step);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(commit_cost::MERGE_RUN_NS + step.bytes() * commit_cost::MERGE_BYTE_NS);
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidMerge {
-                        tid: *tid,
-                        batches_folded: step.batches_folded(),
-                    }
-                );
-            }
-            stack.retire_spine();
-            crash_window!(inj, CrashSite::MergeRetire { tid: *tid });
-        }
-        Ok(())
-    }
-
-    /// The parallel twin of [`Self::apply_record`]: applies every
-    /// staging buffer across scoped workers, then the register slots
-    /// serially, then retires the record. Idempotent, so recovery
-    /// replays it from any interruption point; no crash windows — the
-    /// deterministic sweep uses the serial path. Recovery's redo runs
-    /// through here, so the path carries no `panic!`/`unwrap`/`expect`
-    /// (enforced by lint rule `PA-PANIC004`).
-    fn apply_record_parallel(
-        &mut self,
-        record: &ProcessCommitRecord,
-        workers: usize,
-        probe: Option<&CommitProbe>,
-    ) {
-        debug_assert!(record.sealed, "apply before the seal");
-        let sequence = record.sequence;
-        Self::for_each_stack(&mut self.stacks, workers, |tid, stack| {
-            if stack.staging_sequence() > sequence {
-                // Pipelined overlap: this stack finished applying
-                // `sequence` and staged ahead for the next one before
-                // the crash. The staged-ahead buffer is unsealed by
-                // protocol (no seal(N+1) before apply(N) drains), so
-                // redo discards it; the already-applied state stands.
-                stack.discard_staging();
-            } else {
-                for k in 0..stack.staged_runs() {
-                    stack.apply_run(k);
-                }
-                stack.finish_apply(sequence);
-            }
-            if let Some(p) = probe {
-                p.record(CommitProbeEvent::ApplyThread { tid, sequence });
-            }
-        });
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, sequence);
-        }
-        self.registers.set_committed_sequence(sequence);
-        self.pending = None;
-        self.next_sequence = sequence + 1;
-        if let Some(p) = probe {
-            p.record(CommitProbeEvent::Retire { sequence });
-        }
-    }
-
-    /// Applies the sealed commit record: every staging buffer, then
-    /// every register slot, then retires the record. Idempotent, so
-    /// recovery replays it from any interruption point.
-    fn apply_record(
-        &mut self,
-        record: &ProcessCommitRecord,
-        inj: &mut FaultInjector,
-        mut scribe: Option<&mut FaultScribe<'_>>,
-    ) -> Result<(), CrashInjected> {
-        debug_assert!(record.sealed, "apply before the seal");
-        for (tid, stack) in &mut self.stacks {
-            for k in 0..stack.staged_runs() {
-                stack.apply_run(k);
-                if let Some(s) = scribe.as_deref_mut() {
-                    s.work(
-                        commit_cost::APPLY_RUN_NS
-                            + stack.staged_run_len(k) * commit_cost::APPLY_BYTE_NS,
-                    );
-                }
-                crash_window!(
-                    inj,
-                    CrashSite::MidApply {
-                        tid: *tid,
-                        runs_applied: k as u32 + 1,
-                    }
-                );
-            }
-            stack.finish_apply(record.sequence);
-            crash_window!(inj, CrashSite::PostApplyThread { tid: *tid });
-        }
-        crash_window!(inj, CrashSite::PostApplyPreRegisters);
-        for (tid, regs) in record.staged_regs.iter().enumerate() {
-            self.registers.apply_thread_at(tid, *regs, record.sequence);
-            if let Some(s) = scribe.as_deref_mut() {
-                s.work(commit_cost::REGISTER_SLOT_NS);
-            }
-            crash_window!(inj, CrashSite::MidRegisterApply { tid: tid as u32 });
-        }
-        self.registers.set_committed_sequence(record.sequence);
-        self.pending = None;
-        self.next_sequence = record.sequence + 1;
-        crash_window!(inj, CrashSite::PostCommit);
         Ok(())
     }
 
@@ -1735,67 +1226,23 @@ impl PersistentProcess {
         result
     }
 
+    /// Redoes a sealed record through the engine's phase-two and
+    /// register-tail step (the seal was the commit point) or discards
+    /// an unsealed one, then folds every surviving spine newest-wins
+    /// into its persistent image and rebuilds the volatile images —
+    /// recovery always sees a prefix-closed spine of sealed batches,
+    /// so the fold lands byte-identical to eager apply. Panic-free
+    /// (`PA-PANIC004`): this whole path is recovery surface.
     fn recover_inner(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
-        if self.spine_cfg.is_some() || self.stacks.values().any(|s| s.spine_batches() > 0) {
-            return self.recover_inner_spine();
-        }
         match self.pending.clone() {
             Some(record) if record.sealed => {
-                // Redo through the parallel apply — the crash matrix
-                // recovers after every post-seal crash, so this path is
-                // exhaustively exercised against torn commits.
+                // Batches left on a spine are older than the record, so
+                // it must land on top of them as a batch too.
+                let spine = self.spine_cfg.is_some() || self.spine_batches() > 0;
                 let workers = Self::default_workers(self.stacks.len());
-                self.apply_record_parallel(&record, workers, None);
-            }
-            Some(_) => {
-                // The commit never sealed: discard it wholesale.
-                self.pending = None;
-                for stack in self.stacks.values_mut() {
-                    stack.discard_staging();
-                }
-            }
-            None => {}
-        }
-        for stack in self.stacks.values_mut() {
-            stack.recover_after_crash();
-        }
-        let regs = self.registers.recover()?;
-        self.live_regs.clone_from(&regs);
-        Ok(RecoveredState {
-            regs,
-            sequence: self.registers.committed_sequence,
-        })
-    }
-
-    /// Spine-mode recovery: a sealed record is redone by re-appending
-    /// any staging still tagged with its sequence (a batch-seal crash
-    /// leaves some stacks un-appended), staged-ahead or unsealed
-    /// buffers are discarded, then every surviving spine is folded
-    /// newest-wins into its persistent image and the volatile images
-    /// rebuilt — recovery always sees a prefix-closed spine of sealed
-    /// batches, so the fold lands byte-identical to eager apply.
-    /// Panic-free (`PA-PANIC004`): this whole path is recovery
-    /// surface.
-    fn recover_inner_spine(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
-        match self.pending.clone() {
-            Some(record) if record.sealed => {
-                for stack in self.stacks.values_mut() {
-                    if stack.staging_sequence() == record.sequence {
-                        // The seal was the commit point: redo the
-                        // batch append the crash interrupted.
-                        stack.seal_to_spine(record.sequence);
-                    } else if stack.staging_sequence() > record.sequence {
-                        // Staged ahead for a later, never-sealed
-                        // sequence: discard.
-                        stack.discard_staging();
-                    }
-                }
-                for (tid, regs) in record.staged_regs.iter().enumerate() {
-                    self.registers.apply_thread_at(tid, *regs, record.sequence);
-                }
-                self.registers.set_committed_sequence(record.sequence);
-                self.pending = None;
-                self.next_sequence = record.sequence + 1;
+                // Without an injector no crash window can fire.
+                let _ =
+                    self.apply_record(&record, spine, None, workers, &mut CommitHooks::default());
             }
             Some(_) => {
                 // The commit never sealed: discard it wholesale.
@@ -1896,6 +1343,32 @@ mod tests {
                 VirtRange::new(VirtAddr::new(top - 0x8000), VirtAddr::new(top))
             })
             .collect()
+    }
+
+    /// One commit at `workers` through the engine, with no hooks.
+    fn commit_at(
+        p: &mut PersistentProcess,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        workers: usize,
+    ) {
+        p.commit_with(batches, workers, CommitHooks::default())
+            .expect("no injector is attached");
+    }
+
+    /// One commit through the engine with `inj` attached.
+    fn commit_faulted(
+        p: &mut PersistentProcess,
+        runs: &BTreeMap<u32, Vec<CopyRun>>,
+        inj: &mut FaultInjector,
+    ) -> Result<(), CrashInjected> {
+        p.commit_with(
+            std::slice::from_ref(runs),
+            1,
+            CommitHooks {
+                faults: Some(inj),
+                ..CommitHooks::default()
+            },
+        )
     }
 
     fn full_runs(p: &PersistentProcess, tids: &[u32]) -> BTreeMap<u32, Vec<CopyRun>> {
@@ -1999,12 +1472,12 @@ mod tests {
     #[test]
     fn crash_between_thread_stack_applies_recovers_one_sequence() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        let err = p
-            .commit_with_faults(
-                &runs,
-                &mut FaultInjector::at_site(CrashSite::PostApplyThread { tid: 0 }),
-            )
-            .unwrap_err();
+        let err = commit_faulted(
+            &mut p,
+            &runs,
+            &mut FaultInjector::at_site(CrashSite::PostApplyThread { tid: 0 }),
+        )
+        .unwrap_err();
         assert_eq!(err.site, CrashSite::PostApplyThread { tid: 0 });
         p.crash();
         let rec = p.recover().unwrap();
@@ -2030,12 +1503,12 @@ mod tests {
     #[test]
     fn crash_between_stacks_and_registers_recovers_one_sequence() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        let err = p
-            .commit_with_faults(
-                &runs,
-                &mut FaultInjector::at_site(CrashSite::PostApplyPreRegisters),
-            )
-            .unwrap_err();
+        let err = commit_faulted(
+            &mut p,
+            &runs,
+            &mut FaultInjector::at_site(CrashSite::PostApplyPreRegisters),
+        )
+        .unwrap_err();
         assert_eq!(err.site, CrashSite::PostApplyPreRegisters);
         p.crash();
         let rec = p.recover().unwrap();
@@ -2059,7 +1532,7 @@ mod tests {
             CrashPlan::AtSite(CrashSite::PreSeal),
         ] {
             let mut inj = FaultInjector::new(plan);
-            p.commit_with_faults(&runs, &mut inj).unwrap_err();
+            commit_faulted(&mut p, &runs, &mut inj).unwrap_err();
             p.crash();
             let rec = p.recover().unwrap();
             assert_eq!(rec.sequence, 1, "pre-seal crash keeps sequence 1");
@@ -2084,12 +1557,19 @@ mod tests {
         assert_eq!(p.verify_coherent().unwrap(), 2);
     }
 
-    /// The parallel commit and the serial crash-windowed commit must
-    /// land on byte-identical persistent state.
+    /// Every worker count lands on the persistent state of the inline
+    /// schedule the crash matrix enumerates (one worker, a disabled
+    /// injector attached): byte-identical persistent images, spine
+    /// batches, registers and coherence, for an eager commit, a spine
+    /// burst that merges, and a 3-batch pipelined burst.
     #[test]
     fn parallel_commit_matches_serial() {
-        let build = || {
-            let mut p = PersistentProcess::new(&ranges(4));
+        let build = |spine: bool| {
+            let mut p = if spine {
+                PersistentProcess::new_with_spine(&ranges(4), SpineConfig::merge_always())
+            } else {
+                PersistentProcess::new(&ranges(4))
+            };
             for tid in 0..4u32 {
                 let r = p.stack(tid).range();
                 for k in 0..8u64 {
@@ -2100,29 +1580,71 @@ mod tests {
             }
             p
         };
-        let mut serial = build();
-        let mut parallel = build();
-        let runs = full_runs(&serial, &[0, 1, 2, 3]);
-        serial
-            .commit_with_faults(&runs, &mut FaultInjector::disabled())
-            .expect("a disabled injector never fires");
-        parallel.commit_with_workers(&runs, 4);
-        assert_eq!(serial.committed_sequence(), parallel.committed_sequence());
-        serial.crash();
-        parallel.crash();
-        let rs = serial.recover().unwrap();
-        let rp = parallel.recover().unwrap();
-        assert_eq!(rs.sequence, rp.sequence);
-        for tid in 0..4u32 {
-            let r = serial.stack(tid).range();
-            assert_eq!(
-                serial.stack(tid).volatile().read(r.start(), 4096),
-                parallel.stack(tid).volatile().read(r.start(), 4096),
-                "thread {tid} recovered identical bytes"
-            );
-            assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
+        let whole = vec![full_runs(&build(false), &[0, 1, 2, 3])];
+        // Three batches covering distinct 2 KiB slices of every stack.
+        let slices: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
+            .map(|i| {
+                ranges(4)
+                    .iter()
+                    .enumerate()
+                    .map(|(tid, r)| {
+                        let start = r.start() + i * 2048;
+                        (tid as u32, vec![CopyRun { start, len: 2048 }])
+                    })
+                    .collect()
+            })
+            .collect();
+        for (mode, spine, batches) in [
+            ("eager", false, &whole),
+            ("spine", true, &slices),
+            ("pipelined", false, &slices),
+        ] {
+            for workers in [1usize, 2, 4] {
+                let mut serial = build(spine);
+                let mut parallel = build(spine);
+                let mut inj = FaultInjector::disabled();
+                let hooks = CommitHooks {
+                    faults: Some(&mut inj),
+                    ..CommitHooks::default()
+                };
+                serial
+                    .commit_with(batches, 1, hooks)
+                    .expect("a disabled injector never fires");
+                commit_at(&mut parallel, batches, workers);
+                assert_eq!(serial.committed_sequence(), parallel.committed_sequence());
+                assert_eq!(serial.verify_coherent(), parallel.verify_coherent());
+                for tid in 0..4u32 {
+                    let r = serial.stack(tid).range();
+                    assert!(
+                        serial
+                            .stack(tid)
+                            .persistent()
+                            .matches(parallel.stack(tid).persistent(), r),
+                        "{mode} workers={workers} thread {tid}: persistent images differ"
+                    );
+                    assert_eq!(
+                        serial.stack(tid).spine(),
+                        parallel.stack(tid).spine(),
+                        "{mode} workers={workers} thread {tid}: spine batches differ"
+                    );
+                }
+                serial.crash();
+                parallel.crash();
+                let rs = serial.recover().unwrap();
+                let rp = parallel.recover().unwrap();
+                assert_eq!(rs.sequence, rp.sequence);
+                for tid in 0..4u32 {
+                    let r = serial.stack(tid).range();
+                    assert_eq!(
+                        serial.stack(tid).volatile().read(r.start(), 4096),
+                        parallel.stack(tid).volatile().read(r.start(), 4096),
+                        "{mode} workers={workers} thread {tid} recovered identical bytes"
+                    );
+                    assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
+                }
+                assert_eq!(parallel.verify_coherent().unwrap(), batches.len() as u64);
+            }
         }
-        assert_eq!(parallel.verify_coherent().unwrap(), 1);
     }
 
     /// Commits stay coherent at every worker width, including widths
@@ -2137,7 +1659,7 @@ mod tests {
                 let r = p.stack(tid).range();
                 p.record_store(tid, r.start() + 128, &[i as u8 + 1; 32]);
             }
-            p.commit_with_workers(&runs, workers);
+            commit_at(&mut p, std::slice::from_ref(&runs), workers);
             assert_eq!(p.committed_sequence(), i as u64 + 1);
             assert_eq!(p.verify_coherent().unwrap(), i as u64 + 1);
         }
@@ -2158,7 +1680,8 @@ mod tests {
     #[test]
     fn repeated_recovery_is_idempotent() {
         let (mut p, runs) = two_thread_mid_commit_setup();
-        p.commit_with_faults(
+        commit_faulted(
+            &mut p,
             &runs,
             &mut FaultInjector::at_site(CrashSite::MidApply {
                 tid: 0,
@@ -2172,6 +1695,146 @@ mod tests {
             assert_eq!(rec.sequence, 2);
             assert_eq!(p.verify_coherent().unwrap(), 2);
         }
+    }
+
+    /// Pins the engine's boundary order literally — one 2-thread
+    /// commit with two runs per thread, eager, spine with a merge due,
+    /// and a 2-batch pipelined burst — so a reordering fails here even
+    /// where a crash sweep would still recover from every site.
+    #[test]
+    fn commit_crosses_boundaries_in_protocol_order() {
+        use CrashSite::{
+            MergeRetire, PostApplyPreRegisters, PostApplyThread, PostCommit, PostSeal, PreSeal,
+            PreStage,
+        };
+        let record = |p: &mut PersistentProcess, batches: &[BTreeMap<u32, Vec<CopyRun>>]| {
+            let mut inj = FaultInjector::new(CrashPlan::Record);
+            let hooks = CommitHooks {
+                faults: Some(&mut inj),
+                ..CommitHooks::default()
+            };
+            // Two workers: an attached injector still runs inline.
+            p.commit_with(batches, 2, hooks)
+                .expect("record mode never fires");
+            inj.crossed().to_vec()
+        };
+        let two_runs = |p: &PersistentProcess| -> BTreeMap<u32, Vec<CopyRun>> {
+            (0..2u32)
+                .map(|tid| {
+                    let r = p.stack(tid).range();
+                    let run = |off: u64| CopyRun {
+                        start: r.start() + off,
+                        len: 16,
+                    };
+                    (tid, vec![run(0x100), run(0x200)])
+                })
+                .collect()
+        };
+        let stage = |tid, runs_staged| CrashSite::MidStage { tid, runs_staged };
+        let apply = |tid, runs_applied| CrashSite::MidApply { tid, runs_applied };
+        let ahead = |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged };
+        let batch = |tid| CrashSite::BatchSeal { tid };
+        let regs = |tid| CrashSite::MidRegisterApply { tid };
+        let fold = |tid, batches_folded| CrashSite::MidMerge {
+            tid,
+            batches_folded,
+        };
+
+        let mut eager = PersistentProcess::new(&ranges(2));
+        let runs = two_runs(&eager);
+        assert_eq!(
+            record(&mut eager, std::slice::from_ref(&runs)),
+            vec![
+                PreStage,
+                stage(0, 1),
+                stage(0, 2),
+                stage(1, 1),
+                stage(1, 2),
+                PreSeal,
+                PostSeal,
+                apply(0, 1),
+                apply(0, 2),
+                PostApplyThread { tid: 0 },
+                apply(1, 1),
+                apply(1, 2),
+                PostApplyThread { tid: 1 },
+                PostApplyPreRegisters,
+                regs(0),
+                regs(1),
+                PostCommit,
+            ]
+        );
+
+        // A first commit leaves one batch per spine, so merge_always
+        // folds both spines after the recorded second commit.
+        let mut spine = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always());
+        let runs = two_runs(&spine);
+        commit_at(&mut spine, std::slice::from_ref(&runs), 1);
+        assert_eq!(
+            record(&mut spine, std::slice::from_ref(&runs)),
+            vec![
+                PreStage,
+                stage(0, 1),
+                stage(0, 2),
+                stage(1, 1),
+                stage(1, 2),
+                PreSeal,
+                PostSeal,
+                batch(0),
+                batch(1),
+                PostApplyPreRegisters,
+                regs(0),
+                regs(1),
+                PostCommit,
+                fold(0, 1),
+                fold(0, 2),
+                MergeRetire { tid: 0 },
+                fold(1, 1),
+                fold(1, 2),
+                MergeRetire { tid: 1 },
+            ]
+        );
+
+        let mut burst = PersistentProcess::new(&ranges(2));
+        let runs = two_runs(&burst);
+        assert_eq!(
+            record(&mut burst, &[runs.clone(), runs]),
+            vec![
+                PreStage,
+                stage(0, 1),
+                stage(0, 2),
+                stage(1, 1),
+                stage(1, 2),
+                PreSeal,
+                PostSeal,
+                apply(0, 1),
+                apply(0, 2),
+                PostApplyThread { tid: 0 },
+                ahead(0, 1),
+                ahead(0, 2),
+                apply(1, 1),
+                apply(1, 2),
+                PostApplyThread { tid: 1 },
+                ahead(1, 1),
+                ahead(1, 2),
+                PostApplyPreRegisters,
+                regs(0),
+                regs(1),
+                PostCommit,
+                PreSeal,
+                PostSeal,
+                apply(0, 1),
+                apply(0, 2),
+                PostApplyThread { tid: 0 },
+                apply(1, 1),
+                apply(1, 2),
+                PostApplyThread { tid: 1 },
+                PostApplyPreRegisters,
+                regs(0),
+                regs(1),
+                PostCommit,
+            ]
+        );
     }
 
     fn uniform_runs(tids: &[u32], count: usize, len: u64) -> BTreeMap<u32, Vec<CopyRun>> {
@@ -2190,36 +1853,80 @@ mod tests {
             .collect()
     }
 
+    /// The single-commit model as it stood before single commits and
+    /// bursts shared one model: two spawn charges, the stage pass, the
+    /// seal with its bookkeeping, phase two (one flat batch append per
+    /// stack in spine mode) and the register tail.
+    fn single_commit_model(
+        tids: &[u32],
+        workers: usize,
+        runs: &BTreeMap<u32, Vec<CopyRun>>,
+        spine: bool,
+    ) -> u64 {
+        let cost = |tid: u32, per_run: u64, per_byte: u64| {
+            runs.get(&tid)
+                .map_or(0, |r| PersistentProcess::runs_cost(r, per_run, per_byte))
+        };
+        let phase_two = if spine {
+            PersistentProcess::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
+        } else {
+            PersistentProcess::stolen_phase_cost(tids, workers, |tid| {
+                cost(tid, commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
+            })
+        };
+        2 * PersistentProcess::spawn_cost(workers)
+            + PersistentProcess::stolen_phase_cost(tids, workers, |tid| {
+                cost(tid, commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
+            })
+            + commit_cost::SEAL_NS
+            + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
+            + phase_two
+            + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
+    }
+
     /// Satellite regression (PR 7): the adaptive selector must never
     /// choose a multi-worker configuration whose modelled cost exceeds
     /// serial — the regression BENCH_pr3.json recorded as w=2 running
     /// at 0.85x serial and w=8 at 0.59x when `commit` fanned out
-    /// unconditionally.
+    /// unconditionally — for a single commit or a burst, eager or
+    /// spine. A burst of one costs exactly what the single-commit
+    /// model charged.
     #[test]
     fn selector_never_picks_a_modelled_regression() {
         for threads in [1usize, 2, 3, 8, 17] {
             let tids: Vec<u32> = (0..threads as u32).collect();
             for (count, len) in [(0usize, 0u64), (1, 16), (1, 64), (4, 256), (64, 4096)] {
                 let runs = uniform_runs(&tids, count, len);
-                let serial = PersistentProcess::modeled_commit_ns(&tids, 1, &runs, false);
-                for cap in [1usize, 2, 4, 8, 64] {
-                    let w = PersistentProcess::argmin_workers(cap, |w| {
-                        PersistentProcess::modeled_commit_ns(&tids, w, &runs, false)
-                    });
-                    let chosen = PersistentProcess::modeled_commit_ns(&tids, w, &runs, false);
-                    assert!(
-                        chosen <= serial,
-                        "threads={threads} count={count} len={len} cap={cap}: \
-                         selected w={w} costs {chosen} > serial {serial}"
-                    );
-                    if threads == 1 || cap == 1 {
-                        assert_eq!(w, 1, "no parallelism to exploit");
+                for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
+                    let batches = vec![runs.clone(); burst];
+                    let model =
+                        |w: usize| PersistentProcess::modeled_commit_ns(&tids, w, &batches, spine);
+                    let serial = model(1);
+                    for cap in [1usize, 2, 4, 8, 64] {
+                        let w = PersistentProcess::argmin_workers(cap, model);
+                        let chosen = model(w);
+                        assert!(
+                            chosen <= serial,
+                            "threads={threads} count={count} len={len} cap={cap} \
+                             burst={burst} spine={spine}: selected w={w} costs \
+                             {chosen} > serial {serial}"
+                        );
+                        if threads == 1 || cap == 1 {
+                            assert_eq!(w, 1, "no parallelism to exploit");
+                        }
+                        if burst == 1 {
+                            assert_eq!(
+                                model(cap),
+                                single_commit_model(&tids, cap, &runs, spine),
+                                "a burst of one is priced as a single commit"
+                            );
+                        }
                     }
                 }
             }
             // Tiny commits sit below the spawn break-even: serial wins
             // even with parallelism available.
-            let tiny = uniform_runs(&tids, 1, 16);
+            let tiny = [uniform_runs(&tids, 1, 16)];
             let w = PersistentProcess::argmin_workers(8, |w| {
                 PersistentProcess::modeled_commit_ns(&tids, w, &tiny, false)
             });
@@ -2241,7 +1948,15 @@ mod tests {
         }
         let runs = full_runs(&p, &tids);
         let acct = StallAccountant::new_virtual();
-        p.commit_attributed(&runs, 1, None, Some(&acct));
+        p.commit_with(
+            std::slice::from_ref(&runs),
+            1,
+            CommitHooks {
+                acct: Some(&acct),
+                ..CommitHooks::default()
+            },
+        )
+        .unwrap();
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
         let expected_stage = PersistentProcess::stolen_phase_cost(&tids, 1, |tid| {
@@ -2311,9 +2026,9 @@ mod tests {
                 })
                 .collect();
             for batch in &batches {
-                sequential.commit_with_workers(batch, workers);
+                commit_at(&mut sequential, std::slice::from_ref(batch), workers);
             }
-            pipelined.commit_pipelined_with_workers(&batches, workers);
+            commit_at(&mut pipelined, &batches, workers);
             assert_eq!(
                 sequential.committed_sequence(),
                 pipelined.committed_sequence()
@@ -2349,7 +2064,11 @@ mod tests {
         let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> =
             (0..2).map(|_| full_runs(&p, &[0, 1])).collect();
         let probe = CommitProbe::new();
-        p.commit_pipelined_attributed(&batches, 1, Some(&probe), None);
+        let hooks = CommitHooks {
+            probe: Some(&probe),
+            ..CommitHooks::default()
+        };
+        p.commit_with(&batches, 1, hooks).unwrap();
         let events = probe.events();
         use CommitProbeEvent as E;
         assert_eq!(
@@ -2399,7 +2118,11 @@ mod tests {
         let batches4: Vec<BTreeMap<u32, Vec<CopyRun>>> =
             (0..3).map(|_| full_runs(&p4, &[0, 1, 2, 3])).collect();
         let probe4 = CommitProbe::new();
-        p4.commit_pipelined_attributed(&batches4, 4, Some(&probe4), None);
+        let hooks = CommitHooks {
+            probe: Some(&probe4),
+            ..CommitHooks::default()
+        };
+        p4.commit_with(&batches4, 4, hooks).unwrap();
         let ev4 = probe4.events();
         let pos_seal = |seq: u64| {
             ev4.iter()
@@ -2485,13 +2208,16 @@ mod tests {
                     )
                 })
                 .collect();
-            (p, runs_n, runs_n1)
+            (p, [runs_n, runs_n1])
         };
         // Enumerate every crash window of the pair.
-        let (mut p, runs_n, runs_n1) = base();
+        let (mut p, pair) = base();
         let mut rec_inj = FaultInjector::disabled();
-        p.commit_pipelined_pair_with_faults(&runs_n, &runs_n1, &mut rec_inj)
-            .unwrap();
+        let hooks = CommitHooks {
+            faults: Some(&mut rec_inj),
+            ..CommitHooks::default()
+        };
+        p.commit_with(&pair, 1, hooks).unwrap();
         assert_eq!(p.verify_coherent().unwrap(), 3, "clean pair lands on N+1");
         let sites: Vec<CrashSite> = rec_inj.crossed().to_vec();
         assert!(
@@ -2501,17 +2227,15 @@ mod tests {
             "the pair schedule must cross the overlap window"
         );
         for (index, site) in sites.iter().enumerate() {
-            let (mut p, runs_n, runs_n1) = base();
+            let (mut p, pair) = base();
             let acct = StallAccountant::new_virtual();
             let mut inj = FaultInjector::at_index(index as u64);
-            let err = p
-                .commit_pipelined_pair_with_faults_attributed(
-                    &runs_n,
-                    &runs_n1,
-                    &mut inj,
-                    Some(&acct),
-                )
-                .unwrap_err();
+            let hooks = CommitHooks {
+                faults: Some(&mut inj),
+                probe: None,
+                acct: Some(&acct),
+            };
+            let err = p.commit_with(&pair, 1, hooks).unwrap_err();
             assert_eq!(err.site, *site, "deterministic site order");
             let seals = inj
                 .crossed()
@@ -2674,9 +2398,7 @@ mod tests {
                     probe_p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
                 }
                 let runs = partial_runs(&probe_p, 0x100, 8);
-                probe_p
-                    .commit_with_faults(&runs, &mut inj)
-                    .expect("record mode never fires");
+                commit_faulted(&mut probe_p, &runs, &mut inj).expect("record mode never fires");
             }
             inj.crossed().to_vec()
         };
@@ -2709,7 +2431,7 @@ mod tests {
                     p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
                 }
                 let runs = partial_runs(&p, 0x100, 8);
-                match p.commit_with_faults(&runs, &mut inj) {
+                match commit_faulted(&mut p, &runs, &mut inj) {
                     Ok(()) => expected = round + 1,
                     Err(c) => {
                         if c.site.is_post_seal() {
@@ -2813,7 +2535,12 @@ mod tests {
                 p.record_store(tid, r.start() + 0x100, &[round as u8; 8]);
             }
             let runs = partial_runs(&p, 0x100, 8);
-            p.commit_attributed(&runs, 1, None, Some(&acct));
+            let hooks = CommitHooks {
+                acct: Some(&acct),
+                ..CommitHooks::default()
+            };
+            p.commit_with(std::slice::from_ref(&runs), 1, hooks)
+                .unwrap();
         }
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use prosper_core::bitmap::CopyRun;
-use prosper_core::recovery::PersistentProcess;
+use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_core::SpineConfig;
 use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -81,6 +81,12 @@ fn arb_spine_cfg() -> impl Strategy<Value = SpineConfig> {
     ]
 }
 
+/// One commit through the commit engine with no hooks attached.
+fn commit_clean(p: &mut PersistentProcess, runs: &BTreeMap<u32, Vec<CopyRun>>) {
+    p.commit_with(std::slice::from_ref(runs), 1, CommitHooks::default())
+        .expect("no injector is attached");
+}
+
 /// Drives the spine process and the eager reference in lock-step.
 struct Differential {
     spine: PersistentProcess,
@@ -101,8 +107,8 @@ impl Differential {
         // A first full checkpoint so recovery always has a valid
         // sealed state to land on.
         let runs = full_runs(threads);
-        d.spine.commit_attributed(&runs, 1, None, None);
-        d.eager.commit_attributed(&runs, 1, None, None);
+        commit_clean(&mut d.spine, &runs);
+        commit_clean(&mut d.eager, &runs);
         d
     }
 
@@ -146,8 +152,8 @@ impl Differential {
 
     fn commit(&mut self) {
         let runs = self.take_runs();
-        self.spine.commit_attributed(&runs, 1, None, None);
-        self.eager.commit_attributed(&runs, 1, None, None);
+        commit_clean(&mut self.spine, &runs);
+        commit_clean(&mut self.eager, &runs);
     }
 
     /// Asserts the spine's effective durable bytes equal the eager
@@ -241,7 +247,11 @@ proptest! {
         let before = d.spine.committed_sequence();
         let runs = d.take_runs();
         let mut inj = FaultInjector::at_index(crash_index);
-        let crashed = d.spine.commit_with_faults(&runs, &mut inj).is_err();
+        let hooks = CommitHooks {
+            faults: Some(&mut inj),
+            ..CommitHooks::default()
+        };
+        let crashed = d.spine.commit_with(std::slice::from_ref(&runs), 1, hooks).is_err();
         d.spine.crash();
         let recovered = d
             .spine
@@ -258,7 +268,7 @@ proptest! {
         );
         // Mirror the durable prefix on the eager reference.
         if recovered.sequence == before + 1 {
-            d.eager.commit_attributed(&runs, 1, None, None);
+            commit_clean(&mut d.eager, &runs);
         }
         d.eager.crash();
         let ref_recovered = d.eager.recover().expect("reference recovers");
@@ -307,7 +317,11 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
         let before = d.spine.committed_sequence();
         let runs = d.take_runs();
         let mut inj = FaultInjector::at_index(index);
-        let outcome = d.spine.commit_with_faults(&runs, &mut inj);
+        let hooks = CommitHooks {
+            faults: Some(&mut inj),
+            ..CommitHooks::default()
+        };
+        let outcome = d.spine.commit_with(std::slice::from_ref(&runs), 1, hooks);
         match outcome {
             Err(CrashInjected { site }) => match site {
                 CrashSite::BatchSeal { .. } => hit_batch_seal = true,
@@ -322,7 +336,7 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
         d.spine.crash();
         let recovered = d.spine.recover().expect("sweep scenario recovers");
         if recovered.sequence == before + 1 {
-            d.eager.commit_attributed(&runs, 1, None, None);
+            commit_clean(&mut d.eager, &runs);
         }
         d.eager.crash();
         let reference = d.eager.recover().expect("reference recovers");

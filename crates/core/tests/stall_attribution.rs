@@ -14,7 +14,7 @@ use prosper_core::bitmap::CopyRun;
 use prosper_core::faultinject::{
     enumerate_crash_sites, run_attributed, run_crash_attributed, CrashMatrixConfig,
 };
-use prosper_core::recovery::{CommitProbe, CommitProbeEvent, PersistentProcess};
+use prosper_core::recovery::{CommitHooks, CommitProbe, CommitProbeEvent, PersistentProcess};
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -121,7 +121,8 @@ fn crash_and_recover_runs_conserve_with_recovery_attributed() {
 fn torn_commit_ledger_closes_at_the_crash_instant() {
     // Crash at every site of a tiny run: whatever partial commit the
     // crash tears, the ledger must still conserve exactly — the
-    // scribe closes the open segment and window at the crash instant.
+    // commit engine closes the open segment and window at the crash
+    // instant.
     let cfg = CrashMatrixConfig {
         threads: 1,
         intervals: 1,
@@ -209,7 +210,13 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
     let probe = CommitProbe::new();
     let acct = StallAccountant::new_virtual();
     for _ in 0..3 {
-        p.commit_attributed(&runs, 2, Some(&probe), Some(&acct));
+        let hooks = CommitHooks {
+            faults: None,
+            probe: Some(&probe),
+            acct: Some(&acct),
+        };
+        p.commit_with(std::slice::from_ref(&runs), 2, hooks)
+            .expect("no injector is attached");
     }
     let snap = acct.snapshot();
     snap.verify_conservation().expect("witnessed run conserves");

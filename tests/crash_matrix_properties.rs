@@ -12,7 +12,7 @@ use prosper_repro::core::faultinject::{
     enumerate_crash_sites, run_crash_attributed, run_crash_matrix, run_with_crash_at,
     CrashMatrixConfig,
 };
-use prosper_repro::core::recovery::PersistentProcess;
+use prosper_repro::core::recovery::{CommitHooks, PersistentProcess};
 use prosper_repro::core::SpineConfig;
 use prosper_repro::gemos::crash::{CrashSite, FaultInjector};
 use prosper_repro::gemos::image::MemoryImage;
@@ -208,7 +208,11 @@ proptest! {
                         Some(n) => FaultInjector::at_index(*n),
                         None => FaultInjector::disabled(),
                     };
-                    match p.commit_with_faults(&full_runs, &mut inj) {
+                    let hooks = CommitHooks {
+                        faults: Some(&mut inj),
+                        ..CommitHooks::default()
+                    };
+                    match p.commit_with(std::slice::from_ref(&full_runs), 1, hooks) {
                         Ok(()) => {
                             effective_commits += 1;
                             committed.clone_from(&live);
