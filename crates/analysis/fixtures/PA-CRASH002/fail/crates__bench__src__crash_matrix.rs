@@ -1,11 +1,11 @@
-//! Fixture: the matrix also misses `MidApply`, `MidMerge`, and
-//! `AllocReservationSteal`.
+//! Fixture: the matrix also misses `MidApply`, `MidPipelineStage`,
+//! and `MidMerge`.
 pub fn sites() -> Vec<CrashSite> {
     vec![
         CrashSite::PreStage,
         CrashSite::PostSeal { tid: 0 },
+        CrashSite::MidSwitchSave,
         CrashSite::BatchSeal { tid: 1 },
         CrashSite::MergeRetire { tid: 1 },
-        CrashSite::AllocSubtreePersist { subtree: 2 },
     ]
 }

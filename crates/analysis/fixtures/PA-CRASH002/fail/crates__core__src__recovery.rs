@@ -1,4 +1,5 @@
-//! Fixture: injection points skip `MidApply` and `MidMerge`.
+//! Fixture: injection points skip `MidApply`, `MidPipelineStage`, and
+//! `MidMerge`.
 pub fn commit(inj: &mut FaultInjector) {
     crash_window!(inj, CrashSite::PreStage);
     seal();

@@ -3,13 +3,12 @@ pub fn sites() -> Vec<CrashSite> {
     vec![
         CrashSite::PreStage,
         CrashSite::PostSeal { tid: 0 },
+        CrashSite::MidSwitchSave,
         CrashSite::BatchSeal { tid: 1 },
         CrashSite::MidMerge {
             tid: 1,
             batches_folded: 2,
         },
         CrashSite::MergeRetire { tid: 1 },
-        CrashSite::AllocSubtreePersist { subtree: 0 },
-        CrashSite::AllocReservationSteal { worker: 1 },
     ]
 }

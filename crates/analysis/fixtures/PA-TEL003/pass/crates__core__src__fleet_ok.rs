@@ -1,10 +1,6 @@
-//! Fixture: the allocator / fleet / backpressure names, registered
-//! and kind-correct.
+//! Fixture: the fleet / backpressure names, registered and
+//! kind-correct.
 pub fn report(r: &Registry) {
-    r.counter("prosper.alloc.reservation_steals").inc();
-    r.counter("prosper.alloc.subtree_persists").add(4);
-    r.counter("prosper.alloc.double_frees_rejected").inc();
-    r.gauge("prosper.alloc.nvm_free_frames").set(512);
     r.counter("prosper.fleet.commits").add(32);
     r.counter("prosper.fleet.deferred_commits").inc();
     r.counter("prosper.fleet.ckpt_nvm_bytes").add(4096);

@@ -133,7 +133,6 @@ fn run_spec(spec: &RunSpec) -> ExploreReport {
         &ExplorerConfig {
             preemption_bound: spec.bound,
             max_schedules: 2_000_000,
-            memoize: false,
         },
     )
 }

@@ -30,10 +30,7 @@ pub mod model;
 pub mod order;
 pub mod vclock;
 
-pub use explorer::{
-    explore, explore_model, ExploreReport, ExplorerConfig, ModelProgram, ModelReport, RaceReport,
-    StepEffect,
-};
+pub use explorer::{explore, ExploreReport, ExplorerConfig, RaceReport};
 pub use model::{commit_program, Bug, CommitConfig, Program};
 pub use order::{check_order, OrderEvent, OrderViolation};
 pub use vclock::VClock;

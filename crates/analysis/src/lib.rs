@@ -12,12 +12,6 @@
 //! * **`prosper-interleave`** — a miniature loom-style bounded
 //!   interleaving explorer plus vector-clock race detector for the
 //!   parallel stage/seal/apply commit protocol. See [`interleave`].
-//! * **`prosper-allocmodel`** — an allocator linearizability and
-//!   persist-ordering model checker riding on the same explorer: the
-//!   lock-free frame allocator's two-level atomic protocol explored
-//!   exhaustively, with crash-subset enumeration of the durable tree
-//!   and a shared history checker that also validates `AllocProbe`
-//!   traces from the real allocator. See [`allocmodel`].
 //!
 //! Both report machine-readable JSON (hand-rolled writer in [`diag`];
 //! the workspace deliberately takes no serialization dependency here
@@ -27,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod allocmodel;
 pub mod diag;
 pub mod interleave;
 pub mod rules;

@@ -1,22 +1,23 @@
 //! `PA-ATOMIC007` — atomic-ordering discipline.
 //!
-//! The allocator's correctness argument (see the `allocmodel` module
-//! and DESIGN.md §10) leans on two sync edges that a single weakened
-//! ordering silently deletes: publication stores must Release so the
-//! frame's prior writes are visible to the next owner, and durable
-//! staged stores must order before their seal. `Ordering::Relaxed`
-//! anywhere in protocol code is therefore treated as a bug until
-//! justified — the model checker explores reorderings, but only the
-//! ones the source admits, so a Relaxed store is precisely the class
-//! of defect that never shows up in testing and always shows up in a
-//! crash dump.
+//! The commit engine's correctness argument (the `interleave` model
+//! and DESIGN.md §10) rests on its sync edges: staged bytes are
+//! ordered before the seal that makes them the commit point, and a
+//! worker's stage or apply pass is visible to the coordinator that
+//! joins it. `prosper-interleave` explores those edges as
+//! release/acquire pairs, so a weakened ordering in protocol code
+//! deletes an edge the model assumes — precisely the class of defect
+//! that never shows up in testing and always shows up in a crash
+//! dump. `Ordering::Relaxed` in protocol code is therefore a bug until
+//! justified. The one justified use today is the engine's work-queue
+//! cursor in `recovery.rs`: a ticket counter where only uniqueness
+//! matters, each task being published through its own mutex.
 //!
 //! The second half of the discipline is counter updates: a raw
-//! `fetch_sub` on a free counter can underflow past zero under a
-//! racing free (the exact shape of the seeded
-//! `counter-store-before-bit-claim` bug). Decrements must go through
-//! the checked `fetch_update`-based helpers (`try_dec`), which refuse
-//! to go below zero.
+//! `fetch_sub` on a shared counter underflows past zero when two
+//! decrements race for its last unit. Decrements go through a checked
+//! `fetch_update`-based helper (such as `try_dec`), which refuses to
+//! go below zero.
 //!
 //! Telemetry counters are exempt by path prefix
 //! ([`LintConfig::atomic_exempt_prefixes`]): observability counters

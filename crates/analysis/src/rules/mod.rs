@@ -60,9 +60,6 @@ impl LintConfig {
             staging_allowlist: vec![
                 "crates/core/src/persist.rs".into(),
                 "crates/core/src/recovery.rs".into(),
-                // The frame allocator persists its NVM bitmap through
-                // its own staging/seal discipline (DurableAllocTree).
-                "crates/gemos/src/llalloc.rs".into(),
             ],
             crash_enum_file: "crates/gemos/src/crash.rs".into(),
             crash_enum_name: "CrashSite".into(),
@@ -71,7 +68,6 @@ impl LintConfig {
                 "crates/core/src/multithread.rs".into(),
                 "crates/core/src/faultinject.rs".into(),
                 "crates/core/src/oscomp.rs".into(),
-                "crates/gemos/src/llalloc.rs".into(),
             ],
             matrix_files: vec!["crates/bench/src/crash_matrix.rs".into()],
             sim_path_prefixes: vec![

@@ -41,7 +41,6 @@ fn run_model(
         &ExplorerConfig {
             preemption_bound: bound,
             max_schedules: 2_000_000,
-            memoize: false,
         },
     );
     assert!(

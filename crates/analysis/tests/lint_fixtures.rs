@@ -66,20 +66,21 @@ fn nvm001_durable_write_discipline() {
 
 #[test]
 fn crash002_exhaustiveness() {
-    // `MidApply`, the spine's `MidMerge`, and the allocator's
-    // `AllocReservationSteal` are each missing both an injection point
-    // and a matrix ref; the covered spine sites (`BatchSeal`,
-    // `MergeRetire`) and `AllocSubtreePersist` must not be flagged.
+    // `MidApply`, the pipelined overlap's `MidPipelineStage`, and the
+    // spine's `MidMerge` are each missing both an injection point and
+    // a matrix ref; the covered spine sites (`BatchSeal`,
+    // `MergeRetire`) and `MidSwitchSave`, injected from a second
+    // injection file, must not be flagged.
     assert_rule("PA-CRASH002", 6);
     let fail = load("PA-CRASH002", "fail");
     let got = findings("PA-CRASH002", &fail);
     assert!(
         got.iter().all(|m| m.contains("MidApply")
-            || m.contains("MidMerge")
-            || m.contains("AllocReservationSteal")),
+            || m.contains("MidPipelineStage")
+            || m.contains("MidMerge")),
         "only the uncovered variants should be flagged: {got:?}"
     );
-    for uncovered in ["MidApply", "MidMerge", "AllocReservationSteal"] {
+    for uncovered in ["MidApply", "MidPipelineStage", "MidMerge"] {
         assert_eq!(
             got.iter().filter(|m| m.contains(uncovered)).count(),
             2,
@@ -93,11 +94,9 @@ fn tel003_name_hygiene() {
     // Typo + kind mismatch + ill-formed name, plus the
     // stall/slo/tax misuse corpus (typo, two kind mismatches, one
     // unregistered name), the spine/write-amp misuse corpus (typo,
-    // kind mismatch, unregistered phase counter), the alloc/fleet
-    // misuse corpus (typo, kind mismatch, unregistered gauge), and
-    // the allocmodel misuse corpus (typo, kind mismatch, unregistered
-    // counter).
-    assert_rule("PA-TEL003", 16);
+    // kind mismatch, unregistered phase counter), and the fleet
+    // misuse corpus (typo, kind mismatch, unregistered gauge).
+    assert_rule("PA-TEL003", 13);
 }
 
 #[test]

@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use prosper_bench::crash_matrix::{
-    alloc_conformance_sweep, attributed_sweep, default_suite, kind_coverage, quick_suite, run_suite,
+    attributed_sweep, default_suite, kind_coverage, quick_suite, run_suite,
 };
 use prosper_telemetry as telemetry;
 use prosper_telemetry::{NoopSink, Telemetry};
@@ -81,21 +81,6 @@ fn main() -> ExitCode {
             );
         }
         println!();
-    }
-
-    // The allocator half of the matrix: probed conformance of the
-    // real FrameAlloc against the model checker's history and
-    // crash-image replay (see prosper-allocmodel for the model half).
-    match alloc_conformance_sweep(quick) {
-        Ok(c) => println!(
-            "allocator conformance: {} shape(s), {} probed ops, {} protocol atomics, \
-             {} persist epoch(s) crash-image checked",
-            c.shapes, c.ops, c.events, c.epochs
-        ),
-        Err(e) => {
-            any_failed = true;
-            println!("allocator conformance FAIL: {e}");
-        }
     }
 
     let snap = t.registry().snapshot();

@@ -3,8 +3,8 @@
 //! Runs the [`prosper_bench::perf`] suite — bitmap-inspection
 //! speedups, parallel-commit scaling (classic and pipelined),
 //! checkpoint-latency percentiles, end-to-end workload runtimes, the
-//! staged-delta spine study, lock-free allocator throughput, and the
-//! staggered-fleet bandwidth-smoothing study — prints the tables, and
+//! staged-delta spine study, and the staggered-fleet
+//! bandwidth-smoothing study — prints the tables, and
 //! writes the JSON report (default `BENCH_pr9.json`; earlier records
 //! are `BENCH_pr3.json`, `BENCH_pr7.json`, and `BENCH_pr8.json`).
 //!
@@ -17,10 +17,8 @@
 //! inspection speedup < 5x, adaptive pipelined commit below 1.0x
 //! serial on a multi-core host, spine critical-path latency above
 //! eager, spine write amplification not at-or-below eager on every
-//! pattern, lock-free alloc throughput below the serial reference or
-//! degrading with workers on a multi-core host, staggered fleet
-//! peak-to-mean not strictly below aligned, missing sections) or the
-//! emitted JSON does not parse back.
+//! pattern, staggered fleet peak-to-mean not strictly below aligned,
+//! missing sections) or the emitted JSON does not parse back.
 //!
 //! Gates that depend on host parallelism are auto-skipped on
 //! single-core hosts; when that happens a prominent warning is
@@ -89,17 +87,6 @@ fn main() -> ExitCode {
         s.spine_hot_words_write_amp_milli, s.eager_hot_words_write_amp_milli
     );
     println!(
-        "  lock-free alloc: {:.2}x reference serial, {:.2}x at {} workers (gate {})",
-        s.alloc_serial_speedup,
-        s.alloc_speedup_at_max_workers,
-        report.alloc.rows.last().map_or(1, |r| r.workers),
-        if report.alloc.gate_enforced {
-            "enforced"
-        } else {
-            "scaling skipped: single-core host"
-        }
-    );
-    println!(
         "  fleet peak-to-mean NVM bandwidth: staggered {} vs aligned {} milli \
          (gate: strictly lower)",
         s.fleet_staggered_peak_to_mean_milli, s.fleet_aligned_peak_to_mean_milli
@@ -114,19 +101,6 @@ fn main() -> ExitCode {
              a multi-core host before treating it as the reference.\n\
              =========================================================================",
             report.host_parallelism
-        );
-    }
-
-    if !report.alloc.gate_enforced {
-        eprintln!(
-            "\n=========================================================================\n\
-             WARNING: host parallelism is {} — the lock-free allocator scaling gate\n\
-             was AUTO-SKIPPED (alloc.gate_enforced: false in the artifact). Only the\n\
-             1-worker throughput floor was enforced; this baseline does NOT\n\
-             demonstrate multi-worker alloc scaling. Re-record it on a multi-core\n\
-             host before treating it as the reference.\n\
-             =========================================================================",
-            report.alloc.host_parallelism
         );
     }
 

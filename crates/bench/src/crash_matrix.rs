@@ -62,8 +62,6 @@ pub fn site_kind(site: &CrashSite) -> &'static str {
         CrashSite::BatchSeal { .. } => "batch-seal",
         CrashSite::MidMerge { .. } => "mid-merge",
         CrashSite::MergeRetire { .. } => "merge-retire",
-        CrashSite::AllocSubtreePersist { .. } => "alloc-subtree-persist",
-        CrashSite::AllocReservationSteal { .. } => "alloc-reservation-steal",
     }
 }
 
@@ -86,8 +84,6 @@ pub fn kind_coverage(report: &CrashMatrixReport) -> Vec<KindCoverage> {
         "batch-seal",
         "mid-merge",
         "merge-retire",
-        "alloc-subtree-persist",
-        "alloc-reservation-steal",
     ];
     order
         .iter()
@@ -170,12 +166,11 @@ pub fn default_suite() -> Vec<(&'static str, CrashMatrixConfig)> {
             },
         ),
         (
-            "2 threads x 2 intervals + allocator epilogue",
+            "2 threads x 2 intervals",
             CrashMatrixConfig {
                 threads: 2,
                 intervals: 2,
                 stores_per_interval: 8,
-                alloc_epilogue: true,
                 ..Default::default()
             },
         ),
@@ -224,12 +219,11 @@ pub fn quick_suite() -> Vec<(&'static str, CrashMatrixConfig)> {
             },
         ),
         (
-            "1 thread x 1 interval + allocator epilogue",
+            "1 thread x 1 interval",
             CrashMatrixConfig {
                 threads: 1,
                 intervals: 1,
                 stores_per_interval: 4,
-                alloc_epilogue: true,
                 ..Default::default()
             },
         ),
@@ -334,148 +328,10 @@ pub fn attributed_sweep(
     })
 }
 
-/// Result of the probed-allocator conformance sweep.
-#[derive(Debug)]
-pub struct AllocConformance {
-    /// Workload shapes swept.
-    pub shapes: usize,
-    /// Probed allocator operations recorded across all shapes.
-    pub ops: u64,
-    /// Protocol atomics recorded across all shapes.
-    pub events: u64,
-    /// Durable persist epochs whose crash images were enumerated.
-    pub epochs: u64,
-}
-
-/// Sweeps the *real* `FrameAlloc` under concurrent probed load and
-/// validates every recorded linearization with the allocator model's
-/// history checker, then enumerates every seal-consistent post-crash
-/// image of each persist epoch — the crash matrix's counterpart of
-/// `prosper-allocmodel`'s exhaustive model runs, executed against the
-/// shipping allocator instead of its model.
-///
-/// # Errors
-///
-/// Returns the first checker violation, labelled with its shape.
-pub fn alloc_conformance_sweep(quick: bool) -> Result<AllocConformance, String> {
-    use prosper_analysis::allocmodel::{
-        check_alloc_history, check_crash_images, probe_trace, AllocTraceEvent, DurableStore,
-        HistoryContext,
-    };
-    use prosper_gemos::llalloc::{AllocProbe, DurableAllocTree, FrameAlloc, SUBTREE_FRAMES};
-    use prosper_gemos::physmem::Pool;
-    use prosper_memsim::{config::MemoryLayout, PAGE_SIZE};
-
-    // (workers, NVM subtrees, allocs per worker) — enough contention
-    // to exercise reservation steals and frees racing the persist
-    // thread.
-    let shapes: &[(u32, u64, usize)] = if quick {
-        &[(2, 1, 24)]
-    } else {
-        &[(2, 1, 24), (3, 2, 48), (4, 2, 64)]
-    };
-    let mut out = AllocConformance {
-        shapes: shapes.len(),
-        ops: 0,
-        events: 0,
-        epochs: 0,
-    };
-    for &(workers, subtrees, allocs) in shapes {
-        let label = format!("{workers}w x {subtrees}st x {allocs}a");
-        let a = FrameAlloc::new(MemoryLayout {
-            dram_bytes: 0,
-            nvm_bytes: subtrees * SUBTREE_FRAMES * PAGE_SIZE,
-        });
-        let probe = AllocProbe::new();
-        let mut durable = DurableAllocTree::new();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (a, probe) = (&a, &probe);
-                scope.spawn(move || {
-                    let mut held = Vec::new();
-                    for i in 0..allocs {
-                        if let Ok(pfn) = a.alloc_for_probed(Pool::Nvm, w, probe) {
-                            held.push(pfn);
-                        }
-                        if i % 3 == 0 && !held.is_empty() {
-                            let pfn = held.remove(0);
-                            let _ = a.free_probed(pfn, probe);
-                        }
-                    }
-                    for pfn in held {
-                        let _ = a.free_probed(pfn, probe);
-                    }
-                });
-            }
-            scope.spawn(|| {
-                let mut d = DurableAllocTree::new();
-                a.persist_nvm_probed(&mut d, &probe);
-                a.persist_nvm_probed(&mut d, &probe);
-                durable = d;
-            });
-        });
-        let trace = probe_trace(&probe);
-        let ctx = HistoryContext {
-            total_frames: subtrees * SUBTREE_FRAMES,
-            base_pfn: a.nvm_base_pfn(),
-            frames_per_subtree: SUBTREE_FRAMES,
-            subtrees: a.nvm_subtrees(),
-            words_per_seal: a.nvm_bitmap_words(),
-            enforce_serial_policy: false,
-        };
-        if let Some(v) = check_alloc_history(&trace, &ctx).first() {
-            return Err(format!("{label}: trace rejected: {v}"));
-        }
-        for epoch in 1..=durable.committed_sequence() {
-            let log: Vec<DurableStore> = trace
-                .iter()
-                .filter_map(|e| match *e {
-                    AllocTraceEvent::StageWord { seq, word, value } if seq == epoch => {
-                        Some(DurableStore::Word {
-                            idx: word as usize,
-                            val: value,
-                        })
-                    }
-                    AllocTraceEvent::Seal { seq } if seq == epoch => Some(DurableStore::Seal),
-                    _ => None,
-                })
-                .collect();
-            let base = vec![0u64; a.nvm_bitmap_words()];
-            if let Some(t) = check_crash_images(&base, &log).first() {
-                return Err(format!("{label}: epoch {epoch}: {t}"));
-            }
-            out.epochs += 1;
-        }
-        // Every completed op opens with exactly one of these events.
-        out.ops += trace
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    AllocTraceEvent::Gate { .. }
-                        | AllocTraceEvent::Oom { .. }
-                        | AllocTraceEvent::FreeClear { .. }
-                )
-            })
-            .count() as u64;
-        out.events += trace.len() as u64;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prosper_telemetry::{NoopSink, Telemetry};
-
-    #[test]
-    fn alloc_conformance_sweep_passes_quick() {
-        let r = alloc_conformance_sweep(true).expect("probed allocator trace conforms");
-        assert_eq!(r.shapes, 1);
-        assert!(r.ops > 0, "no probed operations recorded");
-        assert!(r.events > r.ops, "protocol atomics outnumber operations");
-        assert_eq!(r.epochs, 2, "both persist epochs crash-image checked");
-    }
 
     #[test]
     fn attributed_sweep_conserves_and_is_deterministic() {
@@ -538,7 +394,6 @@ mod tests {
             intervals: 2,
             stores_per_interval: 6,
             pipelined_epilogue: true,
-            alloc_epilogue: true,
             ..Default::default()
         };
         let spine_cfg = CrashMatrixConfig {
@@ -550,8 +405,8 @@ mod tests {
         };
         let eager_cov = kind_coverage(&run_crash_matrix(&eager_cfg));
         let spine_cov = kind_coverage(&run_crash_matrix(&spine_cfg));
-        assert_eq!(eager_cov.len(), 18, "one row per site kind");
-        assert_eq!(spine_cov.len(), 18, "one row per site kind");
+        assert_eq!(eager_cov.len(), 16, "one row per site kind");
+        assert_eq!(spine_cov.len(), 16, "one row per site kind");
         for (e, s) in eager_cov.iter().zip(&spine_cov) {
             assert!(
                 e.exercised + s.exercised > 0,
@@ -570,9 +425,17 @@ mod tests {
         assert!(exercised(&spine_cov, "batch-seal") > 0);
         assert!(exercised(&spine_cov, "mid-merge") > 0);
         assert!(exercised(&spine_cov, "merge-retire") > 0);
-        // The allocator sites exist only on the allocator epilogue.
-        assert_eq!(exercised(&spine_cov, "alloc-subtree-persist"), 0);
-        assert!(exercised(&eager_cov, "alloc-subtree-persist") > 0);
-        assert!(exercised(&eager_cov, "alloc-reservation-steal") > 0);
+    }
+
+    /// Every quick-suite shape enumerates exactly the boundaries its
+    /// schedule crosses; a count change means the commit protocol or
+    /// the driven workload changed shape.
+    #[test]
+    fn quick_suite_shape_sizes_are_pinned() {
+        let sizes: Vec<usize> = quick_suite()
+            .iter()
+            .map(|(_, cfg)| enumerate_crash_sites(cfg).len())
+            .collect();
+        assert_eq!(sizes, [43, 85, 115, 63, 19]);
     }
 }

@@ -545,7 +545,7 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
 }
 
 /// Structural check against the recorded perf baseline
-/// (`prosper-perf-baseline/v1` through `/v4`, e.g.
+/// (`prosper-perf-baseline/v1` through `/v5`, e.g.
 /// `BENCH_pr3.json`, `BENCH_pr8.json` or `BENCH_pr9.json`): every
 /// checkpoint phase the baseline reports mean cycles for must be
 /// attributed somewhere in the tax report's micro section (the
@@ -569,6 +569,7 @@ pub fn check_against_perf_baseline(report: &TaxReport, baseline_json: &str) -> R
             | "prosper-perf-baseline/v2"
             | "prosper-perf-baseline/v3"
             | "prosper-perf-baseline/v4"
+            | "prosper-perf-baseline/v5"
     ) {
         return Err(format!("unexpected baseline schema {schema}"));
     }

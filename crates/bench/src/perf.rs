@@ -1,7 +1,7 @@
 //! Performance baseline suite for the hierarchical dirty bitmap and
 //! the parallel whole-process commit (PR 3).
 //!
-//! Four sections, each with wall-clock measurements taken via
+//! Six sections, each with wall-clock measurements taken via
 //! [`std::time::Instant`] (this is host time, not the simulator's
 //! cycle domain — the point is the cost of the *implementation*, not
 //! of the modeled machine):
@@ -39,24 +39,16 @@
 //!    *every* pattern (seal-time descriptor coalescing reclaimed the
 //!    sparse many-tiny-runs arm that used to lose), and strictly
 //!    lower steady-state amplification on repeated-hot-words.
-//! 6. **Frame-allocator throughput (PR 9)** — alloc/free churn on the
-//!    lock-free hierarchical [`FrameAlloc`] vs the retained
-//!    `Mutex<PhysMemory>` reference across 1/2/4/8 workers, each arm
-//!    timed as the minimum over several repetitions (the PR-7 argmin
-//!    discipline). Gates: lock-free ≥ reference at one worker, and
-//!    lock-free throughput monotone non-degrading up to the host's
-//!    parallelism cap — auto-skipped with a warning on 1-core hosts.
-//! 7. **Fleet bandwidth smoothing (PR 9)** — [`CheckpointFleet`] with
+//! 6. **Fleet bandwidth smoothing** — [`CheckpointFleet`] with
 //!    staggered vs aligned shard schedules at equal total checkpoint
 //!    bytes, compared on the peak-to-mean NVM write-bandwidth ratio
 //!    from the machine model's per-phase byte tagging. The gate
 //!    requires the staggered ratio strictly below the aligned one.
 //!
 //! [`run_all`] produces a [`PerfReport`]; the `perf_baseline` binary
-//! renders it, writes the JSON artifact (`BENCH_pr9.json` since the
-//! alloc/fleet sections landed; `BENCH_pr3.json`/`BENCH_pr7.json`/
-//! `BENCH_pr8.json` are the earlier records), and enforces
-//! [`validate`].
+//! renders it, writes the JSON artifact (default `BENCH_pr9.json`;
+//! `BENCH_pr3.json`/`BENCH_pr7.json`/`BENCH_pr8.json` are the earlier
+//! records), and enforces [`validate`].
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -68,10 +60,8 @@ use prosper_core::fleet::{CheckpointFleet, FleetConfig};
 use prosper_core::oscomp::ProsperMechanism;
 use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
-use prosper_gemos::llalloc::FrameAlloc;
-use prosper_gemos::physmem::{PhysMemory, Pool};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
-use prosper_memsim::config::{MachineConfig, MemoryLayout};
+use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
 use prosper_telemetry as telemetry;
 use prosper_telemetry::{HistogramSnapshot, MetricsSnapshot, NoopSink, Telemetry};
@@ -93,8 +83,9 @@ use crate::scheduler::run_scheduled;
 /// frame-allocator throughput vs the serial reference) and the
 /// `fleet` section (staggered vs aligned NVM bandwidth smoothing),
 /// and tightened the spine write-amplification arms from
-/// reported-only to gated.
-pub const SCHEMA: &str = "prosper-perf-baseline/v4";
+/// reported-only to gated; `v5` removed the `alloc` section and its
+/// two summary fields with the frame allocator itself.
+pub const SCHEMA: &str = "prosper-perf-baseline/v5";
 
 /// Minimum sparse-stack inspection speedup the baseline must record.
 pub const SPARSE_STACK_GATE: f64 = 5.0;
@@ -104,17 +95,6 @@ pub const SPARSE_STACK_GATE: f64 = 5.0;
 /// 1`). The adaptive selector may *pick* serial — then the speedup is
 /// 1.0 by construction — but it must never pick a losing fan-out.
 pub const PIPELINE_GATE: f64 = 1.0;
-
-/// Minimum lock-free-vs-reference alloc/free speedup at one worker:
-/// the lock-free tree must not lose to the mutex-guarded serial
-/// reference even without contention to amortize.
-pub const ALLOC_SERIAL_GATE: f64 = 1.0;
-
-/// Tolerance on the alloc scaling gate: adding workers (up to the
-/// host's parallelism cap) must keep lock-free throughput at or above
-/// this fraction of the previous worker count's — "monotone
-/// non-degrading" with slack for scheduler noise on shared CI hosts.
-pub const ALLOC_SCALING_FLOOR: f64 = 0.85;
 
 /// Iteration budgets for one suite run.
 #[derive(Clone, Copy, Debug)]
@@ -189,30 +169,6 @@ impl PerfConfig {
             16
         } else {
             48
-        }
-    }
-
-    fn alloc_workers(&self) -> &'static [usize] {
-        if self.quick {
-            &[1, 2, 4]
-        } else {
-            &[1, 2, 4, 8]
-        }
-    }
-
-    /// Alloc/free rounds per worker per timed repetition. Not reduced
-    /// in quick mode: a 40-round rep finishes in ~0.3 ms, where timer
-    /// granularity alone can swing the serial-gate ratio by 5%.
-    fn alloc_rounds(&self) -> u64 {
-        200
-    }
-
-    /// Timed repetitions per alloc arm; the argmin is reported.
-    fn alloc_reps(&self) -> u64 {
-        if self.quick {
-            5
-        } else {
-            7
         }
     }
 }
@@ -1010,151 +966,7 @@ pub fn spine_section(cfg: &PerfConfig) -> SpineSection {
 }
 
 // ---------------------------------------------------------------------------
-// Section 6: frame-allocator throughput (PR 9)
-// ---------------------------------------------------------------------------
-
-/// Frames each worker holds at the top of an alloc/free round.
-const ALLOC_BURST: u64 = 128;
-
-/// One worker-count configuration of the allocator study.
-#[derive(Clone, Debug, Serialize)]
-pub struct AllocRow {
-    /// Concurrent workers hammering the allocator.
-    pub workers: usize,
-    /// Total alloc+free operations per timed repetition (all workers).
-    pub ops: u64,
-    /// Best (minimum) wall time across repetitions, lock-free tree.
-    pub lockfree_ns: u64,
-    /// Best (minimum) wall time across repetitions,
-    /// `Mutex<PhysMemory>` reference.
-    pub reference_ns: u64,
-    /// Lock-free throughput at the best repetition (million ops/s).
-    pub lockfree_mops: f64,
-    /// Reference throughput at the best repetition (million ops/s).
-    pub reference_mops: f64,
-    /// `reference_ns / lockfree_ns` — same op count per arm.
-    pub speedup: f64,
-}
-
-/// The frame-allocator scaling study: lock-free [`FrameAlloc`] vs the
-/// mutex-guarded serial [`PhysMemory`] reference.
-#[derive(Clone, Debug, Serialize)]
-pub struct AllocSection {
-    /// `available_parallelism()` on the recording host — the scaling
-    /// gate only judges worker counts up to this cap.
-    pub host_parallelism: usize,
-    /// DRAM frames installed in the arena.
-    pub dram_frames: u64,
-    /// Frames each worker holds at the top of a round.
-    pub burst: u64,
-    /// Alloc/free rounds per worker per repetition.
-    pub rounds: u64,
-    /// Timed repetitions per arm (the minimum is reported).
-    pub reps: u64,
-    /// Whether [`validate`] enforces the scaling gate on this report
-    /// (false on single-core hosts, where concurrent workers cannot
-    /// scale by construction).
-    pub gate_enforced: bool,
-    /// One row per worker count.
-    pub rows: Vec<AllocRow>,
-}
-
-/// Arena sized so eight workers' bursts plus per-worker subtree
-/// reservations never exhaust the DRAM pool.
-fn alloc_arena() -> MemoryLayout {
-    MemoryLayout {
-        dram_bytes: 32 * 1024 * 1024,
-        nvm_bytes: 2 * 1024 * 1024,
-    }
-}
-
-/// One timed repetition of the lock-free arm: `workers` scoped
-/// threads, each allocating a burst of frames and freeing them back,
-/// `rounds` times, through the shared `&self` allocator.
-fn alloc_lockfree_rep(workers: usize, rounds: u64) -> u64 {
-    let alloc = FrameAlloc::new(alloc_arena());
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let alloc = &alloc;
-            scope.spawn(move || {
-                let mut held = Vec::with_capacity(ALLOC_BURST as usize);
-                for _ in 0..rounds {
-                    for _ in 0..ALLOC_BURST {
-                        held.push(alloc.alloc_for(Pool::Dram, w as u32).expect("dram frame"));
-                    }
-                    for pfn in held.drain(..) {
-                        alloc.free(pfn).expect("free");
-                    }
-                }
-            });
-        }
-    });
-    t.elapsed().as_nanos() as u64
-}
-
-/// One timed repetition of the reference arm: the same workload shape
-/// against `Mutex<PhysMemory>`, locking per operation — the cost the
-/// `&mut self` API imposes on every concurrent caller.
-fn alloc_reference_rep(workers: usize, rounds: u64) -> u64 {
-    let mem = std::sync::Mutex::new(PhysMemory::new(alloc_arena()));
-    let t = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let mem = &mem;
-            scope.spawn(move || {
-                let mut held = Vec::with_capacity(ALLOC_BURST as usize);
-                for _ in 0..rounds {
-                    for _ in 0..ALLOC_BURST {
-                        held.push(mem.lock().unwrap().alloc(Pool::Dram).expect("dram frame"));
-                    }
-                    for pfn in held.drain(..) {
-                        mem.lock().unwrap().free(pfn).expect("free");
-                    }
-                }
-            });
-        }
-    });
-    t.elapsed().as_nanos() as u64
-}
-
-/// Measures alloc/free throughput across worker counts, both arms
-/// timed as the minimum over `alloc_reps` repetitions.
-#[must_use]
-pub fn alloc_section(cfg: &PerfConfig) -> AllocSection {
-    let rounds = cfg.alloc_rounds();
-    let reps = cfg.alloc_reps();
-    let argmin = |time_rep: &dyn Fn() -> u64| (0..reps).map(|_| time_rep()).min().unwrap_or(1);
-    let mut rows = Vec::new();
-    for &workers in cfg.alloc_workers() {
-        let lockfree_ns = argmin(&|| alloc_lockfree_rep(workers, rounds)).max(1);
-        let reference_ns = argmin(&|| alloc_reference_rep(workers, rounds)).max(1);
-        let ops = workers as u64 * rounds * ALLOC_BURST * 2;
-        let mops = |ns: u64| ops as f64 * 1e3 / ns as f64;
-        rows.push(AllocRow {
-            workers,
-            ops,
-            lockfree_ns,
-            reference_ns,
-            lockfree_mops: mops(lockfree_ns),
-            reference_mops: mops(reference_ns),
-            speedup: reference_ns as f64 / lockfree_ns as f64,
-        });
-    }
-    let host_parallelism = host_parallelism();
-    AllocSection {
-        host_parallelism,
-        dram_frames: alloc_arena().dram_bytes / 4096,
-        burst: ALLOC_BURST,
-        rounds,
-        reps,
-        gate_enforced: host_parallelism > 1,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section 7: fleet bandwidth smoothing (PR 9)
+// Section 6: fleet bandwidth smoothing
 // ---------------------------------------------------------------------------
 
 /// One scheduling arm of the fleet study.
@@ -1262,12 +1074,6 @@ pub struct Summary {
     pub ckpt_phase_mean_cycles: BTreeMap<String, f64>,
     /// Mean per-phase commit wall time at the max worker count (ns).
     pub commit_phase_mean_ns: BTreeMap<String, f64>,
-    /// Lock-free allocator speedup vs the reference at one worker
-    /// (gated at [`ALLOC_SERIAL_GATE`]).
-    pub alloc_serial_speedup: f64,
-    /// Lock-free allocator speedup at the largest measured worker
-    /// count.
-    pub alloc_speedup_at_max_workers: f64,
     /// Staggered fleet peak-to-mean NVM bandwidth ratio (milli).
     pub fleet_staggered_peak_to_mean_milli: u64,
     /// Aligned fleet peak-to-mean ratio — gated strictly above the
@@ -1299,9 +1105,7 @@ pub struct PerfReport {
     pub scheduler: Vec<ScheduleRow>,
     /// Section 5: staged-delta spine vs eager apply.
     pub spine: SpineSection,
-    /// Section 6: lock-free frame-allocator throughput.
-    pub alloc: AllocSection,
-    /// Section 7: fleet NVM bandwidth smoothing.
+    /// Section 6: fleet NVM bandwidth smoothing.
     pub fleet: FleetSection,
     /// Headline numbers.
     pub summary: Summary,
@@ -1334,7 +1138,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
     let workloads = workload_section(cfg);
     let scheduler = schedule_section(cfg);
     let spine = spine_section(cfg);
-    let alloc = alloc_section(cfg);
     let fleet = fleet_section();
 
     if installed {
@@ -1367,12 +1170,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
                 ("apply".to_string(), r.apply_ns_mean),
             ])
         }),
-        alloc_serial_speedup: alloc.rows.first().map_or(0.0, |r| r.speedup),
-        alloc_speedup_at_max_workers: alloc
-            .rows
-            .iter()
-            .max_by_key(|r| r.workers)
-            .map_or(0.0, |r| r.speedup),
         fleet_staggered_peak_to_mean_milli: fleet.staggered.peak_to_mean_milli,
         fleet_aligned_peak_to_mean_milli: fleet.aligned.peak_to_mean_milli,
     };
@@ -1388,7 +1185,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
         workloads,
         scheduler,
         spine,
-        alloc,
         fleet,
         summary,
     }
@@ -1482,40 +1278,6 @@ pub fn validate(report: &PerfReport) -> Result<(), String> {
              repeated-hot-words workload",
             hw.spine.write_amp_milli, hw.eager.write_amp_milli
         ));
-    }
-
-    let a = &report.alloc;
-    if a.rows.is_empty() || a.rows[0].workers != 1 {
-        return Err("alloc sweep must start at one worker".into());
-    }
-    if a.gate_enforced != (a.host_parallelism > 1) {
-        return Err("alloc gate flag disagrees with host parallelism".into());
-    }
-    if a.rows[0].speedup < ALLOC_SERIAL_GATE {
-        return Err(format!(
-            "lock-free allocator is {:.2}x the serial reference at one \
-             worker, below the {ALLOC_SERIAL_GATE}x gate",
-            a.rows[0].speedup
-        ));
-    }
-    if a.gate_enforced {
-        for pair in a.rows.windows(2) {
-            if pair[1].workers > a.host_parallelism {
-                break;
-            }
-            if pair[1].lockfree_mops < pair[0].lockfree_mops * ALLOC_SCALING_FLOOR {
-                return Err(format!(
-                    "lock-free throughput degrades from {:.1} Mops/s at {} \
-                     workers to {:.1} at {} (floor {:.0}% on a {}-way host)",
-                    pair[0].lockfree_mops,
-                    pair[0].workers,
-                    pair[1].lockfree_mops,
-                    pair[1].workers,
-                    ALLOC_SCALING_FLOOR * 100.0,
-                    a.host_parallelism
-                ));
-            }
-        }
     }
 
     let f = &report.fleet;
@@ -1735,32 +1497,6 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
     }
     tables.push(t);
 
-    let a = &report.alloc;
-    let mut t = Table::new(
-        format!(
-            "Frame allocator: lock-free vs Mutex<PhysMemory>, burst {} x {} rounds, \
-             best of {} reps, scaling gate {}",
-            a.burst,
-            a.rounds,
-            a.reps,
-            if a.gate_enforced {
-                "enforced"
-            } else {
-                "skipped (single-core host)"
-            }
-        ),
-        &["workers", "lock-free Mops/s", "reference Mops/s", "speedup"],
-    );
-    for r in &a.rows {
-        t.push_row(&[
-            r.workers.to_string(),
-            format!("{:.1}", r.lockfree_mops),
-            format!("{:.1}", r.reference_mops),
-            ratio(r.speedup),
-        ]);
-    }
-    tables.push(t);
-
     let f = &report.fleet;
     let mut t = Table::new(
         format!(
@@ -1832,10 +1568,6 @@ mod tests {
             report.summary.spine_hot_words_write_amp_milli
                 < report.summary.eager_hot_words_write_amp_milli
         );
-        // The allocator study ran at 1..=4 workers and its serial gate
-        // number made it into the summary.
-        assert!(report.alloc.rows.iter().any(|r| r.workers >= 4));
-        assert!(report.summary.alloc_serial_speedup >= ALLOC_SERIAL_GATE);
         // The fleet arms moved identical bytes and the stagger won.
         assert_eq!(
             report.fleet.staggered.ckpt_nvm_bytes,
@@ -1860,7 +1592,7 @@ mod tests {
     fn render_covers_every_section() {
         let report = run_all(&tiny());
         let tables = render(&report);
-        assert_eq!(tables.len(), 10);
+        assert_eq!(tables.len(), 9);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has rows", t.title);
         }

@@ -38,11 +38,9 @@ use std::sync::Arc;
 
 use prosper_gemos::crash::{CrashInjected, CrashPlan, CrashSite, FaultInjector};
 use prosper_gemos::image::MemoryImage;
-use prosper_gemos::llalloc::{DurableAllocTree, FrameAlloc};
-use prosper_gemos::physmem::Pool;
 use prosper_gemos::process::RegisterFile;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
-use prosper_memsim::config::{MachineConfig, MemoryLayout};
+use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
 use prosper_telemetry::{AttributionSnapshot, StallAccountant};
 
@@ -82,15 +80,6 @@ pub struct CrashMatrixConfig {
     /// (the default) keeps the eager-apply schedule and its exact
     /// recorded site counts.
     pub spine: Option<SpineConfig>,
-    /// Append an allocator epilogue: deterministic rounds of lock-free
-    /// NVM frame allocation (each worker's first allocation crosses
-    /// its reservation-steal boundary), interleaved frees, and staged
-    /// persists of the NVM allocation tree. Crash windows at
-    /// [`CrashSite::AllocReservationSteal`] and
-    /// [`CrashSite::AllocSubtreePersist`] only exist on this schedule.
-    /// Off by default so recorded baselines keep their exact site
-    /// counts.
-    pub alloc_epilogue: bool,
 }
 
 impl Default for CrashMatrixConfig {
@@ -103,7 +92,6 @@ impl Default for CrashMatrixConfig {
             resume_after_recovery: true,
             pipelined_epilogue: false,
             spine: None,
-            alloc_epilogue: false,
         }
     }
 }
@@ -219,33 +207,6 @@ struct Snapshot {
     regs: Vec<RegisterFile>,
 }
 
-/// Workers driving the allocator epilogue.
-const ALLOC_WORKERS: u32 = 3;
-
-/// Alloc/free/persist rounds in the allocator epilogue.
-const ALLOC_ROUNDS: u32 = 2;
-
-/// Hybrid layout for the allocator epilogue: 64 DRAM frames plus
-/// three full NVM subtrees, so every persist cycle crosses three
-/// subtree-persist boundaries.
-fn alloc_layout() -> MemoryLayout {
-    MemoryLayout {
-        dram_bytes: 64 * 4096,
-        nvm_bytes: 3 * 512 * 4096,
-    }
-}
-
-/// Lock-free allocator state driven by the allocator epilogue, plus
-/// the ground truth its crash verification compares against.
-#[derive(Debug)]
-struct AllocState {
-    alloc: FrameAlloc,
-    durable: DurableAllocTree,
-    /// NVM allocated set at the last *sealed* persist — what recovery
-    /// of the durable tree must reproduce exactly.
-    sealed_pfns: Vec<u64>,
-}
-
 /// Drives the deterministic workload, owning every layer the crash
 /// plane cuts through: machine, multiplexed tracker, persistent
 /// process, and ground-truth snapshots.
@@ -272,8 +233,6 @@ struct Driver {
     /// injector is always attached, so the engine runs its per-stack
     /// passes inline in tid order whatever this count is.
     workers: usize,
-    /// Allocator state once the allocator epilogue has started.
-    alloc: Option<AllocState>,
 }
 
 fn fresh_tracker(threads: u32) -> MultiThreadTracker {
@@ -302,7 +261,6 @@ impl Driver {
             acct: None,
             prior_epochs_cycles: 0,
             workers: 1,
-            alloc: None,
         }
     }
 
@@ -328,48 +286,6 @@ impl Driver {
         }
         if self.cfg.pipelined_epilogue {
             self.epilogue(inj)?;
-        }
-        if self.cfg.alloc_epilogue {
-            self.alloc_epilogue(inj)?;
-        }
-        Ok(())
-    }
-
-    /// The allocator epilogue: deterministic rounds in which each
-    /// worker allocates a burst of NVM frames (the first allocation
-    /// of a worker with no live reservation crosses its
-    /// reservation-steal boundary), every other frame is freed back,
-    /// and the NVM allocation tree is persisted through the
-    /// staged/sealed discipline (crossing one subtree-persist
-    /// boundary per subtree). The sealed ground truth advances only
-    /// when a persist seals.
-    fn alloc_epilogue(&mut self, inj: &mut FaultInjector) -> Result<(), CrashInjected> {
-        let state = self.alloc.get_or_insert_with(|| AllocState {
-            alloc: FrameAlloc::new(alloc_layout()),
-            durable: DurableAllocTree::new(),
-            sealed_pfns: Vec::new(),
-        });
-        for round in 0..ALLOC_ROUNDS {
-            for w in 0..ALLOC_WORKERS {
-                let burst = 2 + (w + round) % 3;
-                let mut got = Vec::new();
-                for _ in 0..burst {
-                    match state.alloc.alloc_for_with_faults(Pool::Nvm, w, inj)? {
-                        Ok(pfn) => got.push(pfn),
-                        Err(_) => break,
-                    }
-                }
-                for pfn in got.iter().skip(1).step_by(2) {
-                    state
-                        .alloc
-                        .free(*pfn)
-                        .expect("epilogue frees only frames it allocated");
-                }
-            }
-            state
-                .alloc
-                .persist_nvm_with_faults(&mut state.durable, inj)?;
-            state.sealed_pfns = state.alloc.nvm_allocated_pfns();
         }
         Ok(())
     }
@@ -606,38 +522,6 @@ impl Driver {
         }
         if !self.mt.tracker().quiescent() || self.mt.tracker().resident_entries() != 0 {
             return Err("restarted tracker is not quiescent/empty".into());
-        }
-
-        // Allocator invariants, when the crash interrupted the
-        // allocator epilogue: the volatile tree is gone; recovery of
-        // the durable tree must reproduce exactly the last sealed
-        // allocated set (unsealed staging discarded, sealed staging
-        // replayed), with frame accounting conserved.
-        if let Some(state) = self.alloc.take() {
-            let mut durable = state.durable;
-            let recovered = FrameAlloc::recover(alloc_layout(), &mut durable);
-            if recovered.nvm_allocated_pfns() != state.sealed_pfns {
-                return Err(format!(
-                    "allocator recovery diverges from last sealed snapshot \
-                     ({} vs {} allocated NVM frames)",
-                    recovered.nvm_allocated_pfns().len(),
-                    state.sealed_pfns.len()
-                ));
-            }
-            let layout = alloc_layout();
-            let nvm_frames = layout.nvm_bytes / 4096;
-            if recovered.available_frames(Pool::Nvm) + state.sealed_pfns.len() as u64 != nvm_frames
-            {
-                return Err("allocator recovery broke frame conservation".into());
-            }
-            if recovered.available_frames(Pool::Dram) != layout.dram_bytes / 4096 {
-                return Err("DRAM pool must restart all-free after power failure".into());
-            }
-            self.alloc = Some(AllocState {
-                alloc: recovered,
-                durable,
-                sealed_pfns: state.sealed_pfns,
-            });
         }
 
         let expected = self.expected_sequence;
@@ -1188,88 +1072,6 @@ mod tests {
             );
         }
         assert!(merges >= 3, "the schedule crosses several merge windows");
-    }
-
-    #[test]
-    fn alloc_epilogue_schedule_crosses_the_allocator_sites() {
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 4,
-            alloc_epilogue: true,
-            ..Default::default()
-        };
-        let a = enumerate_crash_sites(&cfg);
-        let b = enumerate_crash_sites(&cfg);
-        assert_eq!(a, b, "same config, same schedule");
-        let steals = a
-            .iter()
-            .filter(|s| matches!(s, CrashSite::AllocReservationSteal { .. }))
-            .count();
-        let persists = a
-            .iter()
-            .filter(|s| matches!(s, CrashSite::AllocSubtreePersist { .. }))
-            .count();
-        assert_eq!(
-            steals, ALLOC_WORKERS as usize,
-            "each worker's first allocation steals a reservation"
-        );
-        assert_eq!(
-            persists,
-            ALLOC_ROUNDS as usize * 3,
-            "each persist round stages three subtrees"
-        );
-    }
-
-    #[test]
-    fn alloc_epilogue_sweep_survives_every_crash_point() {
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 4,
-            alloc_epilogue: true,
-            ..Default::default()
-        };
-        let report = run_crash_matrix(&cfg);
-        assert!(
-            report
-                .sites
-                .iter()
-                .any(|s| matches!(s, CrashSite::AllocSubtreePersist { .. })),
-            "the sweep must include allocator boundaries"
-        );
-        assert!(
-            report.all_survived(),
-            "{} of {} allocator crash points failed, first: {:?}",
-            report.failures.len(),
-            report.total(),
-            report.failures.first()
-        );
-    }
-
-    #[test]
-    fn mid_persist_crash_recovers_previous_sealed_allocations() {
-        let cfg = CrashMatrixConfig {
-            threads: 1,
-            intervals: 1,
-            stores_per_interval: 4,
-            alloc_epilogue: true,
-            ..Default::default()
-        };
-        let sites = enumerate_crash_sites(&cfg);
-        // The *last* subtree-persist boundary: round 1's staging is
-        // underway, so recovery must discard it and land on round 0's
-        // sealed allocated set.
-        let (index, _) = sites
-            .iter()
-            .enumerate()
-            .rfind(|(_, s)| matches!(s, CrashSite::AllocSubtreePersist { .. }))
-            .expect("schedule crosses subtree-persist boundaries");
-        let outcome = run_with_crash_at(&cfg, index as u64).expect("recovery survives");
-        assert!(matches!(
-            outcome.fired,
-            Some(CrashSite::AllocSubtreePersist { .. })
-        ));
     }
 
     #[test]

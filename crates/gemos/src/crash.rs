@@ -151,25 +151,6 @@ pub enum CrashSite {
         /// Thread whose merge just retired its batches.
         tid: u32,
     },
-    /// Lock-free allocator NVM-tree persist: subtree `subtree`'s
-    /// durable bitmap word is staged, but the persist cycle's seal
-    /// record is not yet written. The staging is unsealed, so recovery
-    /// discards it and rebuilds the tree's counters from the last
-    /// *sealed* snapshot — allocations granted since then are redone
-    /// by the caller, never half-recorded.
-    AllocSubtreePersist {
-        /// Subtree whose durable word was just staged.
-        subtree: u32,
-    },
-    /// Lock-free allocator reservation steal: worker `worker` drained
-    /// its reserved subtree and is claiming another. Reservations are
-    /// purely volatile accelerator state — recovery starts every
-    /// worker unreserved — and this boundary proves the durable tree
-    /// is independent of reservation churn.
-    AllocReservationSteal {
-        /// Worker whose reservation is moving.
-        worker: u32,
-    },
 }
 
 impl std::fmt::Display for CrashSite {
@@ -202,12 +183,6 @@ impl std::fmt::Display for CrashSite {
                 write!(f, "mid-merge(tid={tid}, folded={batches_folded})")
             }
             CrashSite::MergeRetire { tid } => write!(f, "merge-retire(tid={tid})"),
-            CrashSite::AllocSubtreePersist { subtree } => {
-                write!(f, "alloc-subtree-persist(subtree={subtree})")
-            }
-            CrashSite::AllocReservationSteal { worker } => {
-                write!(f, "alloc-reservation-steal(worker={worker})")
-            }
         }
     }
 }
@@ -238,8 +213,6 @@ impl CrashSite {
         "BatchSeal",
         "MidMerge",
         "MergeRetire",
-        "AllocSubtreePersist",
-        "AllocReservationSteal",
     ];
 
     /// `true` for sites at or after the seal: the commit point has
@@ -250,10 +223,7 @@ impl CrashSite {
     /// so recovery lands on N. The spine sites (`BatchSeal`,
     /// `MidMerge`, `MergeRetire`) only exist after the process record
     /// sealed — the batch append and the deferred merge both operate
-    /// on committed data — so they are post-seal too. The allocator
-    /// sites (`AllocSubtreePersist`, `AllocReservationSteal`) are
-    /// *not* post-seal: the subtree staging is unsealed (discarded on
-    /// recovery) and reservations are volatile.
+    /// on committed data — so they are post-seal too.
     pub fn is_post_seal(&self) -> bool {
         matches!(
             self,
@@ -601,9 +571,6 @@ mod tests {
         }
         .is_post_seal());
         assert!(CrashSite::MergeRetire { tid: 1 }.is_post_seal());
-        // Allocator sites: unsealed staging / volatile reservations.
-        assert!(!CrashSite::AllocSubtreePersist { subtree: 2 }.is_post_seal());
-        assert!(!CrashSite::AllocReservationSteal { worker: 1 }.is_post_seal());
     }
 
     #[test]

@@ -11,13 +11,6 @@
 //!   accessed/dirty bits, dirty-bit reset/collect walks (the Dirtybit
 //!   baseline) and write-protect fault tracking (the SoftDirty-style
 //!   baseline);
-//! * [`physmem`] — the serial reference DRAM/NVM frame allocator over
-//!   the hybrid layout (retained as the differential oracle);
-//! * [`llalloc`] — the lock-free two-level hierarchical frame
-//!   allocator that replaced it on the hot path: atomic bitfields
-//!   under a tree of free-counters with per-worker subtree
-//!   reservations, the NVM pool crash-persisted through the
-//!   staging/seal discipline;
 //! * [`image`] — sparse byte-addressable memory images used as ground
 //!   truth and persistent copies in crash-consistency tests;
 //! * [`process`] — processes, threads, register state, and VMAs;
@@ -27,7 +20,9 @@
 //!   experiments end to end;
 //! * [`context`] — context-switch cost modelling with tracker
 //!   save/restore participants;
-//! * [`crash`] — crash injection and restore verification.
+//! * [`crash`] — crash injection and restore verification;
+//! * [`restore`] — full process checkpoint/restore: registers plus
+//!   memory, with torn-write-safe register slots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,14 +32,11 @@ pub mod checkpoint;
 pub mod context;
 pub mod crash;
 pub mod image;
-pub mod llalloc;
 pub mod pagetable;
-pub mod physmem;
 pub mod process;
 pub mod pte;
 pub mod restore;
 
 pub use checkpoint::{CheckpointManager, CheckpointOutcome, MemoryPersistence};
-pub use llalloc::{DurableAllocTree, FrameAlloc};
 pub use pagetable::PageTable;
 pub use process::Process;

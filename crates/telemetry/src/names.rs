@@ -69,17 +69,6 @@ pub const SPAN_CKPT_REGISTERS: &str = "prosper.ckpt.registers";
 
 /// Every registered name with its kind, sorted by name.
 pub const REGISTERED: &[(&str, InstrumentKind)] = &[
-    (
-        "prosper.alloc.double_frees_rejected",
-        InstrumentKind::Counter,
-    ),
-    ("prosper.alloc.nvm_free_frames", InstrumentKind::Gauge),
-    ("prosper.alloc.reservation_steals", InstrumentKind::Counter),
-    ("prosper.alloc.subtree_persists", InstrumentKind::Counter),
-    ("prosper.allocmodel.memo_hits", InstrumentKind::Counter),
-    ("prosper.allocmodel.probe_events", InstrumentKind::Counter),
-    ("prosper.allocmodel.probe_ops", InstrumentKind::Counter),
-    ("prosper.allocmodel.schedules", InstrumentKind::Counter),
     ("prosper.ckpt.bitmap_pages_probed", InstrumentKind::Counter),
     ("prosper.ckpt.bitmap_words_cleared", InstrumentKind::Counter),
     ("prosper.ckpt.bitmap_words_read", InstrumentKind::Counter),

@@ -51,11 +51,11 @@ proptest! {
     fn random_crash_placement_always_recovers(
         params in (
             (1u32..4, 1u32..4, 1u32..9),
-            (any::<u64>(), any::<u64>(), any::<bool>(), 0u8..3, any::<bool>()),
+            (any::<u64>(), any::<u64>(), any::<bool>(), 0u8..3),
         )
     ) {
-        let ((threads, intervals, stores_per_interval),
-             (seed, pick, pipelined_epilogue, spine_mode, alloc_epilogue)) = params;
+        let ((threads, intervals, stores_per_interval), (seed, pick, pipelined_epilogue, spine_mode)) =
+            params;
         let cfg = CrashMatrixConfig {
             threads,
             intervals,
@@ -68,7 +68,6 @@ proptest! {
                 1 => Some(SpineConfig::merge_always()),
                 _ => Some(SpineConfig::lazy(64)),
             },
-            alloc_epilogue,
         };
         let sites = enumerate_crash_sites(&cfg);
         prop_assert!(!sites.is_empty());
@@ -101,7 +100,6 @@ proptest! {
             resume_after_recovery: true,
             pipelined_epilogue: true,
             spine: None,
-            alloc_epilogue: false,
         };
         let sites = enumerate_crash_sites(&cfg);
         let first_overlap = sites
