@@ -5,11 +5,13 @@
 //! checkpoint-latency percentiles, end-to-end workload runtimes, the
 //! staged-delta spine study, and the staggered-fleet
 //! bandwidth-smoothing study — prints the tables, and
-//! writes the JSON report (default `BENCH_pr9.json`; earlier records
-//! are `BENCH_pr3.json`, `BENCH_pr7.json`, and `BENCH_pr8.json`).
+//! writes the JSON report to the path given with `--out`, which is
+//! required: the committed records (`BENCH_pr3.json`,
+//! `BENCH_pr7.json`, `BENCH_pr8.json`, `BENCH_pr9.json`) are never
+//! overwritten by default.
 //!
 //! ```sh
-//! cargo run --release -p prosper-bench --bin perf_baseline
+//! cargo run --release -p prosper-bench --bin perf_baseline -- --out BENCH_new.json
 //! cargo run --release -p prosper-bench --bin perf_baseline -- --quick --out BENCH_smoke.json
 //! ```
 //!
@@ -34,12 +36,15 @@ use prosper_bench::perf::{self, PerfConfig};
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out = args
+    let Some(out) = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "BENCH_pr9.json".to_string());
+    else {
+        eprintln!("usage: perf_baseline [--quick] --out <path>");
+        return ExitCode::from(2);
+    };
 
     let cfg = if quick {
         PerfConfig::quick()

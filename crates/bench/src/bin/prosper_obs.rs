@@ -1,10 +1,13 @@
 //! `prosper-obs`: the checkpoint-tax attribution report.
 //!
-//! Runs the attributed workloads (micro checkpoint loop, parallel
-//! commit at 1/2/4 workers, crash + recovery replay), verifies the
-//! conservation invariant on every ledger, and renders the results
-//! as a text HUD, a `prosper-checkpoint-tax/v1` JSON report, and
-//! Chrome-trace interference timelines.
+//! Runs the attributed workloads — one report section each: the micro
+//! checkpoint loop eager (`micro`) and in spine mode (`micro_spine`),
+//! the parallel commit at 1/2/4 workers (`commit_w1`/`w2`/`w4`), a
+//! crash and its recovery replay (`crash_recover`) and a choked
+//! checkpoint fleet (`fleet`) — verifies the conservation invariant on
+//! every ledger, and renders the results as a text HUD, a
+//! `prosper-checkpoint-tax/v1` JSON report, and Chrome-trace
+//! interference timelines.
 //!
 //! ```sh
 //! cargo run --release -p prosper-bench --bin prosper_obs -- --quick
@@ -12,12 +15,11 @@
 //!     --quick --out tax.json --trace-dir traces/
 //! # regression gate against a committed report (deterministic):
 //! cargo run --release -p prosper-bench --bin prosper_obs -- \
-//!     --quick --diff tax.json --baseline BENCH_pr8.json
+//!     --quick --diff tax.json --baseline BENCH_pr9.json
 //! ```
 //!
 //! Without `--baseline`, `BENCH_pr8.json` is checked automatically
-//! when present; any of the v1/v2/v3 perf-baseline schemas is
-//! accepted.
+//! when present; any of the v1–v5 perf-baseline schemas is accepted.
 //!
 //! Exits nonzero on a conservation violation, a diff against the
 //! given previous report, or a baseline phase-breakdown mismatch.
@@ -30,7 +32,7 @@ use prosper_bench::obs::{
 use prosper_core::faultinject::{run_attributed, CrashMatrixConfig};
 
 /// Perf baseline checked automatically when no `--baseline` is given
-/// and the file exists (any of the v1/v2/v3 schemas is accepted).
+/// and the file exists (any of the v1–v5 schemas is accepted).
 const DEFAULT_BASELINE: &str = "BENCH_pr8.json";
 
 struct Args {

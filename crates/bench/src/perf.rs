@@ -46,9 +46,9 @@
 //!    requires the staggered ratio strictly below the aligned one.
 //!
 //! [`run_all`] produces a [`PerfReport`]; the `perf_baseline` binary
-//! renders it, writes the JSON artifact (default `BENCH_pr9.json`;
-//! `BENCH_pr3.json`/`BENCH_pr7.json`/`BENCH_pr8.json` are the earlier
-//! records), and enforces [`validate`].
+//! renders it, writes the JSON artifact to its required `--out` path
+//! (the committed records are `BENCH_pr3.json`, `BENCH_pr7.json`,
+//! `BENCH_pr8.json` and `BENCH_pr9.json`), and enforces [`validate`].
 
 use std::collections::BTreeMap;
 use std::hint::black_box;

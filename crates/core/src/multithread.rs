@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prosper_gemos::context::ContextSwitchParticipant;
 use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::machine::Machine;
@@ -250,48 +249,6 @@ impl MultiThreadTracker {
     }
 }
 
-/// Adapter exposing the schedule protocol as a
-/// [`ContextSwitchParticipant`] for the GemOS context switcher.
-#[derive(Debug)]
-pub struct TrackerSwitchParticipant<'a> {
-    /// The tracker multiplexer.
-    pub inner: &'a mut MultiThreadTracker,
-    /// Thread to schedule on switch-in.
-    pub incoming_tid: u32,
-}
-
-impl ContextSwitchParticipant for TrackerSwitchParticipant<'_> {
-    fn switch_out(&mut self, machine: &mut Machine) -> Cycles {
-        if let Some(out_tid) = self.inner.current {
-            let cost = self.inner.flush_and_quiesce(machine);
-            self.inner.attribute_quiesce(out_tid, cost);
-            self.inner.current = None;
-            let saved = self.inner.tracker.save_state();
-            if let Some(state) = self.inner.saved.get_mut(&out_tid) {
-                state.msrs = saved;
-            }
-            cost
-        } else {
-            0
-        }
-    }
-
-    fn switch_in(&mut self, machine: &mut Machine) -> Cycles {
-        assert!(
-            self.inner.saved.contains_key(&self.incoming_tid),
-            "thread {} not registered",
-            self.incoming_tid
-        );
-        let state = self.inner.saved[&self.incoming_tid];
-        self.inner.tracker.restore_state(state.msrs);
-        self.inner.tracker.reset_watermark();
-        let cost = 5 * MSR_WRITE_CYCLES;
-        machine.advance(cost);
-        self.inner.current = Some(self.incoming_tid);
-        cost
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,19 +356,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "thread 7 not registered")]
-    fn switch_in_to_unknown_thread_panics_with_message() {
-        let (mut mt, mut machine, _, _) = setup();
-        mt.schedule(&mut machine, 0);
-        let mut p = TrackerSwitchParticipant {
-            inner: &mut mt,
-            incoming_tid: 7,
-        };
-        use prosper_gemos::context::ContextSwitchParticipant as _;
-        p.switch_in(&mut machine);
-    }
-
-    #[test]
     fn crash_mid_switch_save_leaves_no_current_thread() {
         use prosper_gemos::crash::{CrashSite, FaultInjector};
         let (mut mt, mut machine, s0, _) = setup();
@@ -429,24 +373,6 @@ mod tests {
         // CPU has no scheduled thread, and a fresh schedule works.
         assert_eq!(mt.current_thread(), None);
         mt.schedule(&mut machine, 1);
-        assert_eq!(mt.current_thread(), Some(1));
-    }
-
-    #[test]
-    fn participant_adapter_matches_schedule() {
-        let (mut mt, mut machine, s0, _) = setup();
-        mt.schedule(&mut machine, 0);
-        for i in 0..8u64 {
-            mt.observe_store(&mut machine, s0.start() + i * 256, 8);
-        }
-        let mut p = TrackerSwitchParticipant {
-            inner: &mut mt,
-            incoming_tid: 1,
-        };
-        use prosper_gemos::context::ContextSwitchParticipant as _;
-        let out = p.switch_out(&mut machine);
-        let inn = p.switch_in(&mut machine);
-        assert!(out > 0 && inn > 0);
         assert_eq!(mt.current_thread(), Some(1));
     }
 }

@@ -31,6 +31,12 @@
 //! far fewer NVM bytes than the eager per-interval applies it
 //! replaces, which is exactly the write-amplification win the
 //! per-phase `prosper.ckpt.nvm_bytes_*` accounting measures.
+//!
+//! The cycle model keeps no batches of its own, only their
+//! `SpineShape`: the same type the data plane builds from its
+//! resident batches, so the descriptor count, the one batch rule (an
+//! idle interval seals no batch) and the merge decision are the data
+//! plane's by construction.
 
 use prosper_gemos::checkpoint::{CheckpointOutcome, IntervalInfo, MemoryPersistence};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -44,7 +50,7 @@ use crate::adaptive::{GranularityAdapter, WatermarkTuner};
 use crate::bitmap::{BitmapGeometry, CopyRun, PAGE_SPAN_BYTES};
 use crate::lookup::{partition_ops, BitmapOp, LookupStats};
 use crate::msr::{MSR_READ_CYCLES, MSR_WRITE_CYCLES};
-use crate::persist::SpineConfig;
+use crate::persist::{SpineConfig, SpineShape};
 use crate::tracker::{DirtyTracker, TrackerConfig};
 
 /// Fixed per-run overhead of the copy loop (loop control, address
@@ -153,106 +159,6 @@ struct PhaseCycles {
     merge: Cycles,
 }
 
-/// OS-level model of the staged-delta spine: sealed delta batches
-/// accumulate as run-span lists; the merge policy mirrors
-/// [`crate::persist::PersistentStack::should_merge`] so the OS cost
-/// model and the data-plane store trigger on the same schedule.
-#[derive(Debug)]
-struct SpineModel {
-    cfg: SpineConfig,
-    /// Resident batches, oldest first: each interval's (start, end)
-    /// run spans.
-    batches: Vec<Vec<(u64, u64)>>,
-    /// Total bytes across all resident batches (overlap counted per
-    /// batch).
-    total_bytes: u64,
-    /// Scratch: flattened spans for the coverage fold.
-    span_scratch: Vec<(u64, u64)>,
-}
-
-impl SpineModel {
-    fn new(cfg: SpineConfig) -> Self {
-        Self {
-            cfg,
-            batches: Vec::new(),
-            total_bytes: 0,
-            span_scratch: Vec::new(),
-        }
-    }
-
-    /// Appends the interval's sealed runs as one delta batch,
-    /// coalescing adjacent and overlapping spans exactly like the
-    /// data plane's `seal_to_spine`, and returns the number of run
-    /// descriptors the batch actually persists. An empty interval
-    /// seals nothing and leaves the spine unchanged.
-    fn push_batch(&mut self, runs: &[CopyRun]) -> usize {
-        if runs.is_empty() {
-            return 0;
-        }
-        self.total_bytes += runs.iter().map(|r| r.len).sum::<u64>();
-        let mut spans: Vec<(u64, u64)> = runs
-            .iter()
-            .map(|r| (r.start.raw(), r.start.raw() + r.len))
-            .collect();
-        spans.sort_unstable();
-        let mut coalesced: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-        for (s, e) in spans {
-            match coalesced.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => coalesced.push((s, e)),
-            }
-        }
-        let descs = coalesced.len();
-        self.batches.push(coalesced);
-        descs
-    }
-
-    /// Distinct bytes the resident batches cover — what a merge
-    /// writes (each byte once, however many batches touch it).
-    fn distinct_bytes(&mut self) -> u64 {
-        self.span_scratch.clear();
-        self.span_scratch
-            .extend(self.batches.iter().flatten().copied());
-        self.span_scratch.sort_unstable();
-        let mut distinct = 0u64;
-        let mut cursor = 0u64;
-        for &(s, e) in &self.span_scratch {
-            let s = s.max(cursor);
-            if e > s {
-                distinct += e - s;
-                cursor = e;
-            }
-        }
-        distinct
-    }
-
-    /// `1000 * overlapped_bytes / total_batch_bytes`, mirroring
-    /// [`crate::persist::PersistentStack::spine_overlap_permille`].
-    fn overlap_permille(&mut self) -> u32 {
-        let total = self.total_bytes;
-        if total == 0 {
-            return 0;
-        }
-        let overlap = total - self.distinct_bytes();
-        u32::try_from(overlap * 1000 / total).unwrap_or(1000)
-    }
-
-    /// Whether the merge policy triggers right now.
-    fn should_merge(&mut self) -> bool {
-        self.batches.len() >= 2
-            && (self.batches.len() >= self.cfg.max_batches
-                || self.overlap_permille() >= self.cfg.overlap_permille)
-    }
-
-    /// Retires every resident batch; returns how many were folded.
-    fn retire(&mut self) -> u64 {
-        let folded = self.batches.len() as u64;
-        self.batches.clear();
-        self.total_bytes = 0;
-        folded
-    }
-}
-
 /// Prosper as a pluggable memory-persistence mechanism.
 #[derive(Debug)]
 pub struct ProsperMechanism {
@@ -284,8 +190,9 @@ pub struct ProsperMechanism {
     attribution: Option<(std::sync::Arc<prosper_telemetry::StallAccountant>, u32)>,
     /// Monotone interval counter, used as the attribution sequence.
     interval_seq: u64,
-    /// Staged-delta spine model; `None` keeps the eager apply copy.
-    spine: Option<SpineModel>,
+    /// Staged-delta spine policy and the shape of the resident
+    /// batches; `None` keeps the eager apply copy.
+    spine: Option<(SpineConfig, SpineShape)>,
 }
 
 impl ProsperMechanism {
@@ -335,18 +242,18 @@ impl ProsperMechanism {
     /// write only) and the apply copy is deferred to a policy-gated
     /// merge of the deduplicated coverage.
     pub fn with_spine(mut self, cfg: SpineConfig) -> Self {
-        self.spine = Some(SpineModel::new(cfg));
+        self.spine = Some((cfg, SpineShape::default()));
         self
     }
 
     /// The spine policy, if spine mode is enabled.
     pub fn spine_config(&self) -> Option<SpineConfig> {
-        self.spine.as_ref().map(|s| s.cfg)
+        self.spine.as_ref().map(|(cfg, _)| *cfg)
     }
 
     /// Delta batches currently resident on the spine.
     pub fn spine_batches(&self) -> usize {
-        self.spine.as_ref().map_or(0, |s| s.batches.len())
+        self.spine.as_ref().map_or(0, |(_, shape)| shape.batches())
     }
 
     /// Enables the OS-layer dynamic-granularity policy (the extension
@@ -433,11 +340,10 @@ impl ProsperMechanism {
                 .record(phases.stage);
             r.histogram("prosper.ckpt.phase.apply_cycles")
                 .record(phases.apply);
-            if let Some(spine) = self.spine.as_ref() {
+            if let Some((_, shape)) = self.spine.as_ref() {
                 r.histogram("prosper.ckpt.phase.merge_cycles")
                     .record(phases.merge);
-                r.gauge("prosper.spine.batches")
-                    .set(spine.batches.len() as i64);
+                r.gauge("prosper.spine.batches").set(shape.batches() as i64);
                 if stats.merges > 0 {
                     r.counter("prosper.spine.merges").add(stats.merges);
                     r.counter("prosper.spine.merged_bytes")
@@ -605,12 +511,17 @@ impl MemoryPersistence for ProsperMechanism {
         let seal_paddr = machine.translate(VirtAddr::new(DEFAULT_BITMAP_BASE));
         machine.persist_seal_record(seal_paddr, SEAL_RECORD_BYTES);
         let apply_start = machine.now();
-        if let Some(spine) = self.spine.as_mut() {
+        if let Some((_, shape)) = self.spine.as_mut() {
             // Spine mode: append the sealed batch — only the run
             // descriptors hit NVM; the staged payload stays where the
             // stage copy put it. The apply copy vanishes from the
-            // interval's critical path.
-            let descs = spine.push_batch(&self.last_runs) as u64;
+            // interval's critical path. An idle interval seals no
+            // batch.
+            let spans = self
+                .last_runs
+                .iter()
+                .map(|r| (r.start.raw(), r.start.raw() + r.len));
+            let descs = shape.push(spans) as u64;
             if descs > 0 {
                 let desc_bytes = BATCH_HEADER_BYTES + descs * PACKED_DESC_BYTES;
                 machine.bulk_copy_nvm_to_nvm_phase(desc_bytes, CkptPhase::Apply);
@@ -627,10 +538,11 @@ impl MemoryPersistence for ProsperMechanism {
         // batches' deduplicated coverage into the persistent image in
         // one pass and retire the spine.
         let merge_start = machine.now();
-        if let Some(spine) = self.spine.as_mut() {
-            if spine.should_merge() {
-                let distinct = spine.distinct_bytes();
-                let folded = spine.retire();
+        if let Some((cfg, shape)) = self.spine.as_mut() {
+            if shape.should_merge(cfg) {
+                let distinct = shape.distinct_bytes();
+                let folded = shape.batches() as u64;
+                *shape = SpineShape::default();
                 machine.advance(PER_RUN_OVERHEAD * folded);
                 if distinct > 0 {
                     machine.bulk_copy_nvm_to_nvm_phase(distinct, CkptPhase::Merge);
@@ -805,6 +717,84 @@ mod tests {
             Some(SpineConfig::default()),
             "policy is observable"
         );
+    }
+
+    /// Forwards stores to the mechanism, except in interval `IDLE`,
+    /// and mirrors them into a one-stack data plane that commits the
+    /// mechanism's runs after every interval.
+    struct Mirrored {
+        mech: ProsperMechanism,
+        plane: crate::recovery::PersistentProcess,
+        interval: usize,
+        /// Per interval: (cycle-model batches, data-plane batches, runs).
+        after: Vec<(usize, usize, usize)>,
+    }
+
+    const IDLE: usize = 3;
+
+    impl MemoryPersistence for Mirrored {
+        fn name(&self) -> &'static str {
+            self.mech.name()
+        }
+
+        fn begin_interval(&mut self, machine: &mut Machine, region: VirtRange) {
+            self.mech.begin_interval(machine, region);
+        }
+
+        fn on_store(&mut self, machine: &mut Machine, access: &MemAccess) {
+            if self.interval != IDLE {
+                self.mech.on_store(machine, access);
+                let bytes = [self.interval as u8 + 1; 8];
+                let len = access.size.min(8) as usize;
+                self.plane.record_store(0, access.vaddr, &bytes[..len]);
+            }
+        }
+
+        fn end_interval(&mut self, machine: &mut Machine, info: IntervalInfo) -> CheckpointOutcome {
+            let out = self.mech.end_interval(machine, info);
+            let runs = self.mech.last_runs().to_vec();
+            let n = runs.len();
+            self.plane.commit(&[(0, runs)].into());
+            let (cycle, data) = (self.mech.spine_batches(), self.plane.spine_batches());
+            self.after.push((cycle, data, n));
+            self.interval += 1;
+            out
+        }
+    }
+
+    #[test]
+    fn cycle_model_and_data_plane_hold_the_same_batches() {
+        use prosper_trace::source::TraceSource;
+        for cfg in [
+            SpineConfig::merge_always(),
+            SpineConfig::default(),
+            SpineConfig::lazy(3),
+        ] {
+            let source = Workload::new(WorkloadProfile::mcf(), 5);
+            let range = source.stack().reserved_range();
+            let mut m = Mirrored {
+                mech: ProsperMechanism::with_defaults().with_spine(cfg),
+                plane: crate::recovery::PersistentProcess::new_with_spine(&[range], cfg),
+                interval: 0,
+                after: Vec::new(),
+            };
+            let mut machine = Machine::new(MachineConfig::setup_i());
+            CheckpointManager::new(&mut machine, 30_000).run_stack_only(source, &mut m, 10);
+            assert_eq!(m.after.len(), 10, "{cfg:?}");
+            for (i, &(cycle, data, runs)) in m.after.iter().enumerate() {
+                assert_eq!(
+                    i == IDLE,
+                    runs == 0,
+                    "{cfg:?}: only interval {IDLE} is idle"
+                );
+                assert_eq!(
+                    cycle, data,
+                    "{cfg:?}: interval {i}: cycle model holds {cycle} batches, data plane {data}"
+                );
+            }
+            assert!(m.mech.totals.merges > 0, "{cfg:?}: the policy never fired");
+            assert_eq!(m.plane.verify_coherent(), Ok(10));
+        }
     }
 
     #[test]

@@ -26,6 +26,22 @@
 //! from older batches are never written). Recovery folds the same
 //! way; reads that need the durable state consult the spine-aware
 //! [`PersistentStack::read_effective`].
+//!
+//! Every spine decision is made here, once, for both the data plane
+//! and the cycle model in [`crate::oscomp`]:
+//!
+//! - one coverage type (sorted, disjoint, non-abutting byte spans)
+//!   behind seal-time coalescing, the merge's newest-first fold and
+//!   the distinct-byte count;
+//! - one policy, `SpineShape::should_merge`, over a shape the data
+//!   plane builds from its batches (`PersistentStack::spine_shape`)
+//!   and the cycle model keeps in place of batches;
+//! - one fold body, `PersistentStack::merge_spine_with`, whose hook
+//!   between steps is where the commit engine crosses its merge crash
+//!   windows;
+//! - one batch rule: a seal appends a batch only if it staged at least
+//!   one non-empty run. An idle seal still advances the committed
+//!   sequence.
 
 use prosper_gemos::crash::Persistent;
 use prosper_gemos::image::MemoryImage;
@@ -128,30 +144,9 @@ impl DeltaBatch {
     }
 }
 
-/// One step of a spine merge: the deduplicated writes for one batch
-/// (newest-first fold order), precomputed so fault injection can
-/// crash between any two steps.
-#[derive(Clone, Debug)]
-pub struct MergeStep {
-    writes: Vec<StagedRun>,
-    batches_folded: u32,
-}
-
-impl MergeStep {
-    /// NVM bytes this step writes (already deduplicated against
-    /// newer batches' coverage).
-    pub fn bytes(&self) -> u64 {
-        self.writes.iter().map(|r| r.data.len() as u64).sum()
-    }
-
-    /// How many batches are folded once this step completes.
-    pub fn batches_folded(&self) -> u32 {
-        self.batches_folded
-    }
-}
-
 /// What a completed merge did — the inputs for write-amplification
-/// accounting.
+/// accounting. `PersistentStack::merge_spine_with` also hands the
+/// running totals to its hook after each fold step.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Batches folded into the persistent image and retired.
@@ -164,57 +159,60 @@ pub struct MergeStats {
     pub written_bytes: u64,
 }
 
-/// Byte intervals `[start, end)`, kept sorted and disjoint.
-type Coverage = Vec<(u64, u64)>;
-
-/// Parts of `[start, end)` not covered by `coverage`.
-fn subtract_coverage(start: u64, end: u64, coverage: &Coverage) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    let mut cursor = start;
-    for &(cs, ce) in coverage {
-        if ce <= cursor {
-            continue;
-        }
-        if cs >= end {
-            break;
-        }
-        if cs > cursor {
-            out.push((cursor, cs.min(end)));
-        }
-        cursor = cursor.max(ce);
-        if cursor >= end {
-            return out;
-        }
-    }
-    if cursor < end {
-        out.push((cursor, end));
-    }
-    out
+/// Byte spans `[start, end)`, kept sorted, disjoint and non-abutting:
+/// an inserted span absorbs every span it overlaps or touches, so the
+/// span count is the number of maximal runs covered. Spans are found
+/// by binary search.
+#[derive(Debug, Default)]
+struct Coverage {
+    spans: Vec<(u64, u64)>,
+    bytes: u64,
 }
 
-/// Inserts `[start, end)` into `coverage`, merging adjacent and
-/// overlapping intervals.
-fn insert_coverage(coverage: &mut Coverage, start: u64, end: u64) {
-    let mut merged = (start, end);
-    let mut out = Vec::with_capacity(coverage.len() + 1);
-    let mut placed = false;
-    for &(cs, ce) in coverage.iter() {
-        if ce < merged.0 {
-            out.push((cs, ce));
-        } else if cs > merged.1 {
-            if !placed {
-                out.push(merged);
-                placed = true;
-            }
-            out.push((cs, ce));
-        } else {
-            merged = (merged.0.min(cs), merged.1.max(ce));
+impl Coverage {
+    /// Adds `[start, end)` (empty spans cover nothing).
+    fn insert(&mut self, start: u64, end: u64) {
+        if start >= end {
+            return;
         }
+        // Spans in `lo..hi` overlap or abut the new one.
+        let lo = self.spans.partition_point(|&(_, e)| e < start);
+        let hi = self.spans.partition_point(|&(s, _)| s <= end);
+        let (mut s, mut e) = (start, end);
+        for &(cs, ce) in &self.spans[lo..hi] {
+            s = s.min(cs);
+            e = e.max(ce);
+            self.bytes -= ce - cs;
+        }
+        self.bytes += e - s;
+        self.spans.splice(lo..hi, [(s, e)]);
     }
-    if !placed {
-        out.push(merged);
+
+    /// The parts of `[start, end)` not covered, ascending.
+    fn gaps(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let first = self.spans.partition_point(|&(_, e)| e <= start);
+        let mut covered = self.spans[first..].iter();
+        let mut cursor = start;
+        std::iter::from_fn(move || {
+            while cursor < end {
+                let (gap_end, next) = match covered.next() {
+                    Some(&(s, e)) if s < end => (s, e),
+                    _ => (end, end),
+                };
+                let gap = (cursor, gap_end);
+                cursor = cursor.max(next);
+                if gap.0 < gap.1 {
+                    return Some(gap);
+                }
+            }
+            None
+        })
     }
-    *coverage = out;
+
+    /// Distinct bytes covered.
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
 }
 
 /// Folds a staged-run list into the minimal set of disjoint, maximal
@@ -224,35 +222,92 @@ fn insert_coverage(coverage: &mut Coverage, start: u64, end: u64) {
 /// bytes with the same final values, but carries the fewest possible
 /// run descriptors — which is what the spine persists per batch and
 /// what every later merge walks.
-fn coalesce_runs(runs: Vec<StagedRun>) -> Vec<StagedRun> {
-    let mut coverage: Coverage = Vec::new();
-    let mut pieces: Vec<StagedRun> = Vec::new();
-    // Newest-first: only the parts of older runs not shadowed by a
-    // newer run survive.
-    for run in runs.iter().rev() {
+fn coalesce_runs(runs: &[StagedRun]) -> Vec<StagedRun> {
+    let mut cover = Coverage::default();
+    for run in runs {
         let s = run.start.raw();
-        let e = s + run.data.len() as u64;
-        for (ws, we) in subtract_coverage(s, e, &coverage) {
-            let lo = (ws - s) as usize;
-            let hi = (we - s) as usize;
-            pieces.push(StagedRun {
-                start: VirtAddr::new(ws),
-                data: run.data[lo..hi].to_vec(),
-            });
-        }
-        insert_coverage(&mut coverage, s, e);
+        cover.insert(s, s + run.data.len() as u64);
     }
-    pieces.sort_by_key(|r| r.start.raw());
-    let mut out: Vec<StagedRun> = Vec::with_capacity(pieces.len());
-    for piece in pieces {
-        match out.last_mut() {
-            Some(prev) if prev.start.raw() + prev.data.len() as u64 == piece.start.raw() => {
-                prev.data.extend_from_slice(&piece.data);
-            }
-            _ => out.push(piece),
-        }
+    let mut out: Vec<StagedRun> = cover
+        .spans
+        .iter()
+        .map(|&(s, e)| StagedRun {
+            start: VirtAddr::new(s),
+            data: vec![0; (e - s) as usize],
+        })
+        .collect();
+    // Oldest first, so the last-staged bytes win.
+    for run in runs.iter().filter(|r| !r.data.is_empty()) {
+        let s = run.start.raw();
+        let span = &mut out[cover.spans.partition_point(|&(_, e)| e <= s)];
+        let at = (s - span.start.raw()) as usize;
+        span.data[at..at + run.data.len()].copy_from_slice(&run.data);
     }
     out
+}
+
+/// The merge policy's view of a spine: how many batches it holds,
+/// their total bytes and the union of their coverage. The data plane
+/// builds one from its resident batches
+/// ([`PersistentStack::spine_shape`]); the cycle model keeps one in
+/// place of the batches themselves. Either way
+/// [`SpineShape::should_merge`] is the one merge decision.
+#[derive(Debug, Default)]
+pub(crate) struct SpineShape {
+    batches: usize,
+    total_bytes: u64,
+    union: Coverage,
+}
+
+impl SpineShape {
+    /// Records one sealed batch covering the byte spans `[start, end)`
+    /// and returns its descriptor count: the number of maximal spans
+    /// once overlapping and abutting spans merge. A batch that covers
+    /// nothing is no batch — the shape is unchanged and the count is
+    /// 0 — which is the rule [`PersistentStack::seal_to_spine`] keeps.
+    pub fn push(&mut self, spans: impl IntoIterator<Item = (u64, u64)>) -> usize {
+        let mut batch = Coverage::default();
+        for (s, e) in spans {
+            batch.insert(s, e);
+        }
+        if batch.bytes() == 0 {
+            return 0;
+        }
+        self.batches += 1;
+        self.total_bytes += batch.bytes();
+        for &(s, e) in &batch.spans {
+            self.union.insert(s, e);
+        }
+        batch.spans.len()
+    }
+
+    /// Resident batches.
+    pub fn batches(&self) -> usize {
+        self.batches
+    }
+
+    /// Distinct bytes the batches cover (each byte once, however many
+    /// batches touch it) — what a merge writes.
+    pub fn distinct_bytes(&self) -> u64 {
+        self.union.bytes()
+    }
+
+    /// `1000 * overlapped_bytes / total_bytes` (0 for an empty shape).
+    pub fn overlap_permille(&self) -> u32 {
+        if self.total_bytes == 0 {
+            return 0;
+        }
+        let overlap = self.total_bytes - self.distinct_bytes();
+        u32::try_from(overlap * 1000 / self.total_bytes).unwrap_or(1000)
+    }
+
+    /// The merge policy: at least two batches, and either the batch
+    /// count reached `max_batches` or the overlap reached
+    /// `overlap_permille`.
+    pub fn should_merge(&self, cfg: &SpineConfig) -> bool {
+        self.batches >= 2
+            && (self.batches >= cfg.max_batches || self.overlap_permille() >= cfg.overlap_permille)
+    }
 }
 
 /// The per-thread persistent stack store.
@@ -553,14 +608,19 @@ impl PersistentStack {
     /// The staged runs are coalesced before the batch is sealed:
     /// overlapping runs collapse to their newest-wins bytes and
     /// abutting runs concatenate, so the batch persists the minimal
-    /// descriptor list for its coverage.
+    /// descriptor list for its coverage. A buffer that staged no bytes
+    /// appends no batch (the rule `SpineShape::push` applies for the
+    /// cycle model); the committed sequence advances either way.
     pub fn seal_to_spine(&mut self, sequence: u64) {
         debug_assert!(
             self.phase != CommitPhase::Idle,
             "seal_to_spine without an open staging buffer"
         );
-        let runs = coalesce_runs(std::mem::take(&mut self.staging));
-        self.spine.push(DeltaBatch { sequence, runs });
+        let runs = coalesce_runs(&self.staging);
+        self.staging.clear();
+        if !runs.is_empty() {
+            self.spine.push(DeltaBatch { sequence, runs });
+        }
         self.committed_sequence = sequence;
         self.next_sequence = self.next_sequence.max(sequence + 1);
         self.staging_sequence = 0;
@@ -583,86 +643,21 @@ impl PersistentStack {
         self.spine.iter().map(DeltaBatch::bytes).sum()
     }
 
-    /// Distinct bytes the spine covers (each byte counted once no
-    /// matter how many batches touch it) — what a merge would write.
-    pub fn spine_distinct_bytes(&self) -> u64 {
-        let mut coverage: Coverage = Vec::new();
+    /// The merge policy's view of the resident spine.
+    pub(crate) fn spine_shape(&self) -> SpineShape {
+        let mut shape = SpineShape::default();
         for batch in &self.spine {
-            for run in &batch.runs {
-                let s = run.start.raw();
-                insert_coverage(&mut coverage, s, s + run.data.len() as u64);
-            }
+            shape.push(batch.runs.iter().map(|r| {
+                let s = r.start.raw();
+                (s, s + r.data.len() as u64)
+            }));
         }
-        coverage.iter().map(|(s, e)| e - s).sum()
-    }
-
-    /// `1000 * overlapped_bytes / total_bytes` across the spine (0
-    /// when the spine is empty or nothing overlaps).
-    pub fn spine_overlap_permille(&self) -> u32 {
-        let total = self.spine_bytes();
-        if total == 0 {
-            return 0;
-        }
-        let overlap = total - self.spine_distinct_bytes();
-        u32::try_from(overlap * 1000 / total).unwrap_or(1000)
+        shape
     }
 
     /// Whether the merge policy triggers right now.
     pub fn should_merge(&self, cfg: &SpineConfig) -> bool {
-        self.spine.len() >= 2
-            && (self.spine.len() >= cfg.max_batches
-                || self.spine_overlap_permille() >= cfg.overlap_permille)
-    }
-
-    /// Plans a full-spine merge: one [`MergeStep`] per batch in
-    /// **newest-first** fold order, each step's writes already
-    /// deduplicated against the coverage of every newer batch. Newer
-    /// data is written first and older overlapped bytes are skipped,
-    /// so newest-wins holds and every surviving byte is written
-    /// exactly once. Each completed prefix of steps writes a subset of
-    /// the full fold's writes with identical values, which is what
-    /// makes a crash between steps recoverable by simply re-merging.
-    pub fn merge_plan(&self) -> Vec<MergeStep> {
-        let mut coverage: Coverage = Vec::new();
-        let mut steps = Vec::with_capacity(self.spine.len());
-        for (rank, batch) in self.spine.iter().rev().enumerate() {
-            let mut writes = Vec::new();
-            for run in &batch.runs {
-                let s = run.start.raw();
-                let e = s + run.data.len() as u64;
-                for (ws, we) in subtract_coverage(s, e, &coverage) {
-                    let lo = (ws - s) as usize;
-                    let hi = (we - s) as usize;
-                    writes.push(StagedRun {
-                        start: VirtAddr::new(ws),
-                        data: run.data[lo..hi].to_vec(),
-                    });
-                }
-                insert_coverage(&mut coverage, s, e);
-            }
-            steps.push(MergeStep {
-                writes,
-                batches_folded: (rank + 1) as u32,
-            });
-        }
-        steps
-    }
-
-    /// Applies one merge step's deduplicated writes to the persistent
-    /// image. Idempotent: re-applying a step rewrites identical bytes.
-    pub fn apply_merge_step(&mut self, step: &MergeStep) {
-        for run in &step.writes {
-            self.persistent.write(run.start, &run.data);
-        }
-    }
-
-    /// Retires the spine after every merge step was applied: the
-    /// batches' data now lives (deduplicated) in the persistent image.
-    /// Returns the number of batches retired.
-    pub fn retire_spine(&mut self) -> usize {
-        let n = self.spine.len();
-        self.spine.clear();
-        n
+        self.spine_shape().should_merge(cfg)
     }
 
     /// Folds the whole spine newest-wins into the persistent image
@@ -670,18 +665,52 @@ impl PersistentStack {
     /// fold. Idempotent and crash-safe: batches are immutable and a
     /// partial fold writes a value-identical subset of the full fold.
     pub fn merge_spine(&mut self) -> MergeStats {
-        let input_bytes = self.spine_bytes();
-        let mut written = 0;
-        for step in self.merge_plan() {
-            written += step.bytes();
-            self.apply_merge_step(&step);
+        match self.merge_spine_with(|_| Ok::<(), std::convert::Infallible>(())) {
+            Ok(stats) => stats,
+            Err(never) => match never {},
         }
-        let folded = self.retire_spine();
-        MergeStats {
-            batches_folded: folded as u64,
-            input_bytes,
-            written_bytes: written,
+    }
+
+    /// [`Self::merge_spine`] with a hook between fold steps. One step
+    /// per batch, **newest first**: each step writes the batch's bytes
+    /// that no newer batch covers, so newest-wins holds and every
+    /// surviving byte is written exactly once. After each step
+    /// `between` sees the running totals; an `Err` from it stops the
+    /// fold there with the spine still resident — the state a crash
+    /// between steps leaves, which re-merging recovers because each
+    /// completed prefix of steps wrote a value-identical subset of the
+    /// full fold. The spine is retired only after the last step.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `between` returns.
+    pub(crate) fn merge_spine_with<E>(
+        &mut self,
+        mut between: impl FnMut(&MergeStats) -> Result<(), E>,
+    ) -> Result<MergeStats, E> {
+        let mut done = MergeStats {
+            input_bytes: self.spine_bytes(),
+            ..MergeStats::default()
+        };
+        // Newest first: `shadow` covers every newer batch, and only the
+        // gaps it leaves are written.
+        let mut shadow = Coverage::default();
+        for batch in self.spine.iter().rev() {
+            for run in &batch.runs {
+                let s = run.start.raw();
+                let e = s + run.data.len() as u64;
+                for (ws, we) in shadow.gaps(s, e) {
+                    let data = &run.data[(ws - s) as usize..(we - s) as usize];
+                    self.persistent.write(VirtAddr::new(ws), data);
+                    done.written_bytes += we - ws;
+                }
+                shadow.insert(s, e);
+            }
+            done.batches_folded += 1;
+            between(&done)?;
         }
+        self.spine.clear();
+        Ok(done)
     }
 
     /// Spine-aware durable read: the persistent image with every spine
@@ -997,27 +1026,45 @@ mod tests {
 
     #[test]
     fn merge_plan_partial_prefix_is_crash_safe() {
-        let mut s = store();
-        // Batch 1: two runs; batch 2 overlaps the first run's tail.
-        s.record_store(VirtAddr::new(0x7000_0100), b"oldoldold");
-        s.record_store(VirtAddr::new(0x7000_0200), b"keepme");
-        s.stage(&[run(0x7000_0100, 9), run(0x7000_0200, 6)]);
-        s.seal_to_spine(1);
-        s.record_store(VirtAddr::new(0x7000_0104), b"newnew");
-        s.stage(&[run(0x7000_0104, 6)]);
-        s.seal_to_spine(2);
+        let two_batches = || {
+            let mut s = store();
+            // Batch 1: two runs; batch 2 overlaps the first run's tail.
+            s.record_store(VirtAddr::new(0x7000_0100), b"oldoldold");
+            s.record_store(VirtAddr::new(0x7000_0200), b"keepme");
+            s.stage(&[run(0x7000_0100, 9), run(0x7000_0200, 6)]);
+            s.seal_to_spine(1);
+            s.record_store(VirtAddr::new(0x7000_0104), b"newnew");
+            s.stage(&[run(0x7000_0104, 6)]);
+            s.seal_to_spine(2);
+            s
+        };
 
-        let plan = s.merge_plan();
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].batches_folded(), 1);
-        assert_eq!(plan[1].batches_folded(), 2);
+        // The hook sees one step per batch, newest first.
+        let mut steps = Vec::new();
+        let stats = two_batches().merge_spine_with(|done| {
+            steps.push(*done);
+            Ok::<(), ()>(())
+        });
+        assert_eq!(steps.len(), 2);
+        assert_eq!(steps[0].batches_folded, 1);
+        assert_eq!(steps[1].batches_folded, 2);
         // Newest step writes its full 6 bytes; the older one is
         // shadowed where batch 2 covers it ([0x104, 0x109) = 5 bytes).
-        assert_eq!(plan[0].bytes(), 6);
-        assert_eq!(plan[1].bytes(), 9 - 5 + 6);
+        assert_eq!(steps[0].written_bytes, 6);
+        assert_eq!(steps[1].written_bytes - steps[0].written_bytes, 9 - 5 + 6);
+        assert_eq!(stats, Ok(steps[1]));
 
         // Crash mid-merge: only the newest step applied, spine intact.
-        s.apply_merge_step(&plan[0]);
+        let mut s = two_batches();
+        let crashed = s.merge_spine_with(|done| {
+            if done.batches_folded == 1 {
+                Err("crash")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(crashed, Err("crash"));
+        assert_eq!(s.spine_batches(), 2, "an interrupted fold retires nothing");
         s.crash();
         s.recover_spine_after_crash();
         assert_eq!(
@@ -1038,7 +1085,7 @@ mod tests {
             s.seal_to_spine(seq);
         }
         // Fully overlapping batches: 16 of 24 bytes are overlap.
-        assert_eq!(s.spine_overlap_permille(), 666);
+        assert_eq!(s.spine_shape().overlap_permille(), 666);
         assert!(s.should_merge(&SpineConfig::default()));
         assert!(!s.should_merge(&SpineConfig::lazy(8)), "lazy policy waits");
         assert!(s.should_merge(&SpineConfig::lazy(3)), "count pressure");
@@ -1116,5 +1163,47 @@ mod tests {
             s.recovered_image().read(VirtAddr::new(0x7000_0800), 32),
             vec![0xab; 32]
         );
+    }
+
+    /// Maximal runs of `set`'s bytes inside `[lo, hi)`.
+    fn runs_of(set: &std::collections::BTreeSet<u64>, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for &b in set.range(lo..hi) {
+            match out.last_mut() {
+                Some(last) if last.1 == b => last.1 = b + 1,
+                _ => out.push((b, b + 1)),
+            }
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `Coverage` against a byte set: small offsets make abutting,
+        /// nested and duplicate spans common.
+        #[test]
+        fn coverage_matches_a_byte_set(
+            spans in prop::collection::vec((0u64..64, 0u64..16), 1..24),
+            query in (0u64..80, 0u64..40),
+        ) {
+            let mut cov = Coverage::default();
+            let mut set = std::collections::BTreeSet::new();
+            let (lo, hi) = (query.0, query.0 + query.1);
+            for (start, len) in spans {
+                let uncovered: std::collections::BTreeSet<u64> =
+                    (lo..hi).filter(|b| !set.contains(b)).collect();
+                prop_assert_eq!(
+                    cov.gaps(lo, hi).collect::<Vec<_>>(),
+                    runs_of(&uncovered, lo, hi)
+                );
+                cov.insert(start, start + len);
+                set.extend(start..start + len);
+                prop_assert_eq!(cov.bytes(), set.len() as u64);
+                prop_assert_eq!(&cov.spans, &runs_of(&set, 0, u64::MAX));
+            }
+        }
     }
 }

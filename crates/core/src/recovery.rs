@@ -105,7 +105,9 @@
 //! tail is unchanged, so crash atomicity is identical to eager mode.
 //! A deferred, policy-gated merge ([`PersistentStack::should_merge`])
 //! then folds spines newest-wins into the persistent images off the
-//! critical path, charged to [`StallCause::Merge`]; recovery folds any
+//! critical path, charged to [`StallCause::Merge`]; the engine crosses
+//! the merge crash windows from the hook of the one fold body,
+//! `PersistentStack::merge_spine_with`. Recovery folds any
 //! surviving spine the same way, so the recovered image is always
 //! byte-identical to what eager apply would have produced (the
 //! differential proptests pin this). Merge never crosses an unsealed
@@ -1059,18 +1061,17 @@ impl PersistentProcess {
                 phases.open = Some(StallCause::Merge);
             }
             merges += 1;
-            for step in &stack.merge_plan() {
-                stack.apply_merge_step(step);
-                written += step.bytes();
+            let stats = stack.merge_spine_with(|done| {
                 cross(
                     &mut hooks.faults,
                     CrashSite::MidMerge {
                         tid,
-                        batches_folded: step.batches_folded(),
+                        batches_folded: u32::try_from(done.batches_folded).unwrap_or(u32::MAX),
                     },
-                )?;
-            }
-            folded += stack.retire_spine() as u64;
+                )
+            })?;
+            folded += stats.batches_folded;
+            written += stats.written_bytes;
             if let Some(p) = hooks.probe {
                 p.record(CommitProbeEvent::MergeThread {
                     tid,
@@ -2379,6 +2380,31 @@ mod tests {
             );
             assert_eq!(spine.regs(tid).rip, 0x1000 + 4);
         }
+    }
+
+    #[test]
+    fn idle_spine_commit_advances_the_sequence_without_a_batch() {
+        let mut p = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::lazy(8));
+        let r1 = p.stack(1).range();
+        p.record_store(1, r1.start() + 0x40, b"seq-one");
+        let both = full_runs(&p, &[0, 1]);
+        commit_at(&mut p, &[both], 1);
+        assert_eq!(p.stack(1).spine_batches(), 1);
+        // Sequence 2 stages nothing for thread 1.
+        let mut idle = full_runs(&p, &[0]);
+        idle.insert(1, Vec::new());
+        commit_at(&mut p, &[idle], 1);
+        assert_eq!(p.stack(1).committed_sequence(), 2);
+        assert_eq!(
+            p.stack(1).spine_batches(),
+            1,
+            "an idle seal appends no batch"
+        );
+        assert_eq!(p.stack(0).spine_batches(), 2);
+        p.crash();
+        assert_eq!(p.recover().unwrap().sequence, 2);
+        assert_eq!(p.verify_coherent().unwrap(), 2);
+        assert_eq!(p.stack(1).volatile().read(r1.start() + 0x40, 7), b"seq-one");
     }
 
     #[test]

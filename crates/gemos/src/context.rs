@@ -1,152 +1,14 @@
-//! Context-switch modelling.
+//! Context-switch cost.
 //!
 //! The paper measures ~870 extra cycles per context switch for saving
 //! and restoring the Prosper tracker state (Section V, "Context switch
-//! overhead of Prosper"): on switch-out the OS instructs the tracker to
-//! flush its lookup table, overlaps other switch work, then polls the
-//! quiescence counters; on switch-in it reloads the MSR parameters of
-//! the incoming context.
-//!
-//! Mechanisms that carry per-context hardware state implement
-//! [`ContextSwitchParticipant`]; the [`ContextSwitcher`] charges the
-//! baseline switch cost plus each participant's save/restore cost.
+//! overhead of Prosper"). That save/restore protocol lives with the
+//! tracker (`prosper_core::multithread::MultiThreadTracker::schedule`);
+//! this module holds the OS cost every switch pays with or without it.
 
-use prosper_memsim::machine::Machine;
 use prosper_memsim::Cycles;
 
 /// Baseline OS context-switch cost (register save/restore, runqueue
 /// bookkeeping, address-space switch) — charged for every switch, with
 /// or without Prosper.
 pub const BASELINE_SWITCH_CYCLES: Cycles = 2_000;
-
-/// Hardware state that must be saved/restored around a context switch.
-pub trait ContextSwitchParticipant {
-    /// Quiesces and saves the outgoing context's state; returns the
-    /// cycles the OS spent on it (flush request + overlap + poll).
-    fn switch_out(&mut self, machine: &mut Machine) -> Cycles;
-
-    /// Restores the incoming context's state (MSR loads); returns the
-    /// cycles spent.
-    fn switch_in(&mut self, machine: &mut Machine) -> Cycles;
-}
-
-/// Outcome of one modelled context switch.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct SwitchCost {
-    /// Baseline OS cost.
-    pub baseline: Cycles,
-    /// Extra cycles added by participants (tracker save/restore).
-    pub participant: Cycles,
-}
-
-impl SwitchCost {
-    /// Total cycles of the switch.
-    pub fn total(&self) -> Cycles {
-        self.baseline + self.participant
-    }
-}
-
-/// Performs context switches on a machine, charging all costs.
-#[derive(Debug, Default)]
-pub struct ContextSwitcher {
-    /// Switches performed.
-    pub switches: u64,
-    /// Accumulated participant overhead.
-    pub participant_cycles: Cycles,
-}
-
-impl ContextSwitcher {
-    /// Creates a switcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Switches from the context owning `outgoing` to the context
-    /// owning `incoming`, charging the machine. Either participant may
-    /// be absent (non-persistent process).
-    pub fn switch(
-        &mut self,
-        machine: &mut Machine,
-        outgoing: Option<&mut dyn ContextSwitchParticipant>,
-        incoming: Option<&mut dyn ContextSwitchParticipant>,
-    ) -> SwitchCost {
-        let mut cost = SwitchCost {
-            baseline: BASELINE_SWITCH_CYCLES,
-            participant: 0,
-        };
-        if let Some(out) = outgoing {
-            cost.participant += out.switch_out(machine);
-        }
-        machine.advance(BASELINE_SWITCH_CYCLES);
-        if let Some(inc) = incoming {
-            cost.participant += inc.switch_in(machine);
-        }
-        self.switches += 1;
-        self.participant_cycles += cost.participant;
-        cost
-    }
-
-    /// Mean participant overhead per switch.
-    pub fn mean_participant_cycles(&self) -> f64 {
-        if self.switches == 0 {
-            0.0
-        } else {
-            self.participant_cycles as f64 / self.switches as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use prosper_memsim::config::MachineConfig;
-
-    #[derive(Debug)]
-    struct Fixed(Cycles, Cycles);
-
-    impl ContextSwitchParticipant for Fixed {
-        fn switch_out(&mut self, machine: &mut Machine) -> Cycles {
-            machine.advance(self.0);
-            self.0
-        }
-        fn switch_in(&mut self, machine: &mut Machine) -> Cycles {
-            machine.advance(self.1);
-            self.1
-        }
-    }
-
-    #[test]
-    fn switch_charges_baseline_plus_participants() {
-        let mut machine = Machine::new(MachineConfig::setup_i());
-        let mut sw = ContextSwitcher::new();
-        let mut a = Fixed(500, 300);
-        let mut b = Fixed(100, 200);
-        let cost = sw.switch(&mut machine, Some(&mut a), Some(&mut b));
-        assert_eq!(cost.baseline, BASELINE_SWITCH_CYCLES);
-        assert_eq!(cost.participant, 500 + 200);
-        assert_eq!(cost.total(), BASELINE_SWITCH_CYCLES + 700);
-        assert_eq!(machine.now(), BASELINE_SWITCH_CYCLES + 700);
-    }
-
-    #[test]
-    fn switch_without_participants_is_baseline_only() {
-        let mut machine = Machine::new(MachineConfig::setup_i());
-        let mut sw = ContextSwitcher::new();
-        let cost = sw.switch(&mut machine, None, None);
-        assert_eq!(cost.participant, 0);
-        assert_eq!(cost.total(), BASELINE_SWITCH_CYCLES);
-    }
-
-    #[test]
-    fn mean_participant_overhead() {
-        let mut machine = Machine::new(MachineConfig::setup_i());
-        let mut sw = ContextSwitcher::new();
-        let mut a = Fixed(400, 470);
-        for _ in 0..10 {
-            sw.switch(&mut machine, Some(&mut a), None);
-        }
-        assert_eq!(sw.switches, 10);
-        assert!((sw.mean_participant_cycles() - 400.0).abs() < 1e-9);
-        assert_eq!(ContextSwitcher::new().mean_participant_cycles(), 0.0);
-    }
-}

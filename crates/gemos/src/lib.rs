@@ -18,8 +18,8 @@
 //!   trait implemented by Prosper and every baseline, plus the
 //!   [`checkpoint::CheckpointManager`] that drives periodic-interval
 //!   experiments end to end;
-//! * [`context`] — context-switch cost modelling with tracker
-//!   save/restore participants;
+//! * [`context`] — the baseline OS context-switch cost (the tracker's
+//!   save/restore is `prosper_core::multithread`'s);
 //! * [`crash`] — crash injection and restore verification;
 //! * [`restore`] — full process checkpoint/restore: registers plus
 //!   memory, with torn-write-safe register slots.

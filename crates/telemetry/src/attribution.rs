@@ -24,24 +24,15 @@
 //! window shows up as a gap and fails the check, so the tax report is
 //! provably complete rather than vibes.
 //!
-//! # Clock domains
+//! # One virtual clock
 //!
-//! The accountant owns a single monotone time axis in one of two
-//! modes:
-//!
-//! * [`ClockMode::Virtual`] — a deterministic counter advanced only by
-//!   [`StallAccountant::advance`]. Simulator probe sites advance it by
-//!   simulated-cycle deltas (1 cycle = 1 virtual ns); the parallel
-//!   commit path advances it from a deterministic cost model computed
-//!   on the coordinator, so virtual timelines are byte-reproducible
-//!   and still sensitive to worker count.
-//! * [`ClockMode::Wall`] — host time through the one sanctioned
-//!   wall-clock site ([`crate::Stopwatch`]); `advance` is a no-op.
-//!   Requires an installed telemetry context to actually read the
-//!   clock (otherwise every timestamp is zero and the ledger is
-//!   trivially conserved).
-//!
-//! Probe sites never mix domains: one accountant, one axis.
+//! The accountant owns a single monotone time axis: a deterministic
+//! counter advanced only by [`StallAccountant::advance`]. Simulator
+//! probe sites advance it by simulated-cycle deltas (1 cycle = 1
+//! virtual ns); the parallel commit path advances it from a
+//! deterministic cost model computed on the coordinator, so timelines
+//! are byte-reproducible and still sensitive to worker count. Host
+//! time is measured elsewhere, through [`crate::Stopwatch`].
 //!
 //! Like the rest of the crate, the accountant must never take the
 //! simulation down: lock poisoning degrades to dropped records, never
@@ -154,15 +145,6 @@ impl StallWindow {
     }
 }
 
-/// Where the accountant's time axis comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Deterministic counter advanced by [`StallAccountant::advance`].
-    Virtual,
-    /// Host time via [`crate::Stopwatch`]; `advance` is a no-op.
-    Wall,
-}
-
 #[derive(Debug, Default)]
 struct Ledger {
     segments: Vec<StallSegment>,
@@ -174,9 +156,7 @@ struct Ledger {
 /// the same way it shares a `CommitProbe`.
 #[derive(Debug)]
 pub struct StallAccountant {
-    mode: ClockMode,
     virtual_ns: AtomicU64,
-    wall: crate::Stopwatch,
     ledger: Mutex<Ledger>,
 }
 
@@ -186,45 +166,22 @@ impl StallAccountant {
     #[must_use]
     pub fn new_virtual() -> Self {
         StallAccountant {
-            mode: ClockMode::Virtual,
             virtual_ns: AtomicU64::new(0),
-            wall: crate::Stopwatch::start(),
             ledger: Mutex::new(Ledger::default()),
         }
-    }
-
-    /// Wall-clock accountant; timestamps are host ns since creation.
-    #[must_use]
-    pub fn new_wall() -> Self {
-        StallAccountant {
-            mode: ClockMode::Wall,
-            virtual_ns: AtomicU64::new(0),
-            wall: crate::Stopwatch::start(),
-            ledger: Mutex::new(Ledger::default()),
-        }
-    }
-
-    #[must_use]
-    pub fn mode(&self) -> ClockMode {
-        self.mode
     }
 
     /// Current position on the accountant's time axis.
     #[must_use]
     pub fn now_ns(&self) -> u64 {
-        match self.mode {
-            ClockMode::Virtual => self.virtual_ns.load(Ordering::Relaxed),
-            ClockMode::Wall => self.wall.elapsed_ns(),
-        }
+        self.virtual_ns.load(Ordering::Relaxed)
     }
 
-    /// Advances the virtual clock by `ns` (no-op under wall clock).
-    /// Probe sites in simulator code call this with simulated-cycle
-    /// deltas; the parallel commit path calls it with modelled costs.
+    /// Advances the clock by `ns`. Probe sites in simulator code call
+    /// this with simulated-cycle deltas; the parallel commit path
+    /// calls it with modelled costs.
     pub fn advance(&self, ns: u64) {
-        if self.mode == ClockMode::Virtual {
-            self.virtual_ns.fetch_add(ns, Ordering::Relaxed);
-        }
+        self.virtual_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Records one cause-tagged segment. Inverted intervals are
@@ -262,23 +219,6 @@ impl StallAccountant {
         }
     }
 
-    /// RAII probe for a single-cause stall: captures `now_ns` at
-    /// creation and, on drop (or [`StallGuard::finish`]), records a
-    /// segment *and* a matching window — the common shape for
-    /// quiescence handshakes and recovery replay, where the whole
-    /// measured stall has one cause.
-    #[must_use]
-    pub fn stall(&self, tid: u32, cause: StallCause, sequence: u64) -> StallGuard<'_> {
-        StallGuard {
-            acct: self,
-            tid,
-            cause,
-            sequence,
-            start_ns: self.now_ns(),
-            armed: true,
-        }
-    }
-
     /// Freezes the ledger. Segments and windows are sorted by
     /// `(tid, start, end)` so equal histories snapshot identically
     /// regardless of probe arrival order.
@@ -291,39 +231,6 @@ impl StallAccountant {
         segments.sort_by_key(|s| (s.tid, s.start_ns, s.end_ns, s.cause));
         windows.sort_by_key(|w| (w.tid, w.start_ns, w.end_ns));
         AttributionSnapshot { segments, windows }
-    }
-}
-
-/// See [`StallAccountant::stall`].
-pub struct StallGuard<'a> {
-    acct: &'a StallAccountant,
-    tid: u32,
-    cause: StallCause,
-    sequence: u64,
-    start_ns: u64,
-    armed: bool,
-}
-
-impl StallGuard<'_> {
-    /// Ends the stall now, recording segment + window explicitly.
-    pub fn finish(mut self) {
-        self.record();
-    }
-
-    fn record(&mut self) {
-        if self.armed {
-            self.armed = false;
-            let end = self.acct.now_ns();
-            self.acct
-                .record_segment(self.tid, self.cause, self.sequence, self.start_ns, end);
-            self.acct.record_window(self.tid, self.start_ns, end);
-        }
-    }
-}
-
-impl Drop for StallGuard<'_> {
-    fn drop(&mut self) {
-        self.record();
     }
 }
 
@@ -689,11 +596,11 @@ mod tests {
     fn virtual_clock_advances_and_guards_record() {
         let acct = StallAccountant::new_virtual();
         assert_eq!(acct.now_ns(), 0);
-        {
-            let g = acct.stall(3, StallCause::Quiesce, 7);
-            acct.advance(120);
-            g.finish();
-        }
+        let start = acct.now_ns();
+        acct.advance(120);
+        let end = acct.now_ns();
+        acct.record_segment(3, StallCause::Quiesce, 7, start, end);
+        acct.record_window(3, start, end);
         let snap = acct.snapshot();
         assert_eq!(snap.segments.len(), 1);
         assert_eq!(snap.windows.len(), 1);
@@ -701,20 +608,7 @@ mod tests {
         assert_eq!((s.tid, s.cause, s.sequence), (3, StallCause::Quiesce, 7));
         assert_eq!((s.start_ns, s.end_ns), (0, 120));
         snap.verify_conservation()
-            .expect("guard is self-conserving");
-    }
-
-    #[test]
-    fn guard_drop_records_like_finish() {
-        let acct = StallAccountant::new_virtual();
-        {
-            let _g = acct.stall(0, StallCause::Recovery, 0);
-            acct.advance(5);
-        } // dropped, not finished
-        let snap = acct.snapshot();
-        assert_eq!(snap.segments.len(), 1);
-        assert_eq!(snap.segments[0].duration_ns(), 5);
-        snap.verify_conservation().unwrap();
+            .expect("one segment tiling its window conserves");
     }
 
     #[test]
@@ -813,18 +707,6 @@ mod tests {
         assert!(json.contains("\"Recovery\""), "unit-variant cause: {json}");
         let back: AttributionSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn wall_mode_without_context_is_inert_and_conserved() {
-        // No telemetry context installed: every timestamp is 0.
-        let acct = StallAccountant::new_wall();
-        let g = acct.stall(0, StallCause::Quiesce, 0);
-        acct.advance(1_000_000); // no-op under wall clock
-        g.finish();
-        let snap = acct.snapshot();
-        assert_eq!(snap.segments[0].duration_ns(), 0);
-        snap.verify_conservation().unwrap();
     }
 
     #[test]
