@@ -1,9 +1,8 @@
-//! Fixture: the stall-attribution / SLO / tax names, registered and
-//! kind-correct.
+//! Fixture: the tax / SLO names, registered and kind-correct.
 pub fn report(r: &Registry) {
-    r.counter("prosper.stall.seal_ns").add(250);
-    r.counter("prosper.stall.quiesce_ns").add(640);
-    r.counter("prosper.stall.recovery_ns").add(400);
+    r.counter("prosper.tax.stall_ns").add(1290);
+    r.gauge("prosper.slo.p50_ns").set(640);
+    r.gauge("prosper.slo.p999_ns").set(4096);
     r.gauge("prosper.slo.p99_ns").set(2048);
     r.gauge("prosper.slo.burn_rate_milli").set(120);
     r.counter("prosper.slo.violations").inc();

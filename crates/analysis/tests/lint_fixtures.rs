@@ -91,12 +91,11 @@ fn crash002_exhaustiveness() {
 
 #[test]
 fn tel003_name_hygiene() {
-    // Typo + kind mismatch + ill-formed name, plus the
-    // stall/slo/tax misuse corpus (typo, two kind mismatches, one
-    // unregistered name), the spine/write-amp misuse corpus (typo,
-    // kind mismatch, unregistered phase counter), and the fleet
-    // misuse corpus (typo, kind mismatch, unregistered gauge).
-    assert_rule("PA-TEL003", 13);
+    // Typo + kind mismatch + ill-formed name, plus the slo/tax
+    // misuse corpus (typo, two kind mismatches, one unregistered
+    // name) and the spine/write-amp misuse corpus (typo, kind
+    // mismatch, unregistered phase counter).
+    assert_rule("PA-TEL003", 10);
 }
 
 #[test]

@@ -22,7 +22,6 @@
 
 pub mod dirtybit;
 pub mod logging;
-pub mod logmech;
 pub mod mechanism;
 pub mod romulus;
 pub mod ssp;

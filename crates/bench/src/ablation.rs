@@ -4,9 +4,8 @@
 //!   store per SOI) vs the lookup table;
 //! * **Allocation policy** — Accumulate-and-Apply (the paper's choice)
 //!   vs Load-and-Update;
-//! * **Adaptive extensions** — the dynamic-granularity and dynamic
-//!   HWM/LWM policies (future work in the paper) vs the fixed
-//!   defaults.
+//! * **Adaptive granularity** — the dynamic-granularity policy
+//!   (future work in the paper) vs the fixed default.
 
 use prosper_core::lookup::AllocPolicy;
 use prosper_core::tracker::TrackerConfig;

@@ -2,9 +2,8 @@
 //!
 //! Runs the [`prosper_bench::perf`] suite — bitmap-inspection
 //! speedups, parallel-commit scaling (classic and pipelined),
-//! checkpoint-latency percentiles, end-to-end workload runtimes, the
-//! staged-delta spine study, and the staggered-fleet
-//! bandwidth-smoothing study — prints the tables, and
+//! checkpoint-latency percentiles, end-to-end workload runtimes and
+//! the staged-delta spine study — prints the tables, and
 //! writes the JSON report to the path given with `--out`, which is
 //! required: the committed records (`BENCH_pr3.json`,
 //! `BENCH_pr7.json`, `BENCH_pr8.json`, `BENCH_pr9.json`) are never
@@ -19,8 +18,7 @@
 //! inspection speedup < 5x, adaptive pipelined commit below 1.0x
 //! serial on a multi-core host, spine critical-path latency above
 //! eager, spine write amplification not at-or-below eager on every
-//! pattern, staggered fleet peak-to-mean not strictly below aligned,
-//! missing sections) or the emitted JSON does not parse back.
+//! pattern, missing sections) or the emitted JSON does not parse back.
 //!
 //! Gates that depend on host parallelism are auto-skipped on
 //! single-core hosts; when that happens a prominent warning is
@@ -90,11 +88,6 @@ fn main() -> ExitCode {
         "  hot-words NVM write amplification: spine {} vs eager {} milli \
          (gate: strictly lower)",
         s.spine_hot_words_write_amp_milli, s.eager_hot_words_write_amp_milli
-    );
-    println!(
-        "  fleet peak-to-mean NVM bandwidth: staggered {} vs aligned {} milli \
-         (gate: strictly lower)",
-        s.fleet_staggered_peak_to_mean_milli, s.fleet_aligned_peak_to_mean_milli
     );
 
     if !report.pipeline.gate_enforced {

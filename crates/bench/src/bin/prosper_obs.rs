@@ -2,12 +2,11 @@
 //!
 //! Runs the attributed workloads — one report section each: the micro
 //! checkpoint loop eager (`micro`) and in spine mode (`micro_spine`),
-//! the parallel commit at 1/2/4 workers (`commit_w1`/`w2`/`w4`), a
-//! crash and its recovery replay (`crash_recover`) and a choked
-//! checkpoint fleet (`fleet`) — verifies the conservation invariant on
-//! every ledger, and renders the results as a text HUD, a
-//! `prosper-checkpoint-tax/v1` JSON report, and Chrome-trace
-//! interference timelines.
+//! the parallel commit at 1/2/4 workers (`commit_w1`/`w2`/`w4`) and a
+//! crash and its recovery replay (`crash_recover`) — verifies the
+//! conservation invariant on every ledger, and renders the results as
+//! a text HUD, a `prosper-checkpoint-tax/v1` JSON report, and
+//! Chrome-trace interference timelines.
 //!
 //! ```sh
 //! cargo run --release -p prosper-bench --bin prosper_obs -- --quick
@@ -15,32 +14,22 @@
 //!     --quick --out tax.json --trace-dir traces/
 //! # regression gate against a committed report (deterministic):
 //! cargo run --release -p prosper-bench --bin prosper_obs -- \
-//!     --quick --diff tax.json --baseline BENCH_pr9.json
+//!     --quick --diff tax.json
 //! ```
 //!
-//! Without `--baseline`, `BENCH_pr8.json` is checked automatically
-//! when present; any of the v1–v5 perf-baseline schemas is accepted.
-//!
-//! Exits nonzero on a conservation violation, a diff against the
-//! given previous report, or a baseline phase-breakdown mismatch.
+//! Exits nonzero on a conservation violation or on any drift against
+//! the given previous report.
 
 use std::process::ExitCode;
 
-use prosper_bench::obs::{
-    check_against_perf_baseline, collect, diff_reports, render_text, timeline_json, TaxReport,
-};
+use prosper_bench::obs::{collect, diff_reports, render_text, timeline_json, TaxReport};
 use prosper_core::faultinject::{run_attributed, CrashMatrixConfig};
-
-/// Perf baseline checked automatically when no `--baseline` is given
-/// and the file exists (any of the v1–v5 schemas is accepted).
-const DEFAULT_BASELINE: &str = "BENCH_pr8.json";
 
 struct Args {
     quick: bool,
     out: Option<String>,
     trace_dir: Option<String>,
     diff: Option<String>,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -49,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         trace_dir: None,
         diff: None,
-        baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -62,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(value("--out")?),
             "--trace-dir" => args.trace_dir = Some(value("--trace-dir")?),
             "--diff" => args.diff = Some(value("--diff")?),
-            "--baseline" => args.baseline = Some(value("--baseline")?),
             other => return Err(format!("unknown argument {other}")),
         }
     }
@@ -106,21 +93,6 @@ fn run() -> Result<(), String> {
                 .map_err(|e| format!("write {path}: {e}"))?;
             println!("wrote timeline to {path}");
         }
-    }
-
-    // An explicit --baseline is mandatory to check; without one, the
-    // committed default baseline is checked when it is present (so a
-    // repo-root run gets the consistency gate for free).
-    let baseline = args.baseline.clone().or_else(|| {
-        std::path::Path::new(DEFAULT_BASELINE)
-            .exists()
-            .then(|| DEFAULT_BASELINE.to_string())
-    });
-    if let Some(path) = &baseline {
-        let json =
-            std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-        check_against_perf_baseline(&report, &json)?;
-        println!("baseline phase breakdown consistent with {path}");
     }
 
     if let Some(path) = &args.diff {

@@ -32,7 +32,6 @@ use std::sync::Arc;
 use prosper_core::faultinject::{
     enumerate_crash_sites, run_attributed, run_crash_attributed, AttributedRun, CrashMatrixConfig,
 };
-use prosper_core::fleet::{CheckpointFleet, FleetConfig};
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::config::MachineConfig;
@@ -77,9 +76,6 @@ pub struct TaxThreadRow {
     pub quiesce_ns: u64,
     /// Recovery replay after a crash.
     pub recovery_ns: u64,
-    /// Fleet-scale backpressure: the commit deferred because shared
-    /// staging occupancy crossed the high-water mark.
-    pub backpressure_ns: u64,
     /// Total measured stall (sum of this thread's windows) —
     /// conservation guarantees it equals the causes' sum.
     pub stall_ns: u64,
@@ -200,7 +196,6 @@ pub fn section_from_run(
             merge_ns: cause_ns(&t.by_cause, StallCause::Merge),
             quiesce_ns: cause_ns(&t.by_cause, StallCause::Quiesce),
             recovery_ns: cause_ns(&t.by_cause, StallCause::Recovery),
-            backpressure_ns: cause_ns(&t.by_cause, StallCause::Backpressure),
             stall_ns: t.window_ns,
             windows: t.windows,
             segments: t.segments,
@@ -247,32 +242,6 @@ fn micro_run(
         },
         NvmBytesRow::from_phases(machine.ckpt_nvm_bytes()),
     )
-}
-
-/// The fleet section: a backpressured, staggered fleet run
-/// ([`FleetConfig::choked`]) with every tenant's ledger folded into
-/// the tax table. The section's wall time spans the run through its
-/// last commit (deferral included), and the SLO report is the
-/// fleet's own — per-tenant commit latency measured from each
-/// scheduled tick, so queueing and backpressure burn the budget.
-fn fleet_section() -> Result<TaxSection, String> {
-    let cfg = FleetConfig::choked();
-    let result = CheckpointFleet::new(cfg).run();
-    let span = result
-        .attribution
-        .windows
-        .iter()
-        .map(|w| w.end_ns)
-        .max()
-        .unwrap_or(result.horizon_ns);
-    let run = AttributedRun {
-        snapshot: result.attribution,
-        total_cycles: span,
-    };
-    let mut section = section_from_run("fleet", u64::from(cfg.shards), &run)?;
-    section.slo = result.slo;
-    section.nvm_bytes = Some(NvmBytesRow::from_phases(result.nvm_phase_bytes));
-    Ok(section)
 }
 
 fn commit_cfg(quick: bool) -> CrashMatrixConfig {
@@ -327,7 +296,6 @@ pub fn collect(quick: bool) -> Result<TaxReport, String> {
     let last = (sites.len() as u64).saturating_sub(1);
     let (_, crash_run) = run_crash_attributed(&cfg, last)?;
     sections.push(section_from_run("crash_recover", 1, &crash_run)?);
-    sections.push(fleet_section()?);
     Ok(TaxReport {
         schema: TAX_SCHEMA.to_string(),
         quick,
@@ -436,7 +404,7 @@ pub fn render_text(report: &TaxReport) -> String {
             format!("{} — per-thread stall tax", s.name),
             &[
                 "tid", "useful", "quiesce", "inspect", "stage", "seal", "apply", "merge",
-                "recovery", "backpr", "stall", "tax",
+                "recovery", "stall", "tax",
             ],
         );
         for r in &s.threads {
@@ -450,7 +418,6 @@ pub fn render_text(report: &TaxReport) -> String {
                 r.apply_ns.to_string(),
                 r.merge_ns.to_string(),
                 r.recovery_ns.to_string(),
-                r.backpressure_ns.to_string(),
                 r.stall_ns.to_string(),
                 pct(r.stall_ns, s.total_ns),
             ]);
@@ -477,9 +444,23 @@ pub fn render_text(report: &TaxReport) -> String {
     out
 }
 
-/// Diffs two tax reports section-by-section. Attribution runs are
-/// deterministic, so a non-empty diff against a committed baseline is
-/// a real behaviour change in the commit/checkpoint/recovery paths.
+/// Pushes one drift line for `field` of section `name` when it differs.
+fn field_drift<T: PartialEq + std::fmt::Debug>(
+    out: &mut Vec<String>,
+    name: &str,
+    field: &str,
+    base: &T,
+    current: &T,
+) {
+    if base != current {
+        out.push(format!("section {name}: {field} {base:?} -> {current:?}"));
+    }
+}
+
+/// Diffs two tax reports section-by-section, one line per differing
+/// field of a [`TaxSection`] (thread rows per tid). Attribution runs
+/// are deterministic, so a non-empty diff against a committed baseline
+/// is a real behaviour change in the commit/checkpoint/recovery paths.
 #[must_use]
 pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
     let mut out = Vec::new();
@@ -504,18 +485,10 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
         match cur_by.get(name) {
             None => out.push(format!("section {name}: removed")),
             Some(c) => {
-                if b.total_ns != c.total_ns {
-                    out.push(format!(
-                        "section {name}: total_ns {} -> {}",
-                        b.total_ns, c.total_ns
-                    ));
-                }
-                if b.stall_ns != c.stall_ns {
-                    out.push(format!(
-                        "section {name}: stall_ns {} -> {}",
-                        b.stall_ns, c.stall_ns
-                    ));
-                }
+                field_drift(&mut out, name, "workers", &b.workers, &c.workers);
+                field_drift(&mut out, name, "total_ns", &b.total_ns, &c.total_ns);
+                field_drift(&mut out, name, "stall_ns", &b.stall_ns, &c.stall_ns);
+                field_drift(&mut out, name, "useful_ns", &b.useful_ns, &c.useful_ns);
                 if b.threads != c.threads {
                     for (bt, ct) in b.threads.iter().zip(&c.threads) {
                         if bt != ct {
@@ -533,6 +506,8 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
                         ));
                     }
                 }
+                field_drift(&mut out, name, "slo", &b.slo, &c.slo);
+                field_drift(&mut out, name, "nvm_bytes", &b.nvm_bytes, &c.nvm_bytes);
             }
         }
     }
@@ -542,75 +517,6 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
         }
     }
     out
-}
-
-/// Structural check against the recorded perf baseline
-/// (`prosper-perf-baseline/v1` through `/v5`, e.g.
-/// `BENCH_pr3.json`, `BENCH_pr8.json` or `BENCH_pr9.json`): every
-/// checkpoint phase the baseline reports mean cycles for must be
-/// attributed somewhere in the tax report's micro section (the
-/// baseline's `clear` phase folds into `inspect` attribution, and a
-/// v3 baseline's `merge` phase lands on the `micro_spine` section).
-///
-/// # Errors
-///
-/// Returns a message when the baseline is unreadable or a phase went
-/// missing from attribution.
-pub fn check_against_perf_baseline(report: &TaxReport, baseline_json: &str) -> Result<(), String> {
-    let v: serde_json::Value =
-        serde_json::from_str(baseline_json).map_err(|e| format!("baseline parse: {e:?}"))?;
-    let schema = v
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or("baseline has no schema tag")?;
-    if !matches!(
-        schema,
-        "prosper-perf-baseline/v1"
-            | "prosper-perf-baseline/v2"
-            | "prosper-perf-baseline/v3"
-            | "prosper-perf-baseline/v4"
-            | "prosper-perf-baseline/v5"
-    ) {
-        return Err(format!("unexpected baseline schema {schema}"));
-    }
-    let phases = v
-        .get("summary")
-        .and_then(|s| s.get("ckpt_phase_mean_cycles"))
-        .and_then(|p| p.as_object())
-        .ok_or("baseline lacks summary.ckpt_phase_mean_cycles")?;
-    let micro = report
-        .sections
-        .iter()
-        .find(|s| s.name == "micro")
-        .ok_or("tax report has no micro section")?;
-    let attributed = |f: fn(&TaxThreadRow) -> u64| micro.threads.iter().map(f).sum::<u64>();
-    for (phase, mean) in phases {
-        if mean.as_f64().unwrap_or(0.0) <= 0.0 {
-            continue;
-        }
-        let ns = match phase.as_str() {
-            // The attribution layer charges the clear writes and the
-            // metadata walk to the inspection window.
-            "inspect" | "clear" => attributed(|t| t.inspect_ns),
-            "stage" => attributed(|t| t.stage_ns),
-            "apply" => attributed(|t| t.apply_ns),
-            // Merge cycles only exist on the spine schedule, so they
-            // are attributed in the spine micro section.
-            "merge" => report
-                .sections
-                .iter()
-                .find(|s| s.name == "micro_spine")
-                .map(|s| s.threads.iter().map(|t| t.merge_ns).sum::<u64>())
-                .unwrap_or(0),
-            other => return Err(format!("baseline reports unknown phase {other}")),
-        };
-        if ns == 0 {
-            return Err(format!(
-                "baseline phase {phase} has mean cycles but the tax report attributes 0 ns to it"
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -640,7 +546,6 @@ mod tests {
                 "commit_w2",
                 "commit_w4",
                 "crash_recover",
-                "fleet"
             ]
         );
         for s in &rep.sections {
@@ -655,7 +560,6 @@ mod tests {
                         + t.merge_ns
                         + t.quiesce_ns
                         + t.recovery_ns
-                        + t.backpressure_ns
                 })
                 .sum();
             assert_eq!(attributed, s.stall_ns, "section {} conserves", s.name);
@@ -669,19 +573,13 @@ mod tests {
             crash.threads.iter().any(|t| t.recovery_ns > 0),
             "crash_recover section attributes recovery replay"
         );
-        let fleet = rep.sections.iter().find(|s| s.name == "fleet").unwrap();
-        assert!(
-            fleet.threads.iter().any(|t| t.backpressure_ns > 0),
-            "choked fleet section attributes backpressure deferrals"
-        );
-        assert!(
-            fleet.nvm_bytes.is_some(),
-            "fleet section records per-phase NVM bytes"
-        );
-        assert!(
-            !fleet.slo.per_thread.is_empty(),
-            "fleet section carries per-tenant SLO percentiles"
-        );
+        // Every checkpoint phase of the eager micro run is attributed
+        // (the bitmap clear folds into inspect).
+        let micro = &rep.sections[0];
+        let attributed = |f: fn(&TaxThreadRow) -> u64| micro.threads.iter().map(f).sum::<u64>();
+        assert!(attributed(|t| t.inspect_ns) > 0, "micro attributes inspect");
+        assert!(attributed(|t| t.stage_ns) > 0, "micro attributes stage");
+        assert!(attributed(|t| t.apply_ns) > 0, "micro attributes apply");
     }
 
     #[test]
@@ -746,15 +644,32 @@ mod tests {
         let d = diff_reports(&a, &b);
         assert!(!d.is_empty());
         assert!(d.iter().any(|l| l.contains("commit_w1")));
-    }
 
-    #[test]
-    fn perf_baseline_check_accepts_recorded_baseline() {
-        let rep = collect(true).expect("collect");
-        let json =
-            std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pr3.json"))
-                .expect("recorded baseline present");
-        check_against_perf_baseline(&rep, &json).expect("phase breakdown consistent");
+        // Write amplification drift alone is drift.
+        let mut c = a.clone();
+        assert_eq!(c.sections[0].name, "micro");
+        c.sections[0]
+            .nvm_bytes
+            .as_mut()
+            .expect("micro records NVM phases")
+            .apply += 1;
+        let d = diff_reports(&a, &c);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].starts_with("section micro: nvm_bytes "), "{d:?}");
+
+        // So is a tail-latency shift alone.
+        let mut e = a.clone();
+        assert_eq!(e.sections[3].name, "commit_w2");
+        e.sections[3]
+            .slo
+            .per_thread
+            .values_mut()
+            .next()
+            .expect("commit_w2 has an SLO series")
+            .p99_ns += 1;
+        let d = diff_reports(&a, &e);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].starts_with("section commit_w2: slo "), "{d:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Performance baseline suite for the hierarchical dirty bitmap and
 //! the parallel whole-process commit (PR 3).
 //!
-//! Six sections, each with wall-clock measurements taken via
+//! Five sections, each with wall-clock measurements taken via
 //! [`std::time::Instant`] (this is host time, not the simulator's
 //! cycle domain — the point is the cost of the *implementation*, not
 //! of the modeled machine):
@@ -39,11 +39,6 @@
 //!    *every* pattern (seal-time descriptor coalescing reclaimed the
 //!    sparse many-tiny-runs arm that used to lose), and strictly
 //!    lower steady-state amplification on repeated-hot-words.
-//! 6. **Fleet bandwidth smoothing** — [`CheckpointFleet`] with
-//!    staggered vs aligned shard schedules at equal total checkpoint
-//!    bytes, compared on the peak-to-mean NVM write-bandwidth ratio
-//!    from the machine model's per-phase byte tagging. The gate
-//!    requires the staggered ratio strictly below the aligned one.
 //!
 //! [`run_all`] produces a [`PerfReport`]; the `perf_baseline` binary
 //! renders it, writes the JSON artifact to its required `--out` path
@@ -56,7 +51,6 @@ use std::time::Instant;
 
 use prosper_core::bitmap::reference::SparseDirtyBitmap;
 use prosper_core::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
-use prosper_core::fleet::{CheckpointFleet, FleetConfig};
 use prosper_core::oscomp::ProsperMechanism;
 use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
@@ -84,8 +78,10 @@ use crate::scheduler::run_scheduled;
 /// `fleet` section (staggered vs aligned NVM bandwidth smoothing),
 /// and tightened the spine write-amplification arms from
 /// reported-only to gated; `v5` removed the `alloc` section and its
-/// two summary fields with the frame allocator itself.
-pub const SCHEMA: &str = "prosper-perf-baseline/v5";
+/// two summary fields with the frame allocator itself; `v6` removed
+/// the `fleet` section and its two summary fields with the fleet
+/// orchestrator.
+pub const SCHEMA: &str = "prosper-perf-baseline/v6";
 
 /// Minimum sparse-stack inspection speedup the baseline must record.
 pub const SPARSE_STACK_GATE: f64 = 5.0;
@@ -966,83 +962,6 @@ pub fn spine_section(cfg: &PerfConfig) -> SpineSection {
 }
 
 // ---------------------------------------------------------------------------
-// Section 6: fleet bandwidth smoothing
-// ---------------------------------------------------------------------------
-
-/// One scheduling arm of the fleet study.
-#[derive(Clone, Debug, Serialize)]
-pub struct FleetArm {
-    /// Whether shard intervals were staggered.
-    pub staggered: bool,
-    /// Commits completed across the run.
-    pub commits: u64,
-    /// Commits deferred by staging backpressure.
-    pub deferred_commits: u64,
-    /// Total checkpoint NVM bytes across all phases.
-    pub ckpt_nvm_bytes: u64,
-    /// Hottest bandwidth window's byte count.
-    pub peak_window_bytes: u64,
-    /// Peak-to-mean NVM write-bandwidth ratio (milli-units) — the
-    /// gated number.
-    pub peak_to_mean_milli: u64,
-}
-
-/// The fleet bandwidth-smoothing study: identical workload, staggered
-/// vs aligned shard schedules.
-#[derive(Clone, Debug, Serialize)]
-pub struct FleetSection {
-    /// Shards in the fleet.
-    pub shards: u32,
-    /// Tenant processes per shard.
-    pub tenants_per_shard: u32,
-    /// Checkpoint intervals executed.
-    pub intervals: u32,
-    /// Bandwidth-window width on the virtual clock (ns).
-    pub window_ns: u64,
-    /// The staggered-schedule arm.
-    pub staggered: FleetArm,
-    /// The aligned-schedule arm.
-    pub aligned: FleetArm,
-    /// `aligned.peak_to_mean_milli - staggered.peak_to_mean_milli` —
-    /// how much of the bandwidth spike the stagger removed.
-    pub smoothing_milli: u64,
-}
-
-fn fleet_arm(cfg: FleetConfig) -> FleetArm {
-    let result = CheckpointFleet::new(cfg).run();
-    FleetArm {
-        staggered: cfg.staggered,
-        commits: result.commits,
-        deferred_commits: result.deferred_commits,
-        ckpt_nvm_bytes: result.nvm_phase_bytes.total(),
-        peak_window_bytes: result.peak_window_bytes,
-        peak_to_mean_milli: result.peak_to_mean_milli,
-    }
-}
-
-/// Runs both fleet arms on the deterministic virtual clock. The two
-/// configs differ only in the `staggered` flag, so total checkpoint
-/// bytes match by construction and the peak-to-mean comparison is
-/// pure scheduling.
-#[must_use]
-pub fn fleet_section() -> FleetSection {
-    let cfg = FleetConfig::smoke();
-    let staggered = fleet_arm(cfg);
-    let aligned = fleet_arm(FleetConfig::smoke_aligned());
-    FleetSection {
-        shards: cfg.shards,
-        tenants_per_shard: cfg.tenants_per_shard,
-        intervals: cfg.intervals,
-        window_ns: cfg.window_ns,
-        smoothing_milli: aligned
-            .peak_to_mean_milli
-            .saturating_sub(staggered.peak_to_mean_milli),
-        staggered,
-        aligned,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Report assembly
 // ---------------------------------------------------------------------------
 
@@ -1074,11 +993,6 @@ pub struct Summary {
     pub ckpt_phase_mean_cycles: BTreeMap<String, f64>,
     /// Mean per-phase commit wall time at the max worker count (ns).
     pub commit_phase_mean_ns: BTreeMap<String, f64>,
-    /// Staggered fleet peak-to-mean NVM bandwidth ratio (milli).
-    pub fleet_staggered_peak_to_mean_milli: u64,
-    /// Aligned fleet peak-to-mean ratio — gated strictly above the
-    /// staggered number.
-    pub fleet_aligned_peak_to_mean_milli: u64,
 }
 
 /// The full perf-baseline report, serialized to `BENCH_pr3.json`.
@@ -1105,8 +1019,6 @@ pub struct PerfReport {
     pub scheduler: Vec<ScheduleRow>,
     /// Section 5: staged-delta spine vs eager apply.
     pub spine: SpineSection,
-    /// Section 6: fleet NVM bandwidth smoothing.
-    pub fleet: FleetSection,
     /// Headline numbers.
     pub summary: Summary,
 }
@@ -1138,7 +1050,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
     let workloads = workload_section(cfg);
     let scheduler = schedule_section(cfg);
     let spine = spine_section(cfg);
-    let fleet = fleet_section();
 
     if installed {
         let _ = telemetry::uninstall();
@@ -1170,8 +1081,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
                 ("apply".to_string(), r.apply_ns_mean),
             ])
         }),
-        fleet_staggered_peak_to_mean_milli: fleet.staggered.peak_to_mean_milli,
-        fleet_aligned_peak_to_mean_milli: fleet.aligned.peak_to_mean_milli,
     };
 
     PerfReport {
@@ -1185,7 +1094,6 @@ pub fn run_all(cfg: &PerfConfig) -> PerfReport {
         workloads,
         scheduler,
         spine,
-        fleet,
         summary,
     }
 }
@@ -1277,21 +1185,6 @@ pub fn validate(report: &PerfReport) -> Result<(), String> {
             "spine write amplification {} not strictly below eager {} on the \
              repeated-hot-words workload",
             hw.spine.write_amp_milli, hw.eager.write_amp_milli
-        ));
-    }
-
-    let f = &report.fleet;
-    if f.staggered.ckpt_nvm_bytes != f.aligned.ckpt_nvm_bytes {
-        return Err(format!(
-            "fleet arms checkpointed different NVM byte totals ({} vs {}) — \
-             the smoothing comparison is apples to oranges",
-            f.staggered.ckpt_nvm_bytes, f.aligned.ckpt_nvm_bytes
-        ));
-    }
-    if f.staggered.peak_to_mean_milli >= f.aligned.peak_to_mean_milli {
-        return Err(format!(
-            "staggered fleet peak-to-mean {} not strictly below aligned {}",
-            f.staggered.peak_to_mean_milli, f.aligned.peak_to_mean_milli
         ));
     }
     Ok(())
@@ -1497,39 +1390,6 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
     }
     tables.push(t);
 
-    let f = &report.fleet;
-    let mut t = Table::new(
-        format!(
-            "Fleet NVM bandwidth smoothing: {} shards x {} tenants x {} intervals, \
-             {} ns windows",
-            f.shards, f.tenants_per_shard, f.intervals, f.window_ns
-        ),
-        &[
-            "schedule",
-            "commits",
-            "deferred",
-            "nvm bytes",
-            "peak window B",
-            "peak/mean milli",
-        ],
-    );
-    for arm in [&f.staggered, &f.aligned] {
-        t.push_row(&[
-            if arm.staggered {
-                "staggered"
-            } else {
-                "aligned"
-            }
-            .to_string(),
-            arm.commits.to_string(),
-            arm.deferred_commits.to_string(),
-            arm.ckpt_nvm_bytes.to_string(),
-            arm.peak_window_bytes.to_string(),
-            arm.peak_to_mean_milli.to_string(),
-        ]);
-    }
-    tables.push(t);
-
     tables
 }
 
@@ -1568,15 +1428,6 @@ mod tests {
             report.summary.spine_hot_words_write_amp_milli
                 < report.summary.eager_hot_words_write_amp_milli
         );
-        // The fleet arms moved identical bytes and the stagger won.
-        assert_eq!(
-            report.fleet.staggered.ckpt_nvm_bytes,
-            report.fleet.aligned.ckpt_nvm_bytes
-        );
-        assert!(
-            report.summary.fleet_staggered_peak_to_mean_milli
-                < report.summary.fleet_aligned_peak_to_mean_milli
-        );
         assert!(report.host_parallelism >= 1);
         // The report serializes and re-parses.
         let json = serde_json::to_string_pretty(&report).unwrap();
@@ -1592,7 +1443,7 @@ mod tests {
     fn render_covers_every_section() {
         let report = run_all(&tiny());
         let tables = render(&report);
-        assert_eq!(tables.len(), 9);
+        assert_eq!(tables.len(), 8);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has rows", t.title);
         }

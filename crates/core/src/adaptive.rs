@@ -1,25 +1,15 @@
-//! Adaptive policies the paper leaves as future work, implemented as
-//! optional extensions:
+//! Dynamic tracking granularity, a policy the paper leaves as future
+//! work (end of the Figure 10 discussion: "Granularity setting should
+//! be dynamically adjusted (from the OS layer) to reduce the overhead
+//! for workloads like Stream"). After each checkpoint the OS inspects
+//! the measured dirty *density* of the interval and coarsens or refines
+//! the tracking granularity MSR for the next interval.
 //!
-//! * **Dynamic granularity** (end of the Figure 10 discussion:
-//!   "Granularity setting should be dynamically adjusted (from the OS
-//!   layer) to reduce the overhead for workloads like Stream") — after
-//!   each checkpoint the OS inspects the measured dirty *density* of
-//!   the interval and coarsens or refines the tracking granularity MSR
-//!   for the next interval.
-//! * **Dynamic HWM/LWM** (Figure 13 discussion: "a dynamic scheme
-//!   based on the access pattern is left as a future direction") — the
-//!   OS watches the tracker's bitmap-traffic counters and nudges the
-//!   watermarks in the direction that reduced traffic, a simple
-//!   one-dimensional hill climb per knob.
-//!
-//! Both policies only consume information the Prosper hardware already
-//! exposes (bitmap word counts, lookup-table counters), so they are
-//! faithful OS-layer extensions rather than new hardware.
+//! The policy only consumes information the Prosper hardware already
+//! exposes (copy runs and the bytes they cover), so it is a faithful
+//! OS-layer extension rather than new hardware.
 
 use serde::{Deserialize, Serialize};
-
-use crate::lookup::LookupStats;
 
 /// Granularities the OS may select (multiples of 8 bytes, as the
 /// tracker supports).
@@ -93,86 +83,6 @@ impl GranularityAdapter {
     }
 }
 
-/// OS policy that hill-climbs the HWM and LWM to minimise bitmap
-/// traffic, using the per-interval delta of the tracker's
-/// loads+stores counters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct WatermarkTuner {
-    /// Current high-water-mark.
-    pub hwm: u32,
-    /// Current low-water-mark.
-    pub lwm: u32,
-    /// Traffic observed in the previous interval.
-    last_traffic: Option<u64>,
-    /// Direction of the last HWM move (+1 / -1).
-    direction: i32,
-    /// Cumulative counter snapshot at the last observation.
-    last_snapshot: u64,
-    /// Alternate between tuning HWM (even intervals) and LWM (odd).
-    step: u64,
-}
-
-impl Default for WatermarkTuner {
-    fn default() -> Self {
-        Self {
-            hwm: 24,
-            lwm: 8,
-            last_traffic: None,
-            direction: 1,
-            last_snapshot: 0,
-            step: 0,
-        }
-    }
-}
-
-impl WatermarkTuner {
-    /// Creates a tuner starting from the given watermarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lwm > hwm`.
-    pub fn new(hwm: u32, lwm: u32) -> Self {
-        assert!(lwm <= hwm, "LWM must not exceed HWM");
-        Self {
-            hwm,
-            lwm,
-            ..Self::default()
-        }
-    }
-
-    /// HWM step size per adjustment.
-    const HWM_STEP: u32 = 4;
-    /// LWM step size per adjustment.
-    const LWM_STEP: u32 = 2;
-
-    /// Feeds the tracker's cumulative lookup stats after a checkpoint;
-    /// returns the `(hwm, lwm)` to program for the next interval.
-    pub fn observe(&mut self, stats: &LookupStats) -> (u32, u32) {
-        let cumulative = stats.bitmap_loads + stats.bitmap_stores;
-        let traffic = cumulative - self.last_snapshot;
-        self.last_snapshot = cumulative;
-
-        if let Some(last) = self.last_traffic {
-            // If traffic got worse, reverse direction.
-            if traffic > last {
-                self.direction = -self.direction;
-            }
-            if self.step.is_multiple_of(2) {
-                let delta = Self::HWM_STEP as i32 * self.direction;
-                let hwm = (self.hwm as i32 + delta).clamp(4, 32) as u32;
-                self.hwm = hwm.max(self.lwm);
-            } else {
-                let delta = Self::LWM_STEP as i32 * self.direction;
-                let lwm = (self.lwm as i32 + delta).clamp(1, 16) as u32;
-                self.lwm = lwm.min(self.hwm);
-            }
-        }
-        self.last_traffic = Some(traffic);
-        self.step += 1;
-        (self.hwm, self.lwm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,44 +135,5 @@ mod tests {
     #[should_panic(expected = "granularity must be one of")]
     fn off_ladder_start_rejected() {
         GranularityAdapter::starting_at(24);
-    }
-
-    #[test]
-    fn tuner_reverses_when_traffic_worsens() {
-        let mut t = WatermarkTuner::default();
-        let mut stats = LookupStats::default();
-        let hwm0 = t.hwm;
-        // Interval 1 (step 0): baseline, no tuning yet.
-        stats.bitmap_loads = 100;
-        t.observe(&stats);
-        // Interval 2 (step 1, LWM turn): worse traffic flips direction.
-        stats.bitmap_loads = 400;
-        t.observe(&stats);
-        // Interval 3 (step 2, HWM turn): still worsening, HWM moves
-        // against the original direction.
-        stats.bitmap_loads = 1000;
-        let (hwm1, _) = t.observe(&stats);
-        assert!(hwm1 != hwm0, "HWM was adjusted: {hwm1} vs {hwm0}");
-    }
-
-    #[test]
-    fn tuner_keeps_invariants() {
-        let mut t = WatermarkTuner::default();
-        let mut stats = LookupStats::default();
-        for i in 0..50u64 {
-            stats.bitmap_loads += (i * 37) % 97;
-            stats.bitmap_stores += (i * 13) % 53;
-            let (hwm, lwm) = t.observe(&stats);
-            assert!(lwm <= hwm, "LWM {lwm} <= HWM {hwm}");
-            assert!((4..=32).contains(&hwm));
-            assert!((1..=16).contains(&lwm));
-        }
-    }
-
-    #[test]
-    fn tuner_first_observation_keeps_defaults() {
-        let mut t = WatermarkTuner::default();
-        let stats = LookupStats::default();
-        assert_eq!(t.observe(&stats), (24, 8));
     }
 }

@@ -39,9 +39,6 @@
 //!   simulated power failure at each, and asserts the recovery
 //!   invariants.
 //! * [`energy`] — CACTI-P-derived energy/area accounting (Section V).
-//! * [`fleet`] — fleet-scale checkpoint orchestration: sharded tenants
-//!   with deterministically staggered intervals, global staging
-//!   backpressure, and NVM write-bandwidth smoothing measurement.
 //!
 //! # Example
 //!
@@ -64,7 +61,6 @@ pub mod adaptive;
 pub mod bitmap;
 pub mod energy;
 pub mod faultinject;
-pub mod fleet;
 pub mod lookup;
 pub mod msr;
 pub mod multithread;
@@ -73,7 +69,6 @@ pub mod persist;
 pub mod recovery;
 pub mod tracker;
 
-pub use fleet::{CheckpointFleet, FleetConfig, FleetResult};
 pub use oscomp::ProsperMechanism;
 pub use persist::SpineConfig;
 pub use tracker::{DirtyTracker, TrackerConfig};

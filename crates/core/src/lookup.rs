@@ -189,30 +189,6 @@ impl LookupTable {
         self.entries.iter().filter(|e| e.valid).count()
     }
 
-    /// The configured watermarks `(hwm, lwm)`.
-    pub fn watermarks(&self) -> (u32, u32) {
-        (self.hwm, self.lwm)
-    }
-
-    /// Reprograms the watermarks (the OS may retune them between
-    /// intervals — see [`crate::adaptive::WatermarkTuner`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table still holds entries (the OS must flush
-    /// first), if `hwm` is outside `1..=32`, or if `lwm > hwm`.
-    pub fn set_watermarks(&mut self, hwm: u32, lwm: u32) {
-        assert_eq!(
-            self.valid_entries(),
-            0,
-            "watermarks may only change on a flushed table"
-        );
-        assert!((1..=32).contains(&hwm), "HWM must be in 1..=32");
-        assert!(lwm <= hwm, "LWM must not exceed HWM");
-        self.hwm = hwm;
-        self.lwm = lwm;
-    }
-
     fn next_random(&mut self) -> u64 {
         // xorshift64*
         let mut x = self.rng_state;

@@ -46,7 +46,7 @@ use prosper_trace::record::MemAccess;
 
 use prosper_telemetry as telemetry;
 
-use crate::adaptive::{GranularityAdapter, WatermarkTuner};
+use crate::adaptive::GranularityAdapter;
 use crate::bitmap::{BitmapGeometry, CopyRun, PAGE_SPAN_BYTES};
 use crate::lookup::{partition_ops, BitmapOp, LookupStats};
 use crate::msr::{MSR_READ_CYCLES, MSR_WRITE_CYCLES};
@@ -172,8 +172,6 @@ pub struct ProsperMechanism {
     last_runs: Vec<CopyRun>,
     /// Optional dynamic-granularity policy (future-work extension).
     granularity_adapter: Option<GranularityAdapter>,
-    /// Optional dynamic HWM/LWM policy (future-work extension).
-    watermark_tuner: Option<WatermarkTuner>,
     /// Lookup-table counters already reported to telemetry, so each
     /// interval reports only its own delta.
     reported_lookup: LookupStats,
@@ -205,7 +203,6 @@ impl ProsperMechanism {
             last_interval: ProsperIntervalStats::default(),
             last_runs: Vec::new(),
             granularity_adapter: None,
-            watermark_tuner: None,
             reported_lookup: LookupStats::default(),
             op_loads: Vec::new(),
             op_stores: Vec::new(),
@@ -261,16 +258,6 @@ impl ProsperMechanism {
     pub fn with_adaptive_granularity(mut self) -> Self {
         self.granularity_adapter = Some(GranularityAdapter::starting_at(
             self.tracker.config().granularity,
-        ));
-        self
-    }
-
-    /// Enables the OS-layer dynamic HWM/LWM tuner (the extension the
-    /// paper leaves as future work after Figure 13).
-    pub fn with_adaptive_watermarks(mut self) -> Self {
-        self.watermark_tuner = Some(WatermarkTuner::new(
-            self.tracker.config().hwm,
-            self.tracker.config().lwm,
         ));
         self
     }
@@ -596,10 +583,9 @@ impl MemoryPersistence for ProsperMechanism {
         self.totals.merges += stats.merges;
         self.totals.merged_bytes += stats.merged_bytes;
 
-        // Adaptive extensions: the inspection above cleared every set
+        // Adaptive granularity: the inspection above cleared every set
         // bit (the watermark bounds all dirty state), so retuning the
-        // geometry or the table thresholds here is safe. Each MSR
-        // rewrite costs a WRMSR.
+        // geometry here is safe. The MSR rewrite costs a WRMSR.
         if let Some(adapter) = self.granularity_adapter.as_mut() {
             let next = adapter.observe(stats.runs, stats.bytes);
             if next != self.tracker.config().granularity {
@@ -607,18 +593,6 @@ impl MemoryPersistence for ProsperMechanism {
                 machine.advance(MSR_WRITE_CYCLES);
                 if tel {
                     telemetry::instant("prosper.retune.granularity", machine.now());
-                }
-            }
-        }
-        if let Some(tuner) = self.watermark_tuner.as_mut() {
-            let lookup = self.tracker.lookup_stats();
-            let (hwm, lwm) = tuner.observe(&lookup);
-            let cfg = self.tracker.config();
-            if (hwm, lwm) != (cfg.hwm, cfg.lwm) {
-                self.tracker.set_watermarks(hwm, lwm);
-                machine.advance(MSR_WRITE_CYCLES);
-                if tel {
-                    telemetry::instant("prosper.retune.watermarks", machine.now());
                 }
             }
         }
@@ -895,19 +869,6 @@ mod tests {
             "dense Stream coarsens: {}",
             mech.current_granularity()
         );
-    }
-
-    #[test]
-    fn adaptive_watermarks_stay_legal_under_load() {
-        let mut machine = Machine::new(MachineConfig::setup_i());
-        let mut mgr = CheckpointManager::new(&mut machine, 40_000);
-        let mut mech = ProsperMechanism::with_defaults().with_adaptive_watermarks();
-        let w = Workload::new(WorkloadProfile::mcf(), 11);
-        mgr.run_stack_only(w, &mut mech, 8);
-        let cfg = *mech.tracker().config();
-        assert!(cfg.lwm <= cfg.hwm);
-        assert!((1..=32).contains(&cfg.hwm));
-        assert!(cfg.lwm >= 1);
     }
 
     #[test]

@@ -156,19 +156,6 @@ impl DirtyTracker {
         self.msrs.write(MsrId::Granularity, granularity);
     }
 
-    /// Reprograms the HWM/LWM thresholds between intervals (the
-    /// dynamic-watermark extension).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`crate::lookup::LookupTable::set_watermarks`].
-    pub fn set_watermarks(&mut self, hwm: u32, lwm: u32) {
-        self.table.set_watermarks(hwm, lwm);
-        self.cfg.hwm = hwm;
-        self.cfg.lwm = lwm;
-    }
-
     /// The functional dirty bitmap (the OS component inspects it).
     pub fn bitmap_mut(&mut self) -> &mut DirtyBitmap {
         &mut self.bitmap

@@ -36,7 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
-pub mod bandwidth;
 pub mod cache;
 pub mod config;
 pub mod dram;
@@ -49,7 +48,6 @@ pub mod stats;
 pub mod tlb;
 
 pub use addr::{PhysAddr, VirtAddr};
-pub use bandwidth::BandwidthWindows;
 pub use config::MachineConfig;
 pub use machine::{CkptPhase, Machine, NvmPhaseBytes};
 

@@ -44,7 +44,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::metrics::Histogram;
 
 /// Why a thread was stalled. The taxonomy mirrors the checkpoint-tax
 /// split reported by `prosper-obs`: everything that is not one of
@@ -66,16 +66,11 @@ pub enum StallCause {
     Merge,
     /// Redo replay after a crash.
     Recovery,
-    /// Fleet-scale global backpressure: a shard's commit deferred
-    /// because staging-buffer occupancy crossed the high-water mark.
-    /// The tenant is ready to checkpoint but the orchestrator holds
-    /// it back to protect NVM bandwidth.
-    Backpressure,
 }
 
 impl StallCause {
     /// Every cause, in tax-report column order.
-    pub const ALL: [StallCause; 8] = [
+    pub const ALL: [StallCause; 7] = [
         StallCause::Inspect,
         StallCause::Stage,
         StallCause::Seal,
@@ -83,7 +78,6 @@ impl StallCause {
         StallCause::Quiesce,
         StallCause::Merge,
         StallCause::Recovery,
-        StallCause::Backpressure,
     ];
 
     /// Stable lowercase label (`"stage"`, `"quiesce"`, ...).
@@ -97,7 +91,6 @@ impl StallCause {
             StallCause::Quiesce => "quiesce",
             StallCause::Merge => "merge",
             StallCause::Recovery => "recovery",
-            StallCause::Backpressure => "backpressure",
         }
     }
 }
@@ -410,8 +403,7 @@ impl AttributionSnapshot {
 
 /// Tracks one latency objective per thread: p50/p95/p99/p999
 /// percentiles and error-budget burn rate, built on the crate's
-/// log-linear histograms so per-shard results stay mergeable via
-/// [`HistogramSnapshot::merge`].
+/// log-linear histograms.
 #[derive(Debug)]
 pub struct SloTracker {
     objective_ns: u64,
@@ -474,20 +466,6 @@ impl SloTracker {
         }
     }
 
-    /// Merges every per-thread histogram into one fleet-wide
-    /// distribution (the per-shard aggregation path).
-    #[must_use]
-    pub fn merged_histogram(&self) -> HistogramSnapshot {
-        match self.inner.lock() {
-            Ok(inner) => inner
-                .per_thread
-                .values()
-                .map(|(h, _)| h.snapshot())
-                .fold(HistogramSnapshot::default(), |acc, s| acc.merge(&s)),
-            Err(_) => HistogramSnapshot::default(),
-        }
-    }
-
     /// Freezes percentiles and burn rates per thread.
     #[must_use]
     pub fn report(&self) -> SloReport {
@@ -521,34 +499,6 @@ impl SloTracker {
             per_thread,
         }
     }
-}
-
-/// Publishes a snapshot's cause totals into the metrics registry under
-/// the registered `prosper.stall.*` names, so attribution shows up in
-/// the standard Prometheus/JSON exports next to the phase histograms.
-pub fn report_to_registry(snap: &AttributionSnapshot, registry: &crate::Registry) {
-    for cause in StallCause::ALL {
-        let name = match cause {
-            StallCause::Inspect => "prosper.stall.inspect_ns",
-            StallCause::Stage => "prosper.stall.stage_ns",
-            StallCause::Seal => "prosper.stall.seal_ns",
-            StallCause::Apply => "prosper.stall.apply_ns",
-            StallCause::Quiesce => "prosper.stall.quiesce_ns",
-            StallCause::Merge => "prosper.stall.merge_ns",
-            StallCause::Recovery => "prosper.stall.recovery_ns",
-            StallCause::Backpressure => "prosper.stall.backpressure_ns",
-        };
-        registry.counter(name).add(snap.cause_total_ns(cause));
-    }
-    registry
-        .counter("prosper.stall.total_ns")
-        .add(snap.windows.iter().map(StallWindow::duration_ns).sum());
-    registry
-        .counter("prosper.stall.segments")
-        .add(snap.segments.len() as u64);
-    registry
-        .counter("prosper.stall.windows")
-        .add(snap.windows.len() as u64);
 }
 
 /// Publishes an SLO report into the registry under the registered
@@ -727,24 +677,5 @@ mod tests {
         assert!((t1.violation_rate - 0.9).abs() < 1e-9);
         assert!((t1.burn_rate - 90.0).abs() < 1e-6);
         assert!(t1.p50_ns <= t1.p95_ns && t1.p95_ns <= t1.p99_ns && t1.p99_ns <= t1.p999_ns);
-        // Merged view spans both threads.
-        let merged = slo.merged_histogram();
-        assert_eq!(merged.count, 200);
-        assert_eq!(merged.max, 1000);
-    }
-
-    #[test]
-    fn registry_report_publishes_cause_totals() {
-        let acct = StallAccountant::new_virtual();
-        acct.record_segment(0, StallCause::Stage, 1, 0, 30);
-        acct.record_segment(0, StallCause::Seal, 1, 30, 40);
-        acct.record_window(0, 0, 40);
-        let r = crate::Registry::new();
-        report_to_registry(&acct.snapshot(), &r);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["prosper.stall.stage_ns"], 30);
-        assert_eq!(snap.counters["prosper.stall.seal_ns"], 10);
-        assert_eq!(snap.counters["prosper.stall.total_ns"], 40);
-        assert_eq!(snap.counters["prosper.stall.segments"], 2);
     }
 }

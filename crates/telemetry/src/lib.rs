@@ -19,9 +19,8 @@ pub mod summary;
 pub mod time;
 
 pub use attribution::{
-    report_to_registry, slo_to_registry, AttributionSnapshot, ConservationError, SloReport,
-    SloThreadStats, SloTracker, StallAccountant, StallCause, StallSegment, StallWindow,
-    ThreadStallTotals,
+    slo_to_registry, AttributionSnapshot, ConservationError, SloReport, SloThreadStats, SloTracker,
+    StallAccountant, StallCause, StallSegment, StallWindow, ThreadStallTotals,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use sink::{chrome_trace, parse_jsonl, EventSink, JsonlSink, NoopSink, RingBufferSink};

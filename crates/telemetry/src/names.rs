@@ -110,10 +110,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.crashmatrix.failures", InstrumentKind::Counter),
     ("prosper.crashmatrix.sites", InstrumentKind::Counter),
     ("prosper.crashmatrix.survived", InstrumentKind::Counter),
-    ("prosper.fleet.ckpt_nvm_bytes", InstrumentKind::Counter),
-    ("prosper.fleet.commits", InstrumentKind::Counter),
-    ("prosper.fleet.deferred_commits", InstrumentKind::Counter),
-    ("prosper.fleet.peak_to_mean_milli", InstrumentKind::Gauge),
     ("prosper.gemos.ckpt.bytes_copied", InstrumentKind::Counter),
     ("prosper.gemos.ckpt.cycles", InstrumentKind::Histogram),
     ("prosper.gemos.ckpt.intervals", InstrumentKind::Counter),
@@ -124,7 +120,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.mem.demand_store_cycles", InstrumentKind::Histogram),
     ("prosper.mem.injected_ops", InstrumentKind::Counter),
     ("prosper.retune.granularity", InstrumentKind::Span),
-    ("prosper.retune.watermarks", InstrumentKind::Span),
     ("prosper.slo.burn_rate_milli", InstrumentKind::Gauge),
     ("prosper.slo.p50_ns", InstrumentKind::Gauge),
     ("prosper.slo.p95_ns", InstrumentKind::Gauge),
@@ -134,17 +129,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.spine.batches", InstrumentKind::Gauge),
     ("prosper.spine.merged_bytes", InstrumentKind::Counter),
     ("prosper.spine.merges", InstrumentKind::Counter),
-    ("prosper.stall.apply_ns", InstrumentKind::Counter),
-    ("prosper.stall.backpressure_ns", InstrumentKind::Counter),
-    ("prosper.stall.inspect_ns", InstrumentKind::Counter),
-    ("prosper.stall.merge_ns", InstrumentKind::Counter),
-    ("prosper.stall.quiesce_ns", InstrumentKind::Counter),
-    ("prosper.stall.recovery_ns", InstrumentKind::Counter),
-    ("prosper.stall.seal_ns", InstrumentKind::Counter),
-    ("prosper.stall.segments", InstrumentKind::Counter),
-    ("prosper.stall.stage_ns", InstrumentKind::Counter),
-    ("prosper.stall.total_ns", InstrumentKind::Counter),
-    ("prosper.stall.windows", InstrumentKind::Counter),
     ("prosper.table.bitmap_loads", InstrumentKind::Counter),
     ("prosper.table.bitmap_stores", InstrumentKind::Counter),
     (
@@ -217,7 +201,7 @@ mod tests {
         );
         assert_eq!(lookup(SPAN_CKPT_QUIESCE), Some(InstrumentKind::Span));
         assert_eq!(
-            lookup("prosper.stall.quiesce_ns"),
+            lookup("prosper.tax.stall_ns"),
             Some(InstrumentKind::Counter)
         );
         assert_eq!(lookup("prosper.slo.p999_ns"), Some(InstrumentKind::Gauge));

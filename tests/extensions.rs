@@ -1,6 +1,6 @@
 //! Integration tests of the generalisations and extensions the paper
-//! describes: tracking arbitrary (heap) ranges, the adaptive OS
-//! policies, and full process restore.
+//! describes: tracking arbitrary (heap) ranges, the adaptive
+//! granularity policy, and full process restore.
 
 use prosper_repro::core::tracker::{DirtyTracker, TrackerConfig};
 use prosper_repro::core::ProsperMechanism;
@@ -77,20 +77,6 @@ fn adaptive_granularity_tracks_workload_character() {
     let sparse = run(MicroSpec::Sparse { pages: 24 });
     assert!(stream > sparse, "Stream {stream}B vs Sparse {sparse}B");
     assert_eq!(sparse, 8, "sparse stays at the finest granularity");
-}
-
-/// The adaptive-watermark mechanism keeps its invariants end to end.
-#[test]
-fn adaptive_watermarks_run_end_to_end() {
-    let mut machine = Machine::new(MachineConfig::setup_i());
-    let mut mgr = CheckpointManager::new(&mut machine, 60_000);
-    let mut mech = ProsperMechanism::with_defaults().with_adaptive_watermarks();
-    let w = Workload::new(WorkloadProfile::mcf(), 5);
-    let res = mgr.run_stack_only(w, &mut mech, 10);
-    assert_eq!(res.intervals, 10);
-    let cfg = mech.tracker().config();
-    assert!(cfg.lwm <= cfg.hwm);
-    assert!((1..=32).contains(&cfg.hwm));
 }
 
 /// Full process state: registers checkpoint/restore with torn-write
