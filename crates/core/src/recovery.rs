@@ -62,8 +62,9 @@
 //!
 //! # Adaptive worker selection
 //!
-//! Spawning scoped workers is not free: BENCH_pr3.json recorded 2
-//! workers at 0.85x serial and 8 at 0.59x on small commits, because
+//! Spawning scoped workers is not free: a 2 MiB, 8-thread commit once
+//! ran at 0.85x serial on 2 workers and 0.59x on 8 (single-core host;
+//! the record, `BENCH_pr3.json`, is in commit `67e0b8e`), because
 //! `commit` blindly fanned out to `available_parallelism`. The
 //! adaptive wrappers evaluate the [`commit_cost`] model (the same
 //! per-phase model stall attribution charges) at every candidate
@@ -248,7 +249,8 @@ pub mod commit_cost {
     /// Spawning one scoped worker. Only the adaptive worker selector
     /// charges this (a parallel phase pays `workers` spawns); it is
     /// what makes fan-out lose to serial below the break-even commit
-    /// size, as BENCH_pr3.json measured (w=2 at 0.85x serial).
+    /// size (a 2 MiB commit once ran at 0.85x serial on 2 workers;
+    /// `BENCH_pr3.json` in commit `67e0b8e`).
     pub const WORKER_SPAWN_NS: u64 = 5_000;
     /// Apply: per staged run.
     pub const APPLY_RUN_NS: u64 = 40;
@@ -689,9 +691,10 @@ impl PersistentProcess {
     /// `batches`: the argmin of the modelled cost over every count up
     /// to the machine-parallelism cap. Commits whose staged bytes sit
     /// below the parallelism break-even come out serial — the fix for
-    /// BENCH_pr3.json's w=2 → 0.85x regression, where `commit` fanned
-    /// out unconditionally. Exposed so the perf suite can report the
-    /// selected configuration alongside the measured scaling.
+    /// a 2-worker commit running at 0.85x serial (`BENCH_pr3.json` in
+    /// commit `67e0b8e`), where `commit` fanned out unconditionally.
+    /// Exposed so the perf suite can report the selected configuration
+    /// alongside the measured scaling.
     #[must_use]
     pub fn planned_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
         let tids: Vec<u32> = self.stacks.keys().copied().collect();
@@ -1887,11 +1890,11 @@ mod tests {
 
     /// Satellite regression (PR 7): the adaptive selector must never
     /// choose a multi-worker configuration whose modelled cost exceeds
-    /// serial — the regression BENCH_pr3.json recorded as w=2 running
-    /// at 0.85x serial and w=8 at 0.59x when `commit` fanned out
-    /// unconditionally — for a single commit or a burst, eager or
-    /// spine. A burst of one costs exactly what the single-commit
-    /// model charged.
+    /// serial — the regression recorded as w=2 running at 0.85x serial
+    /// and w=8 at 0.59x (`BENCH_pr3.json` in commit `67e0b8e`) when
+    /// `commit` fanned out unconditionally — for a single commit or a
+    /// burst, eager or spine. A burst of one costs exactly what the
+    /// single-commit model charged.
     #[test]
     fn selector_never_picks_a_modelled_regression() {
         for threads in [1usize, 2, 3, 8, 17] {

@@ -1,7 +1,7 @@
 //! Unified telemetry for the Prosper reproduction: a metrics registry
 //! (counters, gauges, log-linear histograms), structured span/event
 //! tracing with pluggable sinks, and exporters (Prometheus-style text,
-//! JSON summary, Chrome `trace_event` for Perfetto).
+//! Chrome `trace_event` for Perfetto).
 //!
 //! The hot-path contract: with no context installed — or with the
 //! `enabled` feature compiled out — every instrumentation call is a
@@ -23,9 +23,9 @@ pub use attribution::{
     StallAccountant, StallCause, StallSegment, StallWindow, ThreadStallTotals,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use sink::{chrome_trace, parse_jsonl, EventSink, JsonlSink, NoopSink, RingBufferSink};
+pub use sink::{chrome_trace, EventSink, NoopSink, RingBufferSink};
 pub use span::{
     enabled, install, instant, set_tid, span_begin, span_end, uninstall, with, Event, Telemetry,
 };
-pub use summary::{json_summary, prometheus_text};
+pub use summary::prometheus_text;
 pub use time::Stopwatch;

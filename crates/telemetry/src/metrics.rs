@@ -172,32 +172,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Union of two snapshots, the per-shard aggregation primitive:
-    /// bucket counts add pairwise by lower bound, `count` and `sum`
-    /// saturate, `min`/`max` take the tighter envelope. Because both
-    /// sides use the same log-linear bucket layout, merging shard
-    /// snapshots is exactly equivalent to having recorded every value
-    /// into one histogram — quantiles are stable under sharding.
-    #[must_use]
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
-        for &(lower, n) in &other.buckets {
-            let slot = buckets.entry(lower).or_insert(0);
-            *slot = slot.saturating_add(n);
-        }
-        HistogramSnapshot {
-            count: self.count.saturating_add(other.count),
-            sum: self.sum.saturating_add(other.sum),
-            min: match (self.count, other.count) {
-                (0, _) => other.min,
-                (_, 0) => self.min,
-                _ => self.min.min(other.min),
-            },
-            max: self.max.max(other.max),
-            buckets: buckets.into_iter().filter(|&(_, n)| n > 0).collect(),
-        }
-    }
-
     /// Lower bound of the bucket containing the q-quantile
     /// (`0.0 ..= 1.0`).
     #[must_use]
@@ -419,94 +393,6 @@ mod tests {
         assert_eq!(reversed.count, 0);
         assert_eq!(reversed.sum, 0);
         assert!(reversed.buckets.is_empty());
-    }
-
-    #[test]
-    fn merge_aligns_buckets_by_lower_bound() {
-        let a = Histogram::default();
-        a.record(10);
-        a.record(10);
-        let b = Histogram::default();
-        b.record(10);
-        b.record(1000);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 1030);
-        assert_eq!((merged.min, merged.max), (10, 1000));
-        let lower10 = bucket_lower_bound(bucket_index(10));
-        let lower1000 = bucket_lower_bound(bucket_index(1000));
-        // Shared bucket collapses to one entry with the summed count.
-        assert!(merged.buckets.contains(&(lower10, 3)));
-        assert!(merged.buckets.contains(&(lower1000, 1)));
-        assert_eq!(merged.buckets.len(), 2);
-        // Bucket list stays sorted by lower bound.
-        assert!(merged.buckets.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn merge_saturates_sum_and_count() {
-        let a = HistogramSnapshot {
-            count: u64::MAX - 1,
-            sum: u64::MAX - 5,
-            min: 1,
-            max: 9,
-            buckets: vec![(1, u64::MAX - 1)],
-        };
-        let b = HistogramSnapshot {
-            count: 10,
-            sum: 100,
-            min: 2,
-            max: 4,
-            buckets: vec![(1, 10)],
-        };
-        let merged = a.merge(&b);
-        assert_eq!(merged.sum, u64::MAX, "sum saturates");
-        assert_eq!(merged.count, u64::MAX, "count saturates");
-        assert_eq!(
-            merged.buckets,
-            vec![(1, u64::MAX)],
-            "bucket counts saturate"
-        );
-        assert_eq!((merged.min, merged.max), (1, 9));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let h = Histogram::default();
-        h.record(42);
-        let s = h.snapshot();
-        assert_eq!(s.merge(&HistogramSnapshot::default()), s);
-        assert_eq!(HistogramSnapshot::default().merge(&s), s);
-        // min must come from the non-empty side, not the empty
-        // snapshot's 0 placeholder.
-        assert_eq!(HistogramSnapshot::default().merge(&s).min, 42);
-    }
-
-    #[test]
-    fn merged_quantiles_match_single_stream() {
-        // Record one stream whole, and the same stream split across
-        // four shards; every quantile must agree exactly.
-        let whole = Histogram::default();
-        let shards: Vec<Histogram> = (0..4).map(|_| Histogram::default()).collect();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..4000u64 {
-            // Cheap deterministic value spread over several decades.
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = x % 100_000;
-            whole.record(v);
-            shards[(i % 4) as usize].record(v);
-        }
-        let merged = shards
-            .iter()
-            .map(Histogram::snapshot)
-            .fold(HistogramSnapshot::default(), |acc, s| acc.merge(&s));
-        let single = whole.snapshot();
-        assert_eq!(merged, single, "sharded merge equals single-stream");
-        for q in [0.0, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.quantile(q), single.quantile(q), "q = {q}");
-        }
     }
 
     #[test]

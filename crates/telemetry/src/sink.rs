@@ -3,7 +3,6 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::rc::Rc;
 
 use serde::Serialize;
@@ -91,53 +90,6 @@ impl EventSink for RingBufferSink {
     }
 }
 
-/// Streams one JSON object per line to a writer. Write errors are
-/// counted, not propagated.
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    pub write_errors: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            write_errors: 0,
-        }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn record(&mut self, ev: &Event) {
-        let line = serde_json::to_string(ev).expect("event serialization is infallible");
-        if writeln!(self.writer, "{line}").is_err() {
-            self.write_errors += 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.writer.flush().is_err() {
-            self.write_errors += 1;
-        }
-    }
-}
-
-/// Parses a JSONL stream back into events, ignoring blank lines.
-///
-/// # Errors
-///
-/// Fails on the first malformed line.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, serde_json::Error> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
-        .collect()
-}
-
 /// Renders events as a Chrome `trace_event` JSON document
 /// (`{"traceEvents": [...]}`), using duration begin/end pairs so
 /// nesting survives. Timestamps are simulated cycles reported in the
@@ -214,21 +166,6 @@ mod tests {
         let evs = handle.take();
         assert_eq!(evs[0].name(), "hwm");
         assert!(handle.is_empty());
-    }
-
-    #[test]
-    fn jsonl_roundtrip() {
-        let mut sink = JsonlSink::new(Vec::new());
-        let original = sample_events();
-        for ev in &original {
-            sink.record(ev);
-        }
-        sink.flush();
-        assert_eq!(sink.write_errors, 0);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        let back = parse_jsonl(&text).unwrap();
-        assert_eq!(back, original);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Human- and machine-readable renderings of a metrics snapshot:
-//! Prometheus-style exposition text and a JSON document.
+//! Prometheus-style exposition text of a metrics snapshot.
 
 use std::collections::BTreeMap;
 
@@ -83,12 +82,6 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
         out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
     }
     out
-}
-
-/// JSON rendering of the snapshot (2-space indented).
-#[must_use]
-pub fn json_summary(snap: &MetricsSnapshot) -> String {
-    serde_json::to_string_pretty(snap).expect("snapshot serialization is infallible")
 }
 
 #[cfg(test)]
@@ -181,13 +174,5 @@ mod tests {
                 panic!("registered names {prev} and {name} collide after sanitize");
             }
         }
-    }
-
-    #[test]
-    fn json_summary_roundtrip() {
-        let snap = sample();
-        let json = json_summary(&snap);
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }
