@@ -8,7 +8,11 @@
 //!   inspect+clear, serial seal, record retire;
 //! * threads `1..=workers` — **stage/apply workers** over contiguous
 //!   chunks of stacks (a static partition standing in for
-//!   `for_each_stack`'s work-stealing assignment);
+//!   `for_each_stack`'s work-stealing assignment). These W workers
+//!   stand for the engine's coordinator share plus its W − 1 spawned
+//!   threads: the coordinator takes no protocol step until the pass
+//!   joins, so running its share on a thread of its own admits every
+//!   schedule the engine can produce;
 //! * thread `workers + 1` — the **tracker/mutator**: dirties stack
 //!   words and bitmap bits between commits and answers the
 //!   quiescence handshake.

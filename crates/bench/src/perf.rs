@@ -35,7 +35,7 @@ use std::time::Instant;
 use prosper_core::bitmap::reference::SparseDirtyBitmap;
 use prosper_core::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
 use prosper_core::oscomp::ProsperMechanism;
-use prosper_core::recovery::{CommitHooks, PersistentProcess};
+use prosper_core::recovery::{host_parallelism, CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::config::MachineConfig;
@@ -236,8 +236,9 @@ pub struct PipelineRow {
 /// worker counts, plus the adaptive selector's own configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineSection {
-    /// `available_parallelism()` on the recording host; the speedup
-    /// gate is enforced only above 1.
+    /// [`prosper_core::recovery::host_parallelism`] on the recording
+    /// host, the value that caps the selector; the speedup gate is
+    /// enforced only above 1.
     pub host_parallelism: usize,
     /// Sequences committed per pipelined burst.
     pub batches: usize,
@@ -355,8 +356,7 @@ pub fn pipeline_section() -> PipelineSection {
     };
 
     PipelineSection {
-        host_parallelism: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
+        host_parallelism: host_parallelism(),
         batches: BATCHES,
         adaptive_workers,
         adaptive_mean_ns,

@@ -50,7 +50,9 @@
 //! staging buffer and persistent stack), so the engine fans them out
 //! over `std::thread::scope` workers; the **seal stays the single
 //! serialization point** — one durable write on the coordinating
-//! thread — so crash atomicity is unchanged. Worker assignment is
+//! thread — so crash atomicity is unchanged. A pass at `w` workers is
+//! the coordinator plus `w − 1` spawned threads: the coordinator
+//! spawns them first, then claims stacks itself. Worker assignment is
 //! work-stealing: each worker claims the next unclaimed stack from a
 //! shared cursor, so uneven per-thread run lists no longer leave
 //! workers idle behind a pre-assigned contiguous chunk. With an
@@ -68,10 +70,12 @@
 //! `commit` blindly fanned out to `available_parallelism`. The
 //! adaptive wrappers evaluate the [`commit_cost`] model (the same
 //! per-phase model stall attribution charges) at every candidate
-//! worker count, including a per-worker spawn overhead, and pick the
-//! argmin — falling back to serial whenever the staged bytes sit
-//! below the parallelism break-even. A single commit is priced as a
-//! burst of one.
+//! worker count, including the measured cost of the `w − 1` spawns
+//! each parallel pass makes, and pick the argmin — falling back to
+//! serial whenever the staged bytes sit below the parallelism
+//! break-even. A single commit is priced as a burst of one. The cap
+//! is [`host_parallelism`], read once per process: the query reads
+//! cgroup files, which costs more than a small commit's copies.
 //!
 //! # The pipelined burst
 //!
@@ -247,11 +251,20 @@ pub mod commit_cost {
     /// work (PR 7 regression: the stage stopwatch used to absorb it).
     pub const BOOKKEEP_SLOT_NS: u64 = 20;
     /// Spawning one scoped worker. Only the adaptive worker selector
-    /// charges this (a parallel phase pays `workers` spawns); it is
-    /// what makes fan-out lose to serial below the break-even commit
-    /// size (a 2 MiB commit once ran at 0.85x serial on 2 workers;
+    /// charges this (a pass at `workers` pays `workers − 1` spawns, as
+    /// the coordinator runs one share itself); it is what makes
+    /// fan-out lose to serial below the break-even commit size (a
+    /// 2 MiB commit once ran at 0.85x serial on 2 workers;
     /// `BENCH_pr3.json` in commit `67e0b8e`).
-    pub const WORKER_SPAWN_NS: u64 = 5_000;
+    ///
+    /// Measured, not modelled: 5 trials of 200 `std::thread::scope`s
+    /// each, spawning 1, 2 and 4 no-op workers, release build. The
+    /// medians were 28.0 / 53.7 / 110.5 µs per scope, and the
+    /// least-squares slope 27.6 µs per spawn (two repeat sweeps: 27.3
+    /// and 27.4 µs, intercepts within ±3.4 µs of zero). Host: 2 vCPUs,
+    /// "Intel(R) Xeon(R) Processor" (a shared virtual machine), Linux
+    /// 6.18, `rustc 1.95.0`. The constant is the median slope.
+    pub const WORKER_SPAWN_NS: u64 = 27_400;
     /// Apply: per staged run.
     pub const APPLY_RUN_NS: u64 = 40;
     /// Apply: per staged byte.
@@ -371,6 +384,18 @@ fn cross(faults: &mut Option<&mut FaultInjector>, site: CrashSite) -> Result<(),
         return Err(CrashInjected { site });
     }
     Ok(())
+}
+
+/// The host's available parallelism (1 if it cannot be read), queried
+/// once per process. `std::thread::available_parallelism` reads
+/// cgroup files on every call, which costs more than a small commit's
+/// copies, so every commit, every redo and the perf suite's pipeline
+/// gate share this one reading. Recovery's redo calls it, so it stays
+/// panic-free (`PA-PANIC004`).
+pub fn host_parallelism() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// One claimable unit of the work-stealing stack fan-out: a worker
@@ -547,13 +572,11 @@ impl PersistentProcess {
     }
 
     /// Worker-count *cap* for the parallel commit phases: one per
-    /// thread, up to the machine's parallelism. The adaptive selector
+    /// thread, up to [`host_parallelism`] (read once per process, so
+    /// no commit or redo queries the host). The adaptive selector
     /// picks the actual count within this cap.
     fn default_workers(threads: usize) -> usize {
-        std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(threads)
-            .max(1)
+        host_parallelism().min(threads).max(1)
     }
 
     /// Modelled wall cost of committing `batches` at `workers`, from
@@ -561,9 +584,8 @@ impl PersistentProcess {
     /// attribution makes — the stage pass (for a burst's head only in
     /// eager mode, where every later batch stages inside the previous
     /// apply pass), the seal, and the phase-two pass with the register
-    /// tail — plus, for `workers > 1`, the spawn overhead of each
-    /// parallel pass, which small commits cannot amortize. A single
-    /// commit is a burst of one.
+    /// tail — plus the spawn overhead of each pass, which small
+    /// commits cannot amortize. A single commit is a burst of one.
     fn modeled_commit_ns(
         tids: &[u32],
         workers: usize,
@@ -583,14 +605,11 @@ impl PersistentProcess {
         total
     }
 
-    /// Spawn overhead of one parallel pass: serial execution spawns
-    /// nothing.
+    /// Spawn overhead of one pass: the coordinator runs one share, so
+    /// a pass at `workers` spawns `workers − 1` threads and a serial
+    /// pass spawns none.
     fn spawn_cost(workers: usize) -> u64 {
-        if workers > 1 {
-            workers as u64 * commit_cost::WORKER_SPAWN_NS
-        } else {
-            0
-        }
+        (workers as u64).saturating_sub(1) * commit_cost::WORKER_SPAWN_NS
     }
 
     /// Modelled cost of the stage pass over `batch`.
@@ -1099,10 +1118,11 @@ impl PersistentProcess {
     /// Runs `f` over every stack. With an injector attached the pass
     /// runs inline in tid order and stops at the first crash, so the
     /// crossed boundaries form one deterministic sequence. Otherwise it
-    /// fans out across at most `workers` scoped threads with
-    /// work-stealing assignment: each worker claims the next unclaimed
-    /// stack from a shared cursor as it frees up, so a worker stuck on
-    /// a heavy stack never strands the light ones behind it.
+    /// fans out across at most `workers` claimants — `workers − 1`
+    /// scoped threads, spawned first, and then the calling thread —
+    /// with work-stealing assignment: each claimant takes the next
+    /// unclaimed stack from a shared cursor as it frees up, so one
+    /// stuck on a heavy stack never strands the light ones behind it.
     fn for_each_stack<F>(
         stacks: &mut BTreeMap<u32, PersistentStack>,
         workers: usize,
@@ -1129,18 +1149,20 @@ impl PersistentProcess {
             .map(|(&tid, stack)| std::sync::Mutex::new(Some((tid, stack))))
             .collect();
         let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // lint:allow(PA-ATOMIC007): work-queue ticket counter — only uniqueness matters; each task is published through its Mutex, not this index
-                    let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
-                        // Without an injector no crash window can fire.
-                        let _ = f(tid, stack, &mut None);
-                    }
-                });
+        let claim = || loop {
+            // lint:allow(PA-ATOMIC007): work-queue ticket counter — only uniqueness matters; each task is published through its Mutex, not this index
+            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else { break };
+            if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
+                // Without an injector no crash window can fire.
+                let _ = f(tid, stack, &mut None);
             }
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(claim);
+            }
+            claim();
         });
         Ok(())
     }
@@ -1678,6 +1700,52 @@ mod tests {
         );
     }
 
+    /// A pass at `w` workers is the coordinator plus `w − 1` spawned
+    /// threads. The first `w` stacks wait on a `w`-party barrier, so
+    /// each lands on a different claimant: the caller must be one of
+    /// them, and no more than `w − 1` other threads may claim at all.
+    /// The barrier also requires the spawns to come first — a
+    /// coordinator that claimed before spawning would wait on it alone.
+    #[test]
+    fn coordinator_runs_one_share() {
+        let mut p = PersistentProcess::new(&ranges(8));
+        let caller = std::thread::current().id();
+        for w in [2usize, 4] {
+            let barrier = std::sync::Barrier::new(w);
+            let claims = std::sync::Mutex::new(Vec::new());
+            PersistentProcess::for_each_stack(&mut p.stacks, w, &mut None, |tid, _, _| {
+                claims
+                    .lock()
+                    .unwrap()
+                    .push((tid, std::thread::current().id()));
+                if (tid as usize) < w {
+                    barrier.wait();
+                }
+                Ok(())
+            })
+            .unwrap();
+            let claims = claims.into_inner().unwrap();
+            assert_eq!(claims.len(), 8, "w={w}: every stack claimed once");
+            assert!(
+                claims
+                    .iter()
+                    .any(|&(tid, id)| (tid as usize) < w && id == caller),
+                "w={w}: the coordinator claimed none of the first {w} stacks"
+            );
+            let others: std::collections::HashSet<_> = claims
+                .iter()
+                .map(|&(_, id)| id)
+                .filter(|&id| id != caller)
+                .collect();
+            assert!(
+                others.len() < w,
+                "w={w}: {} spawned claimants, expected at most {}",
+                others.len(),
+                w - 1
+            );
+        }
+    }
+
     /// Double crash: a crash during recovery's redo (modelled as a
     /// second crash+recover without a completed first recovery) still
     /// converges to the committed checkpoint.
@@ -1936,6 +2004,31 @@ mod tests {
             });
             assert_eq!(w, 1, "threads={threads}: tiny commit must stay serial");
         }
+        // A lopsided pair: a Gapbs_pr stack checkpoint (44 runs, about
+        // 1.2 KB) beside a Ycsb_mem-sized one (9,700 runs, about 78 KB).
+        // Two workers save only the light stack's share of each pass,
+        // less than the measured spawn. At the old 5 µs per spawn, the
+        // `w − 1` count alone would fan the burst of three out.
+        let lopsided: BTreeMap<u32, Vec<CopyRun>> = uniform_runs(&[0], 44, 27)
+            .into_iter()
+            .chain(uniform_runs(&[1], 9_700, 8))
+            .collect();
+        for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
+            let batches = vec![lopsided.clone(); burst];
+            let w = PersistentProcess::argmin_workers(2, |w| {
+                PersistentProcess::modeled_commit_ns(&[0, 1], w, &batches, spine)
+            });
+            assert_eq!(
+                w, 1,
+                "burst={burst} spine={spine}: lopsided commit must stay serial"
+            );
+        }
+        let one_stack = PersistentProcess::new(&ranges(1));
+        assert_eq!(
+            one_stack.planned_workers(&[uniform_runs(&[0], 9_700, 8)]),
+            1,
+            "a one-stack process has nothing to fan out"
+        );
     }
 
     /// Satellite regression (PR 7): the stage phase covers only
