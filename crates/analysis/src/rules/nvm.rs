@@ -7,7 +7,10 @@
 //! record, apply idempotently. A raw `stage_run`/`apply_run` call
 //! from anywhere else can write NVM outside a sealed record and break
 //! crash consistency in a way no test will see until the wrong crash
-//! point is hit.
+//! point is hit. Outside `prosper-core` the compiler already refuses
+//! these calls (the stack's mutators are `pub(crate)`); the rule
+//! keeps the crate's other modules off them, and flags the retired
+//! per-stack calls should one come back.
 
 use super::{LintConfig, Rule};
 use crate::diag::Diagnostic;
@@ -16,12 +19,14 @@ use crate::source::SourceFile;
 /// Method-call tokens that mutate staging or NVM state directly.
 const STAGING_TOKENS: &[&str] = &[
     ".begin_stage(",
+    ".begin_stage_at(",
     ".stage_run(",
     ".stage_partial(",
     ".seal(",
     ".apply_run(",
     ".finish_apply(",
     ".discard_staging(",
+    ".seal_to_spine(",
     ".sealed = ",
 ];
 

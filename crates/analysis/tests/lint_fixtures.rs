@@ -60,8 +60,9 @@ fn assert_rule(rule: &str, min_fail_findings: usize) {
 
 #[test]
 fn nvm001_durable_write_discipline() {
-    // The rogue file calls stage_run and pokes `sealed` directly.
-    assert_rule("PA-NVM001", 2);
+    // The rogue file calls begin_stage, begin_stage_at, stage_run and
+    // seal_to_spine, and pokes `sealed` directly.
+    assert_rule("PA-NVM001", 5);
 }
 
 #[test]

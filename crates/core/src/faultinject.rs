@@ -31,7 +31,9 @@
 //! * the recovered memory image and registers are byte-identical to
 //!   the ground-truth snapshot of that checkpoint;
 //! * the restarted tracker is quiescent with an empty lookup table —
-//!   bitmap and lookup table hold no stale state.
+//!   bitmap and lookup table hold no stale state;
+//! * no stack still holds staging — no runs and no sequence tag — so a
+//!   buffer no sealed record covers never outlives recovery.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -525,7 +527,17 @@ impl Driver {
         }
 
         let expected = self.expected_sequence;
-        match self.process.recover_attributed(self.acct.as_deref()) {
+        let recovered = self.process.recover_attributed(self.acct.as_deref());
+        for tid in 0..self.cfg.threads {
+            let stack = self.process.stack(tid);
+            if stack.staged_runs() != 0 || stack.staging_sequence() != 0 {
+                return Err(format!(
+                    "thread {tid} still holds staging for sequence {} after recovery",
+                    stack.staging_sequence()
+                ));
+            }
+        }
+        match recovered {
             Ok(rec) => {
                 if expected == 0 {
                     return Err(format!(

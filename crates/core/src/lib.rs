@@ -28,7 +28,8 @@
 //!   the two-step quiescence handshake, active-region-bounded bitmap
 //!   inspection, and the two-step NVM copy at each checkpoint.
 //! * [`persist`] — the data plane: a per-thread persistent stack in
-//!   NVM updated crash-consistently via a staging buffer.
+//!   NVM with its staging buffer and delta spine, mutated only by
+//!   [`recovery`]'s commit engine.
 //! * [`multithread`] — per-hardware-thread tracker state with context-
 //!   switch save/restore (Section III-C).
 //! * [`recovery`] — whole-process two-phase commit (stage / seal /

@@ -5,11 +5,14 @@
 //! At each checkpoint the OS first copies the dirty stack bytes into a
 //! **staging buffer** in NVM together with a record of where they
 //! belong; only once the staging buffer is complete is it **applied**
-//! to the per-thread persistent stack. A commit sequence number is
-//! written last. A crash before the apply completes recovers by
-//! re-applying the (complete) staging buffer; a crash before the
-//! staging buffer is sealed discards it — either way the persistent
-//! stack reflects a whole checkpoint, never a torn one.
+//! to the per-thread persistent stack. The commit point between the
+//! two steps is not the stack's own: it is the seal of the
+//! whole-process commit record in [`crate::recovery`], whose engine,
+//! [`crate::recovery::PersistentProcess::commit_with`], makes every
+//! staging, apply and fold call here. A crash after that seal redoes
+//! the apply from the complete staging buffer; a crash before it
+//! discards the buffer — either way the persistent stack reflects a
+//! whole checkpoint, never a torn one.
 //!
 //! # Staged-delta spine (PR 8)
 //!
@@ -43,24 +46,11 @@
 //!   one non-empty run. An idle seal still advances the committed
 //!   sequence.
 
-use prosper_gemos::crash::Persistent;
 use prosper_gemos::image::MemoryImage;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::CopyRun;
-
-/// Commit phases a crash can interrupt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-enum CommitPhase {
-    /// No commit in flight.
-    Idle,
-    /// Runs are being copied into the staging buffer (not yet sealed).
-    Staging,
-    /// The staging buffer is sealed; the apply to the persistent stack
-    /// may be partially done.
-    Sealed,
-}
 
 /// A staged run: target address plus the bytes to apply.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,7 +109,7 @@ impl SpineConfig {
 
 /// One immutable sealed delta batch on the spine: the staged runs of
 /// exactly one committed sequence. Never mutated after
-/// [`PersistentStack::seal_to_spine`] creates it; merges fold batches
+/// `PersistentStack::seal_to_spine` creates it; merges fold batches
 /// into the persistent image and retire them wholesale.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaBatch {
@@ -314,25 +304,13 @@ impl SpineShape {
 ///
 /// `volatile` mirrors the thread's live stack (in DRAM); `persistent`
 /// is the NVM copy that recovery reads. All state that survives a
-/// crash lives in `persistent`, `staging`, `sealed`, and
-/// `committed_sequence` — [`PersistentStack::crash`] erases everything
-/// else.
+/// crash lives in `persistent`, `staging`, `staging_sequence`,
+/// `committed_sequence` and `spine` — `crash` erases everything else.
 ///
-/// # Examples
-///
-/// ```
-/// use prosper_core::bitmap::CopyRun;
-/// use prosper_core::persist::PersistentStack;
-/// use prosper_memsim::addr::{VirtAddr, VirtRange};
-///
-/// let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7001_0000));
-/// let mut ps = PersistentStack::new(0, range);
-/// ps.record_store(VirtAddr::new(0x7000_0100), b"saved");
-/// ps.checkpoint(&[CopyRun { start: VirtAddr::new(0x7000_0100), len: 8 }]);
-/// ps.crash();
-/// ps.recover_after_crash();
-/// assert_eq!(ps.volatile().read(VirtAddr::new(0x7000_0100), 5), b"saved");
-/// ```
+/// Only the commit engine of [`crate::recovery::PersistentProcess`]
+/// stages, applies, folds and recovers a stack, so a stack becomes
+/// durable only under a sealed process commit record; outside this
+/// crate the store is read-only.
 #[derive(Debug)]
 pub struct PersistentStack {
     tid: u32,
@@ -344,17 +322,13 @@ pub struct PersistentStack {
     /// NVM staging buffer (step one of the two-step commit).
     staging: Vec<StagedRun>,
     /// Sequence the open staging buffer belongs to (0 when no buffer
-    /// is open). Written with `begin_stage`, so after a crash recovery
-    /// can tell a buffer staged for sequence N from one staged ahead
-    /// for N+1 while N's apply was still draining (the pipelined
+    /// is open). Written with `begin_stage_at`, so after a crash
+    /// recovery can tell a buffer staged for sequence N from one staged
+    /// ahead for N+1 while N's apply was still draining (the pipelined
     /// commit overlap window).
     staging_sequence: u64,
-    /// Staging seal marker (durably written after all runs are staged).
-    sealed: bool,
-    phase: CommitPhase,
     /// Sequence number of the last fully-applied commit.
     committed_sequence: u64,
-    next_sequence: u64,
     /// NVM-resident spine of immutable sealed delta batches, oldest
     /// first (ascending sequence). Empty in eager-apply mode.
     spine: Vec<DeltaBatch>,
@@ -362,7 +336,7 @@ pub struct PersistentStack {
 
 impl PersistentStack {
     /// Creates an empty store for thread `tid` covering `range`.
-    pub fn new(tid: u32, range: VirtRange) -> Self {
+    pub(crate) fn new(tid: u32, range: VirtRange) -> Self {
         Self {
             tid,
             range,
@@ -370,10 +344,7 @@ impl PersistentStack {
             persistent: MemoryImage::new(),
             staging: Vec::new(),
             staging_sequence: 0,
-            sealed: false,
-            phase: CommitPhase::Idle,
             committed_sequence: 0,
-            next_sequence: 1,
             spine: Vec::new(),
         }
     }
@@ -393,7 +364,7 @@ impl PersistentStack {
     /// # Panics
     ///
     /// Panics if the write leaves the stack range.
-    pub fn record_store(&mut self, addr: VirtAddr, bytes: &[u8]) {
+    pub(crate) fn record_store(&mut self, addr: VirtAddr, bytes: &[u8]) {
         assert!(
             self.range.overlaps_access(addr, bytes.len() as u64),
             "store at {addr} outside stack range {}",
@@ -417,22 +388,12 @@ impl PersistentStack {
         self.committed_sequence
     }
 
-    /// Opens a fresh staging buffer (discarding any previous one).
-    /// First step of the commit; a crash here leaves an empty,
-    /// unsealed buffer that recovery discards. The buffer is tagged
-    /// with this stack's own next sequence; whole-process commits use
-    /// [`Self::begin_stage_at`] to tag it with the process sequence.
-    pub fn begin_stage(&mut self) {
-        self.begin_stage_at(self.next_sequence);
-    }
-
-    /// [`Self::begin_stage`] with an explicit sequence tag. The
-    /// pipelined whole-process commit stages sequence N+1's runs while
-    /// N's apply drains; the tag is what lets recovery replay a sealed
-    /// record N without touching buffers staged ahead for N+1.
-    pub fn begin_stage_at(&mut self, sequence: u64) {
-        self.phase = CommitPhase::Staging;
-        self.sealed = false;
+    /// Opens a fresh staging buffer for `sequence`, discarding any
+    /// previous one: the first step of the commit. The pipelined
+    /// whole-process commit stages sequence N+1's runs while N's apply
+    /// drains; the tag is what lets recovery replay a sealed record N
+    /// without touching buffers staged ahead for N+1.
+    pub(crate) fn begin_stage_at(&mut self, sequence: u64) {
         self.staging.clear();
         self.staging_sequence = sequence;
     }
@@ -445,9 +406,9 @@ impl PersistentStack {
     /// Stages one dirty run from the volatile image into the NVM
     /// staging buffer. Drivable run-by-run so fault injection can fire
     /// a crash between any two runs.
-    pub fn stage_run(&mut self, run: &CopyRun) {
+    pub(crate) fn stage_run(&mut self, run: &CopyRun) {
         debug_assert!(
-            self.phase == CommitPhase::Staging,
+            self.staging_sequence != 0,
             "stage_run outside an open staging buffer"
         );
         let data = self.volatile.read(run.start, run.len as usize);
@@ -455,15 +416,6 @@ impl PersistentStack {
             start: run.start,
             data,
         });
-    }
-
-    /// Durably writes the seal marker: the staging buffer is complete
-    /// and recovery may replay it. For whole-process commits the
-    /// per-stack seal is superseded by the process commit record (see
-    /// `prosper_core::recovery`).
-    pub fn seal(&mut self) {
-        self.sealed = true;
-        self.phase = CommitPhase::Sealed;
     }
 
     /// Number of runs currently staged.
@@ -478,117 +430,49 @@ impl PersistentStack {
         self.staging.iter().map(|r| r.data.len() as u64).sum()
     }
 
-    /// Bytes of the staged run at `idx` (0 when out of bounds; the
-    /// cost model must never panic the commit path).
-    pub fn staged_run_len(&self, idx: usize) -> u64 {
-        self.staging.get(idx).map_or(0, |r| r.data.len() as u64)
-    }
-
-    /// Whether a sealed staging buffer exists.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// **Step one** of the commit: stage the dirty runs (as produced by
-    /// bitmap inspection) from the volatile image into the NVM staging
-    /// buffer, then seal it.
-    pub fn stage(&mut self, runs: &[CopyRun]) {
-        self.stage_partial(runs);
-        self.seal();
-    }
-
     /// Applies the staged run at `idx` to the persistent stack.
     /// Idempotent (staged runs carry absolute data), so recovery can
     /// replay applies interrupted at any point. Drivable run-by-run
-    /// for fault injection.
-    ///
-    /// The caller vouches for the commit point: either this stack's
-    /// seal marker ([`Self::apply`]) or a whole-process commit record.
+    /// for fault injection. The caller vouches for the commit point:
+    /// a sealed whole-process commit record.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds of the staging buffer.
-    pub fn apply_run(&mut self, idx: usize) {
+    pub(crate) fn apply_run(&mut self, idx: usize) {
         let run = &self.staging[idx];
         self.persistent.write(run.start, &run.data);
     }
 
     /// Finishes an apply: durably records `sequence` as the committed
     /// checkpoint and retires the staging buffer.
-    pub fn finish_apply(&mut self, sequence: u64) {
+    pub(crate) fn finish_apply(&mut self, sequence: u64) {
         self.committed_sequence = sequence;
-        self.next_sequence = self.next_sequence.max(sequence + 1);
+        self.discard_staging();
+    }
+
+    /// Retires the staging buffer: what recovery does with a buffer no
+    /// sealed process record covers, and how an apply or a batch seal
+    /// ends.
+    pub(crate) fn discard_staging(&mut self) {
         self.staging.clear();
         self.staging_sequence = 0;
-        self.sealed = false;
-        self.phase = CommitPhase::Idle;
-    }
-
-    /// Discards an unsealed staging buffer (what recovery does when
-    /// the crash hit before the seal).
-    pub fn discard_staging(&mut self) {
-        self.staging.clear();
-        self.staging_sequence = 0;
-        self.sealed = false;
-        self.phase = CommitPhase::Idle;
-    }
-
-    /// **Step two**: apply the sealed staging buffer to the persistent
-    /// stack and bump the commit sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no sealed staging buffer exists.
-    pub fn apply(&mut self) {
-        assert!(
-            self.sealed && self.phase == CommitPhase::Sealed,
-            "apply without a sealed staging buffer"
-        );
-        for idx in 0..self.staging.len() {
-            self.apply_run(idx);
-        }
-        self.finish_apply(self.next_sequence);
-    }
-
-    /// Convenience: stage + apply in one call (the normal checkpoint
-    /// path).
-    pub fn checkpoint(&mut self, runs: &[CopyRun]) {
-        self.stage(runs);
-        self.apply();
-    }
-
-    /// Begins staging but stops **before the seal marker is written**
-    /// — the state a crash leaves when it interrupts step one of the
-    /// commit. Recovery must discard this buffer. Exposed for
-    /// crash-injection tests and fault-injection harnesses.
-    pub fn stage_partial(&mut self, runs: &[CopyRun]) {
-        self.begin_stage();
-        for run in runs {
-            self.stage_run(run);
-        }
-        // Crash window: the seal marker is never written.
     }
 
     /// Simulates a power failure: volatile state is lost; persistent
     /// state (including any staged-but-unapplied buffer) survives.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.volatile = MemoryImage::new();
     }
 
-    /// Crash recovery: if a sealed staging buffer exists, the crash hit
-    /// between seal and apply-complete — re-apply it idempotently. An
-    /// unsealed buffer is discarded. The volatile image is then rebuilt
-    /// from the persistent stack.
-    pub fn recover_after_crash(&mut self) {
-        if self.sealed {
-            // Idempotent re-apply: staged runs carry absolute data.
-            for idx in 0..self.staging.len() {
-                self.apply_run(idx);
-            }
-            self.finish_apply(self.next_sequence);
-        } else {
-            self.discard_staging();
-        }
+    /// The stack's share of crash recovery, after the process record's
+    /// redo (if any) ran: a staging buffer still open belongs to a
+    /// commit that never sealed, so it is discarded; the spine is
+    /// folded into the persistent image; and the volatile image is
+    /// rebuilt from it.
+    pub(crate) fn recover_after_crash(&mut self) {
+        self.discard_staging();
+        self.merge_spine();
         self.volatile = self.persistent.clone();
     }
 
@@ -596,14 +480,12 @@ impl PersistentStack {
     // Staged-delta spine (PR 8)
     // ------------------------------------------------------------------
 
-    /// **Spine-mode step two**: retire the sealed staging buffer as an
+    /// **Spine-mode step two**: retire the staging buffer as an
     /// immutable delta batch appended to the spine, and durably record
     /// `sequence` as committed. No data is copied — the staging buffer
     /// *becomes* the batch — so the apply copy disappears from the
-    /// commit critical path. The caller vouches for the commit point
-    /// (this stack's seal or a whole-process commit record — the
-    /// latter never writes the per-stack seal marker, so only an open
-    /// staging buffer is required here).
+    /// commit critical path. The caller vouches for the commit point:
+    /// a sealed whole-process commit record.
     ///
     /// The staged runs are coalesced before the batch is sealed:
     /// overlapping runs collapse to their newest-wins bytes and
@@ -611,21 +493,17 @@ impl PersistentStack {
     /// descriptor list for its coverage. A buffer that staged no bytes
     /// appends no batch (the rule `SpineShape::push` applies for the
     /// cycle model); the committed sequence advances either way.
-    pub fn seal_to_spine(&mut self, sequence: u64) {
+    pub(crate) fn seal_to_spine(&mut self, sequence: u64) {
         debug_assert!(
-            self.phase != CommitPhase::Idle,
+            self.staging_sequence != 0,
             "seal_to_spine without an open staging buffer"
         );
         let runs = coalesce_runs(&self.staging);
-        self.staging.clear();
         if !runs.is_empty() {
             self.spine.push(DeltaBatch { sequence, runs });
         }
         self.committed_sequence = sequence;
-        self.next_sequence = self.next_sequence.max(sequence + 1);
-        self.staging_sequence = 0;
-        self.sealed = false;
-        self.phase = CommitPhase::Idle;
+        self.discard_staging();
     }
 
     /// The spine, oldest batch first.
@@ -664,7 +542,7 @@ impl PersistentStack {
     /// and retires it. Off the commit critical path; also the recovery
     /// fold. Idempotent and crash-safe: batches are immutable and a
     /// partial fold writes a value-identical subset of the full fold.
-    pub fn merge_spine(&mut self) -> MergeStats {
+    pub(crate) fn merge_spine(&mut self) -> MergeStats {
         match self.merge_spine_with(|_| Ok::<(), std::convert::Infallible>(())) {
             Ok(stats) => stats,
             Err(never) => match never {},
@@ -734,43 +612,6 @@ impl PersistentStack {
         }
         out
     }
-
-    /// Spine-mode crash recovery: a sealed staging buffer (crash after
-    /// the seal, before the batch append) is retired to the spine —
-    /// redo, the seal was the commit point — and an unsealed one is
-    /// discarded. The spine is then folded into the persistent image
-    /// and the volatile image rebuilt from it.
-    pub fn recover_spine_after_crash(&mut self) {
-        if self.sealed {
-            self.seal_to_spine(self.next_sequence);
-        } else {
-            self.discard_staging();
-        }
-        self.merge_spine();
-        self.volatile = self.persistent.clone();
-    }
-}
-
-impl Persistent for PersistentStack {
-    fn commit(&mut self) {
-        // Without tracking information, commit conservatively copies
-        // the whole active image (tests exercise the tracked path via
-        // `checkpoint`).
-        let run = CopyRun {
-            start: self.range.start(),
-            len: self.range.len(),
-        };
-        self.checkpoint(&[run]);
-    }
-
-    fn recover(&mut self) {
-        self.crash();
-        self.recover_after_crash();
-    }
-
-    fn recovered_image(&self) -> &MemoryImage {
-        &self.persistent
-    }
 }
 
 #[cfg(test)]
@@ -791,11 +632,29 @@ mod tests {
         }
     }
 
+    /// Stages `runs` into a fresh buffer for `sequence`, as the commit
+    /// engine does.
+    fn stage(s: &mut PersistentStack, sequence: u64, runs: &[CopyRun]) {
+        s.begin_stage_at(sequence);
+        for r in runs {
+            s.stage_run(r);
+        }
+    }
+
+    /// One eager phase two of `sequence` after staging `runs`.
+    fn commit(s: &mut PersistentStack, sequence: u64, runs: &[CopyRun]) {
+        stage(s, sequence, runs);
+        for idx in 0..s.staged_runs() {
+            s.apply_run(idx);
+        }
+        s.finish_apply(sequence);
+    }
+
     #[test]
     fn checkpoint_then_crash_recovers_committed_data() {
         let mut s = store();
         s.record_store(VirtAddr::new(0x7000_0100), b"committed");
-        s.checkpoint(&[run(0x7000_0100, 16)]);
+        commit(&mut s, 1, &[run(0x7000_0100, 16)]);
         // Post-checkpoint write is lost at the crash.
         s.record_store(VirtAddr::new(0x7000_0100), b"uncommitt");
         s.crash();
@@ -811,10 +670,10 @@ mod tests {
     fn crash_during_staging_discards_partial_buffer() {
         let mut s = store();
         s.record_store(VirtAddr::new(0x7000_0200), b"old");
-        s.checkpoint(&[run(0x7000_0200, 8)]);
+        commit(&mut s, 1, &[run(0x7000_0200, 8)]);
         s.record_store(VirtAddr::new(0x7000_0200), b"new");
-        // Begin staging but crash before the seal marker is written.
-        s.stage_partial(&[run(0x7000_0200, 8)]);
+        // Stage sequence 2 but crash before any record seals it.
+        stage(&mut s, 2, &[run(0x7000_0200, 8)]);
         s.crash();
         s.recover_after_crash();
         assert_eq!(
@@ -826,78 +685,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_between_seal_and_apply_replays_staging() {
-        let mut s = store();
-        s.record_store(VirtAddr::new(0x7000_0300), b"fresh");
-        s.stage(&[run(0x7000_0300, 8)]);
-        // Crash after seal, before apply.
-        s.crash();
-        s.recover_after_crash();
-        assert_eq!(
-            s.volatile().read(VirtAddr::new(0x7000_0300), 5),
-            b"fresh",
-            "sealed staging replayed on recovery"
-        );
-        assert_eq!(s.committed_sequence(), 1);
-    }
-
-    #[test]
-    fn run_by_run_staging_matches_batched_stage() {
-        let mut s = store();
-        s.record_store(VirtAddr::new(0x7000_0100), b"alpha");
-        s.record_store(VirtAddr::new(0x7000_0200), b"beta");
-        s.begin_stage();
-        s.stage_run(&run(0x7000_0100, 8));
-        assert_eq!(s.staged_runs(), 1);
-        s.stage_run(&run(0x7000_0200, 8));
-        assert!(!s.is_sealed());
-        s.seal();
-        assert!(s.is_sealed());
-        s.apply();
-        assert_eq!(s.committed_sequence(), 1);
-        assert_eq!(s.persistent().read(VirtAddr::new(0x7000_0100), 5), b"alpha");
-        assert_eq!(s.persistent().read(VirtAddr::new(0x7000_0200), 4), b"beta");
-    }
-
-    #[test]
-    fn crash_mid_apply_replays_all_runs_idempotently() {
-        let mut s = store();
-        s.record_store(VirtAddr::new(0x7000_0100), b"one");
-        s.record_store(VirtAddr::new(0x7000_0200), b"two");
-        s.stage(&[run(0x7000_0100, 8), run(0x7000_0200, 8)]);
-        // Apply the first run, then crash: the sealed buffer replays
-        // in full on recovery, landing exactly one commit.
-        s.apply_run(0);
-        s.crash();
-        s.recover_after_crash();
-        assert_eq!(s.volatile().read(VirtAddr::new(0x7000_0100), 3), b"one");
-        assert_eq!(s.volatile().read(VirtAddr::new(0x7000_0200), 3), b"two");
-        assert_eq!(s.committed_sequence(), 1);
-        assert_eq!(s.staged_runs(), 0);
-    }
-
-    #[test]
-    fn finish_apply_with_external_sequence_keeps_counter_monotonic() {
-        let mut s = store();
-        s.record_store(VirtAddr::new(0x7000_0100), b"proc");
-        s.begin_stage();
-        s.stage_run(&run(0x7000_0100, 8));
-        s.apply_run(0);
-        // A whole-process commit record supplies the sequence.
-        s.finish_apply(7);
-        assert_eq!(s.committed_sequence(), 7);
-        // The next standalone checkpoint continues past it.
-        s.record_store(VirtAddr::new(0x7000_0100), b"solo");
-        s.checkpoint(&[run(0x7000_0100, 8)]);
-        assert_eq!(s.committed_sequence(), 8);
-    }
-
-    #[test]
     fn only_staged_runs_persist() {
         let mut s = store();
         s.record_store(VirtAddr::new(0x7000_0400), b"in-run");
         s.record_store(VirtAddr::new(0x7000_0500), b"not-in-run");
-        s.checkpoint(&[run(0x7000_0400, 8)]);
+        commit(&mut s, 1, &[run(0x7000_0400, 8)]);
         s.crash();
         s.recover_after_crash();
         assert_eq!(s.volatile().read(VirtAddr::new(0x7000_0400), 6), b"in-run");
@@ -906,16 +698,6 @@ mod tests {
             vec![0u8; 10],
             "unstaged bytes were never persisted"
         );
-    }
-
-    #[test]
-    fn sequence_advances_per_commit() {
-        let mut s = store();
-        for i in 0..5 {
-            s.record_store(VirtAddr::new(0x7000_0000), &[i as u8; 8]);
-            s.checkpoint(&[run(0x7000_0000, 8)]);
-        }
-        assert_eq!(s.committed_sequence(), 5);
     }
 
     #[test]
@@ -947,7 +729,7 @@ mod tests {
     fn spine_commit_defers_apply_and_reads_effective() {
         let mut s = store();
         s.record_store(VirtAddr::new(0x7000_0100), b"alpha");
-        s.stage(&[run(0x7000_0100, 8)]);
+        stage(&mut s, 1, &[run(0x7000_0100, 8)]);
         s.seal_to_spine(1);
         assert_eq!(s.committed_sequence(), 1);
         assert_eq!(s.spine_batches(), 1);
@@ -962,7 +744,7 @@ mod tests {
         let mut s = store();
         for (seq, val) in [(1u64, b"aaaaaaaa"), (2, b"bbbbbbbb")] {
             s.record_store(VirtAddr::new(0x7000_0100), val);
-            s.stage(&[run(0x7000_0100, 8)]);
+            stage(&mut s, seq, &[run(0x7000_0100, 8)]);
             s.seal_to_spine(seq);
         }
         assert_eq!(s.read_effective(VirtAddr::new(0x7000_0100), 8), b"bbbbbbbb");
@@ -983,11 +765,15 @@ mod tests {
         // Three abutting runs plus an overlapping restage: one
         // descriptor should survive, carrying the newest bytes.
         s.record_store(VirtAddr::new(0x7000_0100), b"abcdefghijkl");
-        s.stage(&[
-            run(0x7000_0100, 4),
-            run(0x7000_0104, 4),
-            run(0x7000_0108, 4),
-        ]);
+        stage(
+            &mut s,
+            1,
+            &[
+                run(0x7000_0100, 4),
+                run(0x7000_0104, 4),
+                run(0x7000_0108, 4),
+            ],
+        );
         s.seal_to_spine(1);
         assert_eq!(s.spine()[0].runs(), 1, "abutting runs coalesce");
         assert_eq!(s.spine()[0].bytes(), 12);
@@ -999,7 +785,7 @@ mod tests {
         // Overlapping restage inside one buffer: newest bytes win and
         // the batch still holds a single maximal run.
         s.record_store(VirtAddr::new(0x7000_0200), b"old-old-");
-        s.begin_stage();
+        s.begin_stage_at(2);
         s.stage_run(&run(0x7000_0200, 8));
         s.record_store(VirtAddr::new(0x7000_0204), b"NEW!");
         s.stage_run(&run(0x7000_0204, 4));
@@ -1012,7 +798,7 @@ mod tests {
         // Disjoint runs stay separate descriptors.
         s.record_store(VirtAddr::new(0x7000_0300), b"aaaa");
         s.record_store(VirtAddr::new(0x7000_0400), b"bbbb");
-        s.stage(&[run(0x7000_0300, 4), run(0x7000_0400, 4)]);
+        stage(&mut s, 3, &[run(0x7000_0300, 4), run(0x7000_0400, 4)]);
         s.seal_to_spine(3);
         assert_eq!(s.spine()[2].runs(), 2, "a gap keeps runs apart");
 
@@ -1031,10 +817,10 @@ mod tests {
             // Batch 1: two runs; batch 2 overlaps the first run's tail.
             s.record_store(VirtAddr::new(0x7000_0100), b"oldoldold");
             s.record_store(VirtAddr::new(0x7000_0200), b"keepme");
-            s.stage(&[run(0x7000_0100, 9), run(0x7000_0200, 6)]);
+            stage(&mut s, 1, &[run(0x7000_0100, 9), run(0x7000_0200, 6)]);
             s.seal_to_spine(1);
             s.record_store(VirtAddr::new(0x7000_0104), b"newnew");
-            s.stage(&[run(0x7000_0104, 6)]);
+            stage(&mut s, 2, &[run(0x7000_0104, 6)]);
             s.seal_to_spine(2);
             s
         };
@@ -1066,7 +852,7 @@ mod tests {
         assert_eq!(crashed, Err("crash"));
         assert_eq!(s.spine_batches(), 2, "an interrupted fold retires nothing");
         s.crash();
-        s.recover_spine_after_crash();
+        s.recover_after_crash();
         assert_eq!(
             s.volatile().read(VirtAddr::new(0x7000_0100), 10),
             b"oldonewnew"
@@ -1081,7 +867,7 @@ mod tests {
         let mut s = store();
         for seq in 1..=3u64 {
             s.record_store(VirtAddr::new(0x7000_0100), &[seq as u8; 8]);
-            s.stage(&[run(0x7000_0100, 8)]);
+            stage(&mut s, seq, &[run(0x7000_0100, 8)]);
             s.seal_to_spine(seq);
         }
         // Fully overlapping batches: 16 of 24 bytes are overlap.
@@ -1092,24 +878,21 @@ mod tests {
     }
 
     #[test]
-    fn spine_recovery_after_seal_redoes_batch() {
+    fn spine_recovery_discards_unsealed_staging_and_keeps_batches() {
         let mut s = store();
         s.record_store(VirtAddr::new(0x7000_0300), b"fresh");
-        s.stage(&[run(0x7000_0300, 8)]);
-        // Crash after seal, before the batch append: the seal is the
-        // commit point, recovery must retire it to the spine (redo).
-        s.crash();
-        s.recover_spine_after_crash();
-        assert_eq!(s.volatile().read(VirtAddr::new(0x7000_0300), 5), b"fresh");
-        assert_eq!(s.committed_sequence(), 1);
-
-        // Unsealed staging is discarded, durable batches survive.
+        stage(&mut s, 1, &[run(0x7000_0300, 8)]);
+        s.seal_to_spine(1);
+        // Staging for a sequence no record sealed is discarded; the
+        // durable batch survives and recovery folds it.
         s.record_store(VirtAddr::new(0x7000_0300), b"torn!");
-        s.stage_partial(&[run(0x7000_0300, 8)]);
+        stage(&mut s, 2, &[run(0x7000_0300, 8)]);
         s.crash();
-        s.recover_spine_after_crash();
+        s.recover_after_crash();
         assert_eq!(s.volatile().read(VirtAddr::new(0x7000_0300), 5), b"fresh");
         assert_eq!(s.committed_sequence(), 1);
+        assert_eq!(s.staged_runs(), 0);
+        assert_eq!(s.spine_batches(), 0, "recovery folds and retires");
     }
 
     #[test]
@@ -1124,13 +907,14 @@ mod tests {
             (0x7000_0100, b"third"),
             (0x7000_0108, b"fourth"),
         ];
-        for (seq, (addr, bytes)) in writes.iter().enumerate() {
+        for (i, (addr, bytes)) in writes.iter().enumerate() {
+            let seq = i as u64 + 1;
+            let runs = [run(*addr, bytes.len() as u64 + 2)];
             eager.record_store(VirtAddr::new(*addr), bytes);
-            eager.stage(&[run(*addr, bytes.len() as u64 + 2)]);
-            eager.apply();
+            commit(&mut eager, seq, &runs);
             spine.record_store(VirtAddr::new(*addr), bytes);
-            spine.stage(&[run(*addr, bytes.len() as u64 + 2)]);
-            spine.seal_to_spine(seq as u64 + 1);
+            stage(&mut spine, seq, &runs);
+            spine.seal_to_spine(seq);
         }
         spine.merge_spine();
         let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7000_1000));
@@ -1139,30 +923,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "apply without a sealed staging buffer")]
-    fn apply_without_stage_panics() {
-        store().apply();
-    }
-
-    #[test]
     #[should_panic(expected = "outside stack range")]
     fn out_of_range_store_rejected() {
         store().record_store(VirtAddr::new(0x100), b"x");
-    }
-
-    #[test]
-    fn persistent_trait_full_range_commit() {
-        let mut s = PersistentStack::new(
-            0,
-            VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7000_1000)),
-        );
-        s.record_store(VirtAddr::new(0x7000_0800), &[0xab; 32]);
-        Persistent::commit(&mut s);
-        Persistent::recover(&mut s);
-        assert_eq!(
-            s.recovered_image().read(VirtAddr::new(0x7000_0800), 32),
-            vec![0xab; 32]
-        );
     }
 
     /// Maximal runs of `set`'s bytes inside `[lo, hi)`.

@@ -92,7 +92,7 @@
 //! Per stack the hand-off is fused: a worker finishes applying stack
 //! `t`'s sequence-N buffer, retires it, and immediately stages N+1's
 //! runs into the same (single) buffer, tagged with its sequence
-//! ([`PersistentStack::begin_stage_at`]). A crash inside the overlap
+//! (`PersistentStack::begin_stage_at`). A crash inside the overlap
 //! window ([`CrashSite::MidPipelineStage`]) leaves sealed record N
 //! pending while some stacks hold staging tagged N+1: redo replays
 //! only buffers tagged N and discards the unsealed staged-ahead ones,
@@ -104,7 +104,7 @@
 //! ([`PersistentProcess::new_with_spine`]), phase two changes shape:
 //! instead of copying each sealed staging buffer into the persistent
 //! image, every stack retires its buffer as an immutable delta batch
-//! appended to its spine ([`PersistentStack::seal_to_spine`], an O(1)
+//! appended to its spine (`PersistentStack::seal_to_spine`, an O(1)
 //! pointer swing) — the apply copy disappears from the commit critical
 //! path. The seal remains the sole durability point and the register
 //! tail is unchanged, so crash atomicity is identical to eager mode.
@@ -403,6 +403,25 @@ pub fn host_parallelism() -> usize {
 type StackTask<'a> = std::sync::Mutex<Option<(u32, &'a mut PersistentStack)>>;
 
 /// A process whose registers and stacks are persisted together.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::BTreeMap;
+///
+/// use prosper_core::bitmap::CopyRun;
+/// use prosper_core::recovery::PersistentProcess;
+/// use prosper_memsim::addr::{VirtAddr, VirtRange};
+///
+/// let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7001_0000));
+/// let mut p = PersistentProcess::new(&[range]);
+/// p.record_store(0, VirtAddr::new(0x7000_0100), b"saved");
+/// let run = CopyRun { start: VirtAddr::new(0x7000_0100), len: 8 };
+/// p.commit(&BTreeMap::from([(0, vec![run])]));
+/// p.crash();
+/// assert_eq!(p.recover().unwrap().sequence, 1);
+/// assert_eq!(p.stack(0).volatile().read(VirtAddr::new(0x7000_0100), 5), b"saved");
+/// ```
 #[derive(Debug)]
 pub struct PersistentProcess {
     registers: ProcessCheckpointStore,
@@ -1254,10 +1273,12 @@ impl PersistentProcess {
 
     /// Redoes a sealed record through the engine's phase-two and
     /// register-tail step (the seal was the commit point) or discards
-    /// an unsealed one, then folds every surviving spine newest-wins
-    /// into its persistent image and rebuilds the volatile images —
-    /// recovery always sees a prefix-closed spine of sealed batches,
-    /// so the fold lands byte-identical to eager apply. Panic-free
+    /// an unsealed one. Then every stack's recovery step discards the
+    /// staging no sealed record covers — a crash mid-stage leaves no
+    /// record at all — folds its surviving spine newest-wins into its
+    /// persistent image and rebuilds its volatile image. Recovery
+    /// always sees a prefix-closed spine of sealed batches, so the
+    /// fold lands byte-identical to eager apply. Panic-free
     /// (`PA-PANIC004`): this whole path is recovery surface.
     fn recover_inner(&mut self) -> Result<RecoveredState, NoValidCheckpoint> {
         match self.pending.clone() {
@@ -1280,7 +1301,6 @@ impl PersistentProcess {
             None => {}
         }
         for stack in self.stacks.values_mut() {
-            stack.merge_spine();
             stack.recover_after_crash();
         }
         let regs = self.registers.recover()?;

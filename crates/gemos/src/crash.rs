@@ -1,55 +1,14 @@
-//! Crash injection and restore verification.
+//! Crash-point fault injection.
 //!
 //! The paper validates correctness by killing the gem5 process mid-run
 //! and confirming that the application inside GemOS resumes from its
-//! last checkpoint. We model the same discipline: a [`CrashHarness`]
-//! owns the volatile state (dropped at a crash) and the persistent
-//! state (an NVM [`MemoryImage`] plus checkpointed registers), and a
-//! [`Persistent`] implementation knows how to commit and recover.
-
-use prosper_memsim::addr::VirtRange;
-
-use crate::image::MemoryImage;
-use crate::process::RegisterFile;
-
-/// State that survives a crash and can be recovered.
-///
-/// Implementors commit volatile state into their persistent image at
-/// checkpoints; after a crash, [`Self::recover`] must reconstruct the
-/// committed view even if the crash interrupted a commit.
-pub trait Persistent {
-    /// Runs the commit protocol, making the current volatile state the
-    /// new recovery point.
-    fn commit(&mut self);
-
-    /// Rebuilds a consistent state after a crash (applies or discards
-    /// any half-finished commit).
-    fn recover(&mut self);
-
-    /// The recovered view of the given range.
-    fn recovered_image(&self) -> &MemoryImage;
-}
-
-/// A checkpointed register snapshot stored in NVM.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct RegisterCheckpoint {
-    /// The saved registers.
-    pub regs: RegisterFile,
-    /// Monotonic checkpoint sequence number.
-    pub sequence: u64,
-    /// Valid flag: written last during commit so a torn register
-    /// checkpoint is detected and the previous one used.
-    pub valid: bool,
-}
-
-/// Where in the commit protocol a crash is injected.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CrashPoint {
-    /// Before the commit started: recovery sees the previous state.
-    BeforeCommit,
-    /// After the commit fully completed.
-    AfterCommit,
-}
+//! last checkpoint. We model the same discipline deterministically:
+//! every step boundary of the checkpoint pipeline is a named
+//! [`CrashSite`], and pipeline code reports each one to a
+//! [`FaultInjector`], which fires a simulated power failure
+//! ([`CrashInjected`]) where its [`CrashPlan`] says. The commit and
+//! recovery they interrupt are `prosper_core::recovery`'s; the
+//! exhaustive sweep over every site is `prosper_core::faultinject`.
 
 /// A named step boundary of the checkpoint pipeline at which a
 /// simulated power failure can fire.
@@ -355,162 +314,9 @@ impl FaultInjector {
     }
 }
 
-/// Drives crash/recover cycles over a [`Persistent`] implementation,
-/// verifying the recovered image against ground truth.
-#[derive(Debug)]
-pub struct CrashHarness {
-    /// Ground truth as of the last *completed* commit.
-    committed_truth: MemoryImage,
-    /// Live ground truth (what the workload has written so far).
-    live_truth: MemoryImage,
-    commits: u64,
-}
-
-impl Default for CrashHarness {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CrashHarness {
-    /// Creates a harness with empty ground truth.
-    pub fn new() -> Self {
-        Self {
-            committed_truth: MemoryImage::new(),
-            live_truth: MemoryImage::new(),
-            commits: 0,
-        }
-    }
-
-    /// Records a ground-truth write (mirror every workload store here).
-    pub fn record_write(&mut self, addr: prosper_memsim::addr::VirtAddr, bytes: &[u8]) {
-        self.live_truth.write(addr, bytes);
-    }
-
-    /// Live ground-truth image.
-    pub fn live_truth(&self) -> &MemoryImage {
-        &self.live_truth
-    }
-
-    /// Commits through `target` and snapshots the ground truth.
-    pub fn commit(&mut self, target: &mut dyn Persistent) {
-        target.commit();
-        self.committed_truth = self.live_truth.clone();
-        self.commits += 1;
-    }
-
-    /// Number of completed commits.
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Crashes at `point`, recovers `target`, and verifies the
-    /// recovered image matches the appropriate ground truth over
-    /// `range`.
-    ///
-    /// Returns `Ok(())` on a consistent recovery.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first mismatching address on an inconsistent
-    /// recovery.
-    pub fn crash_and_verify(
-        &self,
-        target: &mut dyn Persistent,
-        point: CrashPoint,
-        range: VirtRange,
-    ) -> Result<(), prosper_memsim::addr::VirtAddr> {
-        // The crash itself: volatile state is lost. `target` models
-        // this inside recover(); the harness only checks the outcome.
-        let _ = point;
-        target.recover();
-        let expected = &self.committed_truth;
-        match expected.first_mismatch(target.recovered_image(), range) {
-            None => Ok(()),
-            Some(addr) => Err(addr),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prosper_memsim::addr::VirtAddr;
-
-    /// A trivially correct persistent store: commit clones the volatile
-    /// image.
-    #[derive(Default, Debug)]
-    struct CloneStore {
-        volatile: MemoryImage,
-        persistent: MemoryImage,
-    }
-
-    impl Persistent for CloneStore {
-        fn commit(&mut self) {
-            self.persistent = self.volatile.clone();
-        }
-        fn recover(&mut self) {
-            self.volatile = self.persistent.clone();
-        }
-        fn recovered_image(&self) -> &MemoryImage {
-            if self.persistent.matches(
-                &self.volatile,
-                VirtRange::new(VirtAddr::new(0), VirtAddr::new(0)),
-            ) {
-                &self.volatile
-            } else {
-                &self.persistent
-            }
-        }
-    }
-
-    fn range() -> VirtRange {
-        VirtRange::new(VirtAddr::new(0x1000), VirtAddr::new(0x2000))
-    }
-
-    #[test]
-    fn recovery_sees_last_commit_not_later_writes() {
-        let mut h = CrashHarness::new();
-        let mut store = CloneStore::default();
-        h.record_write(VirtAddr::new(0x1000), b"first");
-        store.volatile.write(VirtAddr::new(0x1000), b"first");
-        h.commit(&mut store);
-        // Post-commit writes are lost at the crash.
-        h.record_write(VirtAddr::new(0x1000), b"later");
-        store.volatile.write(VirtAddr::new(0x1000), b"later");
-        // But the harness verifies against the *committed* truth.
-        assert!(h
-            .crash_and_verify(&mut store, CrashPoint::BeforeCommit, range())
-            .is_ok());
-        assert_eq!(h.commits(), 1);
-    }
-
-    #[test]
-    fn broken_persistence_is_detected() {
-        /// A store that "forgets" data on recover.
-        #[derive(Default, Debug)]
-        struct Lossy {
-            volatile: MemoryImage,
-        }
-        impl Persistent for Lossy {
-            fn commit(&mut self) {}
-            fn recover(&mut self) {
-                self.volatile = MemoryImage::new();
-            }
-            fn recovered_image(&self) -> &MemoryImage {
-                &self.volatile
-            }
-        }
-        let mut h = CrashHarness::new();
-        let mut store = Lossy::default();
-        h.record_write(VirtAddr::new(0x1500), &[7; 16]);
-        store.volatile.write(VirtAddr::new(0x1500), &[7; 16]);
-        h.commit(&mut store);
-        let err = h
-            .crash_and_verify(&mut store, CrashPoint::AfterCommit, range())
-            .unwrap_err();
-        assert_eq!(err, VirtAddr::new(0x1500));
-    }
 
     #[test]
     fn injector_at_site_fires_once_on_match() {
@@ -582,16 +388,5 @@ mod tests {
             },
         };
         assert!(err.to_string().contains("mid-apply(tid=3, runs=2)"));
-    }
-
-    #[test]
-    fn register_checkpoint_validity_flag() {
-        let ckpt = RegisterCheckpoint {
-            regs: RegisterFile::default(),
-            sequence: 3,
-            valid: true,
-        };
-        assert!(ckpt.valid);
-        assert_eq!(ckpt.sequence, 3);
     }
 }

@@ -1,9 +1,8 @@
 //! Sparse byte-addressable memory images.
 //!
 //! Used as the data plane of the crash-consistency machinery: the
-//! workload's ground-truth memory, the NVM persistent stack, and the
-//! NVM staging buffer are all [`MemoryImage`]s. Copies between them
-//! model the checkpoint data movement, and restore-after-crash
+//! workload's ground-truth memory and a thread's live and NVM
+//! persistent stacks are all [`MemoryImage`]s, and restore-after-crash
 //! verification compares images byte for byte.
 
 use std::collections::BTreeMap;
@@ -65,24 +64,6 @@ impl MemoryImage {
             remaining -= take;
         }
         out
-    }
-
-    /// Writes a little-endian `u64` at `addr`.
-    pub fn write_u64(&mut self, addr: VirtAddr, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u64` at `addr`.
-    pub fn read_u64(&self, addr: VirtAddr) -> u64 {
-        let bytes = self.read(addr, 8);
-        u64::from_le_bytes(bytes.try_into().expect("read returned 8 bytes"))
-    }
-
-    /// Copies `len` bytes at `addr` from `src` into `self` (same
-    /// addresses) — the checkpoint copy primitive.
-    pub fn copy_range_from(&mut self, src: &MemoryImage, addr: VirtAddr, len: usize) {
-        let data = src.read(addr, len);
-        self.write(addr, &data);
     }
 
     /// Returns `true` if `self` and `other` agree over `range`.
@@ -148,23 +129,6 @@ mod tests {
         img.write(addr, &[1, 2, 3, 4]);
         assert_eq!(img.read(addr, 4), vec![1, 2, 3, 4]);
         assert_eq!(img.resident_chunks(), 2);
-    }
-
-    #[test]
-    fn u64_helpers() {
-        let mut img = MemoryImage::new();
-        img.write_u64(VirtAddr::new(0x100), 0xdead_beef_cafe_f00d);
-        assert_eq!(img.read_u64(VirtAddr::new(0x100)), 0xdead_beef_cafe_f00d);
-    }
-
-    #[test]
-    fn copy_range_between_images() {
-        let mut a = MemoryImage::new();
-        let mut b = MemoryImage::new();
-        a.write(VirtAddr::new(0x2000), &[9; 128]);
-        b.copy_range_from(&a, VirtAddr::new(0x2000), 128);
-        let range = VirtRange::new(VirtAddr::new(0x2000), VirtAddr::new(0x2080));
-        assert!(a.matches(&b, range));
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!   baseline);
 //! * [`image`] — sparse byte-addressable memory images used as ground
 //!   truth and persistent copies in crash-consistency tests;
-//! * [`process`] — processes, threads, register state, and VMAs;
+//! * [`process`] — per-thread register state;
 //! * [`checkpoint`] — the [`checkpoint::MemoryPersistence`] plug-in
 //!   trait implemented by Prosper and every baseline, plus the
 //!   [`checkpoint::CheckpointManager`] that drives periodic-interval
 //!   experiments end to end;
 //! * [`context`] — the baseline OS context-switch cost (the tracker's
 //!   save/restore is `prosper_core::multithread`'s);
-//! * [`crash`] — crash injection and restore verification;
-//! * [`restore`] — full process checkpoint/restore: registers plus
-//!   memory, with torn-write-safe register slots.
+//! * [`crash`] — the named crash sites of the checkpoint pipeline and
+//!   the deterministic fault injector that fires at them;
+//! * [`restore`] — torn-write-safe register slots (ping-pong, validity
+//!   marker written last) and the per-process store of them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,4 +40,3 @@ pub mod restore;
 
 pub use checkpoint::{CheckpointManager, CheckpointOutcome, MemoryPersistence};
 pub use pagetable::PageTable;
-pub use process::Process;

@@ -1,14 +1,12 @@
-//! Processes, threads, register state, and VMAs.
+//! Per-thread register state.
 //!
 //! The checkpoint subsystem persists the full execution state of a
 //! process: CPU registers per thread plus the mutable memory segments.
-//! This module models the process container; the memory-persistence
-//! mechanisms themselves plug into [`crate::checkpoint`].
+//! This module models the register side; the memory-persistence
+//! mechanisms plug into [`crate::checkpoint`], and the torn-write-safe
+//! register slots live in [`crate::restore`].
 
-use prosper_memsim::addr::{VirtAddr, VirtRange};
 use serde::{Deserialize, Serialize};
-
-use crate::pagetable::PageTable;
 
 /// x86-64-style general-purpose register file plus instruction and
 /// stack pointers — the non-memory state a checkpoint captures.
@@ -28,224 +26,4 @@ impl RegisterFile {
     /// Serialized size in bytes (what a register checkpoint writes to
     /// NVM).
     pub const CHECKPOINT_BYTES: u64 = 16 * 8 + 3 * 8;
-}
-
-/// Kind of a virtual memory area.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum VmaKind {
-    /// A per-thread stack (grows downward on demand).
-    Stack {
-        /// Owning thread.
-        tid: u32,
-    },
-    /// The process heap.
-    Heap,
-    /// Code/data/other mappings.
-    Other,
-}
-
-/// A virtual memory area.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Vma {
-    /// The address range.
-    pub range: VirtRange,
-    /// What the area holds.
-    pub kind: VmaKind,
-}
-
-/// One software thread.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Thread {
-    /// Thread id.
-    pub tid: u32,
-    /// Architectural register state.
-    pub regs: RegisterFile,
-}
-
-/// A process: threads, VMAs, and a page table.
-#[derive(Debug)]
-pub struct Process {
-    pid: u32,
-    threads: Vec<Thread>,
-    vmas: Vec<Vma>,
-    page_table: PageTable,
-}
-
-impl Process {
-    /// Creates a process with a single thread and no mappings.
-    pub fn new(pid: u32) -> Self {
-        Self {
-            pid,
-            threads: vec![Thread {
-                tid: 0,
-                regs: RegisterFile::default(),
-            }],
-            vmas: Vec::new(),
-            page_table: PageTable::new(),
-        }
-    }
-
-    /// Process id.
-    pub fn pid(&self) -> u32 {
-        self.pid
-    }
-
-    /// The process's threads.
-    pub fn threads(&self) -> &[Thread] {
-        &self.threads
-    }
-
-    /// Mutable thread access (for register updates).
-    pub fn threads_mut(&mut self) -> &mut [Thread] {
-        &mut self.threads
-    }
-
-    /// Adds a thread with the next tid; returns the new tid.
-    pub fn spawn_thread(&mut self) -> u32 {
-        let tid = self
-            .threads
-            .iter()
-            .map(|t| t.tid)
-            .max()
-            .map_or(0, |m| m + 1);
-        self.threads.push(Thread {
-            tid,
-            regs: RegisterFile::default(),
-        });
-        tid
-    }
-
-    /// Registers a VMA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range overlaps an existing VMA.
-    pub fn add_vma(&mut self, vma: Vma) {
-        assert!(
-            !self
-                .vmas
-                .iter()
-                .any(|v| v.range.intersect(&vma.range).is_some()),
-            "VMA {:?} overlaps an existing mapping",
-            vma
-        );
-        self.vmas.push(vma);
-    }
-
-    /// All VMAs.
-    pub fn vmas(&self) -> &[Vma] {
-        &self.vmas
-    }
-
-    /// The stack VMA of `tid`, if registered. This is the range the OS
-    /// programs into the Prosper stack-range MSRs (step 1 of Fig. 5).
-    pub fn stack_vma(&self, tid: u32) -> Option<&Vma> {
-        self.vmas
-            .iter()
-            .find(|v| matches!(v.kind, VmaKind::Stack { tid: t } if t == tid))
-    }
-
-    /// The heap VMA, if registered.
-    pub fn heap_vma(&self) -> Option<&Vma> {
-        self.vmas.iter().find(|v| v.kind == VmaKind::Heap)
-    }
-
-    /// The VMA containing `addr`, if any.
-    pub fn vma_of(&self, addr: VirtAddr) -> Option<&Vma> {
-        self.vmas.iter().find(|v| v.range.contains(addr))
-    }
-
-    /// The process page table.
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
-    }
-
-    /// Mutable page-table access.
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
-    }
-
-    /// Total register-checkpoint bytes across threads.
-    pub fn register_checkpoint_bytes(&self) -> u64 {
-        self.threads.len() as u64 * RegisterFile::CHECKPOINT_BYTES
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn r(start: u64, end: u64) -> VirtRange {
-        VirtRange::new(VirtAddr::new(start), VirtAddr::new(end))
-    }
-
-    #[test]
-    fn new_process_has_main_thread() {
-        let p = Process::new(1);
-        assert_eq!(p.pid(), 1);
-        assert_eq!(p.threads().len(), 1);
-        assert_eq!(p.threads()[0].tid, 0);
-    }
-
-    #[test]
-    fn spawn_assigns_increasing_tids() {
-        let mut p = Process::new(1);
-        assert_eq!(p.spawn_thread(), 1);
-        assert_eq!(p.spawn_thread(), 2);
-        assert_eq!(p.threads().len(), 3);
-    }
-
-    #[test]
-    fn vma_lookup_by_kind_and_address() {
-        let mut p = Process::new(1);
-        p.add_vma(Vma {
-            range: r(0x7000_0000, 0x7000_8000),
-            kind: VmaKind::Stack { tid: 0 },
-        });
-        p.add_vma(Vma {
-            range: r(0x5000_0000, 0x5100_0000),
-            kind: VmaKind::Heap,
-        });
-        assert!(p.stack_vma(0).is_some());
-        assert!(p.stack_vma(1).is_none());
-        assert!(p.heap_vma().is_some());
-        assert_eq!(
-            p.vma_of(VirtAddr::new(0x5000_0010)).unwrap().kind,
-            VmaKind::Heap
-        );
-        assert!(p.vma_of(VirtAddr::new(0x100)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "overlaps")]
-    fn overlapping_vma_rejected() {
-        let mut p = Process::new(1);
-        p.add_vma(Vma {
-            range: r(0x1000, 0x3000),
-            kind: VmaKind::Other,
-        });
-        p.add_vma(Vma {
-            range: r(0x2000, 0x4000),
-            kind: VmaKind::Heap,
-        });
-    }
-
-    #[test]
-    fn register_checkpoint_size() {
-        let mut p = Process::new(1);
-        p.spawn_thread();
-        assert_eq!(
-            p.register_checkpoint_bytes(),
-            2 * RegisterFile::CHECKPOINT_BYTES
-        );
-    }
-
-    #[test]
-    fn register_file_roundtrips_values() {
-        let mut p = Process::new(1);
-        p.threads_mut()[0].regs.gpr[3] = 42;
-        p.threads_mut()[0].regs.rip = 0x400000;
-        assert_eq!(p.threads()[0].regs.gpr[3], 42);
-        assert_eq!(p.threads()[0].regs.rip, 0x400000);
-    }
 }

@@ -5,9 +5,11 @@
 //! each checkpoint alongside the memory mechanisms. A crash can land
 //! mid-write, so the store keeps **two register slots per thread**
 //! (ping-pong) with a sequence number and a validity marker written
-//! last; recovery picks the newest valid slot. The memory side is
-//! delegated to whatever [`crate::crash::Persistent`] implementation
-//! the process uses (Prosper's persistent stack in the full system).
+//! last; recovery picks the newest valid slot. In the full system the
+//! slots are written by the commit engine of
+//! `prosper_core::recovery::PersistentProcess`, under the same sealed
+//! process commit record that makes every thread's persistent stack
+//! durable.
 
 use serde::{Deserialize, Serialize};
 
@@ -128,25 +130,6 @@ impl ProcessCheckpointStore {
     /// Number of threads covered.
     pub fn threads(&self) -> usize {
         self.registers.len()
-    }
-
-    /// Checkpoints all threads' registers and bumps the process
-    /// sequence (memory mechanisms commit separately but under the
-    /// same checkpoint boundary).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regs` does not provide one register file per thread.
-    pub fn checkpoint(&mut self, regs: &[RegisterFile]) {
-        assert_eq!(
-            regs.len(),
-            self.registers.len(),
-            "one register file per thread"
-        );
-        for (store, r) in self.registers.iter_mut().zip(regs) {
-            store.checkpoint(*r);
-        }
-        self.committed_sequence += 1;
     }
 
     /// Applies one thread's registers at an explicit whole-process
@@ -278,27 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn process_store_covers_all_threads() {
-        let mut p = ProcessCheckpointStore::new(3);
-        p.checkpoint(&[regs(10), regs(20), regs(30)]);
-        p.checkpoint(&[regs(11), regs(21), regs(31)]);
-        assert_eq!(p.committed_sequence, 2);
-        let rec = p.recover().unwrap();
-        assert_eq!(rec.len(), 3);
-        assert_eq!(rec[1].gpr[0], 21);
-    }
-
-    #[test]
     fn one_torn_thread_fails_whole_recovery() {
         let mut p = ProcessCheckpointStore::new(2);
         p.thread_store_mut(0).checkpoint(regs(1));
         p.thread_store_mut(1).checkpoint_torn(regs(2));
         assert!(p.recover().is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "one register file per thread")]
-    fn wrong_thread_count_rejected() {
-        ProcessCheckpointStore::new(2).checkpoint(&[regs(1)]);
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`memsim`] — the hybrid DRAM+NVM memory-hierarchy simulator;
 //! * [`trace`] — workload and micro-benchmark trace generators;
-//! * [`gemos`] — the OS model (paging, processes, checkpoints);
+//! * [`gemos`] — the OS model (paging, registers, checkpoints, crash
+//!   sites);
 //! * [`core`] — Prosper itself (tracker, bitmap, OS component,
 //!   persistent stack);
 //! * [`baselines`] — Dirtybit, write-protect, Romulus, SSP, and

@@ -2,11 +2,14 @@
 //! describes: tracking arbitrary (heap) ranges, the adaptive
 //! granularity policy, and full process restore.
 
+use std::collections::BTreeMap;
+
+use prosper_repro::core::bitmap::CopyRun;
+use prosper_repro::core::recovery::{CommitHooks, PersistentProcess};
 use prosper_repro::core::tracker::{DirtyTracker, TrackerConfig};
 use prosper_repro::core::ProsperMechanism;
 use prosper_repro::gemos::checkpoint::CheckpointManager;
-use prosper_repro::gemos::process::RegisterFile;
-use prosper_repro::gemos::restore::ProcessCheckpointStore;
+use prosper_repro::gemos::crash::{CrashSite, FaultInjector};
 use prosper_repro::memsim::addr::{VirtAddr, VirtRange};
 use prosper_repro::memsim::config::MachineConfig;
 use prosper_repro::memsim::machine::Machine;
@@ -79,40 +82,52 @@ fn adaptive_granularity_tracks_workload_character() {
     assert_eq!(sparse, 8, "sparse stays at the finest granularity");
 }
 
-/// Full process state: registers checkpoint/restore with torn-write
-/// fallback composed with a checkpointed run.
+/// Full process state: registers and stack bytes commit under one
+/// sequence, and a commit that crashes before its seal leaves both on
+/// the previous one.
 #[test]
 fn register_state_restores_with_memory() {
-    // Run real memory checkpoints and interleave register checkpoints
-    // under the same sequence discipline.
-    let mut machine = Machine::new(MachineConfig::setup_i());
-    let mut mgr = CheckpointManager::new(&mut machine, 40_000);
-    let mut mech = ProsperMechanism::with_defaults();
-    let w = Workload::new(WorkloadProfile::gapbs_pr(), 9);
-    let res = mgr.run_stack_only(w, &mut mech, 4);
-    assert_eq!(res.intervals, 4);
-
-    let mut store = ProcessCheckpointStore::new(1);
-    for seq in 1..=4u64 {
-        let regs = RegisterFile {
-            rip: 0x400000 + seq,
-            gpr: {
-                let mut g = [0u64; 16];
-                g[0] = seq * 11;
-                g
-            },
-            ..RegisterFile::default()
-        };
-        store.checkpoint(&[regs]);
+    /// Sets thread 0's registers and stack slot to `seq`'s values.
+    fn write_state(p: &mut PersistentProcess, slot: VirtAddr, seq: u64) {
+        let regs = p.regs_mut(0);
+        regs.rip = 0x400000 + seq;
+        regs.gpr[0] = seq * 11;
+        p.record_store(0, slot, &seq.to_le_bytes());
     }
-    assert_eq!(store.committed_sequence, 4);
-    // A torn fifth checkpoint falls back to the fourth.
-    let torn = RegisterFile {
-        rip: 0xdead,
-        ..RegisterFile::default()
-    };
-    store.thread_store_mut(0).checkpoint_torn(torn);
-    let rec = store.recover().unwrap();
-    assert_eq!(rec[0].rip, 0x400004);
-    assert_eq!(rec[0].gpr[0], 44);
+
+    let stack = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7001_0000));
+    let slot = stack.start() + 0x100u64;
+    let mut p = PersistentProcess::new(&[stack]);
+    let runs = BTreeMap::from([(
+        0,
+        vec![CopyRun {
+            start: slot,
+            len: 8,
+        }],
+    )]);
+    for seq in 1..=4u64 {
+        write_state(&mut p, slot, seq);
+        p.commit(&runs);
+    }
+    assert_eq!(p.committed_sequence(), 4);
+
+    // A fifth commit crashes before its record seals.
+    write_state(&mut p, slot, 5);
+    let mut inj = FaultInjector::at_site(CrashSite::PreSeal);
+    let crashed = p.commit_with(
+        std::slice::from_ref(&runs),
+        1,
+        CommitHooks {
+            faults: Some(&mut inj),
+            ..CommitHooks::default()
+        },
+    );
+    assert_eq!(crashed.map_err(|c| c.site), Err(CrashSite::PreSeal));
+    p.crash();
+    let rec = p.recover().expect("sequence 4 sealed");
+    assert_eq!(rec.sequence, 4);
+    assert_eq!(rec.regs[0].rip, 0x400004);
+    assert_eq!(rec.regs[0].gpr[0], 44);
+    assert_eq!(p.regs(0).rip, 0x400004);
+    assert_eq!(p.stack(0).volatile().read(slot, 8), 4u64.to_le_bytes());
 }
