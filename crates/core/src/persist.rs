@@ -45,6 +45,17 @@
 //! - one batch rule: a seal appends a batch only if it staged at least
 //!   one non-empty run. An idle seal still advances the committed
 //!   sequence.
+//!
+//! # One columnar run layout
+//!
+//! Staged runs and spine batches share one layout, `RunBuffer`: the
+//! run starts, each run's end offset into one byte vector, and the
+//! bytes (the column layout of DBSP's batches). A stack owns one
+//! staging buffer; staging appends a run's bytes to it straight from
+//! the live image and apply reads them back as slices, so neither
+//! allocates per run, and an eager stack keeps the buffer's capacity
+//! from one commit to the next. A spine seal takes the buffer and
+//! coalesces it into the batch, so spine mode keeps no second arena.
 
 use prosper_gemos::image::MemoryImage;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
@@ -52,11 +63,66 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitmap::CopyRun;
 
-/// A staged run: target address plus the bytes to apply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct StagedRun {
-    start: VirtAddr,
-    data: Vec<u8>,
+/// Runs stored column-wise: run `i` targets `starts[i]` and holds
+/// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first run). Runs may
+/// overlap, abut or come in any order; only [`coalesce_runs`] orders
+/// them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct RunBuffer {
+    starts: Vec<u64>,
+    ends: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl RunBuffer {
+    /// Number of runs.
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether the buffer holds no runs.
+    fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Total payload bytes across all runs.
+    fn payload(&self) -> u64 {
+        self.bytes.len() as u64
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.ends.clear();
+        self.bytes.clear();
+    }
+
+    /// Appends a run of the `len` bytes at `start` in `image`.
+    fn push_read(&mut self, image: &MemoryImage, start: VirtAddr, len: usize) {
+        self.starts.push(start.raw());
+        image.read_into(start, len, &mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Run `i`: its start and its bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of bounds.
+    fn run(&self, i: usize) -> (u64, &[u8]) {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.starts[i], &self.bytes[lo..self.ends[i]])
+    }
+
+    /// Every run, in buffer order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        (0..self.len()).map(|i| self.run(i))
+    }
+
+    /// Every run's byte span `[start, end)`, in buffer order.
+    fn spans(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.iter().map(|(s, data)| (s, s + data.len() as u64))
+    }
 }
 
 /// Tuning of the deferred spine merge (the LSM compaction policy).
@@ -107,14 +173,15 @@ impl SpineConfig {
     }
 }
 
-/// One immutable sealed delta batch on the spine: the staged runs of
-/// exactly one committed sequence. Never mutated after
+/// One immutable sealed delta batch on the spine: the coalesced
+/// staged runs of exactly one committed sequence, in the staging
+/// buffer's columnar layout. Never mutated after
 /// `PersistentStack::seal_to_spine` creates it; merges fold batches
 /// into the persistent image and retire them wholesale.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaBatch {
     sequence: u64,
-    runs: Vec<StagedRun>,
+    runs: RunBuffer,
 }
 
 impl DeltaBatch {
@@ -130,7 +197,7 @@ impl DeltaBatch {
 
     /// Total payload bytes in the batch.
     pub fn bytes(&self) -> u64 {
-        self.runs.iter().map(|r| r.data.len() as u64).sum()
+        self.runs.payload()
     }
 }
 
@@ -206,32 +273,33 @@ impl Coverage {
 }
 
 /// Folds a staged-run list into the minimal set of disjoint, maximal
-/// runs with newest-wins byte values: where runs overlap, the
-/// last-staged bytes survive; abutting runs concatenate into one
+/// runs, ascending, with newest-wins byte values: where runs overlap,
+/// the last-staged bytes survive; abutting runs concatenate into one
 /// descriptor. A batch sealed from the result covers exactly the same
 /// bytes with the same final values, but carries the fewest possible
 /// run descriptors — which is what the spine persists per batch and
-/// what every later merge walks.
-fn coalesce_runs(runs: &[StagedRun]) -> Vec<StagedRun> {
+/// what every later merge walks. The result is sized exactly.
+fn coalesce_runs(runs: &RunBuffer) -> RunBuffer {
     let mut cover = Coverage::default();
-    for run in runs {
-        let s = run.start.raw();
-        cover.insert(s, s + run.data.len() as u64);
+    for (s, e) in runs.spans() {
+        cover.insert(s, e);
     }
-    let mut out: Vec<StagedRun> = cover
-        .spans
-        .iter()
-        .map(|&(s, e)| StagedRun {
-            start: VirtAddr::new(s),
-            data: vec![0; (e - s) as usize],
-        })
-        .collect();
+    let mut out = RunBuffer {
+        starts: Vec::with_capacity(cover.spans.len()),
+        ends: Vec::with_capacity(cover.spans.len()),
+        bytes: vec![0; cover.bytes() as usize],
+    };
+    let mut end = 0;
+    for &(s, e) in &cover.spans {
+        end += (e - s) as usize;
+        out.starts.push(s);
+        out.ends.push(end);
+    }
     // Oldest first, so the last-staged bytes win.
-    for run in runs.iter().filter(|r| !r.data.is_empty()) {
-        let s = run.start.raw();
-        let span = &mut out[cover.spans.partition_point(|&(_, e)| e <= s)];
-        let at = (s - span.start.raw()) as usize;
-        span.data[at..at + run.data.len()].copy_from_slice(&run.data);
+    for (s, data) in runs.iter().filter(|(_, data)| !data.is_empty()) {
+        let i = cover.spans.partition_point(|&(_, e)| e <= s);
+        let at = out.ends[i] - (cover.spans[i].1 - s) as usize;
+        out.bytes[at..at + data.len()].copy_from_slice(data);
     }
     out
 }
@@ -319,8 +387,11 @@ pub struct PersistentStack {
     volatile: MemoryImage,
     /// NVM persistent stack.
     persistent: MemoryImage,
-    /// NVM staging buffer (step one of the two-step commit).
-    staging: Vec<StagedRun>,
+    /// NVM staging buffer (step one of the two-step commit): one
+    /// columnar buffer of run starts, end offsets and bytes. Eager
+    /// apply empties it and keeps its capacity for the next commit;
+    /// a spine seal takes it whole and coalesces it into the batch.
+    staging: RunBuffer,
     /// Sequence the open staging buffer belongs to (0 when no buffer
     /// is open). Written with `begin_stage_at`, so after a crash
     /// recovery can tell a buffer staged for sequence N from one staged
@@ -342,7 +413,7 @@ impl PersistentStack {
             range,
             volatile: MemoryImage::new(),
             persistent: MemoryImage::new(),
-            staging: Vec::new(),
+            staging: RunBuffer::default(),
             staging_sequence: 0,
             committed_sequence: 0,
             spine: Vec::new(),
@@ -404,18 +475,16 @@ impl PersistentStack {
     }
 
     /// Stages one dirty run from the volatile image into the NVM
-    /// staging buffer. Drivable run-by-run so fault injection can fire
-    /// a crash between any two runs.
+    /// staging buffer, appending its bytes to the buffer's byte column.
+    /// Drivable run-by-run so fault injection can fire a crash between
+    /// any two runs.
     pub(crate) fn stage_run(&mut self, run: &CopyRun) {
         debug_assert!(
             self.staging_sequence != 0,
             "stage_run outside an open staging buffer"
         );
-        let data = self.volatile.read(run.start, run.len as usize);
-        self.staging.push(StagedRun {
-            start: run.start,
-            data,
-        });
+        self.staging
+            .push_read(&self.volatile, run.start, run.len as usize);
     }
 
     /// Number of runs currently staged.
@@ -427,7 +496,7 @@ impl PersistentStack {
     /// deterministic work-size input for stall attribution's
     /// redo-cost model.
     pub fn staged_bytes(&self) -> u64 {
-        self.staging.iter().map(|r| r.data.len() as u64).sum()
+        self.staging.payload()
     }
 
     /// Applies the staged run at `idx` to the persistent stack.
@@ -440,8 +509,8 @@ impl PersistentStack {
     ///
     /// Panics if `idx` is out of bounds of the staging buffer.
     pub(crate) fn apply_run(&mut self, idx: usize) {
-        let run = &self.staging[idx];
-        self.persistent.write(run.start, &run.data);
+        let (start, data) = self.staging.run(idx);
+        self.persistent.write(VirtAddr::new(start), data);
     }
 
     /// Finishes an apply: durably records `sequence` as the committed
@@ -482,23 +551,25 @@ impl PersistentStack {
 
     /// **Spine-mode step two**: retire the staging buffer as an
     /// immutable delta batch appended to the spine, and durably record
-    /// `sequence` as committed. No data is copied — the staging buffer
-    /// *becomes* the batch — so the apply copy disappears from the
-    /// commit critical path. The caller vouches for the commit point:
-    /// a sealed whole-process commit record.
+    /// `sequence` as committed. The staged bytes are not applied — the
+    /// staging buffer *becomes* the batch — so the apply copy
+    /// disappears from the commit critical path. The caller vouches for
+    /// the commit point: a sealed whole-process commit record.
     ///
-    /// The staged runs are coalesced before the batch is sealed:
-    /// overlapping runs collapse to their newest-wins bytes and
+    /// The seal takes the staging buffer and coalesces it into the
+    /// batch: overlapping runs collapse to their newest-wins bytes and
     /// abutting runs concatenate, so the batch persists the minimal
-    /// descriptor list for its coverage. A buffer that staged no bytes
-    /// appends no batch (the rule `SpineShape::push` applies for the
-    /// cycle model); the committed sequence advances either way.
+    /// descriptor list for its coverage, and the taken buffer is freed
+    /// rather than kept as a second arena beside the spine. A buffer
+    /// that staged no bytes appends no batch (the rule
+    /// `SpineShape::push` applies for the cycle model); the committed
+    /// sequence advances either way.
     pub(crate) fn seal_to_spine(&mut self, sequence: u64) {
         debug_assert!(
             self.staging_sequence != 0,
             "seal_to_spine without an open staging buffer"
         );
-        let runs = coalesce_runs(&self.staging);
+        let runs = coalesce_runs(&std::mem::take(&mut self.staging));
         if !runs.is_empty() {
             self.spine.push(DeltaBatch { sequence, runs });
         }
@@ -525,10 +596,7 @@ impl PersistentStack {
     pub(crate) fn spine_shape(&self) -> SpineShape {
         let mut shape = SpineShape::default();
         for batch in &self.spine {
-            shape.push(batch.runs.iter().map(|r| {
-                let s = r.start.raw();
-                (s, s + r.data.len() as u64)
-            }));
+            shape.push(batch.runs.spans());
         }
         shape
     }
@@ -574,11 +642,10 @@ impl PersistentStack {
         // gaps it leaves are written.
         let mut shadow = Coverage::default();
         for batch in self.spine.iter().rev() {
-            for run in &batch.runs {
-                let s = run.start.raw();
-                let e = s + run.data.len() as u64;
+            for (s, data) in batch.runs.iter() {
+                let e = s + data.len() as u64;
                 for (ws, we) in shadow.gaps(s, e) {
-                    let data = &run.data[(ws - s) as usize..(we - s) as usize];
+                    let data = &data[(ws - s) as usize..(we - s) as usize];
                     self.persistent.write(VirtAddr::new(ws), data);
                     done.written_bytes += we - ws;
                 }
@@ -600,13 +667,12 @@ impl PersistentStack {
         let (lo, hi) = (addr.raw(), addr.raw() + len as u64);
         // Oldest→newest overlay: later batches overwrite earlier ones.
         for batch in &self.spine {
-            for run in &batch.runs {
-                let rs = run.start.raw();
-                let re = rs + run.data.len() as u64;
+            for (rs, data) in batch.runs.iter() {
+                let re = rs + data.len() as u64;
                 let (s, e) = (rs.max(lo), re.min(hi));
                 if s < e {
                     out[(s - lo) as usize..(e - lo) as usize]
-                        .copy_from_slice(&run.data[(s - rs) as usize..(e - rs) as usize]);
+                        .copy_from_slice(&data[(s - rs) as usize..(e - rs) as usize]);
                 }
             }
         }

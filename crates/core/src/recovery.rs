@@ -239,7 +239,11 @@ impl CommitProbe {
 pub mod commit_cost {
     /// Fixed per-phase dispatch overhead.
     pub const PHASE_BASE_NS: u64 = 100;
-    /// Staging: per staged run.
+    /// Staging: per staged run. A modelled figure, not a measured one:
+    /// the columnar staging buffer made a staged run cheaper on the
+    /// host, but the attribution virtual clock (and so `prosper_obs`)
+    /// reads this constant, so it stays until a calibration sweep fits
+    /// every constant here together (ROADMAP.md item 1).
     pub const STAGE_RUN_NS: u64 = 60;
     /// Staging: per staged byte.
     pub const STAGE_BYTE_NS: u64 = 1;
@@ -265,7 +269,8 @@ pub mod commit_cost {
     /// "Intel(R) Xeon(R) Processor" (a shared virtual machine), Linux
     /// 6.18, `rustc 1.95.0`. The constant is the median slope.
     pub const WORKER_SPAWN_NS: u64 = 27_400;
-    /// Apply: per staged run.
+    /// Apply: per staged run. Modelled and kept unchanged for the same
+    /// reason as [`STAGE_RUN_NS`].
     pub const APPLY_RUN_NS: u64 = 40;
     /// Apply: per staged byte.
     pub const APPLY_BYTE_NS: u64 = 1;

@@ -4,13 +4,54 @@
 //! workload's ground-truth memory and a thread's live and NVM
 //! persistent stacks are all [`MemoryImage`]s, and restore-after-crash
 //! verification compares images byte for byte.
+//!
+//! An image is a hash index of 4 KiB chunks keyed by chunk number, so
+//! every write, read and staged or applied run costs one probe per
+//! chunk it touches, however many chunks are resident (a 256 MiB heap
+//! holds 65,536). Nothing reads the chunks in address order: reads,
+//! [`MemoryImage::matches`] and [`MemoryImage::first_mismatch`] walk
+//! the requested range and look each chunk up. The hasher is fixed
+//! and seedless (`ChunkHasher`), so an image behaves the same in
+//! every process, and it cannot panic, because recovery's redo writes
+//! images.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 
 /// Granularity of internal chunks (one 4 KiB page per chunk).
 const CHUNK: u64 = 4096;
+
+/// A fixed, seedless multiplicative hasher for chunk numbers: the key
+/// is multiplied by an odd constant (the 64-bit golden ratio), so
+/// consecutive chunks land in distinct buckets, and the high half is
+/// folded into the low half, which picks the bucket, so strided chunk
+/// numbers spread too.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChunkHasher(u64);
+
+impl ChunkHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for ChunkHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    /// Folds arbitrary bytes one at a time; chunk numbers take
+    /// [`Self::write_u64`].
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
+    }
+}
 
 /// A sparse, byte-addressable memory image.
 ///
@@ -18,7 +59,7 @@ const CHUNK: u64 = 4096;
 /// memory.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct MemoryImage {
-    chunks: BTreeMap<u64, Box<[u8; CHUNK as usize]>>,
+    chunks: HashMap<u64, Box<[u8; CHUNK as usize]>, BuildHasherDefault<ChunkHasher>>,
 }
 
 impl MemoryImage {
@@ -50,6 +91,14 @@ impl MemoryImage {
     /// Reads `len` bytes starting at `addr`.
     pub fn read(&self, addr: VirtAddr, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
+        self.read_into(addr, len, &mut out);
+        out
+    }
+
+    /// Appends the `len` bytes starting at `addr` to `out`, after
+    /// whatever it already holds; allocates only if `out` must grow.
+    pub fn read_into(&self, addr: VirtAddr, len: usize, out: &mut Vec<u8>) {
+        out.reserve(len);
         let mut pos = addr.raw();
         let mut remaining = len;
         while remaining > 0 {
@@ -58,12 +107,11 @@ impl MemoryImage {
             let take = remaining.min(CHUNK as usize - off);
             match self.chunks.get(&id) {
                 Some(chunk) => out.extend_from_slice(&chunk[off..off + take]),
-                None => out.extend(std::iter::repeat_n(0u8, take)),
+                None => out.resize(out.len() + take, 0),
             }
             pos += take as u64;
             remaining -= take;
         }
-        out
     }
 
     /// Returns `true` if `self` and `other` agree over `range`.
@@ -139,6 +187,19 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x3000), VirtAddr::new(0x3010));
         assert!(!a.matches(&b, range));
         assert_eq!(a.first_mismatch(&b, range), Some(VirtAddr::new(0x3005)));
+    }
+
+    #[test]
+    fn hasher_is_seedless_and_folds_bytes() {
+        let hash = |f: &dyn Fn(&mut ChunkHasher)| {
+            let mut h = ChunkHasher::default();
+            f(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&|h| h.write_u64(7)), hash(&|h| h.write_u64(7)));
+        assert_ne!(hash(&|h| h.write_u64(7)), hash(&|h| h.write_u64(8)));
+        // Byte input folds instead of panicking, order-sensitively.
+        assert_ne!(hash(&|h| h.write(b"ab")), hash(&|h| h.write(b"ba")));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use prosper_repro::core::lookup::{AllocPolicy, BitmapOp, LookupTable};
 use prosper_repro::core::tracker::{DirtyTracker, TrackerConfig};
 use prosper_repro::gemos::image::MemoryImage;
 use prosper_repro::memsim::addr::{VirtAddr, VirtRange};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const RANGE_LO: u64 = 0x7000_0000;
 const RANGE_HI: u64 = 0x7010_0000;
@@ -102,13 +102,17 @@ proptest! {
     }
 
     /// MemoryImage write/read round-trips arbitrary data at arbitrary
-    /// (possibly chunk-straddling) addresses.
+    /// (possibly chunk-straddling) addresses; `read_into` appends after
+    /// what the buffer holds, unwritten bytes read zero, one chunk is
+    /// resident per distinct 4 KiB chunk written, and the same final
+    /// bytes written in another order give a matching image.
     #[test]
     fn memory_image_roundtrip(
         writes in prop::collection::vec((0u64..0x8000, prop::collection::vec(any::<u8>(), 1..128)), 1..40),
+        probe in (0u64..0x9000, 1usize..256),
     ) {
         let mut img = MemoryImage::new();
-        let mut shadow: HashMap<u64, u8> = HashMap::new();
+        let mut shadow: BTreeMap<u64, u8> = BTreeMap::new();
         for (addr, data) in &writes {
             img.write(VirtAddr::new(*addr), data);
             for (i, b) in data.iter().enumerate() {
@@ -121,6 +125,29 @@ proptest! {
                 prop_assert_eq!(*got_b, shadow[&(addr + i as u64)]);
             }
         }
+        // A probe that may reach past every write: bytes never written
+        // read zero, appended after what the buffer already holds.
+        let (at, len) = probe;
+        let mut buf = vec![0xEE; 3];
+        img.read_into(VirtAddr::new(at), len, &mut buf);
+        let expected: Vec<u8> = (at..at + len as u64)
+            .map(|a| shadow.get(&a).copied().unwrap_or(0))
+            .collect();
+        prop_assert_eq!(&buf[..3], &[0xEE; 3]);
+        prop_assert_eq!(&buf[3..], &expected[..]);
+        prop_assert_eq!(img.read(VirtAddr::new(0x10_0000 + at), len), vec![0; len]);
+        let chunks: BTreeSet<u64> = shadow.keys().map(|a| a / 4096).collect();
+        prop_assert_eq!(img.resident_chunks(), chunks.len());
+        // The same final bytes, written one at a time from the highest
+        // address down.
+        let mut other = MemoryImage::new();
+        for (&a, &b) in shadow.iter().rev() {
+            other.write(VirtAddr::new(a), &[b]);
+        }
+        let range = VirtRange::new(VirtAddr::new(0), VirtAddr::new(0x9000));
+        prop_assert!(img.matches(&other, range));
+        prop_assert_eq!(img.first_mismatch(&other, range), None);
+        prop_assert!(img == other, "same chunks, same bytes");
     }
 
     /// Bitmap geometry locate/granule_start round-trips for any
