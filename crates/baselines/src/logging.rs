@@ -123,7 +123,7 @@ pub fn replay_logging<S: TraceSource>(
                     }
                     // SP awareness: skip work for stores below the
                     // interval-final SP (dead at the commit point).
-                    if sp_aware && a.vaddr < interval.final_sp {
+                    if sp_aware && a.vaddr < interval.bounds.final_sp {
                         result.skipped_ops += 1;
                         continue;
                     }

@@ -18,15 +18,17 @@ fn main() {
     let w = Workload::new(WorkloadProfile::gapbs_pr(), prosper_bench::scale::SEED);
     tracker.configure(w.stack().reserved_range(), VirtAddr::new(0x1000_0000));
     let mut collector = IntervalCollector::new(w, prosper_bench::scale::INTERVAL_10MS);
+    let mut ops = Vec::new();
     for _ in 0..prosper_bench::scale::DEFAULT_INTERVALS {
         let iv = collector.next_interval();
         for ev in &iv.events {
             if let TraceEvent::Access(a) = ev {
                 if a.is_stack_store() {
-                    tracker.observe_store(a.vaddr, u64::from(a.size));
+                    tracker.observe_store(a.vaddr, u64::from(a.size), &mut ops);
                 }
             }
         }
+        ops.clear();
         tracker.flush();
     }
     let model = EnergyModel::paper_cacti_7nm();

@@ -154,15 +154,17 @@ fn tracker_stats(profile: &WorkloadProfile, hwm: u32, lwm: u32) -> LookupStats {
     let range = w.stack().reserved_range();
     tracker.configure(range, prosper_memsim::addr::VirtAddr::new(0x1000_0000));
     let mut collector = IntervalCollector::new(w, INTERVAL_10MS);
+    let mut ops = Vec::new();
     for _ in 0..DEFAULT_INTERVALS {
         let iv = collector.next_interval();
         for ev in &iv.events {
             if let TraceEvent::Access(a) = ev {
                 if a.is_stack_store() {
-                    tracker.observe_store(a.vaddr, u64::from(a.size));
+                    tracker.observe_store(a.vaddr, u64::from(a.size), &mut ops);
                 }
             }
         }
+        ops.clear();
         tracker.flush();
         tracker.reset_watermark();
         // The OS clears the bitmap after inspection.

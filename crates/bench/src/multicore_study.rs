@@ -58,6 +58,7 @@ fn run(profiles: &[WorkloadProfile], ops_per_core: u64, tracked: bool) -> Vec<Cy
     }
 
     // Interleave the cores round-robin so bus contention overlaps.
+    let mut ops = Vec::new();
     for _ in 0..ops_per_core {
         for c in 0..profiles.len() {
             match workloads[c].next_event() {
@@ -68,8 +69,9 @@ fn run(profiles: &[WorkloadProfile], ops_per_core: u64, tracked: bool) -> Vec<Cy
                         AccessKind::Store => machine.store(c, a.vaddr, u64::from(a.size)),
                     };
                     if tracked && a.region == Region::Stack && a.kind == AccessKind::Store {
-                        let ops = trackers[c].observe_store(a.vaddr, u64::from(a.size));
-                        for op in ops {
+                        ops.clear();
+                        trackers[c].observe_store(a.vaddr, u64::from(a.size), &mut ops);
+                        for &op in &ops {
                             match op {
                                 prosper_core::lookup::BitmapOp::Load(addr) => {
                                     machine.inject_load(c, VirtAddr::new(addr), 4)

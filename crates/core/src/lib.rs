@@ -50,7 +50,8 @@
 //! let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7001_0000));
 //! let mut t = DirtyTracker::new(TrackerConfig::default());
 //! t.configure(range, VirtAddr::new(0x1000_0000));
-//! let ops = t.observe_store(VirtAddr::new(0x7000_1234), 8);
+//! let mut ops = Vec::new();
+//! t.observe_store(VirtAddr::new(0x7000_1234), 8, &mut ops);
 //! assert!(ops.len() <= 2, "coalesced stores rarely emit traffic");
 //! ```
 

@@ -240,9 +240,10 @@ impl LookupTable {
         self.entries[idx] = Entry::INVALID;
     }
 
-    /// Records that bit `bit` of bitmap word `word_addr` must be set.
-    /// Returns the bitmap operations the tracker must issue now (HWM
-    /// flushes, eviction traffic, allocation loads).
+    /// Records that bit `bit` of bitmap word `word_addr` must be set,
+    /// appending to `ops` the bitmap operations the tracker must issue
+    /// now (HWM flushes, eviction traffic, allocation loads). `ops` is
+    /// the caller's buffer: nothing already in it is touched.
     ///
     /// # Examples
     ///
@@ -251,10 +252,12 @@ impl LookupTable {
     ///
     /// let mut table = LookupTable::new(16, 24, 8, AllocPolicy::AccumulateAndApply);
     /// let mut read_word = |_addr: u64| 0u32;
+    /// let mut ops = Vec::new();
     /// // Repeated bits to one word coalesce silently below the HWM.
     /// for bit in 0..8 {
-    ///     assert!(table.record(0x100, bit, &mut read_word).is_empty());
+    ///     table.record(0x100, bit, &mut read_word, &mut ops);
     /// }
+    /// assert!(ops.is_empty());
     /// assert_eq!(table.stats().hits, 7);
     /// ```
     pub fn record(
@@ -262,9 +265,9 @@ impl LookupTable {
         word_addr: u64,
         bit: u32,
         read_word: &mut dyn FnMut(u64) -> u32,
-    ) -> Vec<BitmapOp> {
+        ops: &mut Vec<BitmapOp>,
+    ) {
         debug_assert!(bit < 32);
-        let mut ops = Vec::new();
         self.stats.searches += 1;
 
         // Parallel search (associative match in hardware).
@@ -277,9 +280,9 @@ impl LookupTable {
             self.entries[idx].value |= 1 << bit;
             if self.entries[idx].value.count_ones() >= self.hwm {
                 self.stats.hwm_flushes += 1;
-                self.flush_entry(idx, read_word, &mut ops);
+                self.flush_entry(idx, read_word, ops);
             }
-            return ops;
+            return;
         }
 
         // Miss: find a free slot, else evict.
@@ -306,7 +309,7 @@ impl LookupTable {
                         (self.next_random() % self.entries.len() as u64) as usize
                     }
                 };
-                self.flush_entry(idx, read_word, &mut ops);
+                self.flush_entry(idx, read_word, ops);
                 idx
             }
         };
@@ -332,9 +335,8 @@ impl LookupTable {
         // loaded old value was dense.
         if self.entries[slot].value.count_ones() >= self.hwm {
             self.stats.hwm_flushes += 1;
-            self.flush_entry(slot, read_word, &mut ops);
+            self.flush_entry(slot, read_word, ops);
         }
-        ops
     }
 
     /// Flushes every valid entry for an end-of-interval commit.
@@ -394,10 +396,11 @@ mod tests {
     fn hit_coalesces_without_traffic() {
         let mut t = LookupTable::new(4, 24, 8, AllocPolicy::AccumulateAndApply);
         let mut mem = Mem::default();
+        let mut ops = Vec::new();
         for bit in 0..8 {
-            let ops = t.record(0x100, bit, &mut mem.reader());
-            assert!(ops.is_empty(), "below HWM, no traffic");
+            t.record(0x100, bit, &mut mem.reader(), &mut ops);
         }
+        assert!(ops.is_empty(), "below HWM, no traffic");
         assert_eq!(t.stats().hits, 7);
         assert_eq!(t.stats().allocations, 1);
         assert_eq!(t.valid_entries(), 1);
@@ -409,7 +412,7 @@ mod tests {
         let mut mem = Mem::default();
         let mut all_ops = Vec::new();
         for bit in 0..4 {
-            all_ops.extend(t.record(0x100, bit, &mut mem.reader()));
+            t.record(0x100, bit, &mut mem.reader(), &mut all_ops);
         }
         // Fourth bit reaches HWM=4: load + store.
         assert_eq!(t.stats().hwm_flushes, 1);
@@ -427,7 +430,7 @@ mod tests {
         mem.0.insert(0x200, 0b1111); // bits already set in memory
         let mut ops = Vec::new();
         for bit in 0..4 {
-            ops.extend(t.record(0x200, bit, &mut mem.reader()));
+            t.record(0x200, bit, &mut mem.reader(), &mut ops);
         }
         // Flush loads the old value, merge equals old => no store.
         assert_eq!(t.stats().bitmap_loads, 1);
@@ -444,18 +447,19 @@ mod tests {
     fn eviction_prefers_lwm_victims() {
         let mut t = LookupTable::new(2, 24, 8, AllocPolicy::AccumulateAndApply);
         let mut mem = Mem::default();
+        let mut ops = Vec::new();
         // Entry A: dense (10 bits). Entry B: sparse (1 bit).
         for bit in 0..10 {
-            t.record(0xa00, bit, &mut mem.reader());
+            t.record(0xa00, bit, &mut mem.reader(), &mut ops);
         }
-        t.record(0xb00, 0, &mut mem.reader());
+        t.record(0xb00, 0, &mut mem.reader(), &mut ops);
         // New word C forces an eviction; B (1 bit < LWM=8) is chosen.
-        t.record(0xc00, 0, &mut mem.reader());
+        t.record(0xc00, 0, &mut mem.reader(), &mut ops);
         assert_eq!(t.stats().lwm_evictions, 1);
         assert_eq!(t.stats().random_evictions, 0);
         // A must still be resident: another hit on it, no allocation.
         let before = t.stats().allocations;
-        t.record(0xa00, 10, &mut mem.reader());
+        t.record(0xa00, 10, &mut mem.reader(), &mut ops);
         assert_eq!(t.stats().allocations, before);
     }
 
@@ -463,12 +467,13 @@ mod tests {
     fn random_eviction_when_no_lwm_victim() {
         let mut t = LookupTable::new(2, 24, 2, AllocPolicy::AccumulateAndApply);
         let mut mem = Mem::default();
+        let mut ops = Vec::new();
         // Both entries dense (>= LWM bits).
         for bit in 0..6 {
-            t.record(0xa00, bit, &mut mem.reader());
-            t.record(0xb00, bit, &mut mem.reader());
+            t.record(0xa00, bit, &mut mem.reader(), &mut ops);
+            t.record(0xb00, bit, &mut mem.reader(), &mut ops);
         }
-        t.record(0xc00, 0, &mut mem.reader());
+        t.record(0xc00, 0, &mut mem.reader(), &mut ops);
         assert_eq!(t.stats().random_evictions, 1);
     }
 
@@ -477,8 +482,13 @@ mod tests {
         let mut t = LookupTable::new(4, 24, 8, AllocPolicy::LoadAndUpdate);
         let mut mem = Mem::default();
         mem.0.insert(0x300, 0b1);
-        let ops = t.record(0x300, 5, &mut mem.reader());
-        assert_eq!(ops, vec![BitmapOp::Load(0x300)]);
+        let mut ops = vec![BitmapOp::Load(0xdead)];
+        t.record(0x300, 5, &mut mem.reader(), &mut ops);
+        assert_eq!(
+            ops,
+            vec![BitmapOp::Load(0xdead), BitmapOp::Load(0x300)],
+            "appends after what the caller's buffer holds"
+        );
         assert_eq!(t.stats().bitmap_loads, 1);
         // Flush: value (old | new bit) differs from loaded old => store,
         // but no second load.
@@ -491,9 +501,10 @@ mod tests {
     fn flush_all_empties_table_and_merges() {
         let mut t = LookupTable::new(8, 24, 8, AllocPolicy::AccumulateAndApply);
         let mut mem = Mem::default();
+        let mut ops = Vec::new();
         for w in 0..5u64 {
             for bit in 0..3 {
-                t.record(0x1000 + w * 4, bit, &mut mem.reader());
+                t.record(0x1000 + w * 4, bit, &mut mem.reader(), &mut ops);
             }
         }
         assert_eq!(t.valid_entries(), 5);
@@ -509,14 +520,15 @@ mod tests {
     fn flush_reasons_attributed_per_drained_entry() {
         let mut t = LookupTable::new(8, 24, 8, AllocPolicy::AccumulateAndApply);
         let mut mem = Mem::default();
+        let mut ops = Vec::new();
         for w in 0..3u64 {
-            t.record(0x1000 + w * 4, 0, &mut mem.reader());
+            t.record(0x1000 + w * 4, 0, &mut mem.reader(), &mut ops);
         }
         t.flush_all(&mut mem.reader());
         assert_eq!(t.stats().interval_flushes, 3);
         assert_eq!(t.stats().ctx_switch_flushes, 0);
         for w in 0..2u64 {
-            t.record(0x2000 + w * 4, 0, &mut mem.reader());
+            t.record(0x2000 + w * 4, 0, &mut mem.reader(), &mut ops);
         }
         t.flush_all_with_reason(FlushReason::ContextSwitch, &mut mem.reader());
         assert_eq!(t.stats().interval_flushes, 3, "unchanged");
@@ -540,8 +552,9 @@ mod tests {
         let run = || {
             let mut t = LookupTable::new(2, 24, 1, AllocPolicy::AccumulateAndApply);
             let mut mem = Mem::default();
+            let mut ops = Vec::new();
             for i in 0..50u64 {
-                t.record(i * 4, (i % 32) as u32, &mut mem.reader());
+                t.record(i * 4, (i % 32) as u32, &mut mem.reader(), &mut ops);
             }
             t.stats()
         };

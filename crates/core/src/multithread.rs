@@ -56,6 +56,8 @@ pub struct MultiThreadTracker {
     current: Option<u32>,
     /// Cross-stack write faults taken.
     pub cross_stack_faults: u64,
+    /// Scratch: bitmap ops the tracker emits for one store.
+    store_ops: Vec<crate::lookup::BitmapOp>,
     /// Scratch: load addresses of the current injected-op batch.
     op_loads: Vec<u64>,
     /// Scratch: store addresses of the current injected-op batch.
@@ -73,6 +75,7 @@ impl MultiThreadTracker {
             stack_ranges: HashMap::new(),
             current: None,
             cross_stack_faults: 0,
+            store_ops: Vec::new(),
             op_loads: Vec::new(),
             op_stores: Vec::new(),
             attribution: None,
@@ -232,8 +235,11 @@ impl MultiThreadTracker {
         let Some(current) = self.current else { return };
         let own_range = self.stack_ranges[&current];
         if own_range.overlaps_access(vaddr, size) {
-            let ops = self.tracker.observe_store(vaddr, size);
+            let mut ops = std::mem::take(&mut self.store_ops);
+            ops.clear();
+            self.tracker.observe_store(vaddr, size, &mut ops);
             self.inject_ops(machine, &ops);
+            self.store_ops = ops;
             return;
         }
         // Another thread's stack? Fault into the OS, which sets the

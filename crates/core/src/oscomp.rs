@@ -175,6 +175,8 @@ pub struct ProsperMechanism {
     /// Lookup-table counters already reported to telemetry, so each
     /// interval reports only its own delta.
     reported_lookup: LookupStats,
+    /// Scratch: bitmap ops the tracker emits for one store.
+    store_ops: Vec<BitmapOp>,
     /// Scratch: load addresses of the current injected-op batch.
     op_loads: Vec<u64>,
     /// Scratch: store addresses of the current injected-op batch.
@@ -204,6 +206,7 @@ impl ProsperMechanism {
             last_runs: Vec::new(),
             granularity_adapter: None,
             reported_lookup: LookupStats::default(),
+            store_ops: Vec::new(),
             op_loads: Vec::new(),
             op_stores: Vec::new(),
             word_scratch: Vec::new(),
@@ -377,10 +380,12 @@ impl MemoryPersistence for ProsperMechanism {
     fn on_store(&mut self, machine: &mut Machine, access: &MemAccess) {
         // The tracker snoops the store without stalling it; only the
         // coalesced bitmap traffic reaches the memory system.
-        let ops = self
-            .tracker
-            .observe_store(access.vaddr, u64::from(access.size));
+        let mut ops = std::mem::take(&mut self.store_ops);
+        ops.clear();
+        self.tracker
+            .observe_store(access.vaddr, u64::from(access.size), &mut ops);
         self.inject_ops(machine, &ops);
+        self.store_ops = ops;
     }
 
     fn end_interval(&mut self, machine: &mut Machine, info: IntervalInfo) -> CheckpointOutcome {

@@ -213,15 +213,16 @@ impl DirtyTracker {
 
     /// Observes a demand store of `size` bytes at `vaddr` (called for
     /// every store issued by the core; the tracker filters SOIs
-    /// itself). Returns the bitmap memory operations to inject as
-    /// background traffic.
-    pub fn observe_store(&mut self, vaddr: VirtAddr, size: u64) -> Vec<BitmapOp> {
+    /// itself). Appends the bitmap memory operations to inject as
+    /// background traffic to `ops`, the caller's buffer, and leaves
+    /// what it already holds untouched.
+    pub fn observe_store(&mut self, vaddr: VirtAddr, size: u64, ops: &mut Vec<BitmapOp>) {
         if !self.msrs.tracking_enabled() {
-            return Vec::new();
+            return;
         }
         let range = self.msrs.tracked_range();
         if !range.overlaps_access(vaddr, size.max(1)) {
-            return Vec::new();
+            return;
         }
         self.soi_count += 1;
         let geom = self.geometry();
@@ -238,23 +239,21 @@ impl DirtyTracker {
         let first = (start - geom.range_start) / geom.granularity;
         let last = (end - 1u64 - geom.range_start.raw()).raw() / geom.granularity;
 
-        let mut all_ops = Vec::new();
         let bitmap = &mut self.bitmap;
         for granule in first..=last {
             let word_addr = geom.bitmap_base.raw() + (granule / 32) * 4;
             let bit = (granule % 32) as u32;
-            let ops = self
-                .table
-                .record(word_addr, bit, &mut |addr| bitmap.read_word(addr));
-            for op in &ops {
-                match op {
-                    BitmapOp::Load(_) => {}
-                    BitmapOp::Store(addr, value) => bitmap.merge_word(*addr, *value),
+            let emitted = ops.len();
+            self.table
+                .record(word_addr, bit, &mut |addr| bitmap.read_word(addr), ops);
+            // The next granule's lookup reads the bitmap these stores
+            // leave behind.
+            for op in &ops[emitted..] {
+                if let BitmapOp::Store(addr, value) = op {
+                    bitmap.merge_word(*addr, *value);
                 }
             }
-            all_ops.extend(ops);
         }
-        all_ops
     }
 
     /// OS-requested end-of-interval flush of the lookup table: drains
@@ -314,9 +313,11 @@ mod tests {
     #[test]
     fn filters_stores_outside_range() {
         let (mut t, _) = tracked();
-        assert!(t.observe_store(VirtAddr::new(0x100), 8).is_empty());
+        let mut ops = Vec::new();
+        t.observe_store(VirtAddr::new(0x100), 8, &mut ops);
+        assert!(ops.is_empty());
         assert_eq!(t.soi_count, 0);
-        t.observe_store(VirtAddr::new(0x7000_0008), 8);
+        t.observe_store(VirtAddr::new(0x7000_0008), 8, &mut ops);
         assert_eq!(t.soi_count, 1);
     }
 
@@ -325,18 +326,21 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7010_0000));
         let mut t = DirtyTracker::new(TrackerConfig::default());
         // Not configured: control is 0.
-        assert!(t.observe_store(range.start(), 8).is_empty());
+        let mut ops = Vec::new();
+        t.observe_store(range.start(), 8, &mut ops);
+        assert!(ops.is_empty());
         assert_eq!(t.soi_count, 0);
         t.configure(range, VirtAddr::new(0x1000_0000));
-        t.observe_store(range.start(), 8);
+        t.observe_store(range.start(), 8, &mut ops);
         assert_eq!(t.soi_count, 1);
     }
 
     #[test]
     fn flush_materialises_bits_in_bitmap() {
+        let mut ops = Vec::new();
         let (mut t, range) = tracked();
         for i in 0..10u64 {
-            t.observe_store(range.start() + i * 8, 8);
+            t.observe_store(range.start() + i * 8, 8, &mut ops);
         }
         assert_eq!(t.bitmap().total_set_bits(), 0, "bits coalesce in table");
         t.flush();
@@ -347,11 +351,12 @@ mod tests {
 
     #[test]
     fn watermark_tracks_lowest_store() {
+        let mut ops = Vec::new();
         let (mut t, range) = tracked();
         assert_eq!(t.min_soi_watermark(), None);
-        t.observe_store(range.start() + 0x5000, 8);
-        t.observe_store(range.start() + 0x100, 8);
-        t.observe_store(range.start() + 0x9000, 8);
+        t.observe_store(range.start() + 0x5000, 8, &mut ops);
+        t.observe_store(range.start() + 0x100, 8, &mut ops);
+        t.observe_store(range.start() + 0x9000, 8, &mut ops);
         assert_eq!(t.min_soi_watermark(), Some(range.start() + 0x100));
         t.reset_watermark();
         assert_eq!(t.min_soi_watermark(), None);
@@ -359,31 +364,34 @@ mod tests {
 
     #[test]
     fn wide_store_sets_multiple_granules() {
+        let mut ops = Vec::new();
         let (mut t, range) = tracked();
         // A 64-byte store at 8-byte granularity dirties 8 granules.
-        t.observe_store(range.start(), 64);
+        t.observe_store(range.start(), 64, &mut ops);
         t.flush();
         assert_eq!(t.bitmap().total_set_bits(), 8);
     }
 
     #[test]
     fn store_straddling_range_end_is_clipped() {
+        let mut ops = Vec::new();
         let (mut t, range) = tracked();
-        t.observe_store(range.end() - 8u64, 64);
+        t.observe_store(range.end() - 8u64, 64, &mut ops);
         t.flush();
         assert_eq!(t.bitmap().total_set_bits(), 1, "only the in-range granule");
     }
 
     #[test]
     fn granularity_changes_bit_density() {
+        let mut ops = Vec::new();
         let range = VirtRange::new(VirtAddr::new(0x7000_0000), VirtAddr::new(0x7010_0000));
         let mut fine = DirtyTracker::new(TrackerConfig::default().with_granularity(8));
         let mut coarse = DirtyTracker::new(TrackerConfig::default().with_granularity(128));
         fine.configure(range, VirtAddr::new(0x1000_0000));
         coarse.configure(range, VirtAddr::new(0x1000_0000));
         for i in 0..16u64 {
-            fine.observe_store(range.start() + i * 8, 8);
-            coarse.observe_store(range.start() + i * 8, 8);
+            fine.observe_store(range.start() + i * 8, 8, &mut ops);
+            coarse.observe_store(range.start() + i * 8, 8, &mut ops);
         }
         fine.flush();
         coarse.flush();
@@ -404,11 +412,11 @@ mod tests {
     #[test]
     fn repeated_stores_to_same_granule_emit_no_extra_traffic() {
         let (mut t, range) = tracked();
-        let mut ops = 0;
+        let mut ops = Vec::new();
         for _ in 0..1000 {
-            ops += t.observe_store(range.start() + 16, 8).len();
+            t.observe_store(range.start() + 16, 8, &mut ops);
         }
-        assert_eq!(ops, 0, "fully coalesced in the lookup table");
+        assert!(ops.is_empty(), "fully coalesced in the lookup table");
         assert_eq!(t.lookup_stats().hits, 999);
     }
 }

@@ -16,7 +16,7 @@ use prosper_memsim::machine::Machine;
 use prosper_memsim::tlb::Tlb;
 use prosper_memsim::Cycles;
 use prosper_telemetry as telemetry;
-use prosper_trace::interval::{Interval, IntervalCollector};
+use prosper_trace::interval::IntervalCollector;
 use prosper_trace::record::{AccessKind, MemAccess, Region, TraceEvent};
 use prosper_trace::source::TraceSource;
 use serde::{Deserialize, Serialize};
@@ -195,60 +195,58 @@ impl<'m> CheckpointManager<'m> {
         }
     }
 
-    /// Replays one collected interval through the machine, invoking the
-    /// store hooks of the stack and (optionally) heap mechanisms.
-    fn replay_interval(
+    /// Replays one trace event through the machine, invoking the store
+    /// hooks of the stack and (optionally) heap mechanisms.
+    /// `stack_in_dram` and `heap_in_dram` are the mechanisms'
+    /// [`MemoryPersistence::region_in_dram`] answers.
+    fn replay_event(
         &mut self,
-        interval: &Interval,
+        ev: TraceEvent,
         stack_mech: &mut dyn MemoryPersistence,
-        heap_mech: &mut Option<&mut dyn MemoryPersistence>,
+        heap_mech: Option<&mut (dyn MemoryPersistence + '_)>,
+        (stack_in_dram, heap_in_dram): (bool, bool),
         result: &mut RunResult,
     ) {
-        let stack_in_dram = stack_mech.region_in_dram();
-        let heap_in_dram = heap_mech.as_ref().is_none_or(|m| m.region_in_dram());
-        for ev in &interval.events {
-            match ev {
-                TraceEvent::Compute(c) => self.machine.advance(*c),
-                TraceEvent::Access(a) => {
-                    let walk = self.tlb.access(a.vaddr);
-                    if walk > 0 {
-                        self.machine.advance(walk);
-                    }
-                    match a.kind {
-                        AccessKind::Load => {
-                            self.machine.load(a.vaddr, u64::from(a.size));
-                            let in_dram = match a.region {
-                                Region::Stack => stack_in_dram,
-                                Region::Heap => heap_in_dram,
-                                Region::Other => true,
-                            };
-                            if !in_dram {
-                                self.machine.advance(NVM_RESIDENCE_LOAD_PENALTY);
-                            }
+        let a = match ev {
+            TraceEvent::Compute(c) => return self.machine.advance(c),
+            TraceEvent::Access(a) => a,
+        };
+        let walk = self.tlb.access(a.vaddr);
+        if walk > 0 {
+            self.machine.advance(walk);
+        }
+        match a.kind {
+            AccessKind::Load => {
+                self.machine.load(a.vaddr, u64::from(a.size));
+                let in_dram = match a.region {
+                    Region::Stack => stack_in_dram,
+                    Region::Heap => heap_in_dram,
+                    Region::Other => true,
+                };
+                if !in_dram {
+                    self.machine.advance(NVM_RESIDENCE_LOAD_PENALTY);
+                }
+            }
+            AccessKind::Store => {
+                self.machine.store(a.vaddr, u64::from(a.size));
+                match a.region {
+                    Region::Stack => {
+                        result.stack_stores += 1;
+                        if !stack_in_dram {
+                            self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
                         }
-                        AccessKind::Store => {
-                            self.machine.store(a.vaddr, u64::from(a.size));
-                            match a.region {
-                                Region::Stack => {
-                                    result.stack_stores += 1;
-                                    if !stack_in_dram {
-                                        self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
-                                    }
-                                    stack_mech.on_store(self.machine, a);
-                                }
-                                Region::Heap => {
-                                    result.heap_stores += 1;
-                                    if let Some(m) = heap_mech.as_deref_mut() {
-                                        if !heap_in_dram {
-                                            self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
-                                        }
-                                        m.on_store(self.machine, a);
-                                    }
-                                }
-                                Region::Other => {}
+                        stack_mech.on_store(self.machine, &a);
+                    }
+                    Region::Heap => {
+                        result.heap_stores += 1;
+                        if let Some(m) = heap_mech {
+                            if !heap_in_dram {
+                                self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
                             }
+                            m.on_store(self.machine, &a);
                         }
                     }
+                    Region::Other => {}
                 }
             }
         }
@@ -281,8 +279,21 @@ impl<'m> CheckpointManager<'m> {
 
         let tel = telemetry::enabled();
         for _ in 0..intervals {
-            let interval = collector.next_interval();
-            self.replay_interval(&interval, stack_mech, &mut heap_mech, &mut result);
+            // Each event is replayed as the source yields it; the
+            // interval is never buffered.
+            let in_dram = (
+                stack_mech.region_in_dram(),
+                heap_mech.as_ref().is_none_or(|m| m.region_in_dram()),
+            );
+            let bounds = collector.stream_interval(|ev| {
+                self.replay_event(
+                    ev,
+                    stack_mech,
+                    heap_mech.as_deref_mut(),
+                    in_dram,
+                    &mut result,
+                )
+            });
 
             let ckpt_start = self.machine.now();
             // The whole commit is one span; each region's mechanism
@@ -294,8 +305,8 @@ impl<'m> CheckpointManager<'m> {
             // Stack region commit.
             let info = IntervalInfo {
                 region: stack_region,
-                active: VirtRange::new(interval.min_sp, stack_top),
-                final_sp: interval.final_sp,
+                active: VirtRange::new(bounds.min_sp, stack_top),
+                final_sp: bounds.final_sp,
             };
             if tel {
                 telemetry::span_begin(
@@ -313,7 +324,7 @@ impl<'m> CheckpointManager<'m> {
                 let hinfo = IntervalInfo {
                     region: heap_region,
                     active: heap_region,
-                    final_sp: interval.final_sp,
+                    final_sp: bounds.final_sp,
                 };
                 if tel {
                     telemetry::span_begin(

@@ -1,11 +1,19 @@
-//! A set-associative, write-back/write-allocate cache with LRU
-//! replacement and an MSHR-occupancy model.
+//! A set-associative, write-back/write-allocate cache with exact LRU
+//! replacement.
 //!
 //! The cache is *functional for tags only*: it tracks which lines are
 //! present and dirty so that hit/miss/writeback behaviour (and thus
 //! latency and downstream traffic) is faithful, but it does not store
 //! data — data movement in the simulator is carried by the workload and
-//! OS models.
+//! OS models. The core in front of it is blocking, so no miss overlaps
+//! another and the cache keeps no miss-status state.
+//!
+//! Each way is one `u64`: the line number shifted left by one with the
+//! dirty bit below it, or `EMPTY`. Every set is kept in recency
+//! order, most recently used first: a hit moves its way to the front
+//! and a miss drops the last way, which is an empty one while the set
+//! has any (empty ways only ever sit at the back). That is exact LRU
+//! with empty ways filled first.
 
 use serde::{Deserialize, Serialize};
 
@@ -32,31 +40,25 @@ pub enum AccessKind {
     Write,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Higher = more recently used.
-    lru: u64,
-}
+/// The dirty bit of a way.
+const DIRTY: u64 = 1;
 
-impl Line {
-    const INVALID: Line = Line {
-        tag: 0,
-        valid: false,
-        dirty: false,
-        lru: 0,
-    };
-}
+/// An empty way: clean, and no line number shifted left by one (at
+/// most 2^59 for 64 B lines) reaches it, so it never matches a lookup.
+const EMPTY: u64 = u64::MAX - DIRTY;
 
 /// A single cache level.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: u64,
-    lines: Vec<Line>,
-    lru_clock: u64,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// Set count minus one.
+    set_mask: u64,
+    /// Ways per set.
+    ways: usize,
+    /// `ways` entries per set, most recently used first.
+    lines: Vec<u64>,
     stats: LevelStats,
 }
 
@@ -65,15 +67,21 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (see [`CacheConfig::sets`]).
+    /// Panics if the geometry is invalid (see [`CacheConfig::sets`]) or
+    /// the line size is not a power of two.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
-        let total = sets * u64::from(cfg.ways);
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two"
+        );
+        let ways = cfg.ways as usize;
         Self {
             cfg,
-            sets,
-            lines: vec![Line::INVALID; total as usize],
-            lru_clock: 0,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            ways,
+            lines: vec![EMPTY; sets as usize * ways],
             stats: LevelStats::default(),
         }
     }
@@ -88,16 +96,18 @@ impl Cache {
         self.stats
     }
 
-    fn index_of(&self, line_addr: u64) -> (u64, u64) {
-        let set = (line_addr / self.cfg.line_bytes) & (self.sets - 1);
-        let tag = line_addr / self.cfg.line_bytes / self.sets;
-        (set, tag)
+    /// The line number of `addr` and the index of its set's first way.
+    fn locate(&self, addr: PhysAddr) -> (u64, usize) {
+        let line = addr.cache_line().raw() >> self.line_shift;
+        (line, (line & self.set_mask) as usize * self.ways)
     }
 
-    fn set_slice(&mut self, set: u64) -> &mut [Line] {
-        let ways = self.cfg.ways as usize;
-        let start = set as usize * ways;
-        &mut self.lines[start..start + ways]
+    /// Position of `line` in `set`: one comparison per way, with the
+    /// dirty bit folded into the key. The scan stops at the match,
+    /// and most hits are on the most recently used way, the first.
+    fn find(set: &[u64], line: u64) -> Option<usize> {
+        let key = (line << 1) | DIRTY;
+        set.iter().position(|&way| way | DIRTY == key)
     }
 
     /// Looks up `addr` (any byte address), filling the line on a miss.
@@ -105,20 +115,13 @@ impl Cache {
     /// Returns whether the access hit and any dirty victim evicted by
     /// the fill. The line is marked dirty on `Write`.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccessResult {
-        let line_addr = addr.cache_line().raw();
-        let (set, tag) = self.index_of(line_addr);
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let sets = self.sets;
-        let line_bytes = self.cfg.line_bytes;
-
-        let ways = self.set_slice(set);
-        // Hit path.
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = clock;
-            if kind == AccessKind::Write {
-                line.dirty = true;
-            }
+        let (line, first) = self.locate(addr);
+        let dirty = u64::from(kind == AccessKind::Write);
+        let set = &mut self.lines[first..first + self.ways];
+        if let Some(pos) = Self::find(set, line) {
+            let way = set[pos] | dirty;
+            set.copy_within(..pos, 1);
+            set[0] = way;
             self.stats.hits += 1;
             return CacheAccessResult {
                 hit: true,
@@ -126,23 +129,15 @@ impl Cache {
             };
         }
 
-        // Miss: pick an invalid way, else the LRU way.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
-            .expect("cache set has at least one way");
-        let writeback = (victim.valid && victim.dirty)
-            .then(|| PhysAddr::new((victim.tag * sets + set) * line_bytes));
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            lru: clock,
-        };
+        // Miss: the last way is empty or least recently used.
+        let victim = set[set.len() - 1];
+        set.copy_within(..set.len() - 1, 1);
+        set[0] = (line << 1) | dirty;
         self.stats.misses += 1;
-        if writeback.is_some() {
+        let writeback = (victim & DIRTY != 0).then(|| {
             self.stats.writebacks += 1;
-        }
+            PhysAddr::new((victim >> 1) << self.line_shift)
+        });
         CacheAccessResult {
             hit: false,
             writeback,
@@ -151,53 +146,41 @@ impl Cache {
 
     /// Returns `true` if the line containing `addr` is present.
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let line_addr = addr.cache_line().raw();
-        let set = (line_addr / self.cfg.line_bytes) & (self.sets - 1);
-        let tag = line_addr / self.cfg.line_bytes / self.sets;
-        let ways = self.cfg.ways as usize;
-        let start = set as usize * ways;
-        self.lines[start..start + ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        let (line, first) = self.locate(addr);
+        Self::find(&self.lines[first..first + self.ways], line).is_some()
     }
 
     /// Invalidates the line containing `addr`, returning `true` if the
     /// line was present and dirty (i.e. a `clwb`/`clflush`-style
     /// operation would generate a write-back).
     pub fn flush_line(&mut self, addr: PhysAddr) -> bool {
-        let line_addr = addr.cache_line().raw();
-        let (set, tag) = self.index_of(line_addr);
-        let ways = self.set_slice(set);
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            let was_dirty = line.dirty;
-            // clwb semantics: the line stays resident but becomes clean.
-            line.dirty = false;
-            if was_dirty {
-                self.stats.writebacks += 1;
-            }
-            was_dirty
-        } else {
-            false
+        let (line, first) = self.locate(addr);
+        let set = &mut self.lines[first..first + self.ways];
+        let Some(pos) = Self::find(set, line) else {
+            return false;
+        };
+        // clwb semantics: the line stays resident, in place, but
+        // becomes clean.
+        let was_dirty = set[pos] & DIRTY != 0;
+        set[pos] &= !DIRTY;
+        if was_dirty {
+            self.stats.writebacks += 1;
         }
+        was_dirty
     }
 
     /// Invalidates every line, returning the number of dirty lines that
     /// would have been written back.
     pub fn flush_all(&mut self) -> u64 {
-        let mut dirty = 0;
-        for line in &mut self.lines {
-            if line.valid && line.dirty {
-                dirty += 1;
-            }
-            *line = Line::INVALID;
-        }
+        let dirty = self.lines.iter().filter(|&&way| way & DIRTY != 0).count() as u64;
+        self.lines.fill(EMPTY);
         self.stats.writebacks += dirty;
         dirty
     }
 
     /// Number of currently valid lines (for tests and diagnostics).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|&&way| way != EMPTY).count()
     }
 }
 
@@ -211,7 +194,6 @@ mod tests {
             size_bytes: 512,
             ways: 2,
             latency: 1,
-            mshrs: 4,
             line_bytes: 64,
         })
     }

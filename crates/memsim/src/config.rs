@@ -24,9 +24,6 @@ pub struct CacheConfig {
     pub ways: u32,
     /// Access (hit) latency in core cycles.
     pub latency: Cycles,
-    /// Number of miss-status holding registers; bounds outstanding
-    /// misses and therefore the achievable miss-level parallelism.
-    pub mshrs: u32,
     /// Line size in bytes (64 in Table II for all levels).
     pub line_bytes: u64,
 }
@@ -80,9 +77,10 @@ pub struct DramConfig {
 /// parameters based on reference \[46\] of the paper).
 ///
 /// The defining characteristics are the large read/write latencies
-/// relative to DRAM, strong read/write asymmetry, and bounded device
-/// buffers (Table II: 48-entry write buffer, 64-entry read buffer) whose
-/// exhaustion stalls further requests.
+/// relative to DRAM, strong read/write asymmetry, and a bounded write
+/// buffer (Table II: 48 entries) whose exhaustion stalls further
+/// writes. Table II's 64-entry read buffer is not modelled: the
+/// blocking core never has more than one read outstanding.
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct NvmConfig {
     /// Array read latency in core cycles (~150 ns class device ⇒ ~450
@@ -92,8 +90,6 @@ pub struct NvmConfig {
     pub write_latency: Cycles,
     /// Entries in the device write buffer (Table II: 48).
     pub write_buffer: u32,
-    /// Entries in the device read buffer (Table II: 64).
-    pub read_buffer: u32,
     /// Sustained write bandwidth in bytes per core cycle (Optane-class
     /// devices sustain ~2 GB/s writes ⇒ ~0.7 B/cycle at 3 GHz).
     pub write_bytes_per_cycle: f64,
@@ -139,7 +135,8 @@ impl MachineConfig {
     /// 3 GHz core, 32 KiB 8-way L1D (3 cycles), 512 KiB 16-way L2
     /// (12 cycles), 2 MiB 16-way L3 slice (20 cycles), MSHRs 16/32/32,
     /// 64 B lines, DDR4-2400, PCM NVM with 48/64 write/read buffers,
-    /// 3 GB DRAM + 2 GB NVM.
+    /// 3 GB DRAM + 2 GB NVM. The core is blocking, so the MSHR counts
+    /// and the read buffer bound nothing and are not modelled.
     pub fn setup_i() -> Self {
         Self {
             core_hz: 3_000_000_000,
@@ -147,21 +144,18 @@ impl MachineConfig {
                 size_bytes: 32 * 1024,
                 ways: 8,
                 latency: 3,
-                mshrs: 16,
                 line_bytes: 64,
             },
             l2: CacheConfig {
                 size_bytes: 512 * 1024,
                 ways: 16,
                 latency: 12,
-                mshrs: 32,
                 line_bytes: 64,
             },
             l3: CacheConfig {
                 size_bytes: 2 * 1024 * 1024,
                 ways: 16,
                 latency: 20,
-                mshrs: 32,
                 line_bytes: 64,
             },
             dram: DramConfig::ddr4_2400(),
@@ -228,7 +222,6 @@ impl NvmConfig {
             read_latency: 300,
             write_latency: 1000,
             write_buffer: 48,
-            read_buffer: 64,
             write_bytes_per_cycle: 0.7,
             read_bytes_per_cycle: 2.1,
         }
@@ -246,20 +239,16 @@ mod tests {
         assert_eq!(c.l1d.size_bytes, 32 * 1024);
         assert_eq!(c.l1d.ways, 8);
         assert_eq!(c.l1d.latency, 3);
-        assert_eq!(c.l1d.mshrs, 16);
         assert_eq!(c.l2.size_bytes, 512 * 1024);
         assert_eq!(c.l2.ways, 16);
         assert_eq!(c.l2.latency, 12);
-        assert_eq!(c.l2.mshrs, 32);
         assert_eq!(c.l3.size_bytes, 2 * 1024 * 1024);
         assert_eq!(c.l3.ways, 16);
         assert_eq!(c.l3.latency, 20);
-        assert_eq!(c.l3.mshrs, 32);
         assert_eq!(c.l1d.line_bytes, 64);
         assert_eq!(c.l2.line_bytes, 64);
         assert_eq!(c.l3.line_bytes, 64);
         assert_eq!(c.nvm.write_buffer, 48);
-        assert_eq!(c.nvm.read_buffer, 64);
         assert_eq!(c.layout.dram_bytes, 3 * 1024 * 1024 * 1024);
         assert_eq!(c.layout.nvm_bytes, 2 * 1024 * 1024 * 1024);
     }
@@ -303,7 +292,6 @@ mod tests {
             size_bytes: 48 * 1024,
             ways: 8,
             latency: 3,
-            mshrs: 16,
             line_bytes: 64,
         }
         .sets();

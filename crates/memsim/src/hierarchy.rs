@@ -25,7 +25,7 @@ pub enum ServedBy {
 }
 
 /// Result of pushing one access through the hierarchy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct HierarchyResult {
     /// Which level served the access.
     pub served_by: ServedBy,
@@ -33,8 +33,10 @@ pub struct HierarchyResult {
     /// memory-device latency is added by the machine).
     pub cache_latency: Cycles,
     /// Dirty lines that were evicted out of the L3 and must be written
-    /// to memory.
-    pub memory_writebacks: Vec<PhysAddr>,
+    /// to memory, in eviction order. One access evicts at most one L3
+    /// line per fill it causes there: the L1 victim's write-back
+    /// cascade, the L2 victim's write-back and the L3 demand fill.
+    pub memory_writebacks: [Option<PhysAddr>; 3],
 }
 
 /// The composed L1D/L2/L3 hierarchy.
@@ -58,7 +60,7 @@ impl Hierarchy {
     /// Pushes one access through the hierarchy, filling lines upward
     /// and propagating dirty victims downward.
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> HierarchyResult {
-        let mut memory_writebacks = Vec::new();
+        let mut memory_writebacks = [None; 3];
         let mut latency = self.l1d.config().latency;
 
         let r1 = self.l1d.access(addr, kind);
@@ -66,10 +68,7 @@ impl Hierarchy {
         if let Some(v) = r1.writeback {
             let r2 = self.l2.access(v, AccessKind::Write);
             if let Some(v2) = r2.writeback {
-                let r3 = self.l3.access(v2, AccessKind::Write);
-                if let Some(v3) = r3.writeback {
-                    memory_writebacks.push(v3);
-                }
+                memory_writebacks[0] = self.l3.access(v2, AccessKind::Write).writeback;
             }
         }
         if r1.hit {
@@ -85,10 +84,7 @@ impl Hierarchy {
         // of the demand kind (write-allocate fetches the line first).
         let r2 = self.l2.access(addr, AccessKind::Read);
         if let Some(v) = r2.writeback {
-            let r3 = self.l3.access(v, AccessKind::Write);
-            if let Some(v3) = r3.writeback {
-                memory_writebacks.push(v3);
-            }
+            memory_writebacks[1] = self.l3.access(v, AccessKind::Write).writeback;
         }
         if r2.hit {
             return HierarchyResult {
@@ -100,9 +96,7 @@ impl Hierarchy {
 
         latency += self.l3.config().latency;
         let r3 = self.l3.access(addr, AccessKind::Read);
-        if let Some(v3) = r3.writeback {
-            memory_writebacks.push(v3);
-        }
+        memory_writebacks[2] = r3.writeback;
         if r3.hit {
             return HierarchyResult {
                 served_by: ServedBy::L3,

@@ -2,9 +2,9 @@
 //!
 //! A deterministic, trace-driven memory-hierarchy simulator substrate for
 //! the Prosper reproduction. It models the machine described in Table II
-//! of the paper: a 3 GHz core with a three-level set-associative cache
-//! hierarchy (with MSHR limits), a DDR4-2400-like DRAM device, and a
-//! PCM-like NVM device with bounded read/write buffers.
+//! of the paper: a blocking 3 GHz core with a three-level
+//! set-associative LRU cache hierarchy, a DDR4-2400-like DRAM device,
+//! and a PCM-like NVM device with a bounded write buffer.
 //!
 //! The simulator is *cycle-accounting*, not cycle-accurate: each memory
 //! access is charged a latency derived from where it hits in the

@@ -22,15 +22,6 @@ use crate::memctrl::{Device, MemoryController};
 use crate::stats::MemStats;
 use crate::{Cycles, CACHE_LINE};
 
-/// Translates simulated virtual addresses to physical addresses.
-///
-/// The default [`DirectMap`] folds the virtual address into the DRAM
-/// region; the OS crate provides a page-table-backed implementation.
-pub trait AddressTranslator {
-    /// Maps a virtual address to the physical address backing it.
-    fn translate(&self, vaddr: VirtAddr) -> PhysAddr;
-}
-
 /// Identity-style translator: virtual addresses map into DRAM modulo
 /// the DRAM size. Adequate for experiments that never alias.
 #[derive(Clone, Copy, Debug)]
@@ -44,11 +35,39 @@ impl DirectMap {
         assert!(dram_bytes > 0, "direct map requires non-empty DRAM");
         Self { dram_bytes }
     }
+
+    /// Maps a virtual address to the physical address backing it.
+    pub fn translate(&self, vaddr: VirtAddr) -> PhysAddr {
+        PhysAddr::new(vaddr.raw() % self.dram_bytes)
+    }
 }
 
-impl AddressTranslator for DirectMap {
-    fn translate(&self, vaddr: VirtAddr) -> PhysAddr {
-        PhysAddr::new(vaddr.raw() % self.dram_bytes)
+/// Bus cycles one line transfer occupies, per device and direction,
+/// fixed by the configured bandwidths.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LineTransfer {
+    dram: Cycles,
+    nvm_read: Cycles,
+    nvm_write: Cycles,
+}
+
+impl LineTransfer {
+    pub(crate) fn new(cfg: &MachineConfig) -> Self {
+        let cycles = |bytes_per_cycle: f64| (CACHE_LINE as f64 / bytes_per_cycle).ceil() as Cycles;
+        Self {
+            dram: cycles(cfg.dram.bytes_per_cycle),
+            nvm_read: cycles(cfg.nvm.read_bytes_per_cycle),
+            nvm_write: cycles(cfg.nvm.write_bytes_per_cycle),
+        }
+    }
+
+    /// The transfer cycles of one line to or from `device`.
+    pub(crate) fn cycles(&self, device: Device, is_write: bool) -> Cycles {
+        match device {
+            Device::Dram => self.dram,
+            Device::Nvm if is_write => self.nvm_write,
+            Device::Nvm => self.nvm_read,
+        }
     }
 }
 
@@ -182,7 +201,8 @@ pub struct Machine {
     cfg: MachineConfig,
     hierarchy: Hierarchy,
     ctrl: MemoryController,
-    translator: Box<dyn AddressTranslator + Send>,
+    translator: DirectMap,
+    transfer: LineTransfer,
     now: Cycles,
     /// Cycle at which the memory bus can accept the next line transfer.
     bus_free: Cycles,
@@ -192,28 +212,15 @@ pub struct Machine {
     tel: Option<MachineTelemetry>,
 }
 
-impl std::fmt::Debug for dyn AddressTranslator + Send {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("AddressTranslator")
-    }
-}
-
 impl Machine {
-    /// Builds a machine with the default direct-mapped translator.
+    /// Builds an idle machine whose virtual addresses map directly
+    /// into DRAM (see [`DirectMap`]).
     pub fn new(cfg: MachineConfig) -> Self {
-        let translator = Box::new(DirectMap::new(cfg.layout.dram_bytes));
-        Self::with_translator(cfg, translator)
-    }
-
-    /// Builds a machine with a caller-supplied translator.
-    pub fn with_translator(
-        cfg: MachineConfig,
-        translator: Box<dyn AddressTranslator + Send>,
-    ) -> Self {
         Self {
             hierarchy: Hierarchy::new(&cfg),
             ctrl: MemoryController::new(cfg.layout, cfg.dram, cfg.nvm),
-            translator,
+            translator: DirectMap::new(cfg.layout.dram_bytes),
+            transfer: LineTransfer::new(&cfg),
             now: 0,
             bus_free: 0,
             stats: MemStats::default(),
@@ -256,7 +263,7 @@ impl Machine {
         self.now += cycles;
     }
 
-    /// Translates through the installed translator.
+    /// Translates a virtual address to the physical address backing it.
     pub fn translate(&self, vaddr: VirtAddr) -> PhysAddr {
         self.translator.translate(vaddr)
     }
@@ -275,18 +282,7 @@ impl Machine {
         let device_latency = self.ctrl.access(start, addr, is_write);
         // The bus is occupied for the data-transfer slot only; the
         // device latency itself is pipelined across banks/buffers.
-        let transfer = match self.ctrl.device_of(addr) {
-            Device::Dram => (CACHE_LINE as f64 / self.cfg.dram.bytes_per_cycle).ceil() as Cycles,
-            Device::Nvm => {
-                let bpc = if is_write {
-                    self.cfg.nvm.write_bytes_per_cycle
-                } else {
-                    self.cfg.nvm.read_bytes_per_cycle
-                };
-                (CACHE_LINE as f64 / bpc).ceil() as Cycles
-            }
-        };
-        self.bus_free = start + transfer;
+        self.bus_free = start + self.transfer.cycles(self.ctrl.device_of(addr), is_write);
         if demand {
             queue_delay + device_latency
         } else {
@@ -305,7 +301,7 @@ impl Machine {
         }
         // Dirty L3 victims drain to memory in the background: they take
         // bus slots but do not stall the core.
-        for wb in res.memory_writebacks {
+        for wb in res.memory_writebacks.into_iter().flatten() {
             self.memory_access(wb, true, false);
         }
         latency

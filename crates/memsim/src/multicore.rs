@@ -10,8 +10,8 @@
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::{AccessKind, Cache};
 use crate::config::{CacheConfig, MachineConfig};
-use crate::machine::{AddressTranslator, DirectMap};
-use crate::memctrl::{Device, MemoryController};
+use crate::machine::{DirectMap, LineTransfer};
+use crate::memctrl::MemoryController;
 use crate::stats::LevelStats;
 use crate::{Cycles, CACHE_LINE};
 
@@ -56,6 +56,7 @@ pub struct MultiCoreMachine {
     l3: Cache,
     ctrl: MemoryController,
     translator: DirectMap,
+    transfer: LineTransfer,
     bus_free: Cycles,
     cfg: MachineConfig,
 }
@@ -89,6 +90,7 @@ impl MultiCoreMachine {
             l3: Cache::new(l3_cfg),
             ctrl: MemoryController::new(cfg.layout, cfg.dram, cfg.nvm),
             translator: DirectMap::new(cfg.layout.dram_bytes),
+            transfer: LineTransfer::new(&cfg),
             bus_free: 0,
             cfg,
         }
@@ -131,18 +133,7 @@ impl MultiCoreMachine {
         let start = issue.max(self.bus_free);
         let queue_delay = start - issue;
         let device_latency = self.ctrl.access(start, addr, is_write);
-        let transfer = match self.ctrl.device_of(addr) {
-            Device::Dram => (CACHE_LINE as f64 / self.cfg.dram.bytes_per_cycle).ceil() as Cycles,
-            Device::Nvm => {
-                let bpc = if is_write {
-                    self.cfg.nvm.write_bytes_per_cycle
-                } else {
-                    self.cfg.nvm.read_bytes_per_cycle
-                };
-                (CACHE_LINE as f64 / bpc).ceil() as Cycles
-            }
-        };
-        self.bus_free = start + transfer;
+        self.bus_free = start + self.transfer.cycles(self.ctrl.device_of(addr), is_write);
         queue_delay + device_latency
     }
 

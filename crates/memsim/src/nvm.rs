@@ -1,18 +1,26 @@
-//! PCM-like NVM device model with bounded read/write buffers.
+//! PCM-like NVM device model with a bounded write buffer.
 //!
 //! The paper's Table II configures gem5's NVM interface with PCM timing
-//! parameters, a 48-entry write buffer, and a 64-entry read buffer. The
-//! write buffer lets short write bursts complete at buffer-insert speed,
-//! but a sustained write stream (for example, a checkpoint copy or a
-//! per-store `clwb` policy like the flush baseline in Figure 3) drains
-//! at the slow PCM array write latency and backs up, stalling the core.
+//! parameters, a 48-entry write buffer, and a 64-entry read buffer
+//! (not modelled: the blocking core has one read outstanding at most).
+//! The write buffer lets short write bursts complete at buffer-insert
+//! speed, but a sustained write stream (for example, a checkpoint copy
+//! or a per-store `clwb` policy like the flush baseline in Figure 3)
+//! drains at the slow PCM array write latency and backs up, stalling
+//! the core.
 //! That asymmetry is the key driver of the paper's "keep the stack in
 //! DRAM, checkpoint into NVM" argument, so we model it explicitly with
 //! a drain-rate occupancy model.
 
+use std::collections::BTreeMap;
+
 use crate::addr::PhysAddr;
 use crate::config::NvmConfig;
 use crate::Cycles;
+
+/// Lines in the 1 MiB window that bulk checkpoint copies rotate over
+/// (checkpoint areas recycle).
+const BULK_WINDOW_LINES: u64 = (1 << 20) / 64;
 
 /// Per-line wear statistics — PCM cells endure a bounded number of
 /// writes, which is the endurance concern the paper raises against
@@ -41,10 +49,12 @@ pub struct Nvm {
     pub writes: u64,
     /// Cycles callers were stalled on a full write buffer.
     pub write_stall_cycles: Cycles,
-    /// Per-line write counts (sparse).
-    wear: std::collections::BTreeMap<u64, u64>,
-    /// Cursor spreading bulk-copy wear over sequential lines (bulk
-    /// checkpoint areas are written sequentially in practice).
+    /// Per-line write counts of [`Self::write`] (sparse).
+    wear: BTreeMap<u64, u64>,
+    /// Lines written by bulk copies so far. Bulk checkpoint areas are
+    /// written sequentially in practice, so line `i` of the stream
+    /// lands on window line `i % BULK_WINDOW_LINES` and the window's
+    /// wear follows from this count alone.
     bulk_cursor: u64,
 }
 
@@ -58,7 +68,7 @@ impl Nvm {
             reads: 0,
             writes: 0,
             write_stall_cycles: 0,
-            wear: std::collections::BTreeMap::new(),
+            wear: BTreeMap::new(),
             bulk_cursor: 0,
         }
     }
@@ -133,20 +143,29 @@ impl Nvm {
     pub fn record_bulk_write(&mut self, bytes: u64) {
         let lines = bytes.div_ceil(64);
         self.writes += lines;
-        for _ in 0..lines {
-            // Checkpoint areas recycle; model a 1 MiB rotating window.
-            let line = self.bulk_cursor % ((1u64 << 20) / 64);
-            self.bulk_cursor += 1;
-            *self.wear.entry(u64::MAX - line).or_insert(0) += 1;
-        }
+        self.bulk_cursor += lines;
     }
 
     /// Wear statistics accumulated so far.
+    ///
+    /// The bulk window is disjoint from the lines [`Self::write`]
+    /// reaches. After `c` bulk line writes every window line holds
+    /// `c / BULK_WINDOW_LINES` writes and the first `c %
+    /// BULK_WINDOW_LINES` one more, so the window adds `c` writes,
+    /// a hottest line of `⌈c / BULK_WINDOW_LINES⌉` and
+    /// `min(c, BULK_WINDOW_LINES)` distinct lines.
     pub fn wear_stats(&self) -> WearStats {
+        let c = self.bulk_cursor;
         WearStats {
-            total_line_writes: self.wear.values().sum(),
-            max_line_writes: self.wear.values().copied().max().unwrap_or(0),
-            distinct_lines: self.wear.len() as u64,
+            total_line_writes: self.wear.values().sum::<u64>() + c,
+            max_line_writes: self
+                .wear
+                .values()
+                .copied()
+                .max()
+                .unwrap_or(0)
+                .max(c.div_ceil(BULK_WINDOW_LINES)),
+            distinct_lines: self.wear.len() as u64 + c.min(BULK_WINDOW_LINES),
         }
     }
 }
@@ -226,11 +245,10 @@ mod tests {
     #[test]
     fn bulk_wear_wraps_after_window() {
         let mut n = Nvm::new(NvmConfig::pcm());
-        let window_lines = (1u64 << 20) / 64;
-        n.record_bulk_write(64 * (window_lines + 10));
+        n.record_bulk_write(64 * (BULK_WINDOW_LINES + 10));
         let w = n.wear_stats();
         assert_eq!(w.max_line_writes, 2, "wrapped lines written twice");
-        assert_eq!(w.distinct_lines, window_lines);
+        assert_eq!(w.distinct_lines, BULK_WINDOW_LINES);
     }
 
     #[test]

@@ -14,11 +14,15 @@ use crate::Cycles;
 pub const PAGE_WALK_CYCLES: Cycles = 30;
 
 /// A fully-associative data TLB with LRU replacement.
+///
+/// The resident page numbers are kept in recency order, most recently
+/// used first: a hit moves its page to the front and a miss on a full
+/// TLB drops the last one, the least recently used.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<(u64, u64)>, // (vpn, lru)
+    /// Resident virtual page numbers, most recently used first.
+    pages: Vec<u64>,
     capacity: usize,
-    clock: u64,
     /// Translation hits.
     pub hits: u64,
     /// Translation misses (page walks performed).
@@ -35,9 +39,8 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB needs at least one entry");
         Self {
-            entries: Vec::with_capacity(capacity),
+            pages: Vec::with_capacity(capacity),
             capacity,
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -48,35 +51,28 @@ impl Tlb {
     /// mapping.
     pub fn access(&mut self, vaddr: VirtAddr) -> Cycles {
         let vpn = vaddr.page_number();
-        self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|(v, _)| *v == vpn) {
-            e.1 = self.clock;
+        if let Some(pos) = self.pages.iter().position(|&p| p == vpn) {
+            self.pages.copy_within(..pos, 1);
+            self.pages[0] = vpn;
             self.hits += 1;
             return 0;
         }
         self.misses += 1;
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, l))| *l)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            self.entries.swap_remove(lru);
+        if self.pages.len() == self.capacity {
+            self.pages.pop();
         }
-        self.entries.push((vpn, self.clock));
+        self.pages.insert(0, vpn);
         PAGE_WALK_CYCLES
     }
 
     /// Flushes all entries (address-space switch without ASIDs).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.pages.clear();
     }
 
     /// Currently resident translations.
     pub fn resident(&self) -> usize {
-        self.entries.len()
+        self.pages.len()
     }
 
     /// Miss ratio in `[0, 1]`.

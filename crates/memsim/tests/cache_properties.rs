@@ -13,7 +13,6 @@ fn tiny_cache() -> Cache {
         size_bytes: 1024,
         ways: 2,
         latency: 1,
-        mshrs: 4,
         line_bytes: 64,
     })
 }

@@ -3,10 +3,14 @@
 //! Checkpoint experiments operate on fixed-duration intervals (10 ms in
 //! the paper, i.e. 30 M cycles at 3 GHz; our harnesses scale this down
 //! — see EXPERIMENTS.md). An [`IntervalCollector`] pulls events from a
-//! [`TraceSource`] until the interval's cycle budget is exhausted and
-//! yields the buffered events together with the SP endpoints needed by
-//! the motivation analyses (Figure 2: writes beyond the final SP) and
-//! by SP-aware replay (Figure 3).
+//! [`TraceSource`] until the interval's cycle budget is exhausted.
+//! [`IntervalCollector::stream_interval`] hands each event to the
+//! caller as the source yields it and buffers nothing, which is how the
+//! checkpoint manager replays a run; [`IntervalCollector::next_interval`]
+//! buffers the same events into an [`Interval`] for the analyses that
+//! walk an interval more than once. Both return the SP endpoints needed
+//! by the motivation analyses (Figure 2: writes beyond the final SP)
+//! and by SP-aware replay (Figure 3).
 
 use prosper_memsim::addr::VirtAddr;
 use prosper_memsim::Cycles;
@@ -20,6 +24,13 @@ use crate::source::TraceSource;
 pub struct Interval {
     /// Events in issue order.
     pub events: Vec<TraceEvent>,
+    /// The interval's SP endpoints.
+    pub bounds: IntervalBounds,
+}
+
+/// The SP endpoints of one interval.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct IntervalBounds {
     /// SP at the start of the interval.
     pub start_sp: VirtAddr,
     /// SP at the end of the interval (the "final SP" of Fig. 2).
@@ -66,7 +77,7 @@ impl Interval {
             match (a.region, a.kind) {
                 (Region::Stack, AccessKind::Store) => {
                     s.stack_writes += 1;
-                    if a.vaddr < self.final_sp {
+                    if a.vaddr < self.bounds.final_sp {
                         s.writes_beyond_final_sp += 1;
                     }
                 }
@@ -121,28 +132,36 @@ impl<S: TraceSource> IntervalCollector<S> {
         Self { source, budget }
     }
 
-    /// Collects the next interval.
-    pub fn next_interval(&mut self) -> Interval {
+    /// Pulls the next interval from the source, handing each event to
+    /// `sink` as soon as the source yields it, and returns the
+    /// interval's SP endpoints. Nothing is buffered.
+    pub fn stream_interval(&mut self, mut sink: impl FnMut(TraceEvent)) -> IntervalBounds {
         let start_sp = self.source.stack().sp();
         let stack_top = self.source.stack().top();
         let mut min_sp = start_sp;
         let mut spent: Cycles = 0;
-        let mut events = Vec::new();
         while spent < self.budget {
             let ev = self.source.next_event();
             spent += ev.budget_cycles();
             if let Some(a) = ev.as_access() {
                 min_sp = min_sp.min(a.sp);
             }
-            events.push(ev);
+            sink(ev);
         }
-        Interval {
-            events,
+        IntervalBounds {
             start_sp,
             final_sp: self.source.stack().sp(),
             min_sp,
             stack_top,
         }
+    }
+
+    /// Collects the next interval: [`Self::stream_interval`] with the
+    /// events buffered in issue order.
+    pub fn next_interval(&mut self) -> Interval {
+        let mut events = Vec::new();
+        let bounds = self.stream_interval(|ev| events.push(ev));
+        Interval { events, bounds }
     }
 
     /// Collects `n` consecutive intervals.
@@ -172,15 +191,59 @@ mod tests {
         assert!(spent < 12_000, "budget overshoot bounded by one event");
     }
 
+    /// The budget loop written out on its own: the events and bounds
+    /// both collectors must reproduce.
+    fn reference_interval(source: &mut Workload, budget: Cycles) -> Interval {
+        let start_sp = source.stack().sp();
+        let mut min_sp = start_sp;
+        let mut spent = 0;
+        let mut events = Vec::new();
+        while spent < budget {
+            let ev = source.next_event();
+            spent += ev.budget_cycles();
+            if let TraceEvent::Access(a) = ev {
+                min_sp = min_sp.min(a.sp);
+            }
+            events.push(ev);
+        }
+        let bounds = IntervalBounds {
+            start_sp,
+            final_sp: source.stack().sp(),
+            min_sp,
+            stack_top: source.stack().top(),
+        };
+        Interval { events, bounds }
+    }
+
+    #[test]
+    fn streamed_interval_matches_buffered_interval() {
+        for profile in [WorkloadProfile::gapbs_pr(), WorkloadProfile::ycsb_mem()] {
+            let mut reference = Workload::new(profile.clone(), 7);
+            let mut buffered = IntervalCollector::new(Workload::new(profile.clone(), 7), 30_000);
+            let mut streamed = IntervalCollector::new(Workload::new(profile, 7), 30_000);
+            for _ in 0..6 {
+                let want = reference_interval(&mut reference, 30_000);
+                let iv = buffered.next_interval();
+                let mut events = Vec::new();
+                let bounds = streamed.stream_interval(|ev| events.push(ev));
+                assert_eq!(events, want.events);
+                assert_eq!(bounds, want.bounds);
+                assert_eq!(iv.events, want.events);
+                assert_eq!(iv.bounds, want.bounds);
+            }
+        }
+    }
+
     #[test]
     fn min_sp_below_or_equal_endpoints() {
         let w = Workload::new(WorkloadProfile::ycsb_mem(), 2);
         let mut c = IntervalCollector::new(w, 50_000);
         for _ in 0..5 {
             let iv = c.next_interval();
-            assert!(iv.min_sp <= iv.start_sp);
-            assert!(iv.min_sp <= iv.final_sp);
-            assert!(iv.final_sp <= iv.stack_top);
+            let b = iv.bounds;
+            assert!(b.min_sp <= b.start_sp);
+            assert!(b.min_sp <= b.final_sp);
+            assert!(b.final_sp <= b.stack_top);
         }
     }
 

@@ -81,7 +81,8 @@ proptest! {
         let iv = c.next_interval();
         let spent: u64 = iv.events.iter().map(|e| e.budget_cycles()).sum();
         prop_assert!(spent >= budget);
-        prop_assert!(iv.min_sp <= iv.start_sp && iv.min_sp <= iv.final_sp);
+        let b = iv.bounds;
+        prop_assert!(b.min_sp <= b.start_sp && b.min_sp <= b.final_sp);
 
         let g8 = iv.dirty_stack_granules(8).len() as u64;
         let g64 = iv.dirty_stack_granules(64).len() as u64;

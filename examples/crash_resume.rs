@@ -59,10 +59,11 @@ fn main() {
 
     let apply =
         |process: &mut PersistentProcess, tracker: &mut DirtyTracker, from: usize, to: usize| {
+            let mut ops = Vec::new();
             for ev in &trace.events[from..to] {
                 if let TraceEvent::Access(a) = ev {
                     if a.is_stack_store() {
-                        tracker.observe_store(a.vaddr, u64::from(a.size));
+                        tracker.observe_store(a.vaddr, u64::from(a.size), &mut ops);
                         process.record_store(0, a.vaddr, &value_at(a.vaddr.raw(), a.size));
                     }
                 }

@@ -37,12 +37,13 @@ fn tracked_run(
     let mut collector = IntervalCollector::new(workload, 40_000);
     let mut all_runs = Vec::new();
 
+    let mut ops = Vec::new();
     for interval in 0..intervals {
         let iv = collector.next_interval();
         for ev in &iv.events {
             if let TraceEvent::Access(a) = ev {
                 if a.is_stack_store() {
-                    tracker.observe_store(a.vaddr, u64::from(a.size));
+                    tracker.observe_store(a.vaddr, u64::from(a.size), &mut ops);
                     let val = (a.vaddr.raw() as u8).wrapping_add(interval as u8);
                     process.record_store(0, a.vaddr, &vec![val; a.size as usize]);
                 }
@@ -90,7 +91,7 @@ fn writes_after_last_checkpoint_are_lost_but_consistent() {
     let (mut tracker, mut process, range, _) = tracked_run(3);
     // Extra writes without a checkpoint.
     let addr = range.end() - 256u64;
-    tracker.observe_store(addr, 8);
+    tracker.observe_store(addr, 8, &mut Vec::new());
     process.record_store(0, addr, &[0xEE; 8]);
     let committed = process.committed_sequence();
 

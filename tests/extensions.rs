@@ -33,13 +33,14 @@ fn prosper_tracks_a_heap_range() {
 
     let mut w = Workload::new(WorkloadProfile::ycsb_mem(), 3);
     let mut heap_stores = 0u64;
+    let mut ops = Vec::new();
     for _ in 0..30_000 {
         if let TraceEvent::Access(a) = w.next_event() {
             if a.region == Region::Heap && a.kind == prosper_repro::trace::AccessKind::Store {
                 if heap.overlaps_access(a.vaddr, u64::from(a.size)) {
                     heap_stores += 1;
                 }
-                tracker.observe_store(a.vaddr, u64::from(a.size));
+                tracker.observe_store(a.vaddr, u64::from(a.size), &mut ops);
             }
         }
     }

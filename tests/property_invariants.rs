@@ -30,9 +30,10 @@ proptest! {
         tracker.configure(stack_range(), VirtAddr::new(0x1000_0000));
 
         let mut expected: BTreeSet<u64> = BTreeSet::new();
+        let mut ops = Vec::new();
         for &off in &offsets {
             let addr = RANGE_LO + (off & !7);
-            tracker.observe_store(VirtAddr::new(addr), 8);
+            tracker.observe_store(VirtAddr::new(addr), 8, &mut ops);
             let first = (addr - RANGE_LO) / granularity;
             let last = (addr + 7 - RANGE_LO) / granularity;
             for granule in first..=last {
@@ -80,9 +81,10 @@ proptest! {
             for &(word, bit) in &words {
                 let addr = 0x1000 + word * 4;
                 let snapshot = mem.clone();
-                let ops = table.record(addr, bit, &mut |a| {
+                let mut ops = Vec::new();
+                table.record(addr, bit, &mut |a| {
                     snapshot.get(&a).copied().unwrap_or(0)
-                });
+                }, &mut ops);
                 apply(&mut mem, &ops);
             }
             let snapshot = mem.clone();
