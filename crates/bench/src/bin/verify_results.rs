@@ -159,6 +159,47 @@ fn main() -> ExitCode {
         .all(|r| f(&r["ssp_prosper"]) <= f(&r["ssp_only"]));
     v.check("fig9.combo-wins", fig9_ok, format!("{} rows", fig9.len()));
 
+    // Figure 9: a longer consolidation interval lowers every column of
+    // every workload, from 10 µs to 1 ms.
+    let at = |workload: &str, interval: &str| {
+        fig9.iter().find(|r| {
+            r["workload"].as_str() == Some(workload) && r["ssp_interval"].as_str() == Some(interval)
+        })
+    };
+    let mut longer_ok = !fig9.is_empty();
+    let mut longer_detail = Vec::new();
+    for row in fig9
+        .iter()
+        .filter(|r| r["ssp_interval"].as_str() == Some("10us"))
+    {
+        let workload = row["workload"].as_str().unwrap_or("?");
+        let Some(slow) = at(workload, "1ms") else {
+            longer_ok = false;
+            longer_detail.push(format!("{workload}: no 1ms row"));
+            continue;
+        };
+        for column in ["ssp_only", "ssp_dirtybit", "ssp_prosper"] {
+            let falls = f(&slow[column]) < f(&row[column]);
+            if !falls {
+                longer_ok = false;
+                longer_detail.push(format!(
+                    "{workload} {column}: {:.2}x -> {:.2}x",
+                    f(&row[column]),
+                    f(&slow[column])
+                ));
+            }
+        }
+    }
+    v.check(
+        "fig9.longer-interval-helps",
+        longer_ok,
+        if longer_ok {
+            "every column falls from 10us to 1ms".into()
+        } else {
+            longer_detail.join("; ")
+        },
+    );
+
     // Figure 12: tracking overhead below 5%.
     let fig12 = data["fig12"].as_array().expect("fig12 present");
     let min_speedup = fig12

@@ -13,11 +13,14 @@
 //! The functional bitmap is stored hierarchically for inspection
 //! throughput:
 //!
-//! * **Pages** of [`WORDS_PER_PAGE`] dense 32-bit words, keyed by the
-//!   page-aligned bitmap address. Stacks dirty a tiny, highly clustered
-//!   fraction of their reserved range, so most pages never exist and a
-//!   probe of an absent page skips [`PAGE_SPAN_BYTES`] of bitmap in one
-//!   map lookup.
+//! * **Pages** of [`WORDS_PER_PAGE`] dense 32-bit words, held in a
+//!   [`SlotTable`] indexed by page number (the bitmap address divided
+//!   by [`PAGE_SPAN_BYTES`]), so a page is found with a subtraction and
+//!   one indexed load, as the paper's tracker finds a word at the
+//!   programmed base plus an offset. Stacks dirty a tiny, highly
+//!   clustered fraction of their reserved range, so most pages never
+//!   exist, a probe of an absent page skips [`PAGE_SPAN_BYTES`] of
+//!   bitmap at once, and a page that empties frees its slot.
 //! * A **summary index** per page — one summary bit per bitmap word,
 //!   packed into `u64`s and scanned with `trailing_zeros` — so the walk
 //!   inside a page jumps straight from dirty word to dirty word instead
@@ -32,9 +35,9 @@
 //! [`reference::SparseDirtyBitmap`], the differential-testing oracle
 //! and the baseline the perf suite measures speedups against.
 
+use prosper_gemos::slots::SlotTable;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Geometry tying a bitmap to the range it tracks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -114,11 +117,12 @@ pub struct InspectStats {
     pub pages_probed: u64,
 }
 
-/// One dense bitmap page plus its summary index and popcounts.
+/// One dense bitmap page plus its summary index and popcounts, boxed
+/// whole in its slot.
 #[derive(Clone, Debug)]
 struct BitmapPage {
     /// Dense word storage.
-    words: Box<[u32; WORDS_PER_PAGE]>,
+    words: [u32; WORDS_PER_PAGE],
     /// One bit per word: set iff the word is non-zero.
     summary: [u64; SUMMARY_WORDS],
     /// Non-zero words in this page.
@@ -130,7 +134,7 @@ struct BitmapPage {
 impl Default for BitmapPage {
     fn default() -> Self {
         Self {
-            words: Box::new([0; WORDS_PER_PAGE]),
+            words: [0; WORDS_PER_PAGE],
             summary: [0; SUMMARY_WORDS],
             nonzero: 0,
             set_bits: 0,
@@ -157,8 +161,8 @@ impl BitmapPage {
 /// docs for the paged two-level layout.
 #[derive(Clone, Debug, Default)]
 pub struct DirtyBitmap {
-    /// Page-aligned bitmap address → dense page.
-    pages: HashMap<u64, BitmapPage>,
+    /// Dense pages by page number (bitmap address / [`PAGE_SPAN_BYTES`]).
+    pages: SlotTable<BitmapPage>,
     /// Running popcount across all pages.
     total_bits: u64,
     /// Running non-zero word count across all pages.
@@ -171,11 +175,13 @@ impl DirtyBitmap {
         Self::default()
     }
 
-    /// Splits a word address into `(page base, slot index)`.
+    /// Splits a word address into `(page number, word index)`.
     fn split(word_addr: u64) -> (u64, usize) {
         debug_assert_eq!(word_addr % 4, 0, "bitmap word addresses are 4-byte aligned");
-        let base = word_addr & !(PAGE_SPAN_BYTES - 1);
-        (base, ((word_addr - base) / 4) as usize)
+        (
+            word_addr / PAGE_SPAN_BYTES,
+            ((word_addr % PAGE_SPAN_BYTES) / 4) as usize,
+        )
     }
 
     /// Mask of summary bits `lo..=hi`.
@@ -191,15 +197,15 @@ impl DirtyBitmap {
 
     /// Reads a word (unset words are zero).
     pub fn read_word(&self, word_addr: u64) -> u32 {
-        let (base, idx) = Self::split(word_addr);
-        self.pages.get(&base).map_or(0, |p| p.words[idx])
+        let (page, idx) = Self::split(word_addr);
+        self.pages.get(page).map_or(0, |p| p.words[idx])
     }
 
     /// Writes a word (dropping emptied pages to stay sparse).
     pub fn write_word(&mut self, word_addr: u64, value: u32) {
-        let (base, idx) = Self::split(word_addr);
+        let (page_no, idx) = Self::split(word_addr);
         if value == 0 {
-            let Some(page) = self.pages.get_mut(&base) else {
+            let Some(page) = self.pages.get_mut(page_no) else {
                 return;
             };
             if page.words[idx] == 0 {
@@ -209,10 +215,10 @@ impl DirtyBitmap {
             self.total_bits -= u64::from(old.count_ones());
             self.nonzero -= 1;
             if page.nonzero == 0 {
-                self.pages.remove(&base);
+                self.pages.remove(page_no);
             }
         } else {
-            let page = self.pages.entry(base).or_default();
+            let page = self.pages.get_or_insert_with(page_no, Box::default);
             let old = page.words[idx];
             if old == value {
                 return;
@@ -236,8 +242,8 @@ impl DirtyBitmap {
         if value == 0 {
             return;
         }
-        let (base, idx) = Self::split(word_addr);
-        let page = self.pages.entry(base).or_default();
+        let (page_no, idx) = Self::split(word_addr);
+        let page = self.pages.get_or_insert_with(page_no, Box::default);
         let old = page.words[idx];
         let new = old | value;
         if new == old {
@@ -327,11 +333,11 @@ impl DirtyBitmap {
         let gran = geom.granularity;
         let mut current: Option<(u64, u64)> = None; // (start_raw, len)
 
-        let mut page_base = first_word & !(PAGE_SPAN_BYTES - 1);
-        while page_base <= last_word {
+        for page_no in first_word / PAGE_SPAN_BYTES..=last_word / PAGE_SPAN_BYTES {
             stats.pages_probed += 1;
+            let page_base = page_no * PAGE_SPAN_BYTES;
             let mut page_emptied = false;
-            if let Some(page) = self.pages.get_mut(&page_base) {
+            if let Some(page) = self.pages.get_mut(page_no) {
                 // Word-slot range of this page clipped to the window.
                 let lo_idx = ((first_word.max(page_base) - page_base) / 4) as usize;
                 let top_addr = page_base + PAGE_SPAN_BYTES - 4;
@@ -396,9 +402,8 @@ impl DirtyBitmap {
                 page_emptied = page.nonzero == 0;
             }
             if page_emptied {
-                self.pages.remove(&page_base);
+                self.pages.remove(page_no);
             }
-            page_base += PAGE_SPAN_BYTES;
         }
         if let Some((s0, l0)) = current {
             runs.push(CopyRun {

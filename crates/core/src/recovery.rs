@@ -403,6 +403,30 @@ pub fn host_parallelism() -> usize {
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
+/// One stack's share of one batch, as the [`commit_cost`] model prices
+/// it: every per-stack charge is linear in the run count and the bytes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct StackWork {
+    runs: u64,
+    bytes: u64,
+}
+
+impl StackWork {
+    /// Thread `tid`'s share of `batch` (none for a thread it does not
+    /// cover).
+    fn of(batch: &BTreeMap<u32, Vec<CopyRun>>, tid: u32) -> Self {
+        batch.get(&tid).map_or_else(Self::default, |runs| Self {
+            runs: runs.len() as u64,
+            bytes: runs.iter().map(|r| r.len).sum(),
+        })
+    }
+
+    /// The share's cost at `per_run_ns` a run and `per_byte_ns` a byte.
+    fn cost(self, per_run_ns: u64, per_byte_ns: u64) -> u64 {
+        self.runs * per_run_ns + self.bytes * per_byte_ns
+    }
+}
+
 /// One claimable unit of the work-stealing stack fan-out: a worker
 /// that takes the `Some` owns that stack for the pass.
 type StackTask<'a> = std::sync::Mutex<Option<(u32, &'a mut PersistentStack)>>;
@@ -603,30 +627,42 @@ impl PersistentProcess {
         host_parallelism().min(threads).max(1)
     }
 
-    /// Modelled wall cost of committing `batches` at `workers`, from
-    /// the [`commit_cost`] model: per sequence, the phase charges stall
+    /// Modelled wall cost of committing a burst at `workers`, from the
+    /// [`commit_cost`] model: per sequence, the phase charges stall
     /// attribution makes — the stage pass (for a burst's head only in
     /// eager mode, where every later batch stages inside the previous
     /// apply pass), the seal, and the phase-two pass with the register
     /// tail — plus the spawn overhead of each pass, which small
     /// commits cannot amortize. A single commit is a burst of one.
+    /// `work` holds one row per batch, each stack's share in tid order;
+    /// `load` is the phases' scratch, so an evaluation allocates only if
+    /// it must grow.
     fn modeled_commit_ns(
-        tids: &[u32],
+        work: &[StackWork],
+        batches: usize,
         workers: usize,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
         spine: bool,
+        load: &mut Vec<u64>,
     ) -> u64 {
+        let stacks = work.len() / batches.max(1);
+        let row = |i: usize| &work[i * stacks..(i + 1) * stacks];
         let mut total = 0;
-        for (i, batch) in batches.iter().enumerate() {
-            let ahead = batches.get(i + 1).filter(|_| !spine);
+        for i in 0..batches {
+            let ahead = (i + 1 < batches && !spine).then(|| row(i + 1));
             if i == 0 || spine {
-                total += Self::spawn_cost(workers) + Self::stage_cost(tids, workers, batch);
+                total += Self::spawn_cost(workers) + Self::stage_cost(row(i), workers, load);
             }
-            total += Self::seal_cost(tids)
+            total += Self::seal_cost(stacks)
                 + Self::spawn_cost(workers)
-                + Self::apply_cost(tids, workers, batch, ahead, spine);
+                + Self::apply_cost(row(i), ahead, workers, spine, load);
         }
         total
+    }
+
+    /// Each of `tids`' share of `batch`, in order: one row of the
+    /// model's work table.
+    fn work_row(batch: &BTreeMap<u32, Vec<CopyRun>>, tids: &[u32]) -> Vec<StackWork> {
+        tids.iter().map(|&tid| StackWork::of(batch, tid)).collect()
     }
 
     /// Spawn overhead of one pass: the coordinator runs one share, so
@@ -636,97 +672,74 @@ impl PersistentProcess {
         (workers as u64).saturating_sub(1) * commit_cost::WORKER_SPAWN_NS
     }
 
-    /// Modelled cost of the stage pass over `batch`.
-    fn stage_cost(tids: &[u32], workers: usize, batch: &BTreeMap<u32, Vec<CopyRun>>) -> u64 {
-        Self::stolen_phase_cost(tids, workers, |tid| {
-            Self::batch_cost(
-                batch,
-                tid,
-                commit_cost::STAGE_RUN_NS,
-                commit_cost::STAGE_BYTE_NS,
-            )
-        })
+    /// Modelled cost of the stage pass over one batch's `row`.
+    fn stage_cost(row: &[StackWork], workers: usize, load: &mut Vec<u64>) -> u64 {
+        let costs = row
+            .iter()
+            .map(|w| w.cost(commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS));
+        Self::stolen_phase_cost(costs, row.len(), workers, load)
     }
 
     /// Modelled cost of the seal: the durable write plus the
     /// coordinator's bookkeeping of every thread's register slot.
-    fn seal_cost(tids: &[u32]) -> u64 {
-        commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
+    fn seal_cost(stacks: usize) -> u64 {
+        commit_cost::SEAL_NS + stacks as u64 * commit_cost::BOOKKEEP_SLOT_NS
     }
 
-    /// Modelled cost of the phase-two pass over `batch` — an apply
-    /// copy per run, or one flat batch append per stack in spine
+    /// Modelled cost of the phase-two pass over one batch's `row` — an
+    /// apply copy per run, or one flat batch append per stack in spine
     /// mode — fused with staging `ahead`, plus the serial register
     /// tail.
     fn apply_cost(
-        tids: &[u32],
+        row: &[StackWork],
+        ahead: Option<&[StackWork]>,
         workers: usize,
-        batch: &BTreeMap<u32, Vec<CopyRun>>,
-        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
         spine: bool,
+        load: &mut Vec<u64>,
     ) -> u64 {
-        Self::stolen_phase_cost(tids, workers, |tid| {
+        let costs = row.iter().enumerate().map(|(i, w)| {
             let phase_two = if spine {
                 commit_cost::BATCH_APPEND_NS
             } else {
-                Self::batch_cost(
-                    batch,
-                    tid,
-                    commit_cost::APPLY_RUN_NS,
-                    commit_cost::APPLY_BYTE_NS,
-                )
+                w.cost(commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
             };
             phase_two
                 + ahead.map_or(0, |next| {
-                    Self::batch_cost(
-                        next,
-                        tid,
-                        commit_cost::STAGE_RUN_NS,
-                        commit_cost::STAGE_BYTE_NS,
-                    )
+                    next[i].cost(commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
                 })
-        }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
+        });
+        Self::stolen_phase_cost(costs, row.len(), workers, load)
+            + row.len() as u64 * commit_cost::REGISTER_SLOT_NS
     }
 
-    /// [`Self::runs_cost`] of thread `tid`'s runs in `batch` (0 for a
-    /// thread the batch does not cover).
-    fn batch_cost(
-        batch: &BTreeMap<u32, Vec<CopyRun>>,
-        tid: u32,
-        per_run_ns: u64,
-        per_byte_ns: u64,
+    /// Makespan of one parallel phase over `stacks` per-stack `costs`
+    /// (in tid order) under work-stealing assignment: tasks are claimed
+    /// in tid order by whichever worker frees up first, which the model
+    /// reproduces as greedy list-scheduling — each task lands on the
+    /// currently least-loaded worker — plus a fixed dispatch overhead.
+    /// A parallel phase is as slow as its most-loaded worker; uneven
+    /// per-thread run lists no longer inflate the bound the way
+    /// pre-assigned contiguous chunks did. `load` holds the per-worker
+    /// loads.
+    fn stolen_phase_cost(
+        costs: impl Iterator<Item = u64>,
+        stacks: usize,
+        workers: usize,
+        load: &mut Vec<u64>,
     ) -> u64 {
-        batch
-            .get(&tid)
-            .map_or(0, |runs| Self::runs_cost(runs, per_run_ns, per_byte_ns))
-    }
-
-    /// Modelled cost of staging or applying `runs` for one thread.
-    fn runs_cost(runs: &[CopyRun], per_run_ns: u64, per_byte_ns: u64) -> u64 {
-        runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
-    }
-
-    /// Makespan of one parallel phase under work-stealing assignment:
-    /// tasks are claimed in tid order by whichever worker frees up
-    /// first, which the model reproduces as greedy list-scheduling —
-    /// each task lands on the currently least-loaded worker — plus a
-    /// fixed dispatch overhead. A parallel phase is as slow as its
-    /// most-loaded worker; uneven per-thread run lists no longer
-    /// inflate the bound the way pre-assigned contiguous chunks did.
-    fn stolen_phase_cost(tids: &[u32], workers: usize, per_tid: impl Fn(u32) -> u64) -> u64 {
-        let workers = workers.clamp(1, tids.len().max(1));
-        let mut load = vec![0u64; workers];
-        for &t in tids {
+        load.clear();
+        load.resize(workers.clamp(1, stacks.max(1)), 0);
+        for cost in costs {
             if let Some(min) = load.iter_mut().min() {
-                *min += per_tid(t);
+                *min += cost;
             }
         }
-        commit_cost::PHASE_BASE_NS + load.into_iter().max().unwrap_or(0)
+        commit_cost::PHASE_BASE_NS + load.iter().copied().max().unwrap_or(0)
     }
 
     /// The worker count in `1..=cap` with the lowest modelled cost;
     /// ties go to the smallest count (serial wins a dead heat).
-    fn argmin_workers(cap: usize, cost: impl Fn(usize) -> u64) -> usize {
+    fn argmin_workers(cap: usize, mut cost: impl FnMut(usize) -> u64) -> usize {
         (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
     }
 
@@ -736,14 +749,38 @@ impl PersistentProcess {
     /// below the parallelism break-even come out serial — the fix for
     /// a 2-worker commit running at 0.85x serial (`BENCH_pr3.json` in
     /// commit `67e0b8e`), where `commit` fanned out unconditionally.
-    /// Exposed so the perf suite can report the selected configuration
-    /// alongside the measured scaling.
+    /// With a cap of 1 (one stack, or one core) there is nothing to
+    /// choose and the runs are not read; otherwise each stack's runs
+    /// and bytes are summed once per batch and every count is priced
+    /// from those totals. Exposed so the perf suite can report the
+    /// selected configuration alongside the measured scaling.
     #[must_use]
     pub fn planned_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let spine = self.spine_cfg.is_some();
-        Self::argmin_workers(Self::default_workers(tids.len()), |w| {
-            Self::modeled_commit_ns(&tids, w, batches, spine)
+        Self::pick_workers(
+            Self::default_workers(self.stacks.len()),
+            batches,
+            self.stacks.keys().copied(),
+            self.spine_cfg.is_some(),
+        )
+    }
+
+    /// [`Self::planned_workers`] for the stacks `tids` under `cap`.
+    fn pick_workers(
+        cap: usize,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        tids: impl Iterator<Item = u32> + Clone,
+        spine: bool,
+    ) -> usize {
+        if cap <= 1 {
+            return 1;
+        }
+        let work: Vec<StackWork> = batches
+            .iter()
+            .flat_map(|batch| tids.clone().map(|tid| StackWork::of(batch, tid)))
+            .collect();
+        let mut load = Vec::with_capacity(cap);
+        Self::argmin_workers(cap, |w| {
+            Self::modeled_commit_ns(&work, batches.len(), w, spine, &mut load)
         })
     }
 
@@ -893,7 +930,7 @@ impl PersistentProcess {
                 },
             )?;
             phases.end(
-                |tids| Self::stage_cost(tids, workers, batch),
+                |tids| Self::stage_cost(&Self::work_row(batch, tids), workers, &mut Vec::new()),
                 Some(StallCause::Seal),
             );
         }
@@ -915,7 +952,7 @@ impl PersistentProcess {
             p.record(CommitProbeEvent::Seal { sequence });
         }
         let seal_ns = seal_watch.elapsed_ns();
-        phases.end(Self::seal_cost, Some(StallCause::Apply));
+        phases.end(|tids| Self::seal_cost(tids.len()), Some(StallCause::Apply));
         cross(&mut hooks.faults, CrashSite::PostSeal)?;
         // 3–5. Phase two, the register tail, retire.
         let apply_watch = telemetry::Stopwatch::start();
@@ -923,7 +960,16 @@ impl PersistentProcess {
         self.apply_record(&record, spine.is_some(), ahead, workers, hooks)?;
         let apply_ns = apply_watch.elapsed_ns();
         phases.end(
-            |tids| Self::apply_cost(tids, workers, batch, ahead, spine.is_some()),
+            |tids| {
+                let ahead = ahead.map(|next| Self::work_row(next, tids));
+                Self::apply_cost(
+                    &Self::work_row(batch, tids),
+                    ahead.as_deref(),
+                    workers,
+                    spine.is_some(),
+                    &mut Vec::new(),
+                )
+            },
             None,
         );
         cross(&mut hooks.faults, CrashSite::PostCommit)?;
@@ -1950,6 +1996,155 @@ mod tests {
             .collect()
     }
 
+    /// The model as the planner prices `batches` for `tids`.
+    fn model(
+        tids: &[u32],
+        workers: usize,
+        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        spine: bool,
+    ) -> u64 {
+        let work: Vec<StackWork> = batches
+            .iter()
+            .flat_map(|batch| PersistentProcess::work_row(batch, tids))
+            .collect();
+        PersistentProcess::modeled_commit_ns(&work, batches.len(), workers, spine, &mut Vec::new())
+    }
+
+    /// The cost model as it stood before it read per-stack totals:
+    /// every phase of every evaluation walks each stack's runs and
+    /// allocates its loads. The oracle the totals-based model and the
+    /// planner are held to.
+    mod walked {
+        use super::*;
+
+        pub fn modeled_commit_ns(
+            tids: &[u32],
+            workers: usize,
+            batches: &[BTreeMap<u32, Vec<CopyRun>>],
+            spine: bool,
+        ) -> u64 {
+            let mut total = 0;
+            for (i, batch) in batches.iter().enumerate() {
+                let ahead = batches.get(i + 1).filter(|_| !spine);
+                if i == 0 || spine {
+                    total += PersistentProcess::spawn_cost(workers)
+                        + stolen_phase_cost(tids, workers, |tid| {
+                            batch_cost(
+                                batch,
+                                tid,
+                                commit_cost::STAGE_RUN_NS,
+                                commit_cost::STAGE_BYTE_NS,
+                            )
+                        });
+                }
+                let apply = stolen_phase_cost(tids, workers, |tid| {
+                    let phase_two = if spine {
+                        commit_cost::BATCH_APPEND_NS
+                    } else {
+                        batch_cost(
+                            batch,
+                            tid,
+                            commit_cost::APPLY_RUN_NS,
+                            commit_cost::APPLY_BYTE_NS,
+                        )
+                    };
+                    phase_two
+                        + ahead.map_or(0, |next| {
+                            batch_cost(
+                                next,
+                                tid,
+                                commit_cost::STAGE_RUN_NS,
+                                commit_cost::STAGE_BYTE_NS,
+                            )
+                        })
+                }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS;
+                total += commit_cost::SEAL_NS
+                    + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
+                    + PersistentProcess::spawn_cost(workers)
+                    + apply;
+            }
+            total
+        }
+
+        fn batch_cost(
+            batch: &BTreeMap<u32, Vec<CopyRun>>,
+            tid: u32,
+            per_run_ns: u64,
+            per_byte_ns: u64,
+        ) -> u64 {
+            batch
+                .get(&tid)
+                .map_or(0, |runs| runs_cost(runs, per_run_ns, per_byte_ns))
+        }
+
+        pub fn runs_cost(runs: &[CopyRun], per_run_ns: u64, per_byte_ns: u64) -> u64 {
+            runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
+        }
+
+        pub fn stolen_phase_cost(
+            tids: &[u32],
+            workers: usize,
+            per_tid: impl Fn(u32) -> u64,
+        ) -> u64 {
+            let workers = workers.clamp(1, tids.len().max(1));
+            let mut load = vec![0u64; workers];
+            for &t in tids {
+                if let Some(min) = load.iter_mut().min() {
+                    *min += per_tid(t);
+                }
+            }
+            commit_cost::PHASE_BASE_NS + load.into_iter().max().unwrap_or(0)
+        }
+    }
+
+    /// The planner prices each worker count from per-stack totals
+    /// summed once per batch. Over random batches, bursts, modes, stack
+    /// sets and caps it must charge what the walked model charges at
+    /// every count, and pick what the walked model's argmin picks.
+    #[test]
+    fn totals_planner_matches_the_walked_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(24);
+        for _ in 0..400 {
+            let tids: Vec<u32> = (0..rng.gen_range(1..=6u32)).map(|t| 3 * t + 1).collect();
+            let spine = rng.gen_bool(0.5);
+            let mut batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = Vec::new();
+            for _ in 0..rng.gen_range(0..=4) {
+                let mut batch = BTreeMap::new();
+                for &tid in &tids {
+                    if rng.gen_bool(0.9) {
+                        let runs = (0..rng.gen_range(0..40))
+                            .map(|k| CopyRun {
+                                start: VirtAddr::new(0x7000_0000 + k * 0x100),
+                                len: rng.gen_range(1..=64u64) * 8,
+                            })
+                            .collect();
+                        batch.insert(tid, runs);
+                    }
+                }
+                batches.push(batch);
+            }
+            for workers in 1..=8 {
+                assert_eq!(
+                    model(&tids, workers, &batches, spine),
+                    walked::modeled_commit_ns(&tids, workers, &batches, spine),
+                    "tids={tids:?} workers={workers} spine={spine} batches={batches:?}"
+                );
+            }
+            for cap in [1usize, 2, 3, 4, 8, 64] {
+                let walked_pick = (1..=cap)
+                    .min_by_key(|&w| (walked::modeled_commit_ns(&tids, w, &batches, spine), w))
+                    .unwrap();
+                assert_eq!(
+                    PersistentProcess::pick_workers(cap, &batches, tids.iter().copied(), spine),
+                    walked_pick,
+                    "tids={tids:?} cap={cap} spine={spine}"
+                );
+            }
+        }
+    }
+
     /// The single-commit model as it stood before single commits and
     /// bursts shared one model: two spawn charges, the stage pass, the
     /// seal with its bookkeeping, phase two (one flat batch append per
@@ -1962,17 +2157,17 @@ mod tests {
     ) -> u64 {
         let cost = |tid: u32, per_run: u64, per_byte: u64| {
             runs.get(&tid)
-                .map_or(0, |r| PersistentProcess::runs_cost(r, per_run, per_byte))
+                .map_or(0, |r| walked::runs_cost(r, per_run, per_byte))
         };
         let phase_two = if spine {
-            PersistentProcess::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
+            walked::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
         } else {
-            PersistentProcess::stolen_phase_cost(tids, workers, |tid| {
+            walked::stolen_phase_cost(tids, workers, |tid| {
                 cost(tid, commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
             })
         };
         2 * PersistentProcess::spawn_cost(workers)
-            + PersistentProcess::stolen_phase_cost(tids, workers, |tid| {
+            + walked::stolen_phase_cost(tids, workers, |tid| {
                 cost(tid, commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
             })
             + commit_cost::SEAL_NS
@@ -1996,8 +2191,7 @@ mod tests {
                 let runs = uniform_runs(&tids, count, len);
                 for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
                     let batches = vec![runs.clone(); burst];
-                    let model =
-                        |w: usize| PersistentProcess::modeled_commit_ns(&tids, w, &batches, spine);
+                    let model = |w: usize| model(&tids, w, &batches, spine);
                     let serial = model(1);
                     for cap in [1usize, 2, 4, 8, 64] {
                         let w = PersistentProcess::argmin_workers(cap, model);
@@ -2024,9 +2218,7 @@ mod tests {
             // Tiny commits sit below the spawn break-even: serial wins
             // even with parallelism available.
             let tiny = [uniform_runs(&tids, 1, 16)];
-            let w = PersistentProcess::argmin_workers(8, |w| {
-                PersistentProcess::modeled_commit_ns(&tids, w, &tiny, false)
-            });
+            let w = PersistentProcess::argmin_workers(8, |w| model(&tids, w, &tiny, false));
             assert_eq!(w, 1, "threads={threads}: tiny commit must stay serial");
         }
         // A lopsided pair: a Gapbs_pr stack checkpoint (44 runs, about
@@ -2040,9 +2232,7 @@ mod tests {
             .collect();
         for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
             let batches = vec![lopsided.clone(); burst];
-            let w = PersistentProcess::argmin_workers(2, |w| {
-                PersistentProcess::modeled_commit_ns(&[0, 1], w, &batches, spine)
-            });
+            let w = PersistentProcess::argmin_workers(2, |w| model(&[0, 1], w, &batches, spine));
             assert_eq!(
                 w, 1,
                 "burst={burst} spine={spine}: lopsided commit must stay serial"
@@ -2081,8 +2271,8 @@ mod tests {
         .unwrap();
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
-        let expected_stage = PersistentProcess::stolen_phase_cost(&tids, 1, |tid| {
-            PersistentProcess::runs_cost(
+        let expected_stage = walked::stolen_phase_cost(&tids, 1, |tid| {
+            walked::runs_cost(
                 &runs[&tid],
                 commit_cost::STAGE_RUN_NS,
                 commit_cost::STAGE_BYTE_NS,

@@ -5,61 +5,32 @@
 //! persistent stacks are all [`MemoryImage`]s, and restore-after-crash
 //! verification compares images byte for byte.
 //!
-//! An image is a hash index of 4 KiB chunks keyed by chunk number, so
-//! every write, read and staged or applied run costs one probe per
-//! chunk it touches, however many chunks are resident (a 256 MiB heap
-//! holds 65,536). Nothing reads the chunks in address order: reads,
-//! [`MemoryImage::matches`] and [`MemoryImage::first_mismatch`] walk
-//! the requested range and look each chunk up. The hasher is fixed
-//! and seedless (`ChunkHasher`), so an image behaves the same in
-//! every process, and it cannot panic, because recovery's redo writes
-//! images.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+//! An image keeps its 4 KiB chunks in a [`SlotTable`] indexed by
+//! chunk number, so every write, read and staged or applied run finds
+//! each chunk it touches with a subtraction and one indexed load,
+//! however many chunks are resident (a 256 MiB heap holds 65,536).
+//! Reads, [`MemoryImage::matches`] and [`MemoryImage::first_mismatch`]
+//! walk the requested range and look each chunk up; equality compares
+//! the resident chunks in address order. Each image is confined to one
+//! tracked region, so its table spans a pointer per chunk of that
+//! region at most. Writing never panics, because recovery's redo
+//! writes images.
 
 use prosper_memsim::addr::{VirtAddr, VirtRange};
+
+use crate::slots::SlotTable;
 
 /// Granularity of internal chunks (one 4 KiB page per chunk).
 const CHUNK: u64 = 4096;
 
-/// A fixed, seedless multiplicative hasher for chunk numbers: the key
-/// is multiplied by an odd constant (the 64-bit golden ratio), so
-/// consecutive chunks land in distinct buckets, and the high half is
-/// folded into the low half, which picks the bucket, so strided chunk
-/// numbers spread too.
-#[derive(Clone, Copy, Debug, Default)]
-struct ChunkHasher(u64);
-
-impl ChunkHasher {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-}
-
-impl Hasher for ChunkHasher {
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-
-    /// Folds arbitrary bytes one at a time; chunk numbers take
-    /// [`Self::write_u64`].
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::K);
-    }
-}
-
 /// A sparse, byte-addressable memory image.
 ///
 /// Unwritten bytes read as zero, matching demand-zeroed anonymous
-/// memory.
+/// memory. Two images are equal when the same chunks are resident with
+/// the same bytes.
 #[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub struct MemoryImage {
-    chunks: HashMap<u64, Box<[u8; CHUNK as usize]>, BuildHasherDefault<ChunkHasher>>,
+    chunks: SlotTable<[u8; CHUNK as usize]>,
 }
 
 impl MemoryImage {
@@ -70,8 +41,7 @@ impl MemoryImage {
 
     fn chunk_mut(&mut self, id: u64) -> &mut [u8; CHUNK as usize] {
         self.chunks
-            .entry(id)
-            .or_insert_with(|| Box::new([0u8; CHUNK as usize]))
+            .get_or_insert_with(id, || Box::new([0u8; CHUNK as usize]))
     }
 
     /// Writes `bytes` starting at `addr`.
@@ -105,7 +75,7 @@ impl MemoryImage {
             let id = pos / CHUNK;
             let off = (pos % CHUNK) as usize;
             let take = remaining.min(CHUNK as usize - off);
-            match self.chunks.get(&id) {
+            match self.chunks.get(id) {
                 Some(chunk) => out.extend_from_slice(&chunk[off..off + take]),
                 None => out.resize(out.len() + take, 0),
             }
@@ -187,19 +157,6 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x3000), VirtAddr::new(0x3010));
         assert!(!a.matches(&b, range));
         assert_eq!(a.first_mismatch(&b, range), Some(VirtAddr::new(0x3005)));
-    }
-
-    #[test]
-    fn hasher_is_seedless_and_folds_bytes() {
-        let hash = |f: &dyn Fn(&mut ChunkHasher)| {
-            let mut h = ChunkHasher::default();
-            f(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&|h| h.write_u64(7)), hash(&|h| h.write_u64(7)));
-        assert_ne!(hash(&|h| h.write_u64(7)), hash(&|h| h.write_u64(8)));
-        // Byte input folds instead of panicking, order-sensitively.
-        assert_ne!(hash(&|h| h.write(b"ab")), hash(&|h| h.write(b"ba")));
     }
 
     #[test]

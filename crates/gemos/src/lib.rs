@@ -13,6 +13,8 @@
 //!   baseline);
 //! * [`image`] — sparse byte-addressable memory images used as ground
 //!   truth and persistent copies in crash-consistency tests;
+//! * [`slots`] — the slot table the images and the dirty bitmap keep
+//!   their pages in, found by page number rather than by hash;
 //! * [`process`] — per-thread register state;
 //! * [`checkpoint`] — the [`checkpoint::MemoryPersistence`] plug-in
 //!   trait implemented by Prosper and every baseline, plus the
@@ -37,6 +39,7 @@ pub mod pagetable;
 pub mod process;
 pub mod pte;
 pub mod restore;
+pub mod slots;
 
 pub use checkpoint::{CheckpointManager, CheckpointOutcome, MemoryPersistence};
 pub use pagetable::PageTable;

@@ -18,9 +18,8 @@
 
 use prosper_memsim::addr::VirtAddr;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 use crate::record::{AccessKind, MemAccess, Region, TraceEvent};
 use crate::source::TraceSource;
@@ -264,6 +263,62 @@ impl WorkloadProfile {
     }
 }
 
+/// A Bernoulli draw as an integer threshold: `ceil(p·2^53)`.
+///
+/// `gen_bool(p)` takes the top 53 bits `x` of one `next_u64()` and
+/// returns `x·2^-53 < p`. Both sides are exact in `f64` (`x` has 53
+/// bits, and scaling by a power of two is exact), so for an integer
+/// `x` that is `x < ceil(p·2^53)`: [`Chance::draw`] decides exactly
+/// what `gen_bool(p)` decides, from the same draw, without the float
+/// conversion and the range check.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Chance(u64);
+
+impl Chance {
+    /// # Panics
+    ///
+    /// Panics unless `p` is in `[0, 1]`, as `gen_bool` does.
+    fn new(p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
+        Self((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// One draw: `true` with the chance's probability.
+    fn draw(self, rng: &mut impl RngCore) -> bool {
+        rng.next_u64() >> 11 < self.0
+    }
+}
+
+/// What a profile fixes for every refill: its Bernoulli draws as
+/// thresholds, and the heap hot-set size.
+#[derive(Clone, Copy, Debug)]
+struct Draws {
+    stack_locality: Chance,
+    stack_write: Chance,
+    heap_hot: Chance,
+    heap_write: Chance,
+    call: Chance,
+    ret: Chance,
+    stack: Chance,
+    /// Bytes of the heap's hot set (1% of the heap, at least a page).
+    hot_bytes: u64,
+}
+
+impl Draws {
+    fn new(p: &WorkloadProfile) -> Self {
+        Self {
+            stack_locality: Chance::new(p.stack_locality),
+            stack_write: Chance::new(p.stack_write_fraction),
+            heap_hot: Chance::new(p.heap_hot_fraction),
+            heap_write: Chance::new(p.heap_write_fraction),
+            call: Chance::new(p.call_rate),
+            ret: Chance::new(p.return_rate),
+            stack: Chance::new(p.stack_fraction),
+            hot_bytes: (p.heap_bytes as f64 * 0.01).max(4096.0) as u64,
+        }
+    }
+}
+
 /// A running synthetic workload.
 ///
 /// # Examples
@@ -285,9 +340,15 @@ impl WorkloadProfile {
 #[derive(Debug)]
 pub struct Workload {
     profile: WorkloadProfile,
+    /// The profile's draws, computed once.
+    draws: Draws,
     stack: StackModel,
     rng: StdRng,
-    queue: VecDeque<TraceEvent>,
+    /// Events of the current refill; `next` is the next one handed out.
+    /// Reused from one refill to the next, so it settles at the size of
+    /// the largest refill and allocates no more.
+    events: Vec<TraceEvent>,
+    next: usize,
     /// Sequential-write cursor within the active stack region.
     stack_cursor: u64,
     /// Sequential scan cursor in the heap.
@@ -304,17 +365,19 @@ impl Workload {
     /// (distinct threads/processes need distinct stack ranges when
     /// they share one tracker multiplexer).
     pub fn with_stack(profile: WorkloadProfile, seed: u64, mut stack: StackModel) -> Self {
-        let mut queue = VecDeque::new();
+        let mut events = Vec::new();
         // Establish the idle call depth.
         for _ in 0..profile.min_depth.max(1) {
-            queue.extend(stack.push_frame(profile.frame_bytes, 2));
+            events.extend(stack.push_frame(profile.frame_bytes, 2));
         }
         let stack_cursor = stack.sp().raw();
         Self {
+            draws: Draws::new(&profile),
             profile,
             stack,
             rng: StdRng::seed_from_u64(seed),
-            queue,
+            events,
+            next: 0,
             stack_cursor,
             heap_cursor: 0,
         }
@@ -331,7 +394,7 @@ impl Workload {
         debug_assert!(!active.is_empty(), "idle depth keeps frames pushed");
         let lo = active.start().raw();
         let hi = active.end().raw() - 8;
-        let sequential = self.rng.gen_bool(p.stack_locality);
+        let sequential = self.draws.stack_locality.draw(&mut self.rng);
         let addr = if sequential {
             // Activation-record locality: cycle through a small hot
             // window just above SP.
@@ -355,7 +418,7 @@ impl Workload {
             let offset = self.rng.gen_range(0..p.scatter_span.max(8) / 8) * 8;
             (frame_base + offset).clamp(lo, hi)
         };
-        let kind = if self.rng.gen_bool(p.stack_write_fraction) {
+        let kind = if self.draws.stack_write.draw(&mut self.rng) {
             AccessKind::Store
         } else {
             AccessKind::Load
@@ -371,15 +434,14 @@ impl Workload {
     }
 
     fn heap_access(&mut self) -> TraceEvent {
-        let p = &self.profile;
-        let hot_bytes = (p.heap_bytes as f64 * 0.01).max(4096.0) as u64;
-        let addr = if self.rng.gen_bool(p.heap_hot_fraction) {
-            HEAP_BASE + self.rng.gen_range(0..hot_bytes / 8) * 8
+        let d = self.draws;
+        let addr = if d.heap_hot.draw(&mut self.rng) {
+            HEAP_BASE + self.rng.gen_range(0..d.hot_bytes / 8) * 8
         } else {
-            self.heap_cursor = (self.heap_cursor + 64) % p.heap_bytes;
+            self.heap_cursor = (self.heap_cursor + 64) % self.profile.heap_bytes;
             HEAP_BASE + self.heap_cursor
         };
-        let kind = if self.rng.gen_bool(p.heap_write_fraction) {
+        let kind = if d.heap_write.draw(&mut self.rng) {
             AccessKind::Store
         } else {
             AccessKind::Load
@@ -412,64 +474,72 @@ impl Workload {
     fn call(&mut self) {
         let (bytes, saves) = self.frame_geometry(self.stack.depth());
         let ev = self.stack.push_frame(bytes, saves);
-        self.queue.extend(ev);
+        self.events.extend(ev);
         let locals = 2 + (saves as u64 % 4);
         for w in 0..locals {
-            self.queue.push_back(self.stack.write_local(16 + w * 8, 8));
+            self.events.push(self.stack.write_local(16 + w * 8, 8));
         }
     }
 
+    /// Appends one step of the walk to `events`.
     fn refill(&mut self) {
-        let p = self.profile.clone();
+        let d = self.draws;
+        let idle_depth = self.profile.min_depth.max(1);
         // Deep excursion: dive through the call graph writing only
         // activation records and a few locals per frame — many pages
         // touched, few bytes per page dirtied — then unwind back to
         // the idle depth. This grow/shrink pattern is the stack-usage
         // character Section I of the paper highlights.
-        if self.rng.gen_bool(p.call_rate) {
-            let headroom = p.max_depth.saturating_sub(self.stack.depth()).max(1);
-            let d = self.rng.gen_range(1..=headroom);
-            for _ in 0..d {
+        if d.call.draw(&mut self.rng) {
+            let headroom = self
+                .profile
+                .max_depth
+                .saturating_sub(self.stack.depth())
+                .max(1);
+            for _ in 0..self.rng.gen_range(1..=headroom) {
                 self.call();
-                self.queue.push_back(TraceEvent::Compute(16));
+                self.events.push(TraceEvent::Compute(16));
             }
-            while self.stack.depth() > p.min_depth.max(1) {
+            while self.stack.depth() > idle_depth {
                 let ev = self.stack.pop_frame();
-                self.queue.extend(ev);
+                self.events.extend(ev);
             }
         }
         // Shallow call/return churn (request handling): a quick
         // call-work-return at the idle depth.
-        if self.rng.gen_bool(p.return_rate) {
+        if d.ret.draw(&mut self.rng) {
             self.call();
             for _ in 0..4 {
                 let ev = self.stack_access();
-                self.queue.push_back(ev);
+                self.events.push(ev);
             }
             let ev = self.stack.pop_frame();
-            self.queue.extend(ev);
+            self.events.extend(ev);
         }
         // Burst of memory accesses at the idle depth.
-        for _ in 0..p.burst_len {
-            let ev = if self.rng.gen_bool(p.stack_fraction) {
+        for _ in 0..self.profile.burst_len {
+            let ev = if d.stack.draw(&mut self.rng) {
                 self.stack_access()
             } else {
                 self.heap_access()
             };
-            self.queue.push_back(ev);
+            self.events.push(ev);
         }
-        self.queue.push_back(TraceEvent::Compute(p.compute_gap));
+        self.events
+            .push(TraceEvent::Compute(self.profile.compute_gap));
     }
 }
 
 impl TraceSource for Workload {
     fn next_event(&mut self) -> TraceEvent {
-        loop {
-            if let Some(ev) = self.queue.pop_front() {
-                return ev;
-            }
+        if self.next == self.events.len() {
+            self.events.clear();
+            self.next = 0;
             self.refill();
         }
+        let ev = self.events[self.next];
+        self.next += 1;
+        ev
     }
 
     fn name(&self) -> &'static str {
@@ -613,6 +683,51 @@ mod tests {
             "depth {} vs idle {idle}",
             w.stack().depth()
         );
+    }
+
+    #[test]
+    fn threshold_draws_decide_exactly_what_gen_bool_decides() {
+        let all = [
+            WorkloadProfile::gapbs_pr(),
+            WorkloadProfile::g500_sssp(),
+            WorkloadProfile::ycsb_mem(),
+            WorkloadProfile::mcf(),
+            WorkloadProfile::omnetpp(),
+            WorkloadProfile::perlbench(),
+            WorkloadProfile::leela(),
+        ];
+        let mut probs: Vec<f64> = all
+            .iter()
+            .flat_map(|p| {
+                [
+                    p.stack_locality,
+                    p.stack_write_fraction,
+                    p.heap_hot_fraction,
+                    p.heap_write_fraction,
+                    p.call_rate,
+                    p.return_rate,
+                    p.stack_fraction,
+                ]
+            })
+            .collect();
+        probs.sort_by(f64::total_cmp);
+        probs.dedup();
+        for prob in probs {
+            let chance = Chance::new(prob);
+            let mut a = StdRng::seed_from_u64(prob.to_bits());
+            let mut b = a.clone();
+            for i in 0..1_000_000 {
+                assert_eq!(
+                    chance.draw(&mut a),
+                    b.gen_bool(prob),
+                    "p = {prob}, draw {i}"
+                );
+            }
+        }
+        // The edges: never, always, and a threshold that is an integer.
+        assert_eq!(Chance::new(0.0), Chance(0));
+        assert_eq!(Chance::new(1.0), Chance(1 << 53));
+        assert_eq!(Chance::new(0.5), Chance(1 << 52));
     }
 
     #[test]

@@ -15,6 +15,20 @@ fn stack_range() -> VirtRange {
     VirtRange::new(VirtAddr::new(RANGE_LO), VirtAddr::new(RANGE_HI))
 }
 
+/// Base and size of the region the image round-trip writes into: a
+/// heap-sized range, so chunk numbers are large and far apart.
+const IMAGE_BASE: u64 = 0x5555_0000_0000;
+const IMAGE_SPAN: u64 = 512 << 20;
+
+/// An offset into the image region: mostly clustered near its base,
+/// sometimes anywhere in it, so one image holds chunks far apart.
+fn arb_image_offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => 0u64..0x8000,
+        1 => 0u64..IMAGE_SPAN - 0x1000,
+    ]
+}
+
 proptest! {
     /// The tracker + bitmap pipeline never loses a dirty granule: for
     /// any store sequence, after a flush, the set of granules marked
@@ -104,52 +118,91 @@ proptest! {
     }
 
     /// MemoryImage write/read round-trips arbitrary data at arbitrary
-    /// (possibly chunk-straddling) addresses; `read_into` appends after
-    /// what the buffer holds, unwritten bytes read zero, one chunk is
-    /// resident per distinct 4 KiB chunk written, and the same final
-    /// bytes written in another order give a matching image.
+    /// (possibly chunk-straddling) addresses inside one 512 MiB
+    /// region: clustered near its base or on chunks far apart, applied
+    /// in the given order or from the highest address down (so the
+    /// chunk table grows at the front). `read_into` appends after what
+    /// the buffer holds, unwritten bytes read zero below, across and
+    /// above the written span, one chunk is resident per distinct
+    /// 4 KiB chunk written, and images holding the same bytes in the
+    /// same chunks are equal whatever order their tables grew in.
     #[test]
     fn memory_image_roundtrip(
-        writes in prop::collection::vec((0u64..0x8000, prop::collection::vec(any::<u8>(), 1..128)), 1..40),
+        writes in prop::collection::vec((arb_image_offset(), prop::collection::vec(any::<u8>(), 1..128)), 1..40),
+        descending in any::<bool>(),
         probe in (0u64..0x9000, 1usize..256),
     ) {
+        let mut writes = writes;
+        if descending {
+            writes.sort_by_key(|(off, _)| std::cmp::Reverse(*off));
+        }
         let mut img = MemoryImage::new();
         let mut shadow: BTreeMap<u64, u8> = BTreeMap::new();
-        for (addr, data) in &writes {
-            img.write(VirtAddr::new(*addr), data);
+        for (off, data) in &writes {
+            img.write(VirtAddr::new(IMAGE_BASE + off), data);
             for (i, b) in data.iter().enumerate() {
-                shadow.insert(addr + i as u64, *b);
+                shadow.insert(IMAGE_BASE + off + i as u64, *b);
             }
         }
-        for (addr, data) in &writes {
-            let got = img.read(VirtAddr::new(*addr), data.len());
-            for (i, got_b) in got.iter().enumerate() {
-                prop_assert_eq!(*got_b, shadow[&(addr + i as u64)]);
-            }
+        let expected = |at: u64, len: usize| -> Vec<u8> {
+            (at..at + len as u64)
+                .map(|a| shadow.get(&a).copied().unwrap_or(0))
+                .collect()
+        };
+        for (off, data) in &writes {
+            let got = img.read(VirtAddr::new(IMAGE_BASE + off), data.len());
+            prop_assert_eq!(got, expected(IMAGE_BASE + off, data.len()));
         }
         // A probe that may reach past every write: bytes never written
         // read zero, appended after what the buffer already holds.
         let (at, len) = probe;
         let mut buf = vec![0xEE; 3];
-        img.read_into(VirtAddr::new(at), len, &mut buf);
-        let expected: Vec<u8> = (at..at + len as u64)
-            .map(|a| shadow.get(&a).copied().unwrap_or(0))
-            .collect();
+        img.read_into(VirtAddr::new(IMAGE_BASE + at), len, &mut buf);
         prop_assert_eq!(&buf[..3], &[0xEE; 3]);
-        prop_assert_eq!(&buf[3..], &expected[..]);
-        prop_assert_eq!(img.read(VirtAddr::new(0x10_0000 + at), len), vec![0; len]);
+        prop_assert_eq!(&buf[3..], &expected(IMAGE_BASE + at, len)[..]);
+        // Reads wholly below and above the written span, and across
+        // each of its ends.
+        let lo = *shadow.keys().next().unwrap();
+        let hi = *shadow.keys().next_back().unwrap() + 1;
+        for at in [
+            lo.saturating_sub(0x10_0000 + len as u64),
+            (lo & !4095).saturating_sub(len as u64 / 2 + 1),
+            lo.saturating_sub(len as u64 / 2),
+            hi - 1,
+            hi.next_multiple_of(4096) - len as u64 / 2,
+            hi + 0x10_0000,
+        ] {
+            prop_assert_eq!(img.read(VirtAddr::new(at), len), expected(at, len), "read at {:#x}", at);
+        }
         let chunks: BTreeSet<u64> = shadow.keys().map(|a| a / 4096).collect();
         prop_assert_eq!(img.resident_chunks(), chunks.len());
         // The same final bytes, written one at a time from the highest
-        // address down.
-        let mut other = MemoryImage::new();
+        // address down and from the lowest up: three tables grown in
+        // three orders hold one image.
+        let mut down = MemoryImage::new();
         for (&a, &b) in shadow.iter().rev() {
-            other.write(VirtAddr::new(a), &[b]);
+            down.write(VirtAddr::new(a), &[b]);
         }
-        let range = VirtRange::new(VirtAddr::new(0), VirtAddr::new(0x9000));
-        prop_assert!(img.matches(&other, range));
-        prop_assert_eq!(img.first_mismatch(&other, range), None);
-        prop_assert!(img == other, "same chunks, same bytes");
+        let mut up = MemoryImage::new();
+        for (&a, &b) in &shadow {
+            up.write(VirtAddr::new(a), &[b]);
+        }
+        let chunk_range = |c: u64| VirtRange::new(VirtAddr::new(c * 4096), VirtAddr::new((c + 1) * 4096));
+        for other in [&down, &up] {
+            for &c in &chunks {
+                prop_assert!(img.matches(other, chunk_range(c)));
+                prop_assert_eq!(img.first_mismatch(other, chunk_range(c)), None);
+            }
+            prop_assert!(img == *other, "same chunks, same bytes");
+        }
+        // One changed byte, or one more resident chunk, breaks equality.
+        let mut changed = up.clone();
+        changed.write(VirtAddr::new(lo), &[shadow[&lo] ^ 1]);
+        prop_assert!(img != changed);
+        prop_assert_eq!(img.first_mismatch(&changed, chunk_range(lo / 4096)), Some(VirtAddr::new(lo)));
+        let mut extra = up;
+        extra.write(VirtAddr::new(IMAGE_BASE + IMAGE_SPAN + 0x2000), &[0]);
+        prop_assert!(img != extra, "a resident chunk of zeros is still resident");
     }
 
     /// Bitmap geometry locate/granule_start round-trips for any
