@@ -10,8 +10,9 @@
 //! each chunk it touches with a subtraction and one indexed load,
 //! however many chunks are resident (a 256 MiB heap holds 65,536).
 //! Reads, [`MemoryImage::matches`] and [`MemoryImage::first_mismatch`]
-//! walk the requested range and look each chunk up; equality compares
-//! the resident chunks in address order. Each image is confined to one
+//! walk the requested range and look each chunk up, and a comparison
+//! reads no chunk that neither image holds; equality compares the
+//! resident chunks in address order. Each image is confined to one
 //! tracked region, so its table spans a pointer per chunk of that
 //! region at most. Writing never panics, because recovery's redo
 //! writes images.
@@ -86,29 +87,34 @@ impl MemoryImage {
 
     /// Returns `true` if `self` and `other` agree over `range`.
     pub fn matches(&self, other: &MemoryImage, range: VirtRange) -> bool {
-        // Compare chunk by chunk to stay cheap on sparse images.
-        let mut pos = range.start().raw();
-        let end = range.end().raw();
-        while pos < end {
-            let take = ((end - pos).min(CHUNK - pos % CHUNK)) as usize;
-            if self.read(VirtAddr::new(pos), take) != other.read(VirtAddr::new(pos), take) {
-                return false;
-            }
-            pos += take as u64;
-        }
-        true
+        self.first_mismatch(other, range).is_none()
     }
 
     /// First differing address within `range`, if any (for diagnostics).
+    ///
+    /// Walks the range chunk by chunk and allocates nothing: a chunk
+    /// neither image holds agrees without a byte read, and a chunk only
+    /// one holds is compared with zeros.
     pub fn first_mismatch(&self, other: &MemoryImage, range: VirtRange) -> Option<VirtAddr> {
+        static ZEROS: [u8; CHUNK as usize] = [0; CHUNK as usize];
         let mut pos = range.start().raw();
         let end = range.end().raw();
         while pos < end {
+            let id = pos / CHUNK;
+            let off = (pos % CHUNK) as usize;
             let take = ((end - pos).min(CHUNK - pos % CHUNK)) as usize;
-            let a = self.read(VirtAddr::new(pos), take);
-            let b = other.read(VirtAddr::new(pos), take);
-            if let Some(i) = a.iter().zip(&b).position(|(x, y)| x != y) {
-                return Some(VirtAddr::new(pos + i as u64));
+            let (a, b) = (self.chunks.get(id), other.chunks.get(id));
+            if a.is_some() || b.is_some() {
+                let a = &a.unwrap_or(&ZEROS)[off..off + take];
+                let b = &b.unwrap_or(&ZEROS)[off..off + take];
+                if a != b {
+                    let i = a
+                        .iter()
+                        .zip(b)
+                        .position(|(x, y)| x != y)
+                        .expect("unequal slices of one length differ at some byte");
+                    return Some(VirtAddr::new(pos + i as u64));
+                }
             }
             pos += take as u64;
         }
@@ -157,6 +163,21 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x3000), VirtAddr::new(0x3010));
         assert!(!a.matches(&b, range));
         assert_eq!(a.first_mismatch(&b, range), Some(VirtAddr::new(0x3005)));
+    }
+
+    #[test]
+    fn absent_chunks_read_as_zeros_in_comparisons() {
+        let mut a = MemoryImage::new();
+        let mut b = MemoryImage::new();
+        // A resident chunk of zeros matches an absent one.
+        a.write(VirtAddr::new(0x7000), &[0; 16]);
+        b.write(VirtAddr::new(CHUNK * 9 - 1), &[0, 5]);
+        let range = VirtRange::new(VirtAddr::new(0x10), VirtAddr::new(CHUNK * 9 - 1));
+        assert!(a.matches(&b, range));
+        // A byte past a chunk edge, present in one image only.
+        let wide = VirtRange::new(VirtAddr::new(0x10), VirtAddr::new(CHUNK * 12));
+        assert_eq!(a.first_mismatch(&b, wide), Some(VirtAddr::new(CHUNK * 9)));
+        assert_eq!(b.first_mismatch(&a, wide), Some(VirtAddr::new(CHUNK * 9)));
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! OS models. The core in front of it is blocking, so no miss overlaps
 //! another and the cache keeps no miss-status state.
 //!
+//! The way count is the type parameter `WAYS`, so every set is one
+//! `[u64; WAYS]` and the probe's scan, its recency shift and the victim
+//! slot all have a length fixed at compile time; Table II's counts are
+//! [`L1D_WAYS`](crate::config::L1D_WAYS),
+//! [`L2_WAYS`](crate::config::L2_WAYS) and
+//! [`L3_WAYS`](crate::config::L3_WAYS).
+//!
 //! Each way is one `u64`: the line number shifted left by one with the
 //! dirty bit below it, or `EMPTY`. Every set is kept in recency
 //! order, most recently used first: a hit moves its way to the front
@@ -47,41 +54,39 @@ const DIRTY: u64 = 1;
 /// most 2^59 for 64 B lines) reaches it, so it never matches a lookup.
 const EMPTY: u64 = u64::MAX - DIRTY;
 
-/// A single cache level.
+/// A single cache level of `WAYS` ways per set.
 #[derive(Clone, Debug)]
-pub struct Cache {
+pub struct Cache<const WAYS: usize> {
     cfg: CacheConfig,
     /// log2 of the line size.
     line_shift: u32,
     /// Set count minus one.
     set_mask: u64,
-    /// Ways per set.
-    ways: usize,
-    /// `ways` entries per set, most recently used first.
-    lines: Vec<u64>,
+    /// Every set's ways, most recently used first.
+    sets: Vec<[u64; WAYS]>,
     stats: LevelStats,
 }
 
-impl Cache {
+impl<const WAYS: usize> Cache<WAYS> {
     /// Builds an empty cache with the given geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid (see [`CacheConfig::sets`]) or
-    /// the line size is not a power of two.
+    /// Panics if the geometry is invalid for `WAYS` ways (see
+    /// [`CacheConfig::sets`]) or the line size is not a power of two.
+    /// `WAYS == 0` does not compile.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
+        const { assert!(WAYS > 0, "a cache set needs at least one way") };
+        let sets = cfg.sets(WAYS);
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "cache line size must be a power of two"
         );
-        let ways = cfg.ways as usize;
         Self {
             cfg,
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
-            ways,
-            lines: vec![EMPTY; sets as usize * ways],
+            sets: vec![[EMPTY; WAYS]; sets as usize],
             stats: LevelStats::default(),
         }
     }
@@ -96,16 +101,16 @@ impl Cache {
         self.stats
     }
 
-    /// The line number of `addr` and the index of its set's first way.
+    /// The line number of `addr` and the index of its set.
     fn locate(&self, addr: PhysAddr) -> (u64, usize) {
         let line = addr.cache_line().raw() >> self.line_shift;
-        (line, (line & self.set_mask) as usize * self.ways)
+        (line, (line & self.set_mask) as usize)
     }
 
     /// Position of `line` in `set`: one comparison per way, with the
     /// dirty bit folded into the key. The scan stops at the match,
     /// and most hits are on the most recently used way, the first.
-    fn find(set: &[u64], line: u64) -> Option<usize> {
+    fn find(set: &[u64; WAYS], line: u64) -> Option<usize> {
         let key = (line << 1) | DIRTY;
         set.iter().position(|&way| way | DIRTY == key)
     }
@@ -114,10 +119,11 @@ impl Cache {
     ///
     /// Returns whether the access hit and any dirty victim evicted by
     /// the fill. The line is marked dirty on `Write`.
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccessResult {
-        let (line, first) = self.locate(addr);
+        let (line, index) = self.locate(addr);
         let dirty = u64::from(kind == AccessKind::Write);
-        let set = &mut self.lines[first..first + self.ways];
+        let set = &mut self.sets[index];
         if let Some(pos) = Self::find(set, line) {
             let way = set[pos] | dirty;
             set.copy_within(..pos, 1);
@@ -130,8 +136,8 @@ impl Cache {
         }
 
         // Miss: the last way is empty or least recently used.
-        let victim = set[set.len() - 1];
-        set.copy_within(..set.len() - 1, 1);
+        let victim = set[WAYS - 1];
+        set.copy_within(..WAYS - 1, 1);
         set[0] = (line << 1) | dirty;
         self.stats.misses += 1;
         let writeback = (victim & DIRTY != 0).then(|| {
@@ -146,16 +152,16 @@ impl Cache {
 
     /// Returns `true` if the line containing `addr` is present.
     pub fn contains(&self, addr: PhysAddr) -> bool {
-        let (line, first) = self.locate(addr);
-        Self::find(&self.lines[first..first + self.ways], line).is_some()
+        let (line, index) = self.locate(addr);
+        Self::find(&self.sets[index], line).is_some()
     }
 
     /// Invalidates the line containing `addr`, returning `true` if the
     /// line was present and dirty (i.e. a `clwb`/`clflush`-style
     /// operation would generate a write-back).
     pub fn flush_line(&mut self, addr: PhysAddr) -> bool {
-        let (line, first) = self.locate(addr);
-        let set = &mut self.lines[first..first + self.ways];
+        let (line, index) = self.locate(addr);
+        let set = &mut self.sets[index];
         let Some(pos) = Self::find(set, line) else {
             return false;
         };
@@ -172,15 +178,24 @@ impl Cache {
     /// Invalidates every line, returning the number of dirty lines that
     /// would have been written back.
     pub fn flush_all(&mut self) -> u64 {
-        let dirty = self.lines.iter().filter(|&&way| way & DIRTY != 0).count() as u64;
-        self.lines.fill(EMPTY);
+        let dirty = self
+            .sets
+            .as_flattened()
+            .iter()
+            .filter(|&&way| way & DIRTY != 0)
+            .count() as u64;
+        self.sets.fill([EMPTY; WAYS]);
         self.stats.writebacks += dirty;
         dirty
     }
 
     /// Number of currently valid lines (for tests and diagnostics).
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|&&way| way != EMPTY).count()
+        self.sets
+            .as_flattened()
+            .iter()
+            .filter(|&&way| way != EMPTY)
+            .count()
     }
 }
 
@@ -188,11 +203,10 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn tiny() -> Cache {
+    fn tiny() -> Cache<2> {
         // 4 sets x 2 ways x 64B = 512B cache.
         Cache::new(CacheConfig {
             size_bytes: 512,
-            ways: 2,
             latency: 1,
             line_bytes: 64,
         })

@@ -16,12 +16,14 @@ use serde::{Deserialize, Serialize};
 use crate::Cycles;
 
 /// Configuration of a single set-associative cache level.
+///
+/// The associativity is the `WAYS` type parameter of the
+/// [`Cache`](crate::cache::Cache) built from it; [`L1D_WAYS`],
+/// [`L2_WAYS`] and [`L3_WAYS`] hold Table II's.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
-    /// Associativity (ways per set).
-    pub ways: u32,
     /// Access (hit) latency in core cycles.
     pub latency: Cycles,
     /// Line size in bytes (64 in Table II for all levels).
@@ -29,22 +31,24 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets implied by size, ways, and line size.
+    /// Number of sets implied by size, line size and `ways` ways per
+    /// set.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide evenly or is not a power
     /// of two, mirroring real-cache constraints.
-    pub fn sets(&self) -> u64 {
+    pub fn sets(&self, ways: usize) -> u64 {
         let lines = self.size_bytes / self.line_bytes;
         assert_eq!(
             lines * self.line_bytes,
             self.size_bytes,
             "cache size must be a multiple of the line size"
         );
-        let sets = lines / u64::from(self.ways);
+        let ways = ways as u64;
+        let sets = lines / ways;
         assert_eq!(
-            sets * u64::from(self.ways),
+            sets * ways,
             lines,
             "cache lines must divide evenly into ways"
         );
@@ -63,9 +67,9 @@ pub struct DramConfig {
     pub row_hit: Cycles,
     /// Row-buffer miss latency in core cycles (precharge + activate + CAS).
     pub row_miss: Cycles,
-    /// Number of banks (row buffers tracked per bank).
+    /// Number of banks (row buffers tracked per bank); a power of two.
     pub banks: u32,
-    /// Row size in bytes (row-buffer granularity).
+    /// Row size in bytes (row-buffer granularity); a power of two.
     pub row_bytes: u64,
     /// Sustained bandwidth in bytes per core cycle, used for bulk-copy
     /// and queueing accounting. DDR4-2400 ≈ 19.2 GB/s ≈ 6.4 B/cycle at
@@ -129,32 +133,37 @@ pub struct MachineConfig {
     pub layout: MemoryLayout,
 }
 
+/// Table II's L1D associativity (Setup-I and Setup-II).
+pub const L1D_WAYS: usize = 8;
+/// Table II's L2 associativity.
+pub const L2_WAYS: usize = 16;
+/// Table II's L3 associativity.
+pub const L3_WAYS: usize = 16;
+
 impl MachineConfig {
     /// Table II **Setup-I**: end-to-end checkpoint experiments.
     ///
     /// 3 GHz core, 32 KiB 8-way L1D (3 cycles), 512 KiB 16-way L2
     /// (12 cycles), 2 MiB 16-way L3 slice (20 cycles), MSHRs 16/32/32,
     /// 64 B lines, DDR4-2400, PCM NVM with 48/64 write/read buffers,
-    /// 3 GB DRAM + 2 GB NVM. The core is blocking, so the MSHR counts
-    /// and the read buffer bound nothing and are not modelled.
+    /// 3 GB DRAM + 2 GB NVM. The way counts are [`L1D_WAYS`],
+    /// [`L2_WAYS`] and [`L3_WAYS`]. The core is blocking, so the MSHR
+    /// counts and the read buffer bound nothing and are not modelled.
     pub fn setup_i() -> Self {
         Self {
             core_hz: 3_000_000_000,
             l1d: CacheConfig {
                 size_bytes: 32 * 1024,
-                ways: 8,
                 latency: 3,
                 line_bytes: 64,
             },
             l2: CacheConfig {
                 size_bytes: 512 * 1024,
-                ways: 16,
                 latency: 12,
                 line_bytes: 64,
             },
             l3: CacheConfig {
                 size_bytes: 2 * 1024 * 1024,
-                ways: 16,
                 latency: 20,
                 line_bytes: 64,
             },
@@ -237,13 +246,13 @@ mod tests {
         let c = MachineConfig::setup_i();
         assert_eq!(c.core_hz, 3_000_000_000);
         assert_eq!(c.l1d.size_bytes, 32 * 1024);
-        assert_eq!(c.l1d.ways, 8);
+        assert_eq!(L1D_WAYS, 8);
         assert_eq!(c.l1d.latency, 3);
         assert_eq!(c.l2.size_bytes, 512 * 1024);
-        assert_eq!(c.l2.ways, 16);
+        assert_eq!(L2_WAYS, 16);
         assert_eq!(c.l2.latency, 12);
         assert_eq!(c.l3.size_bytes, 2 * 1024 * 1024);
-        assert_eq!(c.l3.ways, 16);
+        assert_eq!(L3_WAYS, 16);
         assert_eq!(c.l3.latency, 20);
         assert_eq!(c.l1d.line_bytes, 64);
         assert_eq!(c.l2.line_bytes, 64);
@@ -265,9 +274,9 @@ mod tests {
     #[test]
     fn cache_geometry() {
         let c = MachineConfig::setup_i();
-        assert_eq!(c.l1d.sets(), 64);
-        assert_eq!(c.l2.sets(), 512);
-        assert_eq!(c.l3.sets(), 2048);
+        assert_eq!(c.l1d.sets(L1D_WAYS), 64);
+        assert_eq!(c.l2.sets(L2_WAYS), 512);
+        assert_eq!(c.l3.sets(L3_WAYS), 2048);
     }
 
     #[test]
@@ -290,10 +299,9 @@ mod tests {
     fn bad_geometry_panics() {
         CacheConfig {
             size_bytes: 48 * 1024,
-            ways: 8,
             latency: 3,
             line_bytes: 64,
         }
-        .sets();
+        .sets(8);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::addr::PhysAddr;
 use crate::cache::{AccessKind, Cache};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, L1D_WAYS, L2_WAYS, L3_WAYS};
 use crate::stats::LevelStats;
 use crate::Cycles;
 
@@ -39,12 +39,12 @@ pub struct HierarchyResult {
     pub memory_writebacks: [Option<PhysAddr>; 3],
 }
 
-/// The composed L1D/L2/L3 hierarchy.
+/// The composed L1D/L2/L3 hierarchy, with Table II's way counts.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
-    l1d: Cache,
-    l2: Cache,
-    l3: Cache,
+    l1d: Cache<L1D_WAYS>,
+    l2: Cache<L2_WAYS>,
+    l3: Cache<L3_WAYS>,
 }
 
 impl Hierarchy {
@@ -59,6 +59,7 @@ impl Hierarchy {
 
     /// Pushes one access through the hierarchy, filling lines upward
     /// and propagating dirty victims downward.
+    #[inline]
     pub fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> HierarchyResult {
         let mut memory_writebacks = [None; 3];
         let mut latency = self.l1d.config().latency;

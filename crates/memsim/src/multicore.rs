@@ -9,7 +9,7 @@
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::{AccessKind, Cache};
-use crate::config::{CacheConfig, MachineConfig};
+use crate::config::{CacheConfig, MachineConfig, L1D_WAYS, L2_WAYS, L3_WAYS};
 use crate::machine::{DirectMap, LineTransfer};
 use crate::memctrl::MemoryController;
 use crate::stats::LevelStats;
@@ -18,8 +18,8 @@ use crate::{Cycles, CACHE_LINE};
 /// Per-core private state.
 #[derive(Debug)]
 struct Core {
-    l1d: Cache,
-    l2: Cache,
+    l1d: Cache<L1D_WAYS>,
+    l2: Cache<L2_WAYS>,
     now: Cycles,
     loads: u64,
     stores: u64,
@@ -53,7 +53,7 @@ pub struct CoreStats {
 #[derive(Debug)]
 pub struct MultiCoreMachine {
     cores: Vec<Core>,
-    l3: Cache,
+    l3: Cache<L3_WAYS>,
     ctrl: MemoryController,
     translator: DirectMap,
     transfer: LineTransfer,

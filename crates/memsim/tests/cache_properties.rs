@@ -8,10 +8,9 @@ use prosper_memsim::hierarchy::Hierarchy;
 use prosper_memsim::machine::Machine;
 use std::collections::HashSet;
 
-fn tiny_cache() -> Cache {
+fn tiny_cache() -> Cache<2> {
     Cache::new(CacheConfig {
         size_bytes: 1024,
-        ways: 2,
         latency: 1,
         line_bytes: 64,
     })

@@ -1,19 +1,23 @@
-//! Differential tests of the recency-ordered cache and TLB sets and of
-//! the cursor-derived bulk wear, each against the straightforward
-//! model it replaced: a cache of `Line { tag, valid, dirty, lru }`
-//! ways with a per-level LRU clock and a `min_by_key` victim search, a
-//! TLB of `(page, lru)` pairs with `swap_remove` eviction, and a wear
-//! map with one entry per bulk-written line. Every observable result is
-//! compared after every step of seeded random sequences.
+//! Differential tests of the recency-ordered cache and TLB sets, of
+//! the composed L1D/L2/L3 hierarchy and of the cursor-derived bulk
+//! wear, each against the straightforward model it replaced: a cache
+//! of `Line { tag, valid, dirty, lru }` ways with a per-level LRU clock
+//! and a `min_by_key` victim search, three such caches cascading their
+//! dirty victims level by level, a TLB of `(page, lru)` pairs with
+//! `swap_remove` eviction, and a wear map with one entry per
+//! bulk-written line. Every observable result is compared after every
+//! step of seeded random sequences.
 
 use std::collections::BTreeMap;
 
 use prosper_memsim::addr::{PhysAddr, VirtAddr};
 use prosper_memsim::cache::{AccessKind, Cache, CacheAccessResult};
 use prosper_memsim::config::{CacheConfig, MachineConfig, NvmConfig};
+use prosper_memsim::hierarchy::{Hierarchy, ServedBy};
 use prosper_memsim::nvm::{Nvm, WearStats};
 use prosper_memsim::stats::LevelStats;
 use prosper_memsim::tlb::Tlb;
+use prosper_memsim::Cycles;
 
 /// SplitMix64: a small seeded generator for the op sequences.
 struct Rng(u64);
@@ -53,6 +57,7 @@ const INVALID: Line = Line {
 /// the oldest stamp.
 struct RefCache {
     cfg: CacheConfig,
+    ways: usize,
     sets: u64,
     lines: Vec<Line>,
     lru_clock: u64,
@@ -60,12 +65,13 @@ struct RefCache {
 }
 
 impl RefCache {
-    fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.sets();
+    fn new(cfg: CacheConfig, ways: usize) -> Self {
+        let sets = cfg.sets(ways);
         Self {
             cfg,
+            ways,
             sets,
-            lines: vec![INVALID; (sets * u64::from(cfg.ways)) as usize],
+            lines: vec![INVALID; sets as usize * ways],
             lru_clock: 0,
             stats: LevelStats::default(),
         }
@@ -78,9 +84,8 @@ impl RefCache {
     }
 
     fn set_slice(&mut self, set: u64) -> &mut [Line] {
-        let ways = self.cfg.ways as usize;
-        let start = set as usize * ways;
-        &mut self.lines[start..start + ways]
+        let start = set as usize * self.ways;
+        &mut self.lines[start..start + self.ways]
     }
 
     fn access(&mut self, addr: PhysAddr, kind: AccessKind) -> CacheAccessResult {
@@ -122,9 +127,8 @@ impl RefCache {
 
     fn contains(&self, addr: PhysAddr) -> bool {
         let (set, tag) = self.index_of(addr);
-        let ways = self.cfg.ways as usize;
-        let start = set as usize * ways;
-        self.lines[start..start + ways]
+        let start = set as usize * self.ways;
+        self.lines[start..start + self.ways]
             .iter()
             .any(|l| l.valid && l.tag == tag)
     }
@@ -155,25 +159,25 @@ impl RefCache {
     }
 }
 
-fn geometry(size_bytes: u64, ways: u32) -> CacheConfig {
+fn geometry(size_bytes: u64) -> CacheConfig {
     CacheConfig {
         size_bytes,
-        ways,
         latency: 1,
         line_bytes: 64,
     }
 }
 
-/// Runs `steps` random operations on both caches, comparing every
-/// result. Addresses crowd `hot_sets` sets with up to three times as
-/// many lines as a set holds, so eviction order is exercised hard; one
-/// access in eight goes anywhere in a wider range.
-fn check_cache(cfg: CacheConfig, seed: u64, steps: usize, hot_sets: u64) {
+/// Runs `steps` random operations on a `WAYS`-way cache and its
+/// reference, comparing every result. Addresses crowd `hot_sets` sets
+/// with up to three times as many lines as a set holds, so eviction
+/// order is exercised hard; one access in eight goes anywhere in a
+/// wider range.
+fn check_cache<const WAYS: usize>(cfg: CacheConfig, seed: u64, steps: usize, hot_sets: u64) {
     let mut rng = Rng(seed);
-    let mut new = Cache::new(cfg);
-    let mut old = RefCache::new(cfg);
-    let sets = cfg.sets();
-    let tags = u64::from(cfg.ways) * 3;
+    let mut new = Cache::<WAYS>::new(cfg);
+    let mut old = RefCache::new(cfg, WAYS);
+    let sets = cfg.sets(WAYS);
+    let tags = WAYS as u64 * 3;
     let addr = |rng: &mut Rng| {
         let line = if rng.below(8) == 0 {
             rng.below(sets * tags * 4)
@@ -214,23 +218,161 @@ fn check_cache(cfg: CacheConfig, seed: u64, steps: usize, hot_sets: u64) {
 #[test]
 fn cache_matches_reference_on_tiny_geometries() {
     for seed in 0..24 {
-        // 1 set x 1 way, 4 sets x 2 ways, 4 sets x 4 ways, 2 sets x 8 ways.
-        check_cache(geometry(64, 1), seed, 400, 1);
-        check_cache(geometry(512, 2), seed, 2_000, 4);
-        check_cache(geometry(1024, 4), seed, 2_000, 2);
-        check_cache(geometry(1024, 8), seed, 2_000, 2);
+        // 1 set x 1 way, 4 sets x 2 ways, 4 sets x 4 ways, 2 sets x 8
+        // ways, 2 sets x 16 ways.
+        check_cache::<1>(geometry(64), seed, 400, 1);
+        check_cache::<2>(geometry(512), seed, 2_000, 4);
+        check_cache::<4>(geometry(1024), seed, 2_000, 2);
+        check_cache::<8>(geometry(1024), seed, 2_000, 2);
+        check_cache::<16>(geometry(2048), seed, 2_000, 2);
     }
 }
 
 #[test]
 fn cache_matches_reference_on_setup_i_geometries() {
     // Fewer steps on the larger levels: every step also counts their
-    // valid lines, which walks the whole cache.
+    // valid lines, which walks the whole cache. Table II: 8, 16 and 16
+    // ways.
     let cfg = MachineConfig::setup_i();
     for seed in 0..2 {
-        check_cache(cfg.l1d, seed, 10_000, 6);
-        check_cache(cfg.l2, seed, 2_000, 6);
-        check_cache(cfg.l3, seed, 600, 4);
+        check_cache::<8>(cfg.l1d, seed, 10_000, 6);
+        check_cache::<16>(cfg.l2, seed, 2_000, 6);
+        check_cache::<16>(cfg.l3, seed, 600, 4);
+    }
+}
+
+/// The reference hierarchy: three reference caches with Table II's
+/// 8, 16 and 16 ways. An access walks down the levels until one hits,
+/// charging each level's latency and reading the line from every level
+/// below the first; a dirty victim of any level is written into the
+/// next level down, recursively, and what leaves the last level goes
+/// to memory.
+struct RefHierarchy {
+    levels: [RefCache; 3],
+}
+
+impl RefHierarchy {
+    fn new(cfg: &MachineConfig) -> Self {
+        Self {
+            levels: [
+                RefCache::new(cfg.l1d, 8),
+                RefCache::new(cfg.l2, 16),
+                RefCache::new(cfg.l3, 16),
+            ],
+        }
+    }
+
+    /// Writes `victim` into `level` and on down; returns the line that
+    /// leaves the last level, if any.
+    fn write_back(&mut self, level: usize, victim: PhysAddr) -> Option<PhysAddr> {
+        let Some(cache) = self.levels.get_mut(level) else {
+            return Some(victim);
+        };
+        let next = cache.access(victim, AccessKind::Write).writeback;
+        next.and_then(|v| self.write_back(level + 1, v))
+    }
+
+    fn access(
+        &mut self,
+        addr: PhysAddr,
+        kind: AccessKind,
+    ) -> (ServedBy, Cycles, [Option<PhysAddr>; 3]) {
+        let served = [ServedBy::L1d, ServedBy::L2, ServedBy::L3];
+        let mut memory_writebacks = [None; 3];
+        let mut latency = 0;
+        for level in 0..3 {
+            latency += self.levels[level].cfg.latency;
+            let kind = if level == 0 { kind } else { AccessKind::Read };
+            let r = self.levels[level].access(addr, kind);
+            if let Some(v) = r.writeback {
+                memory_writebacks[level] = self.write_back(level + 1, v);
+            }
+            if r.hit {
+                return (served[level], latency, memory_writebacks);
+            }
+        }
+        (ServedBy::Memory, latency, memory_writebacks)
+    }
+
+    fn clwb(&mut self, addr: PhysAddr) -> bool {
+        // Every level is cleaned: no short circuit.
+        self.levels
+            .iter_mut()
+            .map(|c| c.flush_line(addr))
+            .fold(false, |any, dirty| any | dirty)
+    }
+
+    fn contains(&self, addr: PhysAddr) -> bool {
+        self.levels.iter().any(|c| c.contains(addr))
+    }
+
+    fn level_stats(&self) -> (LevelStats, LevelStats, LevelStats) {
+        let [l1, l2, l3] = &self.levels;
+        (l1.stats, l2.stats, l3.stats)
+    }
+}
+
+#[test]
+fn hierarchy_matches_reference_on_setup_i() {
+    let cfg = MachineConfig::setup_i();
+    // Setup-I set counts: a line's L1D set is its number mod 64, its
+    // L2 set mod 512 and its L3 set mod 2048.
+    let (l1_sets, l3_sets) = (64u64, 2048u64);
+    for seed in 0..4 {
+        let mut rng = Rng(seed);
+        let mut new = Hierarchy::new(&cfg);
+        let mut old = RefHierarchy::new(&cfg);
+        // Lines crowding three L3 sets (and so the L2 and L1D sets they
+        // fall in) with three times the L3's ways, lines crowding four
+        // L1D sets but spread over the L2 and L3, and lines anywhere in
+        // the 5 GiB hybrid address space.
+        let addr = |rng: &mut Rng| {
+            let line = match rng.below(8) {
+                0 => rng.below(5 << 24),
+                1 | 2 => rng.below(4) + rng.below(l3_sets) * l1_sets,
+                _ => rng.below(3) * 7 + rng.below(48) * l3_sets,
+            };
+            PhysAddr::new(line * 64 + rng.below(64))
+        };
+        // Accesses served by each level and memory write-backs in each
+        // slot, so the streams are seen to reach every path.
+        let (mut served, mut written_back) = ([0u64; 4], [0u64; 3]);
+        for step in 0..50_000 {
+            let a = addr(&mut rng);
+            let op = rng.below(100);
+            let ctx = format!("seed {seed}, step {step}, op {op}, addr {a}");
+            match op {
+                0..=79 => {
+                    let kind = if rng.below(3) == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let r = new.access(a, kind);
+                    let want = old.access(a, kind);
+                    assert_eq!(
+                        (r.served_by, r.cache_latency, r.memory_writebacks),
+                        want,
+                        "{ctx}"
+                    );
+                    served[r.served_by as usize] += 1;
+                    for (n, wb) in written_back.iter_mut().zip(r.memory_writebacks) {
+                        *n += u64::from(wb.is_some());
+                    }
+                }
+                80..=94 => assert_eq!(new.clwb(a), old.clwb(a), "{ctx}"),
+                _ => {}
+            }
+            let probe = addr(&mut rng);
+            assert_eq!(new.contains(a), old.contains(a), "{ctx}");
+            assert_eq!(new.contains(probe), old.contains(probe), "{ctx}");
+            assert_eq!(new.level_stats(), old.level_stats(), "{ctx}");
+        }
+        assert!(served.iter().all(|&n| n > 0), "seed {seed}: {served:?}");
+        assert!(
+            written_back.iter().all(|&n| n > 0),
+            "seed {seed}: {written_back:?}"
+        );
     }
 }
 

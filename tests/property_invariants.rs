@@ -125,7 +125,8 @@ proptest! {
     /// the buffer holds, unwritten bytes read zero below, across and
     /// above the written span, one chunk is resident per distinct
     /// 4 KiB chunk written, and images holding the same bytes in the
-    /// same chunks are equal whatever order their tables grew in.
+    /// same chunks are equal whatever order their tables grew in and
+    /// agree over each chunk and over the whole region.
     #[test]
     fn memory_image_roundtrip(
         writes in prop::collection::vec((arb_image_offset(), prop::collection::vec(any::<u8>(), 1..128)), 1..40),
@@ -188,11 +189,13 @@ proptest! {
             up.write(VirtAddr::new(a), &[b]);
         }
         let chunk_range = |c: u64| VirtRange::new(VirtAddr::new(c * 4096), VirtAddr::new((c + 1) * 4096));
+        let region = VirtRange::new(VirtAddr::new(IMAGE_BASE), VirtAddr::new(IMAGE_BASE + IMAGE_SPAN));
         for other in [&down, &up] {
             for &c in &chunks {
                 prop_assert!(img.matches(other, chunk_range(c)));
                 prop_assert_eq!(img.first_mismatch(other, chunk_range(c)), None);
             }
+            prop_assert!(img.matches(other, region));
             prop_assert!(img == *other, "same chunks, same bytes");
         }
         // One changed byte, or one more resident chunk, breaks equality.
@@ -200,6 +203,7 @@ proptest! {
         changed.write(VirtAddr::new(lo), &[shadow[&lo] ^ 1]);
         prop_assert!(img != changed);
         prop_assert_eq!(img.first_mismatch(&changed, chunk_range(lo / 4096)), Some(VirtAddr::new(lo)));
+        prop_assert_eq!(img.first_mismatch(&changed, region), Some(VirtAddr::new(lo)));
         let mut extra = up;
         extra.write(VirtAddr::new(IMAGE_BASE + IMAGE_SPAN + 0x2000), &[0]);
         prop_assert!(img != extra, "a resident chunk of zeros is still resident");
