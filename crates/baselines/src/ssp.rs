@@ -229,6 +229,12 @@ impl MemoryPersistence for SspMechanism {
     fn region_in_dram(&self) -> bool {
         false
     }
+
+    /// The store hook reads the clock to run the consolidation thread
+    /// on schedule, so SSP replays inline.
+    fn store_hook_only_posts(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

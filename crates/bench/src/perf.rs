@@ -35,10 +35,11 @@ use std::time::Instant;
 use prosper_core::bitmap::reference::SparseDirtyBitmap;
 use prosper_core::bitmap::{BitmapGeometry, CopyRun, DirtyBitmap};
 use prosper_core::oscomp::ProsperMechanism;
-use prosper_core::recovery::{host_parallelism, CommitHooks, PersistentProcess};
+use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::config::MachineConfig;
+use prosper_memsim::host_parallelism;
 use prosper_memsim::machine::Machine;
 use prosper_telemetry as telemetry;
 use prosper_telemetry::{HistogramSnapshot, MetricsSnapshot, NoopSink, Telemetry};
@@ -236,7 +237,7 @@ pub struct PipelineRow {
 /// worker counts, plus the adaptive selector's own configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineSection {
-    /// [`prosper_core::recovery::host_parallelism`] on the recording
+    /// [`prosper_memsim::host_parallelism`] on the recording
     /// host, the value that caps the selector; the speedup gate is
     /// enforced only above 1.
     pub host_parallelism: usize,

@@ -74,7 +74,7 @@
 //! each parallel pass makes, and pick the argmin — falling back to
 //! serial whenever the staged bytes sit below the parallelism
 //! break-even. A single commit is priced as a burst of one. The cap
-//! is [`host_parallelism`], read once per process: the query reads
+//! is memsim's [`host_parallelism`], read once per process: the query reads
 //! cgroup files, which costs more than a small commit's copies.
 //!
 //! # The pipelined burst
@@ -131,6 +131,7 @@ use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_gemos::process::RegisterFile;
 use prosper_gemos::restore::{NoValidCheckpoint, ProcessCheckpointStore};
 use prosper_memsim::addr::VirtRange;
+use prosper_memsim::host_parallelism;
 
 use crate::bitmap::CopyRun;
 use crate::persist::{MergeStats, PersistentStack, SpineConfig};
@@ -389,18 +390,6 @@ fn cross(faults: &mut Option<&mut FaultInjector>, site: CrashSite) -> Result<(),
         return Err(CrashInjected { site });
     }
     Ok(())
-}
-
-/// The host's available parallelism (1 if it cannot be read), queried
-/// once per process. `std::thread::available_parallelism` reads
-/// cgroup files on every call, which costs more than a small commit's
-/// copies, so every commit, every redo and the perf suite's pipeline
-/// gate share this one reading. Recovery's redo calls it, so it stays
-/// panic-free (`PA-PANIC004`).
-pub fn host_parallelism() -> usize {
-    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HOST
-        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// One stack's share of one batch, as the [`commit_cost`] model prices

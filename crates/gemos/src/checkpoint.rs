@@ -10,11 +10,27 @@
 //! per-store hooks of each region's mechanism, and runs the
 //! end-of-interval commit protocol, accumulating the costs that become
 //! Figures 8–11.
+//!
+//! # The model worker
+//!
+//! While it replays an interval, the manager posts the machine
+//! operations whose results nobody on that path reads — compute
+//! advances, TLB walks, NVM-residence penalties, the demand loads and
+//! stores, and whatever the mechanisms' store hooks post — through the
+//! machine's posting window (see `prosper_memsim::machine`), so one
+//! worker thread per run applies them to the model state while this
+//! thread generates the trace and runs the hooks. The window closes
+//! before anything reads machine state: before `end_interval`, the
+//! register copy and `begin_interval`, so the commit runs with the
+//! worker parked and every simulated number is the inline one. The
+//! window opens only when the host has more than one core and every
+//! region's mechanism declares a store hook that only posts
+//! ([`MemoryPersistence::store_hook_only_posts`]).
 
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::machine::Machine;
 use prosper_memsim::tlb::Tlb;
-use prosper_memsim::Cycles;
+use prosper_memsim::{host_parallelism, Cycles};
 use prosper_telemetry as telemetry;
 use prosper_trace::interval::IntervalCollector;
 use prosper_trace::record::{AccessKind, MemAccess, Region, TraceEvent};
@@ -93,6 +109,18 @@ pub trait MemoryPersistence {
     fn region_in_dram(&self) -> bool {
         true
     }
+
+    /// `true` if [`Self::on_store`] only posts to the machine: it calls
+    /// nothing but the calls that return nothing ([`Machine::advance`],
+    /// `post_load`/`post_store`, the `inject_*` calls,
+    /// [`Machine::persist_write`]) and the front-end queries
+    /// (`nvm_base`, `translate`, `config`). The manager may then replay
+    /// through the machine's posting window, where reading the clock,
+    /// the counters or a latency panics. A hook that reads machine
+    /// state says `false` and is replayed inline.
+    fn store_hook_only_posts(&self) -> bool {
+        true
+    }
 }
 
 /// A no-op mechanism: the region is volatile, nothing is persisted.
@@ -115,7 +143,7 @@ impl MemoryPersistence for NoPersistence {
 }
 
 /// Aggregate result of a checkpointed run.
-#[derive(Clone, Copy, Default, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct RunResult {
     /// Total simulated cycles including checkpoint time.
     pub total_cycles: Cycles,
@@ -169,12 +197,15 @@ pub struct CheckpointManager<'m> {
     /// Data TLB consulted by every demand access (mechanism-neutral
     /// translation costs).
     tlb: Tlb,
+    /// Open the posting window even on a one-core host.
+    force_window: bool,
 }
 
 impl<'m> std::fmt::Debug for CheckpointManager<'m> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CheckpointManager")
             .field("interval_budget", &self.interval_budget)
+            .field("force_window", &self.force_window)
             .finish()
     }
 }
@@ -192,15 +223,29 @@ impl<'m> CheckpointManager<'m> {
             machine,
             interval_budget,
             tlb: Tlb::new(64),
+            force_window: false,
         }
     }
 
+    /// Opens the posting window whatever the host's core count, so the
+    /// window's tests run on one CPU too. A run whose mechanisms do not
+    /// all declare [`MemoryPersistence::store_hook_only_posts`] still
+    /// replays inline.
+    #[doc(hidden)]
+    pub fn force_window(mut self) -> Self {
+        self.force_window = true;
+        self
+    }
+
     /// Replays one trace event through the machine, invoking the store
-    /// hooks of the stack and (optionally) heap mechanisms.
+    /// hooks of the stack and (optionally) heap mechanisms. Every
+    /// machine call here returns nothing, so inside a posting window
+    /// each one is posted to the model worker.
     /// `stack_in_dram` and `heap_in_dram` are the mechanisms'
     /// [`MemoryPersistence::region_in_dram`] answers.
     fn replay_event(
-        &mut self,
+        machine: &mut Machine,
+        tlb: &mut Tlb,
         ev: TraceEvent,
         stack_mech: &mut dyn MemoryPersistence,
         heap_mech: Option<&mut (dyn MemoryPersistence + '_)>,
@@ -208,42 +253,42 @@ impl<'m> CheckpointManager<'m> {
         result: &mut RunResult,
     ) {
         let a = match ev {
-            TraceEvent::Compute(c) => return self.machine.advance(c),
+            TraceEvent::Compute(c) => return machine.advance(c),
             TraceEvent::Access(a) => a,
         };
-        let walk = self.tlb.access(a.vaddr);
+        let walk = tlb.access(a.vaddr);
         if walk > 0 {
-            self.machine.advance(walk);
+            machine.advance(walk);
         }
         match a.kind {
             AccessKind::Load => {
-                self.machine.load(a.vaddr, u64::from(a.size));
+                machine.post_load(a.vaddr, u64::from(a.size));
                 let in_dram = match a.region {
                     Region::Stack => stack_in_dram,
                     Region::Heap => heap_in_dram,
                     Region::Other => true,
                 };
                 if !in_dram {
-                    self.machine.advance(NVM_RESIDENCE_LOAD_PENALTY);
+                    machine.advance(NVM_RESIDENCE_LOAD_PENALTY);
                 }
             }
             AccessKind::Store => {
-                self.machine.store(a.vaddr, u64::from(a.size));
+                machine.post_store(a.vaddr, u64::from(a.size));
                 match a.region {
                     Region::Stack => {
                         result.stack_stores += 1;
                         if !stack_in_dram {
-                            self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
+                            machine.advance(NVM_RESIDENCE_STORE_PENALTY);
                         }
-                        stack_mech.on_store(self.machine, &a);
+                        stack_mech.on_store(machine, &a);
                     }
                     Region::Heap => {
                         result.heap_stores += 1;
                         if let Some(m) = heap_mech {
                             if !heap_in_dram {
-                                self.machine.advance(NVM_RESIDENCE_STORE_PENALTY);
+                                machine.advance(NVM_RESIDENCE_STORE_PENALTY);
                             }
-                            m.on_store(self.machine, &a);
+                            m.on_store(machine, &a);
                         }
                     }
                     Region::Other => {}
@@ -259,8 +304,52 @@ impl<'m> CheckpointManager<'m> {
     /// Every checkpoint also persists the register state (one
     /// [`RegisterFile::CHECKPOINT_BYTES`] write per thread), as the
     /// GemOS baseline does.
+    ///
+    /// The replay of each interval runs through a posting window on one
+    /// model worker per run (see the module docs) when the host and the
+    /// mechanisms allow it; the worker is joined before this returns,
+    /// also when a mechanism panics.
     pub fn run<S: TraceSource>(
         &mut self,
+        source: S,
+        stack_mech: &mut dyn MemoryPersistence,
+        heap_mech: Option<&mut dyn MemoryPersistence>,
+        heap_region: VirtRange,
+        intervals: u64,
+    ) -> RunResult {
+        let post_only = stack_mech.store_hook_only_posts()
+            && heap_mech.as_ref().is_none_or(|m| m.store_hook_only_posts());
+        let windowed = post_only && (self.force_window || host_parallelism() > 1);
+        let budget = self.interval_budget;
+        let tlb = &mut self.tlb;
+        let replay = |machine: &mut Machine| {
+            Self::run_intervals(
+                machine,
+                tlb,
+                budget,
+                windowed,
+                source,
+                stack_mech,
+                heap_mech,
+                heap_region,
+                intervals,
+            )
+        };
+        if windowed {
+            self.machine.with_worker(replay)
+        } else {
+            replay(self.machine)
+        }
+    }
+
+    /// The body of [`Self::run`], replaying through a posting window if
+    /// `windowed` (a worker is then attached to `machine`).
+    #[allow(clippy::too_many_arguments)]
+    fn run_intervals<S: TraceSource>(
+        machine: &mut Machine,
+        tlb: &mut Tlb,
+        budget: Cycles,
+        windowed: bool,
         source: S,
         stack_mech: &mut dyn MemoryPersistence,
         mut heap_mech: Option<&mut dyn MemoryPersistence>,
@@ -269,12 +358,12 @@ impl<'m> CheckpointManager<'m> {
     ) -> RunResult {
         let stack_region = source.stack().reserved_range();
         let stack_top = source.stack().top();
-        let mut collector = IntervalCollector::new(source, self.interval_budget);
+        let mut collector = IntervalCollector::new(source, budget);
         let mut result = RunResult::default();
 
-        stack_mech.begin_interval(self.machine, stack_region);
+        stack_mech.begin_interval(machine, stack_region);
         if let Some(m) = heap_mech.as_deref_mut() {
-            m.begin_interval(self.machine, heap_region);
+            m.begin_interval(machine, heap_region);
         }
 
         let tel = telemetry::enabled();
@@ -285,8 +374,13 @@ impl<'m> CheckpointManager<'m> {
                 stack_mech.region_in_dram(),
                 heap_mech.as_ref().is_none_or(|m| m.region_in_dram()),
             );
+            if windowed {
+                machine.open_window();
+            }
             let bounds = collector.stream_interval(|ev| {
-                self.replay_event(
+                Self::replay_event(
+                    machine,
+                    tlb,
                     ev,
                     stack_mech,
                     heap_mech.as_deref_mut(),
@@ -294,8 +388,12 @@ impl<'m> CheckpointManager<'m> {
                     &mut result,
                 )
             });
+            // Everything below reads machine state.
+            if windowed {
+                machine.close_window();
+            }
 
-            let ckpt_start = self.machine.now();
+            let ckpt_start = machine.now();
             // The whole commit is one span; each region's mechanism
             // commit nests inside, categorised by mechanism name so
             // baselines are covered without their own instrumentation.
@@ -312,12 +410,12 @@ impl<'m> CheckpointManager<'m> {
                 telemetry::span_begin(
                     telemetry::names::SPAN_CKPT_COMMIT_STACK,
                     stack_mech.name(),
-                    self.machine.now(),
+                    machine.now(),
                 );
             }
-            let mut outcome = stack_mech.end_interval(self.machine, info);
+            let mut outcome = stack_mech.end_interval(machine, info);
             if tel {
-                telemetry::span_end(telemetry::names::SPAN_CKPT_COMMIT_STACK, self.machine.now());
+                telemetry::span_end(telemetry::names::SPAN_CKPT_COMMIT_STACK, machine.now());
             }
             // Heap region commit.
             if let Some(m) = heap_mech.as_deref_mut() {
@@ -330,40 +428,33 @@ impl<'m> CheckpointManager<'m> {
                     telemetry::span_begin(
                         telemetry::names::SPAN_CKPT_COMMIT_HEAP,
                         m.name(),
-                        self.machine.now(),
+                        machine.now(),
                     );
                 }
-                outcome = outcome.merge(m.end_interval(self.machine, hinfo));
+                outcome = outcome.merge(m.end_interval(machine, hinfo));
                 if tel {
-                    telemetry::span_end(
-                        telemetry::names::SPAN_CKPT_COMMIT_HEAP,
-                        self.machine.now(),
-                    );
+                    telemetry::span_end(telemetry::names::SPAN_CKPT_COMMIT_HEAP, machine.now());
                 }
             }
             // Register state goes into every checkpoint.
             let reg_bytes = RegisterFile::CHECKPOINT_BYTES;
             if tel {
-                telemetry::span_begin(
-                    telemetry::names::SPAN_CKPT_REGISTERS,
-                    "ckpt",
-                    self.machine.now(),
-                );
+                telemetry::span_begin(telemetry::names::SPAN_CKPT_REGISTERS, "ckpt", machine.now());
             }
-            self.machine.bulk_copy_dram_to_nvm(reg_bytes);
+            machine.bulk_copy_dram_to_nvm(reg_bytes);
             if tel {
-                telemetry::span_end(telemetry::names::SPAN_CKPT_REGISTERS, self.machine.now());
+                telemetry::span_end(telemetry::names::SPAN_CKPT_REGISTERS, machine.now());
             }
 
             // Prepare the next interval.
-            stack_mech.begin_interval(self.machine, stack_region);
+            stack_mech.begin_interval(machine, stack_region);
             if let Some(m) = heap_mech.as_deref_mut() {
-                m.begin_interval(self.machine, heap_region);
+                m.begin_interval(machine, heap_region);
             }
 
-            let ckpt_cycles = self.machine.now() - ckpt_start;
+            let ckpt_cycles = machine.now() - ckpt_start;
             if tel {
-                telemetry::span_end(telemetry::names::SPAN_CKPT_INTERVAL, self.machine.now());
+                telemetry::span_end(telemetry::names::SPAN_CKPT_INTERVAL, machine.now());
                 telemetry::with(|t| {
                     let r = t.registry();
                     r.counter("prosper.gemos.ckpt.intervals").inc();
@@ -386,7 +477,7 @@ impl<'m> CheckpointManager<'m> {
                     .add(result.heap_stores);
             });
         }
-        result.total_cycles = self.machine.now();
+        result.total_cycles = machine.now();
         result
     }
 
@@ -573,6 +664,108 @@ mod tests {
         assert!(res.metadata_cycles > 0);
         assert!(res.metadata_cycles <= res.checkpoint_cycles);
         assert_eq!(res.bytes_copied, 3 * 256);
+    }
+
+    /// Records whether each store hook ran inside a posting window and
+    /// reads the clock when `reads` is set (and then says so). With
+    /// `inline` set it says its hook reads the machine although it does
+    /// not, which makes the inline reference run.
+    #[derive(Default, Debug)]
+    struct Probe {
+        reads: bool,
+        inline: bool,
+        windowed: u64,
+        unwindowed: u64,
+        panic_after: Option<u64>,
+    }
+
+    impl MemoryPersistence for Probe {
+        fn name(&self) -> &'static str {
+            "Probe"
+        }
+        fn begin_interval(&mut self, m: &mut Machine, _r: VirtRange) {
+            m.advance(3);
+        }
+        fn on_store(&mut self, m: &mut Machine, a: &MemAccess) {
+            if self.panic_after == Some(self.windowed + self.unwindowed) {
+                panic!("store hook failed");
+            }
+            if m.window_open() {
+                self.windowed += 1;
+            } else {
+                self.unwindowed += 1;
+            }
+            if self.reads {
+                let _ = m.now();
+            }
+            m.inject_store(a.vaddr, 4);
+            m.persist_write(m.nvm_base(), 8);
+        }
+        fn end_interval(&mut self, m: &mut Machine, _i: IntervalInfo) -> CheckpointOutcome {
+            let cycles = m.bulk_copy_dram_to_nvm(512);
+            CheckpointOutcome {
+                bytes_copied: 512,
+                cycles,
+                metadata_cycles: 0,
+            }
+        }
+        fn store_hook_only_posts(&self) -> bool {
+            !self.reads && !self.inline
+        }
+    }
+
+    /// Runs `probe` over gapbs_pr, with the window forced open if
+    /// `force`.
+    fn probe_run(probe: &mut Probe, force: bool) -> (RunResult, prosper_memsim::stats::MemStats) {
+        let mut machine = Machine::new(MachineConfig::setup_i());
+        let mut mgr = CheckpointManager::new(&mut machine, 20_000);
+        if force {
+            mgr = mgr.force_window();
+        }
+        let res = mgr.run_stack_only(Workload::new(WorkloadProfile::gapbs_pr(), 4), probe, 4);
+        (res, machine.stats())
+    }
+
+    #[test]
+    fn the_posting_window_changes_no_simulated_number() {
+        let mut inline = Probe {
+            inline: true,
+            ..Probe::default()
+        };
+        let mut posted = Probe::default();
+        let a = probe_run(&mut inline, true);
+        let b = probe_run(&mut posted, true);
+        assert_eq!(a, b);
+        assert_eq!(inline.windowed, 0);
+        assert_eq!(posted.unwindowed, 0, "every hook ran inside the window");
+        assert_eq!(posted.windowed, inline.unwindowed);
+        let mut auto = Probe::default();
+        assert_eq!(probe_run(&mut auto, false), a);
+        assert_eq!(auto.windowed > 0, host_parallelism() > 1);
+    }
+
+    #[test]
+    fn a_hook_that_reads_the_machine_replays_inline() {
+        let mut probe = Probe {
+            reads: true,
+            ..Probe::default()
+        };
+        let (res, _) = probe_run(&mut probe, true);
+        assert_eq!(probe.windowed, 0);
+        assert_eq!(probe.unwindowed, res.stack_stores);
+    }
+
+    #[test]
+    fn a_hook_that_panics_inside_the_window_propagates_its_panic() {
+        let mut probe = Probe {
+            panic_after: Some(5_000),
+            ..Probe::default()
+        };
+        let res =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe_run(&mut probe, true)));
+        let err = res.expect_err("the hook's panic reaches the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"store hook failed"));
+        assert_eq!(probe.windowed, 5_000);
     }
 
     #[test]

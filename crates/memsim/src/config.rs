@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::addr::PhysAddr;
 use crate::Cycles;
 
 /// Configuration of a single set-associative cache level.
@@ -112,6 +113,13 @@ pub struct MemoryLayout {
     /// Bytes of NVM (Setup-I: 2 GB; Setup-II: 0 — Setup-II measures
     /// tracking overhead only and keeps everything in DRAM).
     pub nvm_bytes: u64,
+}
+
+impl MemoryLayout {
+    /// First physical address of the NVM region.
+    pub fn nvm_base(&self) -> PhysAddr {
+        PhysAddr::new(self.dram_bytes)
+    }
 }
 
 /// Full machine configuration (Table II).

@@ -17,7 +17,10 @@
 //! The central type is [`machine::Machine`], which drives a stream of
 //! accesses through the hierarchy and exposes a snoop port used by
 //! hardware components (such as the Prosper dirty tracker) that observe
-//! stores before the L1D.
+//! stores before the L1D. Inside a posting window the machine hands
+//! its model state to one worker thread and posts the accesses whose
+//! results nobody reads, so a caller's own work overlaps the model's
+//! (see [`machine`]).
 //!
 //! # Example
 //!
@@ -62,3 +65,16 @@ pub const CACHE_LINE: u64 = 64;
 /// Number of bytes in the simulated OS page (4 KiB, as in the paper's
 /// page-granularity dirty-tracking discussion).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// The host's available parallelism (1 if it cannot be read), queried
+/// once per process. `std::thread::available_parallelism` reads
+/// cgroup files on every call, which costs more than a small commit's
+/// copies, so the checkpoint manager's choice of a model worker, every
+/// commit, every redo and the perf suite's pipeline gate share this
+/// one reading. Recovery's redo calls it, so it stays panic-free
+/// (`PA-PANIC004`).
+pub fn host_parallelism() -> usize {
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+}

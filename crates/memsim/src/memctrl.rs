@@ -58,7 +58,7 @@ impl MemoryController {
 
     /// First physical address of the NVM region.
     pub fn nvm_base(&self) -> PhysAddr {
-        PhysAddr::new(self.layout.dram_bytes)
+        self.layout.nvm_base()
     }
 
     /// Services one line-sized access at absolute cycle `now`.

@@ -137,6 +137,14 @@ impl MultiCoreMachine {
         queue_delay + device_latency
     }
 
+    /// Writes a dirty L2 victim into the shared L3; a dirty line the L3
+    /// evicts for it goes to memory.
+    fn l3_writeback(&mut self, issue: Cycles, victim: PhysAddr) {
+        if let Some(v3) = self.l3.access(victim, AccessKind::Write).writeback {
+            self.bus_transfer(issue, v3, true);
+        }
+    }
+
     /// One line access on core `c`; returns the latency charged to the
     /// core when `demand`, zero otherwise.
     fn line_access(&mut self, c: usize, paddr: PhysAddr, kind: AccessKind, demand: bool) -> Cycles {
@@ -144,14 +152,19 @@ impl MultiCoreMachine {
         let mut latency = self.cfg.l1d.latency;
         let core = &mut self.cores[c];
         let r1 = core.l1d.access(paddr, kind);
+        // Dirty victims cascade down as `Hierarchy::access` cascades
+        // them: the L1 victim into the L2, its L2 victim into the L3,
+        // and any L3 victim onto the bus.
         if let Some(v) = r1.writeback {
-            core.l2.access(v, AccessKind::Write);
+            if let Some(v2) = core.l2.access(v, AccessKind::Write).writeback {
+                self.l3_writeback(issue, v2);
+            }
         }
         if !r1.hit {
             latency += self.cfg.l2.latency;
-            let r2 = core.l2.access(paddr, AccessKind::Read);
+            let r2 = self.cores[c].l2.access(paddr, AccessKind::Read);
             if let Some(v) = r2.writeback {
-                self.l3.access(v, AccessKind::Write);
+                self.l3_writeback(issue, v);
             }
             if !r2.hit {
                 latency += self.cfg.l3.latency;
@@ -288,6 +301,45 @@ mod tests {
         m.advance(0, 500);
         assert_eq!(m.now(0), 500);
         assert_eq!(m.now(1), 0);
+    }
+
+    /// One core over the shared L3 is the composed hierarchy: fed one
+    /// seeded stream of loads and stores, both count the same hits and
+    /// misses per level and send the same dirty victims to memory.
+    #[test]
+    fn one_core_cascades_victims_like_the_hierarchy() {
+        use crate::hierarchy::{Hierarchy, ServedBy};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let cfg = MachineConfig::setup_i();
+        let mut multi = MultiCoreMachine::new(cfg, 1);
+        let mut hier = Hierarchy::new(&cfg);
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut fills, mut writebacks) = (0u64, 0u64);
+        for _ in 0..200_000 {
+            // 8 MiB of lines, four times the L3: dirty victims leave
+            // every level.
+            let addr = rng.gen_range(0..1u64 << 17) * CACHE_LINE;
+            let kind = if rng.gen_bool(0.5) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            multi.line_access(0, PhysAddr::new(addr), kind, true);
+            let r = hier.access(PhysAddr::new(addr), kind);
+            fills += u64::from(r.served_by == ServedBy::Memory);
+            writebacks += r.memory_writebacks.iter().flatten().count() as u64;
+        }
+        let (l1, l2, l3) = hier.level_stats();
+        let core = multi.core_stats(0);
+        assert_eq!((core.l1d, core.l2, multi.l3_stats()), (l1, l2, l3));
+        let dram = multi.ctrl.dram();
+        assert!(
+            writebacks > 1000,
+            "the stream evicts dirty lines: {writebacks}"
+        );
+        assert_eq!((dram.reads, dram.writes), (fills, writebacks));
     }
 
     #[test]
