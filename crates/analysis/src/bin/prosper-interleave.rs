@@ -1,11 +1,12 @@
-//! Exhaustive interleaving checker for the parallel commit protocol.
+//! Exhaustive interleaving checker for the commit protocol.
 //!
 //! ```text
 //! cargo run -p prosper-analysis --bin prosper-interleave [-- --json] [--skip-self-test]
 //! ```
 //!
 //! Explores every bounded-preemption schedule of the modelled commit
-//! protocol at 1, 2, and 4 workers — in both the classic
+//! protocol at 1, 2, and 4 workers (the engine runs the 1-worker
+//! schedule; more workers over-approximate it) — in both the classic
 //! stage/seal/apply form and the PR-7 pipelined form where stage(N+1)
 //! overlaps apply(N) — and reports races, commit-order violations,
 //! and deadlocks. By default it also runs the

@@ -1,10 +1,9 @@
-//! Miniature loom-style concurrency checker for the parallel commit
-//! protocol.
+//! Miniature loom-style concurrency checker for the commit protocol.
 //!
 //! The commit engine in `prosper-core`
-//! (`PersistentProcess::commit_with`) fans stage and apply work out
-//! to scoped threads around a serial seal. Its correctness argument
-//! rests on a handful of ordering invariants
+//! (`PersistentProcess::commit_with`) runs a stage pass and an apply
+//! pass over every stack around a serial seal, on its calling thread.
+//! Its correctness argument rests on a handful of ordering invariants
 //! (see [`order`]): the seal is the single commit point, stage and
 //! apply for one sequence number never overlap, sequences never
 //! overlap each other, and the tracker quiescence handshake orders
@@ -13,7 +12,8 @@
 //! This module checks those invariants *exhaustively* on a model:
 //!
 //! * [`model`] builds a faithful synchronization skeleton of the
-//!   protocol — coordinator, N stage/apply workers, a tracker thread —
+//!   protocol — coordinator, N stage/apply workers (N = 1 is the
+//!   engine's schedule; more over-approximate it), a tracker thread —
 //!   as explicit steps with acquire/release edges and shared-location
 //!   accesses, plus deliberately seeded bugs ([`model::Bug`]) that
 //!   drop specific edges.

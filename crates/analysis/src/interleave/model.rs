@@ -1,18 +1,16 @@
-//! A faithful synchronization skeleton of the parallel commit
-//! protocol, plus deliberately seeded bugs.
+//! A synchronization skeleton of the commit protocol, plus
+//! deliberately seeded bugs.
 //!
-//! Thread layout mirrors the commit engine (`commit_with`) in
-//! `crates/core/src/recovery.rs`:
+//! Thread layout follows the roles of the commit engine
+//! (`commit_with`) in `crates/core/src/recovery.rs`:
 //!
 //! * thread `0` — the **coordinator**: quiescence handshake, bitmap
 //!   inspect+clear, serial seal, record retire;
 //! * threads `1..=workers` — **stage/apply workers** over contiguous
-//!   chunks of stacks (a static partition standing in for
-//!   `for_each_stack`'s work-stealing assignment). These W workers
-//!   stand for the engine's coordinator share plus its W − 1 spawned
-//!   threads: the coordinator takes no protocol step until the pass
-//!   joins, so running its share on a thread of its own admits every
-//!   schedule the engine can produce;
+//!   chunks of stacks. The engine runs every stage and apply pass on
+//!   its calling thread, one stack at a time in tid order, which is
+//!   the W = 1 model; W > 1 over-approximates it, admitting every
+//!   interleaving of per-stack passes a parallel pass could produce;
 //! * thread `workers + 1` — the **tracker/mutator**: dirties stack
 //!   words and bitmap bits between commits and answers the
 //!   quiescence handshake.
@@ -209,13 +207,12 @@ impl Syncs {
 }
 
 /// The contiguous chunk of stacks worker `w` (1-based model tid)
-/// owns. The real `for_each_stack` assigns stacks by work-stealing, so
-/// any worker may touch any stack; the model pins a static partition
-/// instead, which over-approximates every stealing schedule for the
-/// properties checked here (each stack is staged and applied exactly
-/// once per sequence by a single owner, and the owner carries the
-/// program-order edge between apply(N) and the staging-buffer reuse in
-/// stage(N+1)).
+/// owns. The engine passes over all stacks in tid order on one thread;
+/// with W > 1 the model splits them into static chunks, which
+/// over-approximates that serial pass for the properties checked here
+/// (each stack is staged and applied exactly once per sequence by a
+/// single owner, and the owner carries the program-order edge between
+/// apply(N) and the staging-buffer reuse in stage(N+1)).
 fn chunk(w: usize, workers: usize, stacks: usize) -> std::ops::Range<usize> {
     let per = stacks.div_ceil(workers);
     let start = (w - 1) * per;

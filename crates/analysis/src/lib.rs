@@ -11,7 +11,7 @@
 //!   [`rules`] for the catalogue and [`source`] for the scanner.
 //! * **`prosper-interleave`** — a miniature loom-style bounded
 //!   interleaving explorer plus vector-clock race detector for the
-//!   parallel stage/seal/apply commit protocol. See [`interleave`].
+//!   stage/seal/apply commit protocol. See [`interleave`].
 //!
 //! Both report machine-readable JSON (hand-rolled writer in [`diag`];
 //! the workspace deliberately takes no serialization dependency here

@@ -1,17 +1,16 @@
 //! `PA-ATOMIC007` — atomic-ordering discipline.
 //!
-//! The commit engine's correctness argument (the `interleave` model
+//! The commit protocol's correctness argument (the `interleave` model
 //! and DESIGN.md §10) rests on its sync edges: staged bytes are
 //! ordered before the seal that makes them the commit point, and a
-//! worker's stage or apply pass is visible to the coordinator that
-//! joins it. `prosper-interleave` explores those edges as
-//! release/acquire pairs, so a weakened ordering in protocol code
-//! deletes an edge the model assumes — precisely the class of defect
-//! that never shows up in testing and always shows up in a crash
-//! dump. `Ordering::Relaxed` in protocol code is therefore a bug until
-//! justified. The one justified use today is the engine's work-queue
-//! cursor in `recovery.rs`: a ticket counter where only uniqueness
-//! matters, each task being published through its own mutex.
+//! stage or apply pass is visible to the seal or retire that follows
+//! it. `prosper-interleave` explores those edges as release/acquire
+//! pairs, so a weakened ordering in protocol code deletes an edge the
+//! model assumes — precisely the class of defect that never shows up
+//! in testing and always shows up in a crash dump. `Ordering::Relaxed`
+//! in protocol code is therefore a bug until justified. The commit
+//! engine itself runs on one thread and holds no atomic; the rule
+//! guards whatever protocol code adds one.
 //!
 //! The second half of the discipline is counter updates: a raw
 //! `fetch_sub` on a shared counter underflows past zero when two

@@ -1,5 +1,5 @@
-//! Conformance of the *real* parallel commit path to the protocol
-//! order invariants.
+//! Conformance of the *real* commit path to the protocol order
+//! invariants.
 //!
 //! The model explorer (see `interleave_explorer.rs`) proves the
 //! protocol *design* safe; this suite ties the design to the
@@ -62,7 +62,6 @@ fn to_trace(events: &[CommitProbeEvent]) -> Vec<OrderEvent> {
 fn commit_probed(
     p: &mut PersistentProcess,
     batches: &[BTreeMap<u32, Vec<CopyRun>>],
-    workers: usize,
     probe: &CommitProbe,
     inj: Option<&mut FaultInjector>,
 ) {
@@ -71,34 +70,34 @@ fn commit_probed(
         probe: Some(probe),
         acct: None,
     };
-    p.commit_with(batches, workers, hooks)
+    p.commit_with(batches, hooks)
         .expect("no injector that fires is attached");
 }
 
-fn probe_commit(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
+fn probe_commit(threads: u32, commits: u64) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        commit_probed(&mut p, std::slice::from_ref(&runs), workers, &probe, None);
+        commit_probed(&mut p, std::slice::from_ref(&runs), &probe, None);
     }
     to_trace(&probe.events())
 }
 
 /// Drives the real pipelined burst (a multi-batch `commit_with`) and
 /// returns its probe stream as a checker trace.
-fn probe_pipelined(threads: u32, workers: usize, batches: usize) -> Vec<OrderEvent> {
+fn probe_pipelined(threads: u32, batches: usize) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
     let runs = full_runs(&p, threads);
     let batches: Vec<_> = (0..batches).map(|_| runs.clone()).collect();
     let probe = CommitProbe::new();
-    commit_probed(&mut p, &batches, workers, &probe, None);
+    commit_probed(&mut p, &batches, &probe, None);
     to_trace(&probe.events())
 }
 
 /// Drives the real staged-delta-spine commit (`commit_with` on a
 /// spine-configured process) and returns its probe stream.
-fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
+fn probe_spine(threads: u32, commits: u64) -> Vec<OrderEvent> {
     let mut p = PersistentProcess::new_with_spine(
         &ranges(u64::from(threads)),
         prosper_core::SpineConfig::merge_always(),
@@ -106,13 +105,13 @@ fn probe_spine(threads: u32, workers: usize, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        commit_probed(&mut p, std::slice::from_ref(&runs), workers, &probe, None);
+        commit_probed(&mut p, std::slice::from_ref(&runs), &probe, None);
     }
     to_trace(&probe.events())
 }
 
-/// Probe streams of commits run with a disabled injector attached —
-/// the inline schedule the crash matrix enumerates: an eager commit
+/// Probe streams of commits run with a disabled injector attached, as
+/// the crash matrix runs them: an eager commit
 /// followed by a 3-batch pipelined burst, and three spine commits that
 /// merge. One trace per process.
 fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
@@ -123,12 +122,11 @@ fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
     commit_probed(
         &mut eager,
         std::slice::from_ref(&runs),
-        1,
         &probe,
         Some(&mut inj),
     );
     let burst = [runs.clone(), runs.clone(), runs.clone()];
-    commit_probed(&mut eager, &burst, 1, &probe, Some(&mut inj));
+    commit_probed(&mut eager, &burst, &probe, Some(&mut inj));
     let eager_trace = to_trace(&probe.events());
 
     let mut spine = PersistentProcess::new_with_spine(
@@ -140,7 +138,6 @@ fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
         commit_probed(
             &mut spine,
             std::slice::from_ref(&runs),
-            1,
             &probe,
             Some(&mut inj),
         );
@@ -174,26 +171,23 @@ fn real_spine_commit_conforms_and_merges_after_seal() {
     // PR 8: the spine schedule's probe stream — including the
     // MergeThread events the merge loop emits — passes the checker,
     // and every merge folds only sealed batches.
-    for &workers in &[1usize, 2, 4] {
-        let trace = probe_spine(2, workers, 3);
-        let violations = check_order(&trace);
-        assert!(
-            violations.is_empty(),
-            "workers={workers}: spine commit violated protocol order: \
-             {violations:?}\ntrace: {trace:?}"
-        );
-        assert!(
-            trace.iter().any(|e| matches!(e, OrderEvent::Merge { .. })),
-            "workers={workers}: merge-always policy must emit merges"
-        );
-    }
+    let trace = probe_spine(2, 3);
+    let violations = check_order(&trace);
+    assert!(
+        violations.is_empty(),
+        "spine commit violated protocol order: {violations:?}\ntrace: {trace:?}"
+    );
+    assert!(
+        trace.iter().any(|e| matches!(e, OrderEvent::Merge { .. })),
+        "merge-always policy must emit merges"
+    );
 }
 
 #[test]
 fn checker_rejects_merge_before_seal_forgery() {
     // Slide a genuine merge event back before its batch's seal: the
     // merge-never-crosses-an-unsealed-batch rule must catch it.
-    let mut trace = probe_spine(2, 2, 2);
+    let mut trace = probe_spine(2, 2);
     assert!(check_order(&trace).is_empty());
     let merge = trace
         .iter()
@@ -218,23 +212,20 @@ fn checker_rejects_merge_before_seal_forgery() {
 }
 
 #[test]
-fn real_commit_respects_protocol_order_at_every_worker_count() {
-    for &workers in &[1usize, 2, 4] {
-        let trace = probe_commit(4, workers, 2);
-        // Per commit: 4 stages + 1 seal + 4 applies + 1 retire.
-        assert_eq!(trace.len(), 20, "workers={workers}: unexpected event count");
-        let violations = check_order(&trace);
-        assert!(
-            violations.is_empty(),
-            "workers={workers}: real commit path violated protocol order: \
-             {violations:?}\ntrace: {trace:?}"
-        );
-    }
+fn real_commit_respects_protocol_order() {
+    let trace = probe_commit(4, 2);
+    // Per commit: 4 stages + 1 seal + 4 applies + 1 retire.
+    assert_eq!(trace.len(), 20, "unexpected event count");
+    let violations = check_order(&trace);
+    assert!(
+        violations.is_empty(),
+        "real commit path violated protocol order: {violations:?}\ntrace: {trace:?}"
+    );
 }
 
 #[test]
 fn real_commit_trace_has_single_seal_per_sequence() {
-    let trace = probe_commit(2, 2, 3);
+    let trace = probe_commit(2, 3);
     for seq in 1..=3u64 {
         let seals = trace
             .iter()
@@ -247,46 +238,42 @@ fn real_commit_trace_has_single_seal_per_sequence() {
 #[test]
 fn real_pipelined_commit_conforms_and_overlaps() {
     // PR 7: the pipelined burst's probe stream passes the sharpened
-    // checker at every worker count, and the stream witnesses the
-    // overlap itself — stage(N+1) lands inside apply(N)'s drain
-    // window, before retire(N).
-    for &workers in &[1usize, 2, 4] {
-        let trace = probe_pipelined(4, workers, 3);
-        // Per batch: 4 stages + 1 seal + 4 applies + 1 retire.
-        assert_eq!(trace.len(), 30, "workers={workers}: unexpected event count");
-        let violations = check_order(&trace);
-        assert!(
-            violations.is_empty(),
-            "workers={workers}: pipelined commit violated protocol order: \
-             {violations:?}\ntrace: {trace:?}"
-        );
-        let second_seq = trace
-            .iter()
-            .map(OrderEvent::seq)
-            .filter(|s| *s > trace[0].seq())
-            .min()
-            .expect("burst commits more than one sequence");
-        let first_stage_n1 = trace
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Stage { seq, .. } if *seq == second_seq))
-            .expect("sequence N+1 stages");
-        let retire_n = trace
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Retire { seq } if *seq == second_seq - 1))
-            .expect("sequence N retires");
-        assert!(
-            first_stage_n1 < retire_n,
-            "workers={workers}: stage(N+1) should land inside apply(N)'s \
-             drain window: {trace:?}"
-        );
-    }
+    // checker, and the stream witnesses the overlap itself —
+    // stage(N+1) lands inside apply(N)'s drain window, before
+    // retire(N).
+    let trace = probe_pipelined(4, 3);
+    // Per batch: 4 stages + 1 seal + 4 applies + 1 retire.
+    assert_eq!(trace.len(), 30, "unexpected event count");
+    let violations = check_order(&trace);
+    assert!(
+        violations.is_empty(),
+        "pipelined commit violated protocol order: {violations:?}\ntrace: {trace:?}"
+    );
+    let second_seq = trace
+        .iter()
+        .map(OrderEvent::seq)
+        .filter(|s| *s > trace[0].seq())
+        .min()
+        .expect("burst commits more than one sequence");
+    let first_stage_n1 = trace
+        .iter()
+        .position(|e| matches!(e, OrderEvent::Stage { seq, .. } if *seq == second_seq))
+        .expect("sequence N+1 stages");
+    let retire_n = trace
+        .iter()
+        .position(|e| matches!(e, OrderEvent::Retire { seq } if *seq == second_seq - 1))
+        .expect("sequence N retires");
+    assert!(
+        first_stage_n1 < retire_n,
+        "stage(N+1) should land inside apply(N)'s drain window: {trace:?}"
+    );
 }
 
 #[test]
 fn checker_rejects_pipelined_stage_before_prior_seal_forgery() {
     // Slide a genuine staged-ahead event back past the prior seal:
     // the sharpened invariant's first half must catch exactly this.
-    let mut trace = probe_pipelined(2, 2, 2);
+    let mut trace = probe_pipelined(2, 2);
     assert!(check_order(&trace).is_empty());
     let second_seq = trace
         .iter()
@@ -321,7 +308,7 @@ fn checker_rejects_reordered_real_trace() {
     // exists to prevent: a stage sliding past its seal. The shared
     // checker must reject the forgery — otherwise the conformance
     // test above would be vacuous.
-    let mut trace = probe_commit(2, 2, 1);
+    let mut trace = probe_commit(2, 1);
     let seal = trace
         .iter()
         .position(|e| matches!(e, OrderEvent::Seal { .. }))

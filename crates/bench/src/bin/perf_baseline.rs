@@ -1,23 +1,17 @@
 //! Runs the gated performance checks.
 //!
-//! Runs the [`prosper_bench::perf`] suite — bitmap-inspection speedups,
-//! the pipelined-burst sweep with the adaptive pick, and the
-//! staged-delta spine study — prints the tables and one verdict per
-//! gate, and exits nonzero if any gate fails (sparse-stack inspection
-//! speedup < 5x, adaptive pipelined commit below 1.0x serial on a
-//! multi-core host, spine critical-path latency above eager, spine
-//! write amplification above eager on any pattern, or not strictly
-//! below eager on repeated hot words). Every gate is judged and
-//! printed, so a failing host-timed gate never hides the
+//! Runs the [`prosper_bench::perf`] suite — bitmap-inspection speedups
+//! and the staged-delta spine study — prints the tables and one verdict
+//! per gate, and exits nonzero if any gate fails (sparse-stack
+//! inspection speedup < 5x, spine critical-path latency above eager,
+//! spine write amplification above eager on any pattern, or not
+//! strictly below eager on repeated hot words). Every gate is judged
+//! and printed, so a failing host-timed gate never hides the
 //! deterministic spine gates.
 //!
 //! ```sh
 //! cargo run --release -p prosper-bench --bin perf_baseline
 //! ```
-//!
-//! The pipeline gate is skipped on single-core hosts, where no overlap
-//! is physically possible; a prominent warning says so, because a
-//! passing run then shows nothing about pipelined-commit scaling.
 
 use std::process::ExitCode;
 
@@ -33,17 +27,6 @@ fn main() -> ExitCode {
     let report = perf::run_all();
     for table in perf::render(&report) {
         table.print();
-    }
-
-    if !report.pipeline.gate_enforced() {
-        eprintln!(
-            "\n=========================================================================\n\
-             WARNING: host parallelism is {} — the adaptive pipelined-commit speedup\n\
-             gate was AUTO-SKIPPED. This run does NOT demonstrate pipelined-commit\n\
-             scaling; repeat it on a multi-core host for that.\n\
-             =========================================================================",
-            report.pipeline.host_parallelism
-        );
     }
 
     println!("gates:");

@@ -2,11 +2,11 @@
 //!
 //! Runs the attributed workloads — one report section each: the micro
 //! checkpoint loop eager (`micro`) and in spine mode (`micro_spine`),
-//! the parallel commit at 1/2/4 workers (`commit_w1`/`w2`/`w4`) and a
-//! crash and its recovery replay (`crash_recover`) — verifies the
-//! conservation invariant on every ledger, and renders the results as
-//! a text HUD, a `prosper-checkpoint-tax/v1` JSON report, and
-//! Chrome-trace interference timelines.
+//! the whole-process commit (`commit`) and a crash and its recovery
+//! replay (`crash_recover`) — verifies the conservation invariant on
+//! every ledger, and renders the results as a text HUD, a
+//! `prosper-checkpoint-tax/v2` JSON report, and a Chrome-trace
+//! interference timeline of the commit run.
 //!
 //! ```sh
 //! cargo run --release -p prosper-bench --bin prosper_obs -- --quick
@@ -22,8 +22,10 @@
 
 use std::process::ExitCode;
 
-use prosper_bench::obs::{collect, diff_reports, render_text, timeline_json, TaxReport};
-use prosper_core::faultinject::{run_attributed, CrashMatrixConfig};
+use prosper_bench::obs::{
+    collect, commit_cfg, diff_reports, render_text, timeline_json, TaxReport,
+};
+use prosper_core::faultinject::run_attributed;
 
 struct Args {
     quick: bool,
@@ -69,30 +71,13 @@ fn run() -> Result<(), String> {
 
     if let Some(dir) = &args.trace_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {dir}: {e}"))?;
-        // One timeline per commit worker count — the per-thread
-        // interference picture the HUD aggregates away.
-        let cfg = if args.quick {
-            CrashMatrixConfig {
-                threads: 2,
-                intervals: 2,
-                stores_per_interval: 8,
-                ..Default::default()
-            }
-        } else {
-            CrashMatrixConfig {
-                threads: 4,
-                intervals: 3,
-                stores_per_interval: 16,
-                ..Default::default()
-            }
-        };
-        for workers in [1usize, 2, 4] {
-            let run = run_attributed(&cfg, workers);
-            let path = format!("{dir}/stall_timeline_w{workers}.json");
-            std::fs::write(&path, timeline_json(&run.snapshot))
-                .map_err(|e| format!("write {path}: {e}"))?;
-            println!("wrote timeline to {path}");
-        }
+        // The commit run's per-thread interference picture, which the
+        // HUD aggregates away.
+        let run = run_attributed(&commit_cfg(args.quick));
+        let path = format!("{dir}/stall_timeline.json");
+        std::fs::write(&path, timeline_json(&run.snapshot))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        println!("wrote timeline to {path}");
     }
 
     if let Some(path) = &args.diff {

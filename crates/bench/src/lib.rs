@@ -42,3 +42,4 @@ pub mod report;
 pub mod scale;
 pub mod scheduler;
 pub mod trace_capture;
+pub mod verify;

@@ -7,7 +7,7 @@
 //! [`prosper_telemetry::StallAccountant`] probes wired through the
 //! core crate. This module turns those ledgers into:
 //!
-//! * the **checkpoint-tax report** (`prosper-checkpoint-tax/v1`
+//! * the **checkpoint-tax report** (`prosper-checkpoint-tax/v2`
 //!   JSON): per section and per thread, the run's wall time split
 //!   into `{useful, inspect, stage, seal, apply, merge, quiesce,
 //!   recovery}`, plus per-phase NVM write volume (write
@@ -45,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use crate::report::Table;
 
 /// Schema tag of the checkpoint-tax report.
-pub const TAX_SCHEMA: &str = "prosper-checkpoint-tax/v1";
+pub const TAX_SCHEMA: &str = "prosper-checkpoint-tax/v2";
 
 /// Stall-latency objective per checkpoint window, in virtual ns: the
 /// SLO the error budget burns against. One interval's whole-process
@@ -64,11 +64,11 @@ pub struct TaxThreadRow {
     pub useful_ns: u64,
     /// Bitmap inspection + clear + metadata walk.
     pub inspect_ns: u64,
-    /// Parallel stage phase (DRAM → NVM staging).
+    /// Stage phase (DRAM → NVM staging).
     pub stage_ns: u64,
     /// The serial seal — the commit point.
     pub seal_ns: u64,
-    /// Parallel apply phase (staging → committed slots).
+    /// Apply phase (staging → committed slots).
     pub apply_ns: u64,
     /// Deferred spine merge (staged-delta spine mode only).
     pub merge_ns: u64,
@@ -88,12 +88,9 @@ pub struct TaxThreadRow {
 /// One workload section of the tax report.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaxSection {
-    /// Section name (`micro`, `commit_w2`, `crash_recover`, ...).
+    /// Section name (`micro`, `micro_spine`, `commit`,
+    /// `crash_recover`).
     pub name: String,
-    /// Commit workers the section's whole-process commits are charged
-    /// at (0: the micro sections, which commit through the OS
-    /// component instead).
-    pub workers: u64,
     /// Total simulated ns of the run (1 cycle = 1 ns).
     pub total_ns: u64,
     /// Sum of all threads' stall ns.
@@ -169,11 +166,7 @@ fn cause_ns(by_cause: &BTreeMap<String, u64>, cause: StallCause) -> u64 {
 /// # Errors
 ///
 /// Returns the conservation violation if the ledger does not tile.
-pub fn section_from_run(
-    name: &str,
-    workers: u64,
-    run: &AttributedRun,
-) -> Result<TaxSection, String> {
+pub fn section_from_run(name: &str, run: &AttributedRun) -> Result<TaxSection, String> {
     run.snapshot
         .verify_conservation()
         .map_err(|e| format!("section {name}: {e}"))?;
@@ -204,7 +197,6 @@ pub fn section_from_run(
     let thread_count = threads.len() as u64;
     Ok(TaxSection {
         name: name.to_string(),
-        workers,
         total_ns: run.total_cycles,
         stall_ns: stall_total,
         useful_ns: (run.total_cycles * thread_count).saturating_sub(stall_total),
@@ -244,7 +236,10 @@ fn micro_run(
     )
 }
 
-fn commit_cfg(quick: bool) -> CrashMatrixConfig {
+/// The crash-matrix workload behind the `commit` and `crash_recover`
+/// sections: 2 threads × 2 intervals when `quick`, else 4 × 3.
+#[must_use]
+pub fn commit_cfg(quick: bool) -> CrashMatrixConfig {
     if quick {
         CrashMatrixConfig {
             threads: 2,
@@ -264,8 +259,7 @@ fn commit_cfg(quick: bool) -> CrashMatrixConfig {
 
 /// Collects the full tax report: the PR-3 micro-workload (eager and
 /// staged-delta-spine commits, each with its per-phase NVM write
-/// volume), the parallel commit path at 1/2/4 workers, and a
-/// crash+recover run (power failure at the last enumerated boundary —
+/// volume), the whole-process commit path, and a crash+recover run (power failure at the last enumerated boundary —
 /// deep in the final commit — followed by attributed recovery
 /// replay).
 ///
@@ -277,25 +271,19 @@ fn commit_cfg(quick: bool) -> CrashMatrixConfig {
 pub fn collect(quick: bool) -> Result<TaxReport, String> {
     let mut sections = Vec::new();
     let (run, nvm) = micro_run(quick, None);
-    let mut micro = section_from_run("micro", 0, &run)?;
+    let mut micro = section_from_run("micro", &run)?;
     micro.nvm_bytes = Some(nvm);
     sections.push(micro);
     let (run, nvm) = micro_run(quick, Some(prosper_core::SpineConfig::default()));
-    let mut micro_spine = section_from_run("micro_spine", 0, &run)?;
+    let mut micro_spine = section_from_run("micro_spine", &run)?;
     micro_spine.nvm_bytes = Some(nvm);
     sections.push(micro_spine);
     let cfg = commit_cfg(quick);
-    for workers in [1u64, 2, 4] {
-        sections.push(section_from_run(
-            &format!("commit_w{workers}"),
-            workers,
-            &run_attributed(&cfg, workers as usize),
-        )?);
-    }
+    sections.push(section_from_run("commit", &run_attributed(&cfg))?);
     let sites = enumerate_crash_sites(&cfg);
     let last = (sites.len() as u64).saturating_sub(1);
     let (_, crash_run) = run_crash_attributed(&cfg, last)?;
-    sections.push(section_from_run("crash_recover", 1, &crash_run)?);
+    sections.push(section_from_run("crash_recover", &crash_run)?);
     Ok(TaxReport {
         schema: TAX_SCHEMA.to_string(),
         quick,
@@ -393,9 +381,8 @@ pub fn render_text(report: &TaxReport) -> String {
     ));
     for s in &report.sections {
         out.push_str(&format!(
-            "[{}] workers={} total={}ns stall={}ns ({} of per-thread time)\n",
+            "[{}] total={}ns stall={}ns ({} of per-thread time)\n",
             s.name,
-            s.workers,
             s.total_ns,
             s.stall_ns,
             pct(s.stall_ns, s.total_ns * s.threads.len().max(1) as u64),
@@ -485,7 +472,6 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
         match cur_by.get(name) {
             None => out.push(format!("section {name}: removed")),
             Some(c) => {
-                field_drift(&mut out, name, "workers", &b.workers, &c.workers);
                 field_drift(&mut out, name, "total_ns", &b.total_ns, &c.total_ns);
                 field_drift(&mut out, name, "stall_ns", &b.stall_ns, &c.stall_ns);
                 field_drift(&mut out, name, "useful_ns", &b.useful_ns, &c.useful_ns);
@@ -537,17 +523,7 @@ mod tests {
     fn report_has_expected_sections_and_conserves() {
         let rep = collect(true).expect("collect");
         let names: Vec<&str> = rep.sections.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "micro",
-                "micro_spine",
-                "commit_w1",
-                "commit_w2",
-                "commit_w4",
-                "crash_recover",
-            ]
-        );
+        assert_eq!(names, ["micro", "micro_spine", "commit", "crash_recover"]);
         for s in &rep.sections {
             let attributed: u64 = s
                 .threads
@@ -615,7 +591,7 @@ mod tests {
 
     #[test]
     fn timeline_events_balance_and_are_sorted() {
-        let rep = run_attributed(&commit_cfg(true), 2);
+        let rep = run_attributed(&commit_cfg(true));
         let evs = timeline_events(&rep.snapshot);
         let mut ts = 0;
         let mut depth: BTreeMap<u32, i64> = BTreeMap::new();
@@ -638,12 +614,12 @@ mod tests {
         let a = collect(true).expect("collect");
         assert!(diff_reports(&a, &a).is_empty(), "self-diff is empty");
         let mut b = a.clone();
-        assert_eq!(b.sections[2].name, "commit_w1");
+        assert_eq!(b.sections[2].name, "commit");
         b.sections[2].threads[0].seal_ns += 7;
         b.sections[2].stall_ns += 7;
         let d = diff_reports(&a, &b);
         assert!(!d.is_empty());
-        assert!(d.iter().any(|l| l.contains("commit_w1")));
+        assert!(d.iter().any(|l| l.starts_with("section commit")));
 
         // Write amplification drift alone is drift.
         let mut c = a.clone();
@@ -659,17 +635,17 @@ mod tests {
 
         // So is a tail-latency shift alone.
         let mut e = a.clone();
-        assert_eq!(e.sections[3].name, "commit_w2");
-        e.sections[3]
+        assert_eq!(e.sections[2].name, "commit");
+        e.sections[2]
             .slo
             .per_thread
             .values_mut()
             .next()
-            .expect("commit_w2 has an SLO series")
+            .expect("commit has an SLO series")
             .p99_ns += 1;
         let d = diff_reports(&a, &e);
         assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].starts_with("section commit_w2: slo "), "{d:?}");
+        assert!(d[0].starts_with("section commit: slo "), "{d:?}");
     }
 
     #[test]

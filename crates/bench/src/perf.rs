@@ -1,17 +1,12 @@
 //! Gated checks of the performance architecture (DESIGN.md §9).
 //!
-//! Three sections, each kept because a gate reads it:
+//! Two sections, each kept because a gate reads it:
 //!
 //! 1. **Bitmap inspection** (host time) — `inspect_and_clear` over
 //!    sparse-stack, clustered and dense dirty patterns, hierarchical
 //!    [`DirtyBitmap`] vs the retained [`SparseDirtyBitmap`] BTreeMap
 //!    reference. Gate: ≥ 5× on the sparse-stack pattern.
-//! 2. **Pipelined burst** (host time) — multi-batch `commit_with`
-//!    bursts on an 8-thread process across worker counts, plus the
-//!    adaptive selector's own pick. Gate: the pick runs at ≥ 1.0×
-//!    serial, skipped on single-core hosts, where no overlap is
-//!    physically possible.
-//! 3. **Staged-delta spine** (deterministic) — eager-apply vs
+//! 2. **Staged-delta spine** (deterministic) — eager-apply vs
 //!    spine-mode commit critical path on the virtual clock across
 //!    dirty patterns and merge policies (the deferred merge is broken
 //!    out; it is off the critical path by construction), and NVM write
@@ -20,8 +15,8 @@
 //!    spine write amplification ≤ eager on every pattern, and strictly
 //!    below eager, at equal stage bytes, on repeated hot words.
 //!
-//! The two host gates judge one timed run each and report no spread;
-//! the `prosper-perfbench` benchmark (`perfbench/`) is the harness that
+//! The host gate judges one timed run and reports no spread; the
+//! `prosper-perfbench` benchmark (`perfbench/`) is the harness that
 //! times the host with repeated trials and a noise bound per metric.
 //!
 //! [`run_all`] produces a [`PerfReport`]; the `perf_baseline` binary
@@ -39,10 +34,7 @@ use prosper_core::recovery::{CommitHooks, PersistentProcess};
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::config::MachineConfig;
-use prosper_memsim::host_parallelism;
 use prosper_memsim::machine::Machine;
-use prosper_telemetry as telemetry;
-use prosper_telemetry::{HistogramSnapshot, MetricsSnapshot, NoopSink, Telemetry};
 use prosper_telemetry::{StallAccountant, StallCause};
 use prosper_trace::micro::{MicroBench, MicroSpec};
 
@@ -53,19 +45,10 @@ use crate::scale::SEED;
 /// Minimum sparse-stack inspection speedup.
 pub const SPARSE_STACK_GATE: f64 = 5.0;
 
-/// Minimum adaptive pipelined-commit speedup vs serial, enforced only
-/// on hosts where parallelism exists to be won (`host_parallelism >
-/// 1`). The adaptive selector may *pick* serial — then the speedup is
-/// 1.0 by construction — but it must never pick a losing fan-out.
-pub const PIPELINE_GATE: f64 = 1.0;
-
 /// Timed inspections per bitmap pattern and implementation.
 const BITMAP_ITERS: u64 = 30;
-/// Timed bursts per worker count, and commits per spine latency arm.
+/// Commits per spine latency arm.
 const COMMIT_ITERS: u64 = 4;
-/// Worker counts the pipelined sweep times; 1 is the speedup
-/// denominator.
-const SWEEP_WORKERS: [usize; 3] = [1, 2, 4];
 /// Consistency intervals per write-amplification arm.
 const AMP_INTERVALS: u64 = 3;
 
@@ -216,158 +199,7 @@ pub fn bitmap_section() -> Vec<BitmapRow> {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: pipelined burst commit
-// ---------------------------------------------------------------------------
-
-/// One worker-count configuration of the pipelined-burst study.
-#[derive(Clone, Debug)]
-pub struct PipelineRow {
-    /// Staging/apply workers used.
-    pub workers: usize,
-    /// Mean whole-burst wall time (ns).
-    pub mean_ns: f64,
-    /// Speedup vs the single-worker (serial) configuration.
-    pub speedup_vs_serial: f64,
-    /// Mean burst wall time from the telemetry histogram
-    /// (`prosper.commit.pipeline.burst_ns`).
-    pub burst_ns_mean: f64,
-}
-
-/// The pipelined commit-scaling study: multi-batch bursts across
-/// worker counts, plus the adaptive selector's own configuration.
-#[derive(Clone, Debug)]
-pub struct PipelineSection {
-    /// [`prosper_memsim::host_parallelism`] on the recording
-    /// host, the value that caps the selector; the speedup gate is
-    /// enforced only above 1.
-    pub host_parallelism: usize,
-    /// Sequences committed per pipelined burst.
-    pub batches: usize,
-    /// Worker count the adaptive selector picked for this burst.
-    pub adaptive_workers: usize,
-    /// Mean burst wall time at the adaptive worker count (ns).
-    pub adaptive_mean_ns: f64,
-    /// Adaptive-configuration speedup vs serial — the gated number.
-    pub adaptive_speedup_vs_serial: f64,
-    /// One row per swept worker count.
-    pub rows: Vec<PipelineRow>,
-}
-
-impl PipelineSection {
-    /// Whether the [`PIPELINE_GATE`] applies: false on single-core
-    /// hosts, where no overlap is physically possible and the selector
-    /// correctly picks serial.
-    #[must_use]
-    pub fn gate_enforced(&self) -> bool {
-        self.host_parallelism > 1
-    }
-}
-
-const THREADS: usize = 8;
-const STACK_BYTES: u64 = 256 * 1024;
-const RUNS_PER_THREAD: u64 = 64;
-
-/// The burst workload: an 8-thread process with full-stack copy runs
-/// per thread.
-fn commit_fixture() -> (PersistentProcess, BTreeMap<u32, Vec<CopyRun>>) {
-    let ranges: Vec<VirtRange> = (0..THREADS as u64)
-        .map(|i| {
-            let top = 0x7100_0000 + (i + 1) * 0x100_0000;
-            VirtRange::new(VirtAddr::new(top - STACK_BYTES), VirtAddr::new(top))
-        })
-        .collect();
-    let mut process = PersistentProcess::new(&ranges);
-    let run_len = STACK_BYTES / RUNS_PER_THREAD;
-    let mut runs: BTreeMap<u32, Vec<CopyRun>> = BTreeMap::new();
-    for (tid, range) in ranges.iter().enumerate() {
-        let tid = tid as u32;
-        // Give each stack distinct content so staging copies real data.
-        process.record_store(tid, range.start() + 64, &[0xA0 + tid as u8; 128]);
-        runs.insert(
-            tid,
-            (0..RUNS_PER_THREAD)
-                .map(|r| CopyRun {
-                    start: range.start() + r * run_len,
-                    len: run_len,
-                })
-                .collect(),
-        );
-    }
-    (process, runs)
-}
-
-/// Commits `batches` through the commit engine at `workers`, with no
-/// hooks attached.
-fn commit_at(
-    process: &mut PersistentProcess,
-    batches: &[BTreeMap<u32, Vec<CopyRun>>],
-    workers: usize,
-) {
-    process
-        .commit_with(batches, workers, CommitHooks::default())
-        .expect("no injector is attached, so the commit cannot crash");
-}
-
-/// Measures pipelined bursts across worker counts and the adaptive
-/// selector's pick.
-#[must_use]
-pub fn pipeline_section() -> PipelineSection {
-    const BATCHES: usize = 3;
-    let (mut process, runs) = commit_fixture();
-    let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = vec![runs; BATCHES];
-
-    let time_bursts = |process: &mut PersistentProcess, workers: usize| {
-        commit_at(process, &batches, workers); // warm-up
-        let before = registry_snapshot();
-        let t = Instant::now();
-        for _ in 0..COMMIT_ITERS {
-            commit_at(process, &batches, workers);
-        }
-        let total_ns = t.elapsed().as_nanos() as u64;
-        let delta = registry_snapshot() - before;
-        (
-            total_ns as f64 / COMMIT_ITERS as f64,
-            hist(&delta, "prosper.commit.pipeline.burst_ns").mean(),
-        )
-    };
-
-    let mut rows = Vec::new();
-    let mut serial_mean = 0.0f64;
-    for workers in SWEEP_WORKERS {
-        let (mean_ns, burst_ns_mean) = time_bursts(&mut process, workers);
-        if workers == 1 {
-            serial_mean = mean_ns;
-        }
-        rows.push(PipelineRow {
-            workers,
-            mean_ns,
-            speedup_vs_serial: serial_mean / mean_ns,
-            burst_ns_mean,
-        });
-    }
-
-    // The adaptive configuration reuses the sweep's measurement when
-    // the selector lands on a swept count — the gate then compares
-    // one timed configuration against another, not two noisy timings
-    // of the same one.
-    let adaptive_workers = process.planned_workers(&batches);
-    let adaptive_mean_ns = match rows.iter().find(|r| r.workers == adaptive_workers) {
-        Some(row) => row.mean_ns,
-        None => time_bursts(&mut process, adaptive_workers).0,
-    };
-
-    PipelineSection {
-        host_parallelism: host_parallelism(),
-        batches: BATCHES,
-        adaptive_workers,
-        adaptive_mean_ns,
-        adaptive_speedup_vs_serial: serial_mean / adaptive_mean_ns,
-        rows,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: staged-delta spine
+// Section 2: staged-delta spine
 // ---------------------------------------------------------------------------
 
 /// Threads in the spine latency fixture.
@@ -483,7 +315,7 @@ fn spine_commit_cost(
             ..CommitHooks::default()
         };
         process
-            .commit_with(std::slice::from_ref(runs), 1, hooks)
+            .commit_with(std::slice::from_ref(runs), hooks)
             .expect("no injector is attached, so the commit cannot crash");
     }
     let snap = acct.snapshot();
@@ -593,42 +425,16 @@ pub fn spine_section() -> SpineSection {
 pub struct PerfReport {
     /// Section 1: bitmap inspection comparison.
     pub bitmap: Vec<BitmapRow>,
-    /// Section 2: pipelined commit scaling and the adaptive pick.
-    pub pipeline: PipelineSection,
-    /// Section 3: staged-delta spine vs eager apply.
+    /// Section 2: staged-delta spine vs eager apply.
     pub spine: SpineSection,
 }
 
-fn registry_snapshot() -> MetricsSnapshot {
-    telemetry::with(|t| t.registry().snapshot()).unwrap_or_default()
-}
-
-fn hist(snap: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
-    snap.histograms.get(name).cloned().unwrap_or_default()
-}
-
-/// Runs every section. Installs a telemetry context for the duration
-/// if none is active (the burst histogram comes from the registry).
+/// Runs every section.
 #[must_use]
 pub fn run_all() -> PerfReport {
-    let installed = if telemetry::enabled() {
-        false
-    } else {
-        telemetry::install(Telemetry::new(Box::new(NoopSink)));
-        true
-    };
-
-    let bitmap = bitmap_section();
-    let pipeline = pipeline_section();
-    let spine = spine_section();
-
-    if installed {
-        let _ = telemetry::uninstall();
-    }
     PerfReport {
-        bitmap,
-        pipeline,
-        spine,
+        bitmap: bitmap_section(),
+        spine: spine_section(),
     }
 }
 
@@ -655,23 +461,6 @@ fn bitmap_gate(rows: &[BitmapRow]) -> Verdict {
             "sparse-stack inspection {:.2}x the BTreeMap reference (gate >= {SPARSE_STACK_GATE}x)",
             sparse.speedup
         ),
-    )
-}
-
-fn pipeline_gate(p: &PipelineSection) -> Verdict {
-    if p.adaptive_workers == 0 || p.adaptive_mean_ns <= 0.0 {
-        return Err("pipelined adaptive configuration was not measured".into());
-    }
-    let detail = format!(
-        "adaptive pick {} worker(s) at {:.2}x serial on a {}-way host",
-        p.adaptive_workers, p.adaptive_speedup_vs_serial, p.host_parallelism
-    );
-    if !p.gate_enforced() {
-        return Ok(format!("{detail} (gate skipped: single-core host)"));
-    }
-    gate(
-        p.adaptive_speedup_vs_serial >= PIPELINE_GATE,
-        format!("{detail} (gate >= {PIPELINE_GATE}x)"),
     )
 }
 
@@ -742,10 +531,7 @@ fn spine_verdicts(s: &SpineSection) -> [(&'static str, Verdict); 3] {
 /// own, so a failing host-timed gate never hides a deterministic one.
 #[must_use]
 pub fn verdicts(report: &PerfReport) -> Vec<(&'static str, Verdict)> {
-    let mut all = vec![
-        ("bitmap sparse-stack speedup", bitmap_gate(&report.bitmap)),
-        ("pipeline adaptive pick", pipeline_gate(&report.pipeline)),
-    ];
+    let mut all = vec![("bitmap sparse-stack speedup", bitmap_gate(&report.bitmap))];
     all.extend(spine_verdicts(&report.spine));
     all
 }
@@ -793,37 +579,6 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
             ratio(r.speedup),
         ]);
     }
-    tables.push(t);
-
-    let p = &report.pipeline;
-    let mut t = Table::new(
-        format!(
-            "Pipelined commit: {} batches/burst, host parallelism {}, adaptive pick {} worker(s), gate {}",
-            p.batches,
-            p.host_parallelism,
-            p.adaptive_workers,
-            if p.gate_enforced() {
-                "enforced"
-            } else {
-                "skipped (single-core host)"
-            }
-        ),
-        &["workers", "mean µs", "telemetry burst µs", "speedup"],
-    );
-    for r in &p.rows {
-        t.push_row(&[
-            r.workers.to_string(),
-            format!("{:.1}", r.mean_ns / 1e3),
-            format!("{:.1}", r.burst_ns_mean / 1e3),
-            ratio(r.speedup_vs_serial),
-        ]);
-    }
-    t.push_row(&[
-        format!("adaptive({})", p.adaptive_workers),
-        format!("{:.1}", p.adaptive_mean_ns / 1e3),
-        "-".to_string(),
-        ratio(p.adaptive_speedup_vs_serial),
-    ]);
     tables.push(t);
 
     let s = &report.spine;
@@ -884,9 +639,8 @@ pub fn render(report: &PerfReport) -> Vec<Table> {
 mod tests {
     use super::*;
 
-    /// A report whose host-timed sections are made up — every host gate
-    /// holds on a 4-way host — so a test can judge the gates without
-    /// timing anything.
+    /// A report whose host-timed section is made up — the host gate
+    /// holds — so a test can judge the gates without timing anything.
     fn untimed_report() -> PerfReport {
         let bitmap = ["sparse-stack", "clustered", "dense"]
             .map(|pattern| BitmapRow {
@@ -899,24 +653,8 @@ mod tests {
                 speedup: 10.0,
             })
             .to_vec();
-        let rows = SWEEP_WORKERS
-            .map(|workers| PipelineRow {
-                workers,
-                mean_ns: 1000.0,
-                speedup_vs_serial: 1.0,
-                burst_ns_mean: 1000.0,
-            })
-            .to_vec();
         PerfReport {
             bitmap,
-            pipeline: PipelineSection {
-                host_parallelism: 4,
-                batches: 3,
-                adaptive_workers: 2,
-                adaptive_mean_ns: 1000.0,
-                adaptive_speedup_vs_serial: 1.0,
-                rows,
-            },
             spine: spine_section(),
         }
     }
@@ -928,10 +666,6 @@ mod tests {
             panic!("the report fails its gates:\n{}", failed.join("\n"));
         }
         assert_eq!(report.bitmap.len(), 3);
-        let swept: Vec<usize> = report.pipeline.rows.iter().map(|r| r.workers).collect();
-        assert_eq!(swept, SWEEP_WORKERS);
-        assert!(report.pipeline.adaptive_workers >= 1);
-        assert!(report.pipeline.host_parallelism >= 1);
         // 3 patterns x 3 policies, and 3 write-amplification patterns.
         assert_eq!(report.spine.latency.len(), 9);
         assert_eq!(report.spine.write_amp.len(), 3);
@@ -940,28 +674,10 @@ mod tests {
     #[test]
     fn render_covers_every_section() {
         let tables = render(&untimed_report());
-        assert_eq!(tables.len(), 4);
+        assert_eq!(tables.len(), 3);
         for t in &tables {
             assert!(!t.rows.is_empty(), "{} has rows", t.title);
         }
-    }
-
-    #[test]
-    fn pipeline_gate_skips_on_single_core_and_rejects_losing_picks() {
-        let mut report = untimed_report();
-        validate(&report).expect("every gate holds");
-        // A losing adaptive configuration fails validation on a
-        // parallel host and sails through on a single-core one.
-        report.pipeline.adaptive_speedup_vs_serial = 0.5;
-        let failed = validate(&report).expect_err("losing pick must fail the gate");
-        assert_eq!(failed.len(), 1, "{failed:?}");
-        assert!(
-            failed[0].starts_with("pipeline adaptive pick"),
-            "{failed:?}"
-        );
-        report.pipeline.host_parallelism = 1;
-        assert!(!report.pipeline.gate_enforced());
-        validate(&report).expect("single-core host skips the speedup gate");
     }
 
     #[test]
@@ -977,7 +693,7 @@ mod tests {
     #[test]
     fn failing_host_gate_does_not_hide_a_spine_violation() {
         let mut report = untimed_report();
-        report.pipeline.adaptive_speedup_vs_serial = 0.5;
+        report.bitmap[0].speedup = 1.0;
         let row = report
             .spine
             .latency
@@ -988,7 +704,7 @@ mod tests {
         let failed = validate(&report).expect_err("two gates fail");
         assert_eq!(failed.len(), 2, "{failed:?}");
         assert!(
-            failed[0].starts_with("pipeline adaptive pick"),
+            failed[0].starts_with("bitmap sparse-stack speedup"),
             "{failed:?}"
         );
         assert!(

@@ -231,10 +231,6 @@ struct Driver {
     /// Cycles retired by machine epochs that ended in a power
     /// failure; the live machine's clock restarts from zero.
     prior_epochs_cycles: u64,
-    /// Commit workers (at least 1) the commit cost model charges. The
-    /// injector is always attached, so the engine runs its per-stack
-    /// passes inline in tid order whatever this count is.
-    workers: usize,
 }
 
 fn fresh_tracker(threads: u32) -> MultiThreadTracker {
@@ -262,7 +258,6 @@ impl Driver {
             expected_sequence: 0,
             acct: None,
             prior_epochs_cycles: 0,
-            workers: 1,
         }
     }
 
@@ -272,12 +267,10 @@ impl Driver {
     }
 
     /// Wires a stall accountant through every layer the workload
-    /// stalls in: tracker quiescence, the commit path, and recovery,
-    /// with commits charged at `workers` commit workers.
-    fn set_attribution(&mut self, acct: Arc<StallAccountant>, workers: usize) {
+    /// stalls in: tracker quiescence, the commit path, and recovery.
+    fn set_attribution(&mut self, acct: Arc<StallAccountant>) {
         self.mt.set_attribution(Arc::clone(&acct));
         self.acct = Some(acct);
-        self.workers = workers;
     }
 
     /// Runs intervals `[from, cfg.intervals)` and then, if configured,
@@ -365,7 +358,6 @@ impl Driver {
     ) -> Result<(), CrashInjected> {
         self.process.commit_with(
             batches,
-            self.workers,
             CommitHooks {
                 faults: Some(inj),
                 probe: None,
@@ -727,24 +719,17 @@ fn freeze_attributed(acct: &StallAccountant, driver: &Driver) -> AttributedRun {
 }
 
 /// Runs the uninterrupted workload with a virtual-clock stall
-/// accountant wired through tracker quiescence and the commit engine
-/// (charged at `workers` commit workers), and returns the
-/// cause-tagged attribution snapshot.
+/// accountant wired through tracker quiescence and the commit engine,
+/// and returns the cause-tagged attribution snapshot.
 ///
 /// The virtual clock advances only by the deterministic commit cost
 /// model and quiescence cycle counts, so two calls with the same
-/// config and worker count yield identical snapshots — and the
-/// snapshot always satisfies [`AttributionSnapshot::verify_conservation`].
-///
-/// # Panics
-///
-/// Panics if `workers` is 0: the cost model charges at least one
-/// commit worker.
-pub fn run_attributed(cfg: &CrashMatrixConfig, workers: usize) -> AttributedRun {
-    assert!(workers > 0, "commits are charged at least one worker");
+/// config yield identical snapshots — and the snapshot always
+/// satisfies [`AttributionSnapshot::verify_conservation`].
+pub fn run_attributed(cfg: &CrashMatrixConfig) -> AttributedRun {
     let acct = Arc::new(StallAccountant::new_virtual());
     let mut driver = Driver::new(*cfg);
-    driver.set_attribution(Arc::clone(&acct), workers);
+    driver.set_attribution(Arc::clone(&acct));
     let mut inj = FaultInjector::disabled();
     driver
         .run_from(0, &mut inj)
@@ -753,8 +738,7 @@ pub fn run_attributed(cfg: &CrashMatrixConfig, workers: usize) -> AttributedRun 
 }
 
 /// Runs the workload with a crash injected at boundary `index` and a
-/// stall accountant attached (commits charged at one worker),
-/// recovers (attributing the replay to
+/// stall accountant attached, recovers (attributing the replay to
 /// [`prosper_telemetry::StallCause::Recovery`]), verifies the
 /// recovery invariants, and returns the outcome together with the
 /// attribution snapshot covering the torn commit, the crash, and the
@@ -769,7 +753,7 @@ pub fn run_crash_attributed(
 ) -> Result<(CrashOutcome, AttributedRun), String> {
     let acct = Arc::new(StallAccountant::new_virtual());
     let mut driver = Driver::new(*cfg);
-    driver.set_attribution(Arc::clone(&acct), 1);
+    driver.set_attribution(Arc::clone(&acct));
     let mut inj = FaultInjector::at_index(index);
     let outcome = match driver.run_from(0, &mut inj) {
         Ok(()) => CrashOutcome {

@@ -34,48 +34,16 @@
 //! # One commit engine
 //!
 //! [`PersistentProcess::commit_with`] is the only body of that
-//! protocol. [`PersistentProcess::commit`] and
-//! [`PersistentProcess::commit_pipelined`] are adaptive wrappers
-//! around it, and recovery's redo of a sealed record reuses its
-//! phase-two and register-tail step. Crash windows, probe events and
-//! stall attribution are [`CommitHooks`] on that one body: every step
-//! boundary is a named [`CrashSite`] observed by an attached
-//! [`FaultInjector`], so the exhaustive crash-point sweep in
+//! protocol. [`PersistentProcess::commit`] is a thin wrapper around
+//! it, and recovery's redo of a sealed record reuses its phase-two and
+//! register-tail step. Every per-stack pass runs on the calling
+//! thread, one stack at a time in tid order, so a commit crosses its
+//! boundaries in one deterministic sequence. Crash windows, probe
+//! events and stall attribution are [`CommitHooks`] on that one body:
+//! every step boundary is a named [`CrashSite`] observed by an
+//! attached [`FaultInjector`], so the exhaustive crash-point sweep in
 //! [`crate::faultinject`] fires a simulated power failure inside the
-//! code production commits run, and asserts the invariants above.
-//!
-//! # Parallel staging and apply
-//!
-//! Stage and apply touch strictly per-thread state (each thread's
-//! staging buffer and persistent stack), so the engine fans them out
-//! over `std::thread::scope` workers; the **seal stays the single
-//! serialization point** — one durable write on the coordinating
-//! thread — so crash atomicity is unchanged. A pass at `w` workers is
-//! the coordinator plus `w − 1` spawned threads: the coordinator
-//! spawns them first, then claims stacks itself. Worker assignment is
-//! work-stealing: each worker claims the next unclaimed stack from a
-//! shared cursor, so uneven per-thread run lists no longer leave
-//! workers idle behind a pre-assigned contiguous chunk. With an
-//! injector attached the per-stack passes run inline in tid order
-//! instead, so the crossed boundaries form one deterministic
-//! sequence; the `parallel_commit_matches_serial` test pins every
-//! worker count to that schedule's persistent state. Recovery's redo
-//! of a sealed record takes the parallel pass.
-//!
-//! # Adaptive worker selection
-//!
-//! Spawning scoped workers is not free: a 2 MiB, 8-thread commit once
-//! ran at 0.85x serial on 2 workers and 0.59x on 8 (single-core host;
-//! the record, `BENCH_pr3.json`, is in commit `67e0b8e`), because
-//! `commit` blindly fanned out to `available_parallelism`. The
-//! adaptive wrappers evaluate the [`commit_cost`] model (the same
-//! per-phase model stall attribution charges) at every candidate
-//! worker count, including the measured cost of the `w − 1` spawns
-//! each parallel pass makes, and pick the argmin — falling back to
-//! serial whenever the staged bytes sit below the parallelism
-//! break-even. A single commit is priced as a burst of one. The cap
-//! is memsim's [`host_parallelism`], read once per process: the query reads
-//! cgroup files, which costs more than a small commit's copies.
+//! schedule production commits run, and asserts the invariants above.
 //!
 //! # The pipelined burst
 //!
@@ -89,7 +57,7 @@
 //! - **seal(N+1) happens only after apply(N) fully drains** — at most
 //!   one sealed record ever exists.
 //!
-//! Per stack the hand-off is fused: a worker finishes applying stack
+//! Per stack the hand-off is fused: the pass finishes applying stack
 //! `t`'s sequence-N buffer, retires it, and immediately stages N+1's
 //! runs into the same (single) buffer, tagged with its sequence
 //! (`PersistentStack::begin_stage_at`). A crash inside the overlap
@@ -131,7 +99,6 @@ use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_gemos::process::RegisterFile;
 use prosper_gemos::restore::{NoValidCheckpoint, ProcessCheckpointStore};
 use prosper_memsim::addr::VirtRange;
-use prosper_memsim::host_parallelism;
 
 use crate::bitmap::CopyRun;
 use crate::persist::{MergeStats, PersistentStack, SpineConfig};
@@ -198,12 +165,12 @@ pub enum CommitProbeEvent {
 
 /// Collects [`CommitProbeEvent`]s from the commit engine.
 ///
-/// Shared by reference with the scoped stage/apply workers, so the
-/// recorded order is the *actual* cross-thread order of protocol
-/// boundaries, not a reconstruction.
+/// The engine records each boundary as it crosses it, on the calling
+/// thread, so the recorded order is the order the protocol ran in, not
+/// a reconstruction.
 #[derive(Debug, Default)]
 pub struct CommitProbe {
-    log: std::sync::Mutex<Vec<CommitProbeEvent>>,
+    log: std::cell::RefCell<Vec<CommitProbeEvent>>,
 }
 
 impl CommitProbe {
@@ -213,30 +180,25 @@ impl CommitProbe {
     }
 
     fn record(&self, ev: CommitProbeEvent) {
-        if let Ok(mut log) = self.log.lock() {
-            log.push(ev);
-        }
+        self.log.borrow_mut().push(ev);
     }
 
     /// The events recorded so far, in observation order.
     pub fn events(&self) -> Vec<CommitProbeEvent> {
-        self.log.lock().map(|log| log.clone()).unwrap_or_default()
+        self.log.borrow().clone()
     }
 }
 
 /// Deterministic virtual-time cost model of the commit engine (see
 /// `prosper_telemetry::attribution`).
 ///
-/// Under a virtual-clock [`StallAccountant`] the coordinator advances
-/// the clock by these modelled costs as each phase ends, pricing a
-/// per-stack pass by its makespan under the same work-stealing
-/// assignment the workers use, so attributed timelines are
-/// byte-identical across runs and still sensitive to the worker
-/// count. Under a wall-clock accountant `advance` is a no-op and real
-/// elapsed time is measured instead. Units are virtual ns; the values
-/// are loosely calibrated to the simulator's cycle costs — they only
-/// need to be *stable*, not accurate, because the conservation
-/// invariant holds under any clock.
+/// The engine advances the [`StallAccountant`]'s virtual clock by
+/// these modelled costs as each phase ends, so attributed timelines
+/// are byte-identical across runs. A per-stack pass costs
+/// [`commit_cost::PHASE_BASE_NS`] plus every stack's share. Units are
+/// virtual ns; the values are loosely calibrated to the simulator's
+/// cycle costs — they only need to be *stable*, not accurate, because
+/// the conservation invariant holds under any clock.
 pub mod commit_cost {
     /// Fixed per-phase dispatch overhead.
     pub const PHASE_BASE_NS: u64 = 100;
@@ -255,21 +217,6 @@ pub mod commit_cost {
     /// **seal** phase — it is serialization-point work, not staging
     /// work (PR 7 regression: the stage stopwatch used to absorb it).
     pub const BOOKKEEP_SLOT_NS: u64 = 20;
-    /// Spawning one scoped worker. Only the adaptive worker selector
-    /// charges this (a pass at `workers` pays `workers − 1` spawns, as
-    /// the coordinator runs one share itself); it is what makes
-    /// fan-out lose to serial below the break-even commit size (a
-    /// 2 MiB commit once ran at 0.85x serial on 2 workers;
-    /// `BENCH_pr3.json` in commit `67e0b8e`).
-    ///
-    /// Measured, not modelled: 5 trials of 200 `std::thread::scope`s
-    /// each, spawning 1, 2 and 4 no-op workers, release build. The
-    /// medians were 28.0 / 53.7 / 110.5 µs per scope, and the
-    /// least-squares slope 27.6 µs per spawn (two repeat sweeps: 27.3
-    /// and 27.4 µs, intercepts within ±3.4 µs of zero). Host: 2 vCPUs,
-    /// "Intel(R) Xeon(R) Processor" (a shared virtual machine), Linux
-    /// 6.18, `rustc 1.95.0`. The constant is the median slope.
-    pub const WORKER_SPAWN_NS: u64 = 27_400;
     /// Apply: per staged run. Modelled and kept unchanged for the same
     /// reason as [`STAGE_RUN_NS`].
     pub const APPLY_RUN_NS: u64 = 40;
@@ -312,11 +259,11 @@ pub struct CommitHooks<'a> {
 }
 
 /// Stall attribution of one commit sequence under the engine's one
-/// charging rule: when a phase ends, the coordinator advances the
-/// clock by the phase's modelled cost and charges the phase to every
-/// thread as one segment — during a whole-process commit *every*
-/// thread is stalled, so the per-thread segments share the
-/// coordinator's boundaries. A crash closes the open phase at the
+/// charging rule: when a phase ends, the engine advances the clock by
+/// the phase's modelled cost and charges the phase to every thread as
+/// one segment — during a whole-process commit *every* thread is
+/// stalled, so the per-thread segments share one set of phase
+/// boundaries. A crash closes the open phase at the
 /// crash instant without charging it, so even a torn commit's window
 /// is exactly tiled by its segments. A no-op without an accountant.
 struct Phases<'a> {
@@ -392,33 +339,18 @@ fn cross(faults: &mut Option<&mut FaultInjector>, site: CrashSite) -> Result<(),
     Ok(())
 }
 
-/// One stack's share of one batch, as the [`commit_cost`] model prices
-/// it: every per-stack charge is linear in the run count and the bytes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct StackWork {
-    runs: u64,
-    bytes: u64,
+/// Thread `tid`'s share of `batch` at `per_run_ns` a run and
+/// `per_byte_ns` a byte (none for a thread the batch does not cover).
+fn share_cost(
+    batch: &BTreeMap<u32, Vec<CopyRun>>,
+    tid: u32,
+    per_run_ns: u64,
+    per_byte_ns: u64,
+) -> u64 {
+    batch.get(&tid).map_or(0, |runs| {
+        runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
+    })
 }
-
-impl StackWork {
-    /// Thread `tid`'s share of `batch` (none for a thread it does not
-    /// cover).
-    fn of(batch: &BTreeMap<u32, Vec<CopyRun>>, tid: u32) -> Self {
-        batch.get(&tid).map_or_else(Self::default, |runs| Self {
-            runs: runs.len() as u64,
-            bytes: runs.iter().map(|r| r.len).sum(),
-        })
-    }
-
-    /// The share's cost at `per_run_ns` a run and `per_byte_ns` a byte.
-    fn cost(self, per_run_ns: u64, per_byte_ns: u64) -> u64 {
-        self.runs * per_run_ns + self.bytes * per_byte_ns
-    }
-}
-
-/// One claimable unit of the work-stealing stack fan-out: a worker
-/// that takes the `Some` owns that stack for the pass.
-type StackTask<'a> = std::sync::Mutex<Option<(u32, &'a mut PersistentStack)>>;
 
 /// A process whose registers and stacks are persisted together.
 ///
@@ -608,202 +540,82 @@ impl PersistentProcess {
         self.registers.committed_sequence
     }
 
-    /// Worker-count *cap* for the parallel commit phases: one per
-    /// thread, up to [`host_parallelism`] (read once per process, so
-    /// no commit or redo queries the host). The adaptive selector
-    /// picks the actual count within this cap.
-    fn default_workers(threads: usize) -> usize {
-        host_parallelism().min(threads).max(1)
-    }
-
-    /// Modelled wall cost of committing a burst at `workers`, from the
-    /// [`commit_cost`] model: per sequence, the phase charges stall
-    /// attribution makes — the stage pass (for a burst's head only in
-    /// eager mode, where every later batch stages inside the previous
-    /// apply pass), the seal, and the phase-two pass with the register
-    /// tail — plus the spawn overhead of each pass, which small
-    /// commits cannot amortize. A single commit is a burst of one.
-    /// `work` holds one row per batch, each stack's share in tid order;
-    /// `load` is the phases' scratch, so an evaluation allocates only if
-    /// it must grow.
-    fn modeled_commit_ns(
-        work: &[StackWork],
-        batches: usize,
-        workers: usize,
-        spine: bool,
-        load: &mut Vec<u64>,
-    ) -> u64 {
-        let stacks = work.len() / batches.max(1);
-        let row = |i: usize| &work[i * stacks..(i + 1) * stacks];
-        let mut total = 0;
-        for i in 0..batches {
-            let ahead = (i + 1 < batches && !spine).then(|| row(i + 1));
-            if i == 0 || spine {
-                total += Self::spawn_cost(workers) + Self::stage_cost(row(i), workers, load);
-            }
-            total += Self::seal_cost(stacks)
-                + Self::spawn_cost(workers)
-                + Self::apply_cost(row(i), ahead, workers, spine, load);
-        }
-        total
-    }
-
-    /// Each of `tids`' share of `batch`, in order: one row of the
-    /// model's work table.
-    fn work_row(batch: &BTreeMap<u32, Vec<CopyRun>>, tids: &[u32]) -> Vec<StackWork> {
-        tids.iter().map(|&tid| StackWork::of(batch, tid)).collect()
-    }
-
-    /// Spawn overhead of one pass: the coordinator runs one share, so
-    /// a pass at `workers` spawns `workers − 1` threads and a serial
-    /// pass spawns none.
-    fn spawn_cost(workers: usize) -> u64 {
-        (workers as u64).saturating_sub(1) * commit_cost::WORKER_SPAWN_NS
-    }
-
-    /// Modelled cost of the stage pass over one batch's `row`.
-    fn stage_cost(row: &[StackWork], workers: usize, load: &mut Vec<u64>) -> u64 {
-        let costs = row
+    /// Modelled cost of the stage pass over `batch`.
+    fn stage_cost(batch: &BTreeMap<u32, Vec<CopyRun>>, tids: &[u32]) -> u64 {
+        let per_stack: u64 = tids
             .iter()
-            .map(|w| w.cost(commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS));
-        Self::stolen_phase_cost(costs, row.len(), workers, load)
+            .map(|&tid| {
+                share_cost(
+                    batch,
+                    tid,
+                    commit_cost::STAGE_RUN_NS,
+                    commit_cost::STAGE_BYTE_NS,
+                )
+            })
+            .sum();
+        commit_cost::PHASE_BASE_NS + per_stack
     }
 
     /// Modelled cost of the seal: the durable write plus the
-    /// coordinator's bookkeeping of every thread's register slot.
+    /// bookkeeping of every thread's register slot.
     fn seal_cost(stacks: usize) -> u64 {
         commit_cost::SEAL_NS + stacks as u64 * commit_cost::BOOKKEEP_SLOT_NS
     }
 
-    /// Modelled cost of the phase-two pass over one batch's `row` — an
-    /// apply copy per run, or one flat batch append per stack in spine
-    /// mode — fused with staging `ahead`, plus the serial register
-    /// tail.
+    /// Modelled cost of the phase-two pass over `batch` — an apply copy
+    /// per run, or one flat batch append per stack in spine mode —
+    /// fused with staging `ahead`, plus the register tail.
     fn apply_cost(
-        row: &[StackWork],
-        ahead: Option<&[StackWork]>,
-        workers: usize,
+        batch: &BTreeMap<u32, Vec<CopyRun>>,
+        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
         spine: bool,
-        load: &mut Vec<u64>,
+        tids: &[u32],
     ) -> u64 {
-        let costs = row.iter().enumerate().map(|(i, w)| {
-            let phase_two = if spine {
-                commit_cost::BATCH_APPEND_NS
-            } else {
-                w.cost(commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
-            };
-            phase_two
-                + ahead.map_or(0, |next| {
-                    next[i].cost(commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
-                })
-        });
-        Self::stolen_phase_cost(costs, row.len(), workers, load)
-            + row.len() as u64 * commit_cost::REGISTER_SLOT_NS
-    }
-
-    /// Makespan of one parallel phase over `stacks` per-stack `costs`
-    /// (in tid order) under work-stealing assignment: tasks are claimed
-    /// in tid order by whichever worker frees up first, which the model
-    /// reproduces as greedy list-scheduling — each task lands on the
-    /// currently least-loaded worker — plus a fixed dispatch overhead.
-    /// A parallel phase is as slow as its most-loaded worker; uneven
-    /// per-thread run lists no longer inflate the bound the way
-    /// pre-assigned contiguous chunks did. `load` holds the per-worker
-    /// loads.
-    fn stolen_phase_cost(
-        costs: impl Iterator<Item = u64>,
-        stacks: usize,
-        workers: usize,
-        load: &mut Vec<u64>,
-    ) -> u64 {
-        load.clear();
-        load.resize(workers.clamp(1, stacks.max(1)), 0);
-        for cost in costs {
-            if let Some(min) = load.iter_mut().min() {
-                *min += cost;
-            }
-        }
-        commit_cost::PHASE_BASE_NS + load.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The worker count in `1..=cap` with the lowest modelled cost;
-    /// ties go to the smallest count (serial wins a dead heat).
-    fn argmin_workers(cap: usize, mut cost: impl FnMut(usize) -> u64) -> usize {
-        (1..=cap.max(1)).min_by_key(|&w| (cost(w), w)).unwrap_or(1)
-    }
-
-    /// The worker count the adaptive wrappers pick for committing
-    /// `batches`: the argmin of the modelled cost over every count up
-    /// to the machine-parallelism cap. Commits whose staged bytes sit
-    /// below the parallelism break-even come out serial — the fix for
-    /// a 2-worker commit running at 0.85x serial (`BENCH_pr3.json` in
-    /// commit `67e0b8e`), where `commit` fanned out unconditionally.
-    /// With a cap of 1 (one stack, or one core) there is nothing to
-    /// choose and the runs are not read; otherwise each stack's runs
-    /// and bytes are summed once per batch and every count is priced
-    /// from those totals. Exposed so the perf suite can report the
-    /// selected configuration alongside the measured scaling.
-    #[must_use]
-    pub fn planned_workers(&self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) -> usize {
-        Self::pick_workers(
-            Self::default_workers(self.stacks.len()),
-            batches,
-            self.stacks.keys().copied(),
-            self.spine_cfg.is_some(),
-        )
-    }
-
-    /// [`Self::planned_workers`] for the stacks `tids` under `cap`.
-    fn pick_workers(
-        cap: usize,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        tids: impl Iterator<Item = u32> + Clone,
-        spine: bool,
-    ) -> usize {
-        if cap <= 1 {
-            return 1;
-        }
-        let work: Vec<StackWork> = batches
+        let per_stack: u64 = tids
             .iter()
-            .flat_map(|batch| tids.clone().map(|tid| StackWork::of(batch, tid)))
-            .collect();
-        let mut load = Vec::with_capacity(cap);
-        Self::argmin_workers(cap, |w| {
-            Self::modeled_commit_ns(&work, batches.len(), w, spine, &mut load)
-        })
+            .map(|&tid| {
+                let phase_two = if spine {
+                    commit_cost::BATCH_APPEND_NS
+                } else {
+                    share_cost(
+                        batch,
+                        tid,
+                        commit_cost::APPLY_RUN_NS,
+                        commit_cost::APPLY_BYTE_NS,
+                    )
+                };
+                phase_two
+                    + ahead.map_or(0, |next| {
+                        share_cost(
+                            next,
+                            tid,
+                            commit_cost::STAGE_RUN_NS,
+                            commit_cost::STAGE_BYTE_NS,
+                        )
+                    })
+            })
+            .sum();
+        commit_cost::PHASE_BASE_NS + per_stack + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
     }
 
     /// Commits one whole-process checkpoint: every thread's stack runs
     /// (from its tracker's bitmap inspection) plus every thread's
-    /// registers, through [`Self::commit_with`] at the worker count
-    /// [`Self::planned_workers`] picks.
+    /// registers, through [`Self::commit_with`] with no hooks.
     ///
     /// # Panics
     ///
     /// Panics if `runs_per_thread` misses a registered thread.
     pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
-        self.commit_pipelined(std::slice::from_ref(runs_per_thread));
-    }
-
-    /// Commits a back-to-back burst of whole-process checkpoints
-    /// through [`Self::commit_with`] at the worker count
-    /// [`Self::planned_workers`] picks for the whole burst.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any batch misses a registered thread.
-    pub fn commit_pipelined(&mut self, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
         // Without an injector no crash window can fire.
         let _ = self.commit_with(
-            batches,
-            self.planned_workers(batches),
+            std::slice::from_ref(runs_per_thread),
             CommitHooks::default(),
         );
     }
 
     /// The commit engine: commits `batches` as consecutive sequences
-    /// under the stage → seal → apply protocol, fanning each per-stack
-    /// pass out over `workers` scoped workers. In eager mode a
+    /// under the stage → seal → apply protocol, running each per-stack
+    /// pass on the calling thread in tid order. In eager mode a
     /// multi-batch call is a pipelined burst: staging batch N+1 is
     /// fused into batch N's apply pass, after seal(N) and before
     /// seal(N+1) (see the module docs). Spine mode runs the batches
@@ -824,14 +636,14 @@ impl PersistentProcess {
     /// 6. spine merge — [`CrashSite::MidMerge`] after each fold step
     ///    and [`CrashSite::MergeRetire`] per folded spine.
     ///
-    /// `hooks` observe that one body. With an injector attached the
-    /// per-stack passes run inline in tid order, one stack at a time,
-    /// so the boundary order above is deterministic; the cost model
-    /// still charges `workers`. The telemetry is the same on every
-    /// path: `prosper.commit.phase.{stage,seal,apply,merge}_ns` per
-    /// sequence (a burst's staged-ahead work is timed inside apply),
-    /// `prosper.commit.workers`, the `prosper.spine.*` instruments
-    /// and, for a multi-batch burst, `prosper.commit.pipeline.burst_ns`.
+    /// `hooks` observe that one body, and within each stage and
+    /// phase-two pass the stacks follow one another in tid order, so
+    /// the boundary order above is deterministic whether or not an
+    /// injector is attached. The telemetry is
+    /// `prosper.commit.phase.{stage,seal,apply,merge}_ns` per sequence
+    /// (a burst's staged-ahead work is timed inside apply),
+    /// `prosper.commit.workers` (always 1) and the `prosper.spine.*`
+    /// instruments.
     ///
     /// # Errors
     ///
@@ -846,7 +658,6 @@ impl PersistentProcess {
     pub fn commit_with(
         &mut self,
         batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        workers: usize,
         mut hooks: CommitHooks<'_>,
     ) -> Result<(), CrashInjected> {
         for batch in batches {
@@ -856,7 +667,6 @@ impl PersistentProcess {
         }
         let tids: Vec<u32> = self.stacks.keys().copied().collect();
         let eager = self.spine_cfg.is_none();
-        let burst_watch = telemetry::Stopwatch::start();
         for (i, batch) in batches.iter().enumerate() {
             let staged = eager && i > 0;
             let ahead = batches.get(i + 1).filter(|_| eager);
@@ -866,18 +676,9 @@ impl PersistentProcess {
                 StallCause::Stage
             };
             let mut phases = Phases::open(hooks.acct, &tids, self.next_sequence, first);
-            let result =
-                self.commit_sequence(batch, staged, ahead, workers, &mut hooks, &mut phases);
+            let result = self.commit_sequence(batch, staged, ahead, &mut hooks, &mut phases);
             phases.close();
             result?;
-        }
-        if batches.len() > 1 && telemetry::enabled() {
-            let burst_ns = burst_watch.elapsed_ns();
-            telemetry::with(|t| {
-                t.registry()
-                    .histogram("prosper.commit.pipeline.burst_ns")
-                    .record(burst_ns);
-            });
         }
         Ok(())
     }
@@ -890,7 +691,6 @@ impl PersistentProcess {
         batch: &BTreeMap<u32, Vec<CopyRun>>,
         staged: bool,
         ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
-        workers: usize,
         hooks: &mut CommitHooks<'_>,
         phases: &mut Phases<'_>,
     ) -> Result<(), CrashInjected> {
@@ -898,30 +698,22 @@ impl PersistentProcess {
         let probe = hooks.probe;
         // 1. Stage: strictly per-thread state. The stopwatch brackets
         // only the staging pass; staging the register file into the
-        // record is coordinator bookkeeping charged to the seal.
+        // record is seal bookkeeping and is charged to the seal.
         let stage_watch = telemetry::Stopwatch::start();
         if !staged {
             cross(&mut hooks.faults, CrashSite::PreStage)?;
-            Self::for_each_stack(
-                &mut self.stacks,
-                workers,
-                &mut hooks.faults,
-                |tid, stack, faults| {
-                    Self::stage_stack(
-                        stack,
-                        tid,
-                        sequence,
-                        &batch[&tid],
-                        faults,
-                        probe,
-                        |tid, runs_staged| CrashSite::MidStage { tid, runs_staged },
-                    )
-                },
-            )?;
-            phases.end(
-                |tids| Self::stage_cost(&Self::work_row(batch, tids), workers, &mut Vec::new()),
-                Some(StallCause::Seal),
-            );
+            for (&tid, stack) in &mut self.stacks {
+                Self::stage_stack(
+                    stack,
+                    tid,
+                    sequence,
+                    &batch[&tid],
+                    &mut hooks.faults,
+                    probe,
+                    |tid, runs_staged| CrashSite::MidStage { tid, runs_staged },
+                )?;
+            }
+            phases.end(|tids| Self::stage_cost(batch, tids), Some(StallCause::Seal));
         }
         let stage_ns = stage_watch.elapsed_ns();
         // 2. Seal: the register file is staged into the commit record,
@@ -946,19 +738,10 @@ impl PersistentProcess {
         // 3–5. Phase two, the register tail, retire.
         let apply_watch = telemetry::Stopwatch::start();
         let spine = self.spine_cfg;
-        self.apply_record(&record, spine.is_some(), ahead, workers, hooks)?;
+        self.apply_record(&record, spine.is_some(), ahead, hooks)?;
         let apply_ns = apply_watch.elapsed_ns();
         phases.end(
-            |tids| {
-                let ahead = ahead.map(|next| Self::work_row(next, tids));
-                Self::apply_cost(
-                    &Self::work_row(batch, tids),
-                    ahead.as_deref(),
-                    workers,
-                    spine.is_some(),
-                    &mut Vec::new(),
-                )
-            },
+            |tids| Self::apply_cost(batch, ahead, spine.is_some(), tids),
             None,
         );
         cross(&mut hooks.faults, CrashSite::PostCommit)?;
@@ -973,7 +756,7 @@ impl PersistentProcess {
             let spine_total = self.spine_batches() as i64;
             telemetry::with(|t| {
                 let r = t.registry();
-                r.gauge("prosper.commit.workers").set(workers as i64);
+                r.gauge("prosper.commit.workers").set(1);
                 if !staged {
                     r.histogram("prosper.commit.phase.stage_ns")
                         .record(stage_ns);
@@ -1028,38 +811,29 @@ impl PersistentProcess {
         record: &ProcessCommitRecord,
         spine: bool,
         ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
-        workers: usize,
         hooks: &mut CommitHooks<'_>,
     ) -> Result<(), CrashInjected> {
         debug_assert!(record.sealed, "apply before the seal");
         let sequence = record.sequence;
         let probe = hooks.probe;
-        Self::for_each_stack(
-            &mut self.stacks,
-            workers,
-            &mut hooks.faults,
-            |tid, stack, faults| {
-                Self::apply_record_stack(stack, tid, sequence, spine, faults, probe)?;
-                // A stack stages ahead only once its own phase two
-                // finished, so its single staging buffer is never torn
-                // between sequences.
-                match ahead {
-                    Some(next) => {
-                        let runs = next.get(&tid).map_or(&[][..], Vec::as_slice);
-                        Self::stage_stack(
-                            stack,
-                            tid,
-                            sequence + 1,
-                            runs,
-                            faults,
-                            probe,
-                            |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged },
-                        )
-                    }
-                    None => Ok(()),
-                }
-            },
-        )?;
+        for (&tid, stack) in &mut self.stacks {
+            Self::apply_record_stack(stack, tid, sequence, spine, &mut hooks.faults, probe)?;
+            // A stack stages ahead only once its own phase two
+            // finished, so its single staging buffer is never torn
+            // between sequences.
+            if let Some(next) = ahead {
+                let runs = next.get(&tid).map_or(&[][..], Vec::as_slice);
+                Self::stage_stack(
+                    stack,
+                    tid,
+                    sequence + 1,
+                    runs,
+                    &mut hooks.faults,
+                    probe,
+                    |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged },
+                )?;
+            }
+        }
         cross(&mut hooks.faults, CrashSite::PostApplyPreRegisters)?;
         for (tid, regs) in record.staged_regs.iter().enumerate() {
             self.registers.apply_thread_at(tid, *regs, sequence);
@@ -1174,58 +948,6 @@ impl PersistentProcess {
         Ok((merges, written))
     }
 
-    /// Runs `f` over every stack. With an injector attached the pass
-    /// runs inline in tid order and stops at the first crash, so the
-    /// crossed boundaries form one deterministic sequence. Otherwise it
-    /// fans out across at most `workers` claimants — `workers − 1`
-    /// scoped threads, spawned first, and then the calling thread —
-    /// with work-stealing assignment: each claimant takes the next
-    /// unclaimed stack from a shared cursor as it frees up, so one
-    /// stuck on a heavy stack never strands the light ones behind it.
-    fn for_each_stack<F>(
-        stacks: &mut BTreeMap<u32, PersistentStack>,
-        workers: usize,
-        faults: &mut Option<&mut FaultInjector>,
-        f: F,
-    ) -> Result<(), CrashInjected>
-    where
-        F: Fn(
-                u32,
-                &mut PersistentStack,
-                &mut Option<&mut FaultInjector>,
-            ) -> Result<(), CrashInjected>
-            + Sync,
-    {
-        let workers = workers.clamp(1, stacks.len().max(1));
-        if workers == 1 || faults.is_some() {
-            for (&tid, stack) in stacks.iter_mut() {
-                f(tid, stack, faults)?;
-            }
-            return Ok(());
-        }
-        let tasks: Vec<StackTask<'_>> = stacks
-            .iter_mut()
-            .map(|(&tid, stack)| std::sync::Mutex::new(Some((tid, stack))))
-            .collect();
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let claim = || loop {
-            // lint:allow(PA-ATOMIC007): work-queue ticket counter — only uniqueness matters; each task is published through its Mutex, not this index
-            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else { break };
-            if let Some((tid, stack)) = task.lock().ok().and_then(|mut t| t.take()) {
-                // Without an injector no crash window can fire.
-                let _ = f(tid, stack, &mut None);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(claim);
-            }
-            claim();
-        });
-        Ok(())
-    }
-
     /// Simulates a power failure: all live registers and volatile
     /// stack images are lost.
     pub fn crash(&mut self) {
@@ -1326,10 +1048,8 @@ impl PersistentProcess {
                 // Batches left on a spine are older than the record, so
                 // it must land on top of them as a batch too.
                 let spine = self.spine_cfg.is_some() || self.spine_batches() > 0;
-                let workers = Self::default_workers(self.stacks.len());
                 // Without an injector no crash window can fire.
-                let _ =
-                    self.apply_record(&record, spine, None, workers, &mut CommitHooks::default());
+                let _ = self.apply_record(&record, spine, None, &mut CommitHooks::default());
             }
             Some(_) => {
                 // The commit never sealed: discard it wholesale.
@@ -1431,13 +1151,9 @@ mod tests {
             .collect()
     }
 
-    /// One commit at `workers` through the engine, with no hooks.
-    fn commit_at(
-        p: &mut PersistentProcess,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        workers: usize,
-    ) {
-        p.commit_with(batches, workers, CommitHooks::default())
+    /// Commits `batches` through the engine, with no hooks.
+    fn commit_at(p: &mut PersistentProcess, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
+        p.commit_with(batches, CommitHooks::default())
             .expect("no injector is attached");
     }
 
@@ -1449,7 +1165,6 @@ mod tests {
     ) -> Result<(), CrashInjected> {
         p.commit_with(
             std::slice::from_ref(runs),
-            1,
             CommitHooks {
                 faults: Some(inj),
                 ..CommitHooks::default()
@@ -1643,169 +1358,6 @@ mod tests {
         assert_eq!(p.verify_coherent().unwrap(), 2);
     }
 
-    /// Every worker count lands on the persistent state of the inline
-    /// schedule the crash matrix enumerates (one worker, a disabled
-    /// injector attached): byte-identical persistent images, spine
-    /// batches, registers and coherence, for an eager commit, a spine
-    /// burst that merges, and a 3-batch pipelined burst.
-    #[test]
-    fn parallel_commit_matches_serial() {
-        let build = |spine: bool| {
-            let mut p = if spine {
-                PersistentProcess::new_with_spine(&ranges(4), SpineConfig::merge_always())
-            } else {
-                PersistentProcess::new(&ranges(4))
-            };
-            for tid in 0..4u32 {
-                let r = p.stack(tid).range();
-                for k in 0..8u64 {
-                    p.record_store(tid, r.start() + k * 512, &[tid as u8 ^ k as u8; 64]);
-                }
-                p.regs_mut(tid).rip = 0x1000 + u64::from(tid);
-                p.regs_mut(tid).gpr[3] = u64::from(tid) * 17;
-            }
-            p
-        };
-        let whole = vec![full_runs(&build(false), &[0, 1, 2, 3])];
-        // Three batches covering distinct 2 KiB slices of every stack.
-        let slices: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
-            .map(|i| {
-                ranges(4)
-                    .iter()
-                    .enumerate()
-                    .map(|(tid, r)| {
-                        let start = r.start() + i * 2048;
-                        (tid as u32, vec![CopyRun { start, len: 2048 }])
-                    })
-                    .collect()
-            })
-            .collect();
-        for (mode, spine, batches) in [
-            ("eager", false, &whole),
-            ("spine", true, &slices),
-            ("pipelined", false, &slices),
-        ] {
-            for workers in [1usize, 2, 4] {
-                let mut serial = build(spine);
-                let mut parallel = build(spine);
-                let mut inj = FaultInjector::disabled();
-                let hooks = CommitHooks {
-                    faults: Some(&mut inj),
-                    ..CommitHooks::default()
-                };
-                serial
-                    .commit_with(batches, 1, hooks)
-                    .expect("a disabled injector never fires");
-                commit_at(&mut parallel, batches, workers);
-                assert_eq!(serial.committed_sequence(), parallel.committed_sequence());
-                assert_eq!(serial.verify_coherent(), parallel.verify_coherent());
-                for tid in 0..4u32 {
-                    let r = serial.stack(tid).range();
-                    assert!(
-                        serial
-                            .stack(tid)
-                            .persistent()
-                            .matches(parallel.stack(tid).persistent(), r),
-                        "{mode} workers={workers} thread {tid}: persistent images differ"
-                    );
-                    assert_eq!(
-                        serial.stack(tid).spine(),
-                        parallel.stack(tid).spine(),
-                        "{mode} workers={workers} thread {tid}: spine batches differ"
-                    );
-                }
-                serial.crash();
-                parallel.crash();
-                let rs = serial.recover().unwrap();
-                let rp = parallel.recover().unwrap();
-                assert_eq!(rs.sequence, rp.sequence);
-                for tid in 0..4u32 {
-                    let r = serial.stack(tid).range();
-                    assert_eq!(
-                        serial.stack(tid).volatile().read(r.start(), 4096),
-                        parallel.stack(tid).volatile().read(r.start(), 4096),
-                        "{mode} workers={workers} thread {tid} recovered identical bytes"
-                    );
-                    assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
-                }
-                assert_eq!(parallel.verify_coherent().unwrap(), batches.len() as u64);
-            }
-        }
-    }
-
-    /// Commits stay coherent at every worker width, including widths
-    /// above the thread count and repeated commits on one process.
-    #[test]
-    fn commit_coherent_across_worker_counts() {
-        let mut p = PersistentProcess::new(&ranges(8));
-        let tids: Vec<u32> = (0..8).collect();
-        let runs = full_runs(&p, &tids);
-        for (i, workers) in [1usize, 2, 3, 8, 64].into_iter().enumerate() {
-            for tid in 0..8u32 {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 128, &[i as u8 + 1; 32]);
-            }
-            commit_at(&mut p, std::slice::from_ref(&runs), workers);
-            assert_eq!(p.committed_sequence(), i as u64 + 1);
-            assert_eq!(p.verify_coherent().unwrap(), i as u64 + 1);
-        }
-        p.crash();
-        let rec = p.recover().unwrap();
-        assert_eq!(rec.sequence, 5);
-        let r = p.stack(7).range();
-        assert_eq!(
-            p.stack(7).volatile().read(r.start() + 128, 32),
-            vec![5u8; 32],
-            "last commit's bytes survive the crash"
-        );
-    }
-
-    /// A pass at `w` workers is the coordinator plus `w − 1` spawned
-    /// threads. The first `w` stacks wait on a `w`-party barrier, so
-    /// each lands on a different claimant: the caller must be one of
-    /// them, and no more than `w − 1` other threads may claim at all.
-    /// The barrier also requires the spawns to come first — a
-    /// coordinator that claimed before spawning would wait on it alone.
-    #[test]
-    fn coordinator_runs_one_share() {
-        let mut p = PersistentProcess::new(&ranges(8));
-        let caller = std::thread::current().id();
-        for w in [2usize, 4] {
-            let barrier = std::sync::Barrier::new(w);
-            let claims = std::sync::Mutex::new(Vec::new());
-            PersistentProcess::for_each_stack(&mut p.stacks, w, &mut None, |tid, _, _| {
-                claims
-                    .lock()
-                    .unwrap()
-                    .push((tid, std::thread::current().id()));
-                if (tid as usize) < w {
-                    barrier.wait();
-                }
-                Ok(())
-            })
-            .unwrap();
-            let claims = claims.into_inner().unwrap();
-            assert_eq!(claims.len(), 8, "w={w}: every stack claimed once");
-            assert!(
-                claims
-                    .iter()
-                    .any(|&(tid, id)| (tid as usize) < w && id == caller),
-                "w={w}: the coordinator claimed none of the first {w} stacks"
-            );
-            let others: std::collections::HashSet<_> = claims
-                .iter()
-                .map(|&(_, id)| id)
-                .filter(|&id| id != caller)
-                .collect();
-            assert!(
-                others.len() < w,
-                "w={w}: {} spawned claimants, expected at most {}",
-                others.len(),
-                w - 1
-            );
-        }
-    }
-
     /// Double crash: a crash during recovery's redo (modelled as a
     /// second crash+recover without a completed first recovery) still
     /// converges to the committed checkpoint.
@@ -1845,8 +1397,7 @@ mod tests {
                 faults: Some(&mut inj),
                 ..CommitHooks::default()
             };
-            // Two workers: an attached injector still runs inline.
-            p.commit_with(batches, 2, hooks)
+            p.commit_with(batches, hooks)
                 .expect("record mode never fires");
             inj.crossed().to_vec()
         };
@@ -1901,7 +1452,7 @@ mod tests {
         // folds both spines after the recorded second commit.
         let mut spine = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always());
         let runs = two_runs(&spine);
-        commit_at(&mut spine, std::slice::from_ref(&runs), 1);
+        commit_at(&mut spine, std::slice::from_ref(&runs));
         assert_eq!(
             record(&mut spine, std::slice::from_ref(&runs)),
             vec![
@@ -1969,276 +1520,10 @@ mod tests {
         );
     }
 
-    fn uniform_runs(tids: &[u32], count: usize, len: u64) -> BTreeMap<u32, Vec<CopyRun>> {
-        tids.iter()
-            .map(|&tid| {
-                (
-                    tid,
-                    (0..count)
-                        .map(|k| CopyRun {
-                            start: VirtAddr::new(0x7000_0000 + k as u64 * 0x1000),
-                            len,
-                        })
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// The model as the planner prices `batches` for `tids`.
-    fn model(
-        tids: &[u32],
-        workers: usize,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        spine: bool,
-    ) -> u64 {
-        let work: Vec<StackWork> = batches
-            .iter()
-            .flat_map(|batch| PersistentProcess::work_row(batch, tids))
-            .collect();
-        PersistentProcess::modeled_commit_ns(&work, batches.len(), workers, spine, &mut Vec::new())
-    }
-
-    /// The cost model as it stood before it read per-stack totals:
-    /// every phase of every evaluation walks each stack's runs and
-    /// allocates its loads. The oracle the totals-based model and the
-    /// planner are held to.
-    mod walked {
-        use super::*;
-
-        pub fn modeled_commit_ns(
-            tids: &[u32],
-            workers: usize,
-            batches: &[BTreeMap<u32, Vec<CopyRun>>],
-            spine: bool,
-        ) -> u64 {
-            let mut total = 0;
-            for (i, batch) in batches.iter().enumerate() {
-                let ahead = batches.get(i + 1).filter(|_| !spine);
-                if i == 0 || spine {
-                    total += PersistentProcess::spawn_cost(workers)
-                        + stolen_phase_cost(tids, workers, |tid| {
-                            batch_cost(
-                                batch,
-                                tid,
-                                commit_cost::STAGE_RUN_NS,
-                                commit_cost::STAGE_BYTE_NS,
-                            )
-                        });
-                }
-                let apply = stolen_phase_cost(tids, workers, |tid| {
-                    let phase_two = if spine {
-                        commit_cost::BATCH_APPEND_NS
-                    } else {
-                        batch_cost(
-                            batch,
-                            tid,
-                            commit_cost::APPLY_RUN_NS,
-                            commit_cost::APPLY_BYTE_NS,
-                        )
-                    };
-                    phase_two
-                        + ahead.map_or(0, |next| {
-                            batch_cost(
-                                next,
-                                tid,
-                                commit_cost::STAGE_RUN_NS,
-                                commit_cost::STAGE_BYTE_NS,
-                            )
-                        })
-                }) + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS;
-                total += commit_cost::SEAL_NS
-                    + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-                    + PersistentProcess::spawn_cost(workers)
-                    + apply;
-            }
-            total
-        }
-
-        fn batch_cost(
-            batch: &BTreeMap<u32, Vec<CopyRun>>,
-            tid: u32,
-            per_run_ns: u64,
-            per_byte_ns: u64,
-        ) -> u64 {
-            batch
-                .get(&tid)
-                .map_or(0, |runs| runs_cost(runs, per_run_ns, per_byte_ns))
-        }
-
-        pub fn runs_cost(runs: &[CopyRun], per_run_ns: u64, per_byte_ns: u64) -> u64 {
-            runs.iter().map(|r| per_run_ns + r.len * per_byte_ns).sum()
-        }
-
-        pub fn stolen_phase_cost(
-            tids: &[u32],
-            workers: usize,
-            per_tid: impl Fn(u32) -> u64,
-        ) -> u64 {
-            let workers = workers.clamp(1, tids.len().max(1));
-            let mut load = vec![0u64; workers];
-            for &t in tids {
-                if let Some(min) = load.iter_mut().min() {
-                    *min += per_tid(t);
-                }
-            }
-            commit_cost::PHASE_BASE_NS + load.into_iter().max().unwrap_or(0)
-        }
-    }
-
-    /// The planner prices each worker count from per-stack totals
-    /// summed once per batch. Over random batches, bursts, modes, stack
-    /// sets and caps it must charge what the walked model charges at
-    /// every count, and pick what the walked model's argmin picks.
-    #[test]
-    fn totals_planner_matches_the_walked_model() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(24);
-        for _ in 0..400 {
-            let tids: Vec<u32> = (0..rng.gen_range(1..=6u32)).map(|t| 3 * t + 1).collect();
-            let spine = rng.gen_bool(0.5);
-            let mut batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = Vec::new();
-            for _ in 0..rng.gen_range(0..=4) {
-                let mut batch = BTreeMap::new();
-                for &tid in &tids {
-                    if rng.gen_bool(0.9) {
-                        let runs = (0..rng.gen_range(0..40))
-                            .map(|k| CopyRun {
-                                start: VirtAddr::new(0x7000_0000 + k * 0x100),
-                                len: rng.gen_range(1..=64u64) * 8,
-                            })
-                            .collect();
-                        batch.insert(tid, runs);
-                    }
-                }
-                batches.push(batch);
-            }
-            for workers in 1..=8 {
-                assert_eq!(
-                    model(&tids, workers, &batches, spine),
-                    walked::modeled_commit_ns(&tids, workers, &batches, spine),
-                    "tids={tids:?} workers={workers} spine={spine} batches={batches:?}"
-                );
-            }
-            for cap in [1usize, 2, 3, 4, 8, 64] {
-                let walked_pick = (1..=cap)
-                    .min_by_key(|&w| (walked::modeled_commit_ns(&tids, w, &batches, spine), w))
-                    .unwrap();
-                assert_eq!(
-                    PersistentProcess::pick_workers(cap, &batches, tids.iter().copied(), spine),
-                    walked_pick,
-                    "tids={tids:?} cap={cap} spine={spine}"
-                );
-            }
-        }
-    }
-
-    /// The single-commit model as it stood before single commits and
-    /// bursts shared one model: two spawn charges, the stage pass, the
-    /// seal with its bookkeeping, phase two (one flat batch append per
-    /// stack in spine mode) and the register tail.
-    fn single_commit_model(
-        tids: &[u32],
-        workers: usize,
-        runs: &BTreeMap<u32, Vec<CopyRun>>,
-        spine: bool,
-    ) -> u64 {
-        let cost = |tid: u32, per_run: u64, per_byte: u64| {
-            runs.get(&tid)
-                .map_or(0, |r| walked::runs_cost(r, per_run, per_byte))
-        };
-        let phase_two = if spine {
-            walked::stolen_phase_cost(tids, workers, |_| commit_cost::BATCH_APPEND_NS)
-        } else {
-            walked::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::APPLY_RUN_NS, commit_cost::APPLY_BYTE_NS)
-            })
-        };
-        2 * PersistentProcess::spawn_cost(workers)
-            + walked::stolen_phase_cost(tids, workers, |tid| {
-                cost(tid, commit_cost::STAGE_RUN_NS, commit_cost::STAGE_BYTE_NS)
-            })
-            + commit_cost::SEAL_NS
-            + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS
-            + phase_two
-            + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
-    }
-
-    /// Satellite regression (PR 7): the adaptive selector must never
-    /// choose a multi-worker configuration whose modelled cost exceeds
-    /// serial — the regression recorded as w=2 running at 0.85x serial
-    /// and w=8 at 0.59x (`BENCH_pr3.json` in commit `67e0b8e`) when
-    /// `commit` fanned out unconditionally — for a single commit or a
-    /// burst, eager or spine. A burst of one costs exactly what the
-    /// single-commit model charged.
-    #[test]
-    fn selector_never_picks_a_modelled_regression() {
-        for threads in [1usize, 2, 3, 8, 17] {
-            let tids: Vec<u32> = (0..threads as u32).collect();
-            for (count, len) in [(0usize, 0u64), (1, 16), (1, 64), (4, 256), (64, 4096)] {
-                let runs = uniform_runs(&tids, count, len);
-                for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
-                    let batches = vec![runs.clone(); burst];
-                    let model = |w: usize| model(&tids, w, &batches, spine);
-                    let serial = model(1);
-                    for cap in [1usize, 2, 4, 8, 64] {
-                        let w = PersistentProcess::argmin_workers(cap, model);
-                        let chosen = model(w);
-                        assert!(
-                            chosen <= serial,
-                            "threads={threads} count={count} len={len} cap={cap} \
-                             burst={burst} spine={spine}: selected w={w} costs \
-                             {chosen} > serial {serial}"
-                        );
-                        if threads == 1 || cap == 1 {
-                            assert_eq!(w, 1, "no parallelism to exploit");
-                        }
-                        if burst == 1 {
-                            assert_eq!(
-                                model(cap),
-                                single_commit_model(&tids, cap, &runs, spine),
-                                "a burst of one is priced as a single commit"
-                            );
-                        }
-                    }
-                }
-            }
-            // Tiny commits sit below the spawn break-even: serial wins
-            // even with parallelism available.
-            let tiny = [uniform_runs(&tids, 1, 16)];
-            let w = PersistentProcess::argmin_workers(8, |w| model(&tids, w, &tiny, false));
-            assert_eq!(w, 1, "threads={threads}: tiny commit must stay serial");
-        }
-        // A lopsided pair: a Gapbs_pr stack checkpoint (44 runs, about
-        // 1.2 KB) beside a Ycsb_mem-sized one (9,700 runs, about 78 KB).
-        // Two workers save only the light stack's share of each pass,
-        // less than the measured spawn. At the old 5 µs per spawn, the
-        // `w − 1` count alone would fan the burst of three out.
-        let lopsided: BTreeMap<u32, Vec<CopyRun>> = uniform_runs(&[0], 44, 27)
-            .into_iter()
-            .chain(uniform_runs(&[1], 9_700, 8))
-            .collect();
-        for (burst, spine) in [(1usize, false), (1, true), (3, false), (3, true)] {
-            let batches = vec![lopsided.clone(); burst];
-            let w = PersistentProcess::argmin_workers(2, |w| model(&[0, 1], w, &batches, spine));
-            assert_eq!(
-                w, 1,
-                "burst={burst} spine={spine}: lopsided commit must stay serial"
-            );
-        }
-        let one_stack = PersistentProcess::new(&ranges(1));
-        assert_eq!(
-            one_stack.planned_workers(&[uniform_runs(&[0], 9_700, 8)]),
-            1,
-            "a one-stack process has nothing to fan out"
-        );
-    }
-
     /// Satellite regression (PR 7): the stage phase covers only
-    /// staging work. Coordinator bookkeeping — staging the register
-    /// file into the commit record — is charged to the seal phase, in
-    /// the ledger and in the cost model alike.
+    /// staging work. Bookkeeping — staging the register file into the
+    /// commit record — is charged to the seal phase, in the ledger and
+    /// in the cost model alike.
     #[test]
     fn stage_phase_excludes_coordinator_bookkeeping() {
         let mut p = PersistentProcess::new(&ranges(3));
@@ -2251,7 +1536,6 @@ mod tests {
         let acct = StallAccountant::new_virtual();
         p.commit_with(
             std::slice::from_ref(&runs),
-            1,
             CommitHooks {
                 acct: Some(&acct),
                 ..CommitHooks::default()
@@ -2260,13 +1544,14 @@ mod tests {
         .unwrap();
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();
-        let expected_stage = walked::stolen_phase_cost(&tids, 1, |tid| {
-            walked::runs_cost(
-                &runs[&tid],
-                commit_cost::STAGE_RUN_NS,
-                commit_cost::STAGE_BYTE_NS,
-            )
-        });
+        // One run per thread: the pass's base cost plus every run.
+        let expected_stage = commit_cost::PHASE_BASE_NS
+            + tids
+                .iter()
+                .map(|tid| {
+                    commit_cost::STAGE_RUN_NS + runs[tid][0].len * commit_cost::STAGE_BYTE_NS
+                })
+                .sum::<u64>();
         let expected_seal =
             commit_cost::SEAL_NS + tids.len() as u64 * commit_cost::BOOKKEEP_SLOT_NS;
         for &tid in &tids {
@@ -2291,145 +1576,147 @@ mod tests {
     }
 
     /// The pipelined burst must land byte-identical persistent state
-    /// to the same batches committed one by one, at every worker
-    /// width.
+    /// to the same batches committed one by one.
     #[test]
     fn pipelined_burst_matches_sequential_commits() {
-        for workers in [1usize, 2, 4] {
-            let build = || {
-                let mut p = PersistentProcess::new(&ranges(4));
-                for tid in 0..4u32 {
-                    let r = p.stack(tid).range();
-                    for k in 0..12u64 {
-                        p.record_store(tid, r.start() + k * 256, &[tid as u8 + k as u8; 32]);
-                    }
-                    p.regs_mut(tid).rip = 0x4000 + u64::from(tid);
-                }
-                p
-            };
-            // Batch i covers a distinct slice of each stack.
-            let mut sequential = build();
-            let mut pipelined = build();
-            let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
-                .map(|i| {
-                    (0..4u32)
-                        .map(|tid| {
-                            let r = sequential.stack(tid).range();
-                            (
-                                tid,
-                                vec![CopyRun {
-                                    start: r.start() + i * 1024,
-                                    len: 1024,
-                                }],
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            for batch in &batches {
-                commit_at(&mut sequential, std::slice::from_ref(batch), workers);
-            }
-            commit_at(&mut pipelined, &batches, workers);
-            assert_eq!(
-                sequential.committed_sequence(),
-                pipelined.committed_sequence()
-            );
-            sequential.crash();
-            pipelined.crash();
-            let rs = sequential.recover().unwrap();
-            let rp = pipelined.recover().unwrap();
-            assert_eq!(rs.sequence, rp.sequence);
-            assert_eq!(pipelined.verify_coherent().unwrap(), 3);
+        let build = || {
+            let mut p = PersistentProcess::new(&ranges(4));
             for tid in 0..4u32 {
-                let r = sequential.stack(tid).range();
-                assert_eq!(
-                    sequential.stack(tid).volatile().read(r.start(), 4096),
-                    pipelined.stack(tid).volatile().read(r.start(), 4096),
-                    "workers={workers} thread {tid}: identical recovered bytes"
-                );
-                assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
+                let r = p.stack(tid).range();
+                for k in 0..12u64 {
+                    p.record_store(tid, r.start() + k * 256, &[tid as u8 + k as u8; 32]);
+                }
+                p.regs_mut(tid).rip = 0x4000 + u64::from(tid);
             }
+            p
+        };
+        // Batch i covers a distinct slice of each stack.
+        let mut sequential = build();
+        let mut pipelined = build();
+        let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
+            .map(|i| {
+                (0..4u32)
+                    .map(|tid| {
+                        let r = sequential.stack(tid).range();
+                        (
+                            tid,
+                            vec![CopyRun {
+                                start: r.start() + i * 1024,
+                                len: 1024,
+                            }],
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        for batch in &batches {
+            commit_at(&mut sequential, std::slice::from_ref(batch));
+        }
+        commit_at(&mut pipelined, &batches);
+        assert_eq!(
+            sequential.committed_sequence(),
+            pipelined.committed_sequence()
+        );
+        sequential.crash();
+        pipelined.crash();
+        let rs = sequential.recover().unwrap();
+        let rp = pipelined.recover().unwrap();
+        assert_eq!(rs.sequence, rp.sequence);
+        assert_eq!(pipelined.verify_coherent().unwrap(), 3);
+        for tid in 0..4u32 {
+            let r = sequential.stack(tid).range();
+            assert_eq!(
+                sequential.stack(tid).volatile().read(r.start(), 4096),
+                pipelined.stack(tid).volatile().read(r.start(), 4096),
+                "thread {tid}: identical recovered bytes"
+            );
+            assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
         }
     }
 
-    /// The serial pipelined probe stream shows exactly the legal
-    /// overlap: stage(N+1) after seal(N) but before retire(N), and
-    /// seal(N+1) only after every apply(N).
+    /// The pipelined probe stream shows exactly the legal overlap:
+    /// stage(N+1) after seal(N) but before retire(N), and seal(N+1)
+    /// only after every apply(N). Every pass runs in tid order, so the
+    /// stream is one literal list.
     #[test]
     fn pipelined_probe_stream_overlaps_legally() {
-        let mut p = PersistentProcess::new(&ranges(2));
-        for tid in 0..2u32 {
-            let r = p.stack(tid).range();
-            p.record_store(tid, r.start() + 16, &[7; 8]);
-        }
-        let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> =
-            (0..2).map(|_| full_runs(&p, &[0, 1])).collect();
-        let probe = CommitProbe::new();
-        let hooks = CommitHooks {
-            probe: Some(&probe),
-            ..CommitHooks::default()
-        };
-        p.commit_with(&batches, 1, hooks).unwrap();
-        let events = probe.events();
         use CommitProbeEvent as E;
+        let stage = |tid, sequence| E::StageThread { tid, sequence };
+        let apply = |tid, sequence| E::ApplyThread { tid, sequence };
+        let seal = |sequence| E::Seal { sequence };
+        let retire = |sequence| E::Retire { sequence };
+        let probed = |threads: u32, batches: usize| {
+            let tids: Vec<u32> = (0..threads).collect();
+            let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
+            for &tid in &tids {
+                let r = p.stack(tid).range();
+                p.record_store(tid, r.start() + 16, &[7; 8]);
+            }
+            let batches = vec![full_runs(&p, &tids); batches];
+            let probe = CommitProbe::new();
+            let hooks = CommitHooks {
+                probe: Some(&probe),
+                ..CommitHooks::default()
+            };
+            p.commit_with(&batches, hooks).unwrap();
+            probe.events()
+        };
         assert_eq!(
-            events,
+            probed(2, 2),
             vec![
-                E::StageThread {
-                    tid: 0,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 1,
-                    sequence: 1
-                },
-                E::Seal { sequence: 1 },
-                E::ApplyThread {
-                    tid: 0,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 0,
-                    sequence: 2
-                },
-                E::ApplyThread {
-                    tid: 1,
-                    sequence: 1
-                },
-                E::StageThread {
-                    tid: 1,
-                    sequence: 2
-                },
-                E::Retire { sequence: 1 },
-                E::Seal { sequence: 2 },
-                E::ApplyThread {
-                    tid: 0,
-                    sequence: 2
-                },
-                E::ApplyThread {
-                    tid: 1,
-                    sequence: 2
-                },
-                E::Retire { sequence: 2 },
+                stage(0, 1),
+                stage(1, 1),
+                seal(1),
+                apply(0, 1),
+                stage(0, 2),
+                apply(1, 1),
+                stage(1, 2),
+                retire(1),
+                seal(2),
+                apply(0, 2),
+                apply(1, 2),
+                retire(2),
             ],
             "stage(2) interleaves apply(1) — after seal(1), before retire(1)"
         );
-        // At any width the sharpened invariant holds on the stream.
-        let mut p4 = PersistentProcess::new(&ranges(4));
-        let batches4: Vec<BTreeMap<u32, Vec<CopyRun>>> =
-            (0..3).map(|_| full_runs(&p4, &[0, 1, 2, 3])).collect();
-        let probe4 = CommitProbe::new();
-        let hooks = CommitHooks {
-            probe: Some(&probe4),
-            ..CommitHooks::default()
-        };
-        p4.commit_with(&batches4, 4, hooks).unwrap();
-        let ev4 = probe4.events();
-        let pos_seal = |seq: u64| {
-            ev4.iter()
-                .position(|e| *e == E::Seal { sequence: seq })
-                .unwrap()
-        };
+        let ev4 = probed(4, 3);
+        assert_eq!(
+            ev4,
+            vec![
+                stage(0, 1),
+                stage(1, 1),
+                stage(2, 1),
+                stage(3, 1),
+                seal(1),
+                apply(0, 1),
+                stage(0, 2),
+                apply(1, 1),
+                stage(1, 2),
+                apply(2, 1),
+                stage(2, 2),
+                apply(3, 1),
+                stage(3, 2),
+                retire(1),
+                seal(2),
+                apply(0, 2),
+                stage(0, 3),
+                apply(1, 2),
+                stage(1, 3),
+                apply(2, 2),
+                stage(2, 3),
+                apply(3, 2),
+                stage(3, 3),
+                retire(2),
+                seal(3),
+                apply(0, 3),
+                apply(1, 3),
+                apply(2, 3),
+                apply(3, 3),
+                retire(3),
+            ]
+        );
+        // The sharpened invariant, checked on the stream itself.
+        let pos_seal = |seq: u64| ev4.iter().position(|e| *e == seal(seq)).unwrap();
         for seq in 2..=3u64 {
             let seal_prior = pos_seal(seq - 1);
             let seal_this = pos_seal(seq);
@@ -2518,7 +1805,7 @@ mod tests {
             faults: Some(&mut rec_inj),
             ..CommitHooks::default()
         };
-        p.commit_with(&pair, 1, hooks).unwrap();
+        p.commit_with(&pair, hooks).unwrap();
         assert_eq!(p.verify_coherent().unwrap(), 3, "clean pair lands on N+1");
         let sites: Vec<CrashSite> = rec_inj.crossed().to_vec();
         assert!(
@@ -2536,7 +1823,7 @@ mod tests {
                 probe: None,
                 acct: Some(&acct),
             };
-            let err = p.commit_with(&pair, 1, hooks).unwrap_err();
+            let err = p.commit_with(&pair, hooks).unwrap_err();
             assert_eq!(err.site, *site, "deterministic site order");
             let seals = inj
                 .crossed()
@@ -2688,12 +1975,12 @@ mod tests {
         let r1 = p.stack(1).range();
         p.record_store(1, r1.start() + 0x40, b"seq-one");
         let both = full_runs(&p, &[0, 1]);
-        commit_at(&mut p, &[both], 1);
+        commit_at(&mut p, &[both]);
         assert_eq!(p.stack(1).spine_batches(), 1);
         // Sequence 2 stages nothing for thread 1.
         let mut idle = full_runs(&p, &[0]);
         idle.insert(1, Vec::new());
-        commit_at(&mut p, &[idle], 1);
+        commit_at(&mut p, &[idle]);
         assert_eq!(p.stack(1).committed_sequence(), 2);
         assert_eq!(
             p.stack(1).spine_batches(),
@@ -2835,7 +2122,7 @@ mod tests {
                         .collect::<BTreeMap<_, _>>(),
                 );
             }
-            p.commit_pipelined(&batches);
+            commit_at(p, &batches);
         }
         assert_eq!(spine.committed_sequence(), 3);
         assert_eq!(eager.committed_sequence(), 3);
@@ -2865,8 +2152,7 @@ mod tests {
                 acct: Some(&acct),
                 ..CommitHooks::default()
             };
-            p.commit_with(std::slice::from_ref(&runs), 1, hooks)
-                .unwrap();
+            p.commit_with(std::slice::from_ref(&runs), hooks).unwrap();
         }
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();

@@ -78,14 +78,14 @@ fn runs(n: u64) -> BTreeMap<u32, Vec<CopyRun>> {
     BTreeMap::from([(0, runs)])
 }
 
-/// Dirties every run's bytes with `seed`, then commits `runs` on one
-/// worker and counts the commit's allocations (not the stores').
+/// Dirties every run's bytes with `seed`, then commits `runs` and
+/// counts the commit's allocations (not the stores').
 fn commit_counted(p: &mut PersistentProcess, runs: &BTreeMap<u32, Vec<CopyRun>>, seed: u8) -> u64 {
     for run in &runs[&0] {
         p.record_store(0, run.start, &[seed; RUN_BYTES as usize]);
     }
     allocations(|| {
-        p.commit_with(std::slice::from_ref(runs), 1, CommitHooks::default())
+        p.commit_with(std::slice::from_ref(runs), CommitHooks::default())
             .expect("no injector is attached");
     })
 }

@@ -4,8 +4,8 @@
 //! stall segments must exactly tile the measured stall windows —
 //! attributed ns sum to measured stall ns with no gaps and no
 //! overlaps. Exact (not approximate) under the deterministic virtual
-//! clock, across the micro-workload, the parallel commit path at
-//! 1/2/4 workers, and a crash+recover run.
+//! clock, across the micro-workload, the commit path, and a
+//! crash+recover run.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,62 +33,45 @@ fn small() -> CrashMatrixConfig {
 }
 
 #[test]
-fn clean_commit_runs_conserve_at_every_worker_count() {
-    for workers in [1usize, 2, 4] {
-        let run = run_attributed(&small(), workers);
-        run.snapshot
-            .verify_conservation()
-            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-        let per = run.snapshot.per_thread();
-        assert_eq!(per.len(), 2, "both threads stalled");
-        for (tid, t) in &per {
-            assert_eq!(
-                t.attributed_ns, t.window_ns,
-                "thread {tid}: attributed must sum to measured stall"
-            );
-            assert!(t.attributed_ns > 0, "thread {tid} never stalled?");
-            assert!(
-                t.window_ns <= run.total_cycles,
-                "thread {tid}: stall must fit inside the run's wall time"
-            );
-        }
-        // Every commit phase and tracker quiescence shows up.
-        for cause in [
-            StallCause::Stage,
-            StallCause::Seal,
-            StallCause::Apply,
-            StallCause::Quiesce,
-        ] {
-            assert!(
-                run.snapshot.cause_total_ns(cause) > 0,
-                "workers={workers}: no {cause:?} time attributed"
-            );
-        }
-        assert!(run.total_cycles > 0);
+fn clean_commit_runs_conserve() {
+    let run = run_attributed(&small());
+    run.snapshot
+        .verify_conservation()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let per = run.snapshot.per_thread();
+    assert_eq!(per.len(), 2, "both threads stalled");
+    for (tid, t) in &per {
+        assert_eq!(
+            t.attributed_ns, t.window_ns,
+            "thread {tid}: attributed must sum to measured stall"
+        );
+        assert!(t.attributed_ns > 0, "thread {tid} never stalled?");
+        assert!(
+            t.window_ns <= run.total_cycles,
+            "thread {tid}: stall must fit inside the run's wall time"
+        );
     }
+    // Every commit phase and tracker quiescence shows up.
+    for cause in [
+        StallCause::Stage,
+        StallCause::Seal,
+        StallCause::Apply,
+        StallCause::Quiesce,
+    ] {
+        assert!(
+            run.snapshot.cause_total_ns(cause) > 0,
+            "no {cause:?} time attributed"
+        );
+    }
+    assert!(run.total_cycles > 0);
 }
 
 #[test]
-fn attributed_runs_are_deterministic_and_worker_sensitive() {
-    let a = run_attributed(&small(), 2);
-    let b = run_attributed(&small(), 2);
+fn attributed_runs_are_deterministic() {
+    let a = run_attributed(&small());
+    let b = run_attributed(&small());
     assert_eq!(a.snapshot, b.snapshot, "same config ⇒ identical ledger");
     assert_eq!(a.total_cycles, b.total_cycles);
-
-    // The cost model is worker-count sensitive: more workers shorten
-    // the parallel phases (stage/apply), never the serial seal.
-    let w1 = run_attributed(&small(), 1);
-    let w4 = run_attributed(&small(), 4);
-    assert_eq!(
-        w1.snapshot.cause_total_ns(StallCause::Seal),
-        w4.snapshot.cause_total_ns(StallCause::Seal),
-        "seal is the serial point — worker count must not change it"
-    );
-    assert!(
-        w4.snapshot.cause_total_ns(StallCause::Stage)
-            < w1.snapshot.cause_total_ns(StallCause::Stage),
-        "stage time must shrink with more workers"
-    );
 }
 
 #[test]
@@ -215,7 +198,7 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
             probe: Some(&probe),
             acct: Some(&acct),
         };
-        p.commit_with(std::slice::from_ref(&runs), 2, hooks)
+        p.commit_with(std::slice::from_ref(&runs), hooks)
             .expect("no injector is attached");
     }
     let snap = acct.snapshot();
@@ -272,7 +255,7 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
 
 #[test]
 fn snapshot_survives_serde_roundtrip() {
-    let run = run_attributed(&small(), 2);
+    let run = run_attributed(&small());
     let json = serde_json::to_string(&run.snapshot).expect("serialize");
     let back: AttributionSnapshot = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(run.snapshot, back);

@@ -68,11 +68,8 @@ pub const PAGE_SIZE: u64 = 4096;
 
 /// The host's available parallelism (1 if it cannot be read), queried
 /// once per process. `std::thread::available_parallelism` reads
-/// cgroup files on every call, which costs more than a small commit's
-/// copies, so the checkpoint manager's choice of a model worker, every
-/// commit, every redo and the perf suite's pipeline gate share this
-/// one reading. Recovery's redo calls it, so it stays panic-free
-/// (`PA-PANIC004`).
+/// cgroup files on every call, so the checkpoint manager reads this
+/// one value when it decides whether a run gets a model worker.
 pub fn host_parallelism() -> usize {
     static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *HOST

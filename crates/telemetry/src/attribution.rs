@@ -145,8 +145,8 @@ struct Ledger {
 }
 
 /// Collects stall segments and windows from probe sites. `Sync` by
-/// design: the parallel commit path shares it across scoped workers
-/// the same way it shares a `CommitProbe`.
+/// design: one accountant is shared, behind an `Arc`, by the tracker's
+/// quiescence probe, the commit engine and recovery.
 #[derive(Debug)]
 pub struct StallAccountant {
     virtual_ns: AtomicU64,
@@ -171,8 +171,8 @@ impl StallAccountant {
     }
 
     /// Advances the clock by `ns`. Probe sites in simulator code call
-    /// this with simulated-cycle deltas; the parallel commit path
-    /// calls it with modelled costs.
+    /// this with simulated-cycle deltas; the commit engine and
+    /// recovery call it with modelled costs.
     pub fn advance(&self, ns: u64) {
         self.virtual_ns.fetch_add(ns, Ordering::Relaxed);
     }

@@ -102,10 +102,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.commit.phase.merge_ns", InstrumentKind::Histogram),
     ("prosper.commit.phase.seal_ns", InstrumentKind::Histogram),
     ("prosper.commit.phase.stage_ns", InstrumentKind::Histogram),
-    (
-        "prosper.commit.pipeline.burst_ns",
-        InstrumentKind::Histogram,
-    ),
     ("prosper.commit.workers", InstrumentKind::Gauge),
     ("prosper.crashmatrix.failures", InstrumentKind::Counter),
     ("prosper.crashmatrix.sites", InstrumentKind::Counter),

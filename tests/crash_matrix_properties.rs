@@ -210,7 +210,7 @@ proptest! {
                         faults: Some(&mut inj),
                         ..CommitHooks::default()
                     };
-                    match p.commit_with(std::slice::from_ref(&full_runs), 1, hooks) {
+                    match p.commit_with(std::slice::from_ref(&full_runs), hooks) {
                         Ok(()) => {
                             effective_commits += 1;
                             committed.clone_from(&live);

@@ -120,7 +120,6 @@ fn crash_between_stage_and_apply_is_idempotent() {
     let mut inj = FaultInjector::at_site(CrashSite::PostSeal);
     let crashed = process.commit_with(
         std::slice::from_ref(&runs),
-        1,
         CommitHooks {
             faults: Some(&mut inj),
             ..CommitHooks::default()

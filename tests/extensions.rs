@@ -117,7 +117,6 @@ fn register_state_restores_with_memory() {
     let mut inj = FaultInjector::at_site(CrashSite::PreSeal);
     let crashed = p.commit_with(
         std::slice::from_ref(&runs),
-        1,
         CommitHooks {
             faults: Some(&mut inj),
             ..CommitHooks::default()
