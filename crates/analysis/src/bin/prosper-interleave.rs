@@ -5,15 +5,13 @@
 //! ```
 //!
 //! Explores every bounded-preemption schedule of the modelled commit
-//! protocol at 1, 2, and 4 workers (the engine runs the 1-worker
-//! schedule; more workers over-approximate it) — in both the classic
-//! stage/seal/apply form and the PR-7 pipelined form where stage(N+1)
-//! overlaps apply(N) — and reports races, commit-order violations,
-//! and deadlocks. By default it also runs the
-//! *self-test*: each deliberately seeded protocol bug must be
-//! detected, proving the checker has teeth. Exits nonzero when a
-//! correct configuration has findings, or when a seeded bug goes
-//! undetected.
+//! protocol — the coordinator running stage, seal and apply in
+//! program order, and the tracker answering its quiescence handshake
+//! — and reports races, commit-order violations, and deadlocks. By
+//! default it also runs the *self-test*: each deliberately seeded
+//! protocol bug must be detected, proving the checker has teeth.
+//! Exits nonzero when a correct configuration has findings, or when a
+//! seeded bug goes undetected.
 
 #![forbid(unsafe_code)]
 
@@ -27,86 +25,21 @@ struct RunSpec {
     bound: usize,
 }
 
+/// The correct protocol over 2 and 4 stacks and 2 and 3 sequences.
+/// With two model threads the schedule space stays small, so each
+/// runs at preemption bound 4.
 fn correct_configs() -> Vec<RunSpec> {
-    vec![
-        RunSpec {
+    [(2, 2), (4, 2), (2, 3), (4, 3)]
+        .into_iter()
+        .map(|(stacks, sequences)| RunSpec {
             cfg: CommitConfig {
-                workers: 1,
-                stacks: 4,
-                sequences: 2,
-                pipelined: false,
+                stacks,
+                sequences,
                 bug: Bug::None,
             },
-            bound: 2,
-        },
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 2,
-                stacks: 4,
-                sequences: 2,
-                pipelined: false,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 4,
-                stacks: 4,
-                sequences: 1,
-                pipelined: false,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // The PR-7 pipelined protocol: stage(N+1) overlaps apply(N).
-        // Two sequences so the overlap window actually opens.
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 1,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 2,
-        },
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 2,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // Widest exhaustive overlap-window exploration: 3 workers
-        // with uneven chunks. (4 workers x 2 sequences exceeds the
-        // schedule cap even at bound 0.)
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 3,
-                stacks: 4,
-                sequences: 2,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-        // The 4-worker pipelined path for a single burst: the final
-        // drain join replaces the per-sequence apply join.
-        RunSpec {
-            cfg: CommitConfig {
-                workers: 4,
-                stacks: 4,
-                sequences: 1,
-                pipelined: true,
-                bug: Bug::None,
-            },
-            bound: 1,
-        },
-    ]
+            bound: 4,
+        })
+        .collect()
 }
 
 fn bug_configs() -> Vec<RunSpec> {
@@ -114,12 +47,8 @@ fn bug_configs() -> Vec<RunSpec> {
         .iter()
         .map(|&bug| RunSpec {
             cfg: CommitConfig {
-                workers: 2,
                 stacks: 2,
                 sequences: 2,
-                // StageBeforePriorSeal only exists on the pipelined
-                // path; the other seeds break the classic protocol.
-                pipelined: bug == Bug::StageBeforePriorSeal,
                 bug,
             },
             bound: 1,
@@ -140,12 +69,10 @@ fn run_spec(spec: &RunSpec) -> ExploreReport {
 
 fn describe(spec: &RunSpec, report: &ExploreReport) -> String {
     format!(
-        "workers={} stacks={} sequences={} pipelined={} bug={} bound={}: {} schedule(s), \
+        "stacks={} sequences={} bug={} bound={}: {} schedule(s), \
          {} race(s), {} order violation(s), {} deadlock(s){}",
-        spec.cfg.workers,
         spec.cfg.stacks,
         spec.cfg.sequences,
-        spec.cfg.pipelined,
         spec.cfg.bug.name(),
         spec.bound,
         report.schedules,
@@ -157,14 +84,10 @@ fn describe(spec: &RunSpec, report: &ExploreReport) -> String {
 }
 
 fn json_entry(out: &mut String, spec: &RunSpec, report: &ExploreReport, ok: bool) {
-    out.push_str("{\"workers\":");
-    out.push_str(&spec.cfg.workers.to_string());
-    out.push_str(",\"stacks\":");
+    out.push_str("{\"stacks\":");
     out.push_str(&spec.cfg.stacks.to_string());
     out.push_str(",\"sequences\":");
     out.push_str(&spec.cfg.sequences.to_string());
-    out.push_str(",\"pipelined\":");
-    out.push_str(if spec.cfg.pipelined { "true" } else { "false" });
     out.push_str(",\"bug\":");
     json_string(out, spec.cfg.bug.name());
     out.push_str(",\"schedules\":");

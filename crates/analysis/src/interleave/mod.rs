@@ -2,21 +2,21 @@
 //!
 //! The commit engine in `prosper-core`
 //! (`PersistentProcess::commit_with`) runs a stage pass and an apply
-//! pass over every stack around a serial seal, on its calling thread.
-//! Its correctness argument rests on a handful of ordering invariants
-//! (see [`order`]): the seal is the single commit point, stage and
-//! apply for one sequence number never overlap, sequences never
-//! overlap each other, and the tracker quiescence handshake orders
-//! bitmap clears against mutator writes.
+//! pass over every stack around a serial seal, on its calling thread,
+//! one sequence per call. Its correctness argument rests on a handful
+//! of ordering invariants (see [`order`]): the seal is the single
+//! commit point, stage and apply for one sequence number never
+//! overlap, sequences never overlap each other, and the tracker
+//! quiescence handshake orders bitmap clears against mutator writes.
 //!
 //! This module checks those invariants *exhaustively* on a model:
 //!
-//! * [`model`] builds a faithful synchronization skeleton of the
-//!   protocol — coordinator, N stage/apply workers (N = 1 is the
-//!   engine's schedule; more over-approximate it), a tracker thread —
-//!   as explicit steps with acquire/release edges and shared-location
-//!   accesses, plus deliberately seeded bugs ([`model::Bug`]) that
-//!   drop specific edges.
+//! * [`model`] builds a synchronization skeleton of the protocol —
+//!   the coordinator, which runs the commit in program order, and the
+//!   tracker thread it handshakes with — as explicit steps with
+//!   acquire/release edges and shared-location accesses, plus
+//!   deliberately seeded bugs ([`model::Bug`]) that each drop one
+//!   handshake edge.
 //! * [`explorer`] enumerates every schedule of that skeleton under a
 //!   preemption bound (DFS over enabled threads), maintaining vector
 //!   clocks ([`vclock`]) to flag happens-before races, and checks the

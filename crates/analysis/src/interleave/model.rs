@@ -1,25 +1,28 @@
 //! A synchronization skeleton of the commit protocol, plus
 //! deliberately seeded bugs.
 //!
-//! Thread layout follows the roles of the commit engine
-//! (`commit_with`) in `crates/core/src/recovery.rs`:
+//! Thread layout follows the two roles that still run concurrently
+//! around the commit engine (`commit_with` in
+//! `crates/core/src/recovery.rs`):
 //!
-//! * thread `0` — the **coordinator**: quiescence handshake, bitmap
-//!   inspect+clear, serial seal, record retire;
-//! * threads `1..=workers` — **stage/apply workers** over contiguous
-//!   chunks of stacks. The engine runs every stage and apply pass on
-//!   its calling thread, one stack at a time in tid order, which is
-//!   the W = 1 model; W > 1 over-approximates it, admitting every
-//!   interleaving of per-stack passes a parallel pass could produce;
-//! * thread `workers + 1` — the **tracker/mutator**: dirties stack
-//!   words and bitmap bits between commits and answers the
-//!   quiescence handshake.
+//! * thread `0` — the **coordinator**, the OS side: quiescence
+//!   handshake, bitmap inspect+clear, then the commit in program
+//!   order — stage every stack, seal, resume the mutator, apply every
+//!   stack, retire the record. The engine runs every per-stack pass
+//!   on its calling thread, so stage, seal and apply need no edges of
+//!   their own;
+//! * thread `1` — the **tracker/mutator**: dirties stack words and
+//!   bitmap bits between commits and answers the quiescence
+//!   handshake.
 //!
 //! Synchronization is modelled as counting semaphores with
 //! release/acquire vector-clock edges; shared state as explicit
-//! locations. The [`Bug`] variants each drop exactly one edge the
-//! real protocol relies on, so the explorer's detection of each one
-//! is a regression test of the checker itself.
+//! locations: each stack's bitmap words and its live stack words, the
+//! only state both threads touch (staging buffers, persistent images
+//! and the commit record are the coordinator's alone). The handshake
+//! has exactly two edges, and each [`Bug`] variant drops one of them,
+//! so the explorer's detection of each one is a regression test of the
+//! checker itself.
 
 use super::order::OrderEvent;
 
@@ -82,47 +85,26 @@ pub struct Program {
 pub enum Bug {
     /// The correct protocol.
     None,
-    /// The coordinator seals without waiting for stage workers: the
-    /// seal stops being the commit point for late-staged stacks.
-    SealBeforeStageDone,
-    /// Apply workers share an unsynchronized progress cursor: a
-    /// write-write race.
-    SharedApplyCursor,
     /// The coordinator inspects bitmaps without the tracker
     /// quiescence handshake: a torn bitmap read/clear race.
     SkipQuiesceHandshake,
-    /// The coordinator starts the next sequence without waiting for
-    /// apply completion: commit sequences overlap. In the pipelined
-    /// program this drops the apply-drain edge in front of the next
-    /// seal — the sharpened invariant's second half.
-    OverlappedSequences,
-    /// Pipelined-only: the coordinator opens the next sequence's
-    /// stage gate *before* this sequence's seal, so workers can stage
-    /// N+1 buffers while N is still discardable — the sharpened
-    /// invariant's first half.
-    StageBeforePriorSeal,
+    /// The tracker dirties sequence s+1 without waiting for the
+    /// coordinator to resume it after seal(s): its stores race the
+    /// inspection and staging of sequence s.
+    SkipResumeHandshake,
 }
 
 impl Bug {
     /// Every seeded bug (excluding `None`).
-    pub const ALL: &'static [Bug] = &[
-        Bug::SealBeforeStageDone,
-        Bug::SharedApplyCursor,
-        Bug::SkipQuiesceHandshake,
-        Bug::OverlappedSequences,
-        Bug::StageBeforePriorSeal,
-    ];
+    pub const ALL: &'static [Bug] = &[Bug::SkipQuiesceHandshake, Bug::SkipResumeHandshake];
 
     /// Short stable name for reports.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
             Bug::None => "none",
-            Bug::SealBeforeStageDone => "seal-before-stage-done",
-            Bug::SharedApplyCursor => "shared-apply-cursor",
             Bug::SkipQuiesceHandshake => "skip-quiesce-handshake",
-            Bug::OverlappedSequences => "overlapped-sequences",
-            Bug::StageBeforePriorSeal => "stage-before-prior-seal",
+            Bug::SkipResumeHandshake => "skip-resume-handshake",
         }
     }
 }
@@ -130,21 +112,15 @@ impl Bug {
 /// Parameters of a modelled commit run.
 #[derive(Clone, Copy, Debug)]
 pub struct CommitConfig {
-    /// Number of stage/apply worker threads.
-    pub workers: usize,
     /// Number of stacks (per-thread program stacks being committed).
     pub stacks: usize,
     /// Number of back-to-back commit sequences.
     pub sequences: u64,
-    /// Model the PR-7 pipelined protocol: the coordinator defers the
-    /// apply join, so stage(N+1) legally overlaps apply(N); seal(N+1)
-    /// still waits for apply(N) to drain.
-    pub pipelined: bool,
     /// Which protocol edge, if any, to break.
     pub bug: Bug,
 }
 
-/// Locations per stack plus the shared record and cursor.
+/// The two locations of each stack.
 struct Locs {
     stacks: usize,
 }
@@ -156,84 +132,42 @@ impl Locs {
     fn volatile(&self, t: usize) -> Loc {
         self.stacks + t
     }
-    fn staging(&self, t: usize) -> Loc {
-        2 * self.stacks + t
-    }
-    fn persistent(&self, t: usize) -> Loc {
-        3 * self.stacks + t
-    }
-    fn record(&self) -> Loc {
-        4 * self.stacks
-    }
-    fn cursor(&self) -> Loc {
-        4 * self.stacks + 1
-    }
     fn names(&self) -> Vec<String> {
         let mut v = Vec::new();
-        for kind in ["bitmap", "volatile", "staging", "persistent"] {
+        for kind in ["bitmap", "volatile"] {
             for t in 0..self.stacks {
                 v.push(format!("{kind}[{t}]"));
             }
         }
-        v.push("commit_record".into());
-        v.push("apply_cursor".into());
         v
     }
 }
 
-/// Semaphores per sequence.
+/// The two handshake semaphores of each sequence.
 struct Syncs;
 
 impl Syncs {
-    const PER_SEQ: usize = 6;
+    const PER_SEQ: usize = 2;
     fn quiesced(s: u64) -> usize {
         Self::PER_SEQ * s as usize
     }
     fn resume(s: u64) -> usize {
         Self::PER_SEQ * s as usize + 1
     }
-    fn stage_go(s: u64) -> usize {
-        Self::PER_SEQ * s as usize + 2
-    }
-    fn stage_done(s: u64) -> usize {
-        Self::PER_SEQ * s as usize + 3
-    }
-    fn apply_go(s: u64) -> usize {
-        Self::PER_SEQ * s as usize + 4
-    }
-    fn apply_done(s: u64) -> usize {
-        Self::PER_SEQ * s as usize + 5
-    }
-}
-
-/// The contiguous chunk of stacks worker `w` (1-based model tid)
-/// owns. The engine passes over all stacks in tid order on one thread;
-/// with W > 1 the model splits them into static chunks, which
-/// over-approximates that serial pass for the properties checked here
-/// (each stack is staged and applied exactly once per sequence by a
-/// single owner, and the owner carries the program-order edge between
-/// apply(N) and the staging-buffer reuse in stage(N+1)).
-fn chunk(w: usize, workers: usize, stacks: usize) -> std::ops::Range<usize> {
-    let per = stacks.div_ceil(workers);
-    let start = (w - 1) * per;
-    start.min(stacks)..(start + per).min(stacks)
 }
 
 /// Builds the model program for one commit configuration.
-// Threads are addressed by model tid (coordinator 0, workers 1..=W,
-// tracker W+1); indexing reads clearer than enumerate-skip-take here.
-#[allow(clippy::needless_range_loop)]
 #[must_use]
 pub fn commit_program(cfg: &CommitConfig) -> Program {
     let locs = Locs { stacks: cfg.stacks };
-    let coordinator = 0usize;
-    let tracker = cfg.workers + 1;
-    let mut threads: Vec<Vec<Step>> = vec![Vec::new(); cfg.workers + 2];
+    let mut coordinator: Vec<Step> = Vec::new();
+    let mut tracker: Vec<Step> = Vec::new();
 
     for s in 0..cfg.sequences {
-        // Tracker/mutator: dirty stacks, then answer the handshake.
-        if s > 0 {
-            threads[tracker].push(Step {
+        // Tracker/mutator: wait to be resumed, dirty stacks, then
+        // answer the handshake.
+        if s > 0 && cfg.bug != Bug::SkipResumeHandshake {
+            tracker.push(Step {
                 sync: Some(SyncAction::Acquire {
                     sync: Syncs::resume(s - 1),
                     need: 1,
@@ -243,7 +177,7 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
             });
         }
         for t in 0..cfg.stacks {
-            threads[tracker].push(Step {
+            tracker.push(Step {
                 accesses: vec![
                     Access::Write(locs.volatile(t)),
                     Access::Write(locs.bitmap(t)),
@@ -252,16 +186,16 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
                 ..Step::default()
             });
         }
-        threads[tracker].push(Step {
+        tracker.push(Step {
             sync: Some(SyncAction::Release(Syncs::quiesced(s))),
             event: Some(OrderEvent::Quiesced { seq: s }),
             label: "tracker: quiesced",
             ..Step::default()
         });
 
-        // Coordinator.
+        // Coordinator, in the engine's program order.
         if cfg.bug != Bug::SkipQuiesceHandshake {
-            threads[coordinator].push(Step {
+            coordinator.push(Step {
                 sync: Some(SyncAction::Acquire {
                     sync: Syncs::quiesced(s),
                     need: 1,
@@ -271,7 +205,7 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
             });
         }
         for t in 0..cfg.stacks {
-            threads[coordinator].push(Step {
+            coordinator.push(Step {
                 accesses: vec![Access::Read(locs.bitmap(t)), Access::Write(locs.bitmap(t))],
                 event: Some(OrderEvent::Inspect {
                     seq: s,
@@ -281,200 +215,47 @@ pub fn commit_program(cfg: &CommitConfig) -> Program {
                 ..Step::default()
             });
         }
-        threads[coordinator].push(Step {
-            sync: Some(SyncAction::Release(Syncs::stage_go(s))),
-            label: "coordinator: start stage",
+        for t in 0..cfg.stacks {
+            coordinator.push(Step {
+                accesses: vec![Access::Read(locs.volatile(t))],
+                event: Some(OrderEvent::Stage {
+                    seq: s,
+                    tid: t as u32,
+                }),
+                label: "coordinator: stage runs",
+                ..Step::default()
+            });
+        }
+        coordinator.push(Step {
+            event: Some(OrderEvent::Seal { seq: s }),
+            label: "coordinator: serial seal",
             ..Step::default()
         });
-        if cfg.bug != Bug::SealBeforeStageDone {
-            threads[coordinator].push(Step {
-                sync: Some(SyncAction::Acquire {
-                    sync: Syncs::stage_done(s),
-                    need: cfg.workers as u64,
-                }),
-                label: "coordinator: join stage",
-                ..Step::default()
-            });
-        }
-        if cfg.pipelined && s > 0 {
-            // The seal seeded away by StageBeforePriorSeal lands
-            // here: only after the next sequence finished staging —
-            // the commit point drifted behind the staged-ahead work.
-            if cfg.bug == Bug::StageBeforePriorSeal {
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Seal { seq: s - 1 }),
-                    label: "coordinator: late seal of prior sequence (bug)",
-                    ..Step::default()
-                });
-            }
-            // Sharpened invariant, second half: the next seal waits
-            // for the prior sequence's drain window to close — the
-            // apply join plus the record retire. OverlappedSequences
-            // drops both: it seals ahead with the predecessor's
-            // cleanup outstanding (the retire lands after the seal,
-            // below).
-            if cfg.bug != Bug::OverlappedSequences {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s - 1),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: drain prior apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s - 1 }),
-                    label: "coordinator: retire prior record",
-                    ..Step::default()
-                });
-            }
-        }
-        let defer_seal =
-            cfg.pipelined && cfg.bug == Bug::StageBeforePriorSeal && s + 1 < cfg.sequences;
-        if !defer_seal {
-            threads[coordinator].push(Step {
-                accesses: vec![Access::Write(locs.record())],
-                event: Some(OrderEvent::Seal { seq: s }),
-                label: "coordinator: serial seal",
-                ..Step::default()
-            });
-        }
-        if cfg.pipelined && s > 0 && cfg.bug == Bug::OverlappedSequences {
-            // The dropped drain edge: the prior record retires only
-            // after this sequence already sealed.
-            threads[coordinator].push(Step {
-                accesses: vec![Access::Write(locs.record())],
-                event: Some(OrderEvent::Retire { seq: s - 1 }),
-                label: "coordinator: late retire of prior record (bug)",
-                ..Step::default()
-            });
-        }
-        threads[coordinator].push(Step {
+        coordinator.push(Step {
             sync: Some(SyncAction::Release(Syncs::resume(s))),
             label: "coordinator: resume mutator",
             ..Step::default()
         });
-        threads[coordinator].push(Step {
-            sync: Some(SyncAction::Release(Syncs::apply_go(s))),
-            label: "coordinator: start apply",
+        for t in 0..cfg.stacks {
+            coordinator.push(Step {
+                event: Some(OrderEvent::Apply {
+                    seq: s,
+                    tid: t as u32,
+                }),
+                label: "coordinator: apply staged runs",
+                ..Step::default()
+            });
+        }
+        coordinator.push(Step {
+            event: Some(OrderEvent::Retire { seq: s }),
+            label: "coordinator: retire record",
             ..Step::default()
         });
-        if cfg.pipelined {
-            // Pipelined: no apply join here — the next iteration's
-            // stage legally overlaps this apply's drain. The drain is
-            // joined just before the *next* seal (above), or after
-            // the loop for the final sequence.
-            if s + 1 == cfg.sequences {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: join final apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s }),
-                    label: "coordinator: retire record",
-                    ..Step::default()
-                });
-            }
-        } else {
-            let overlap = cfg.bug == Bug::OverlappedSequences && s + 1 < cfg.sequences;
-            if !overlap {
-                threads[coordinator].push(Step {
-                    sync: Some(SyncAction::Acquire {
-                        sync: Syncs::apply_done(s),
-                        need: cfg.workers as u64,
-                    }),
-                    label: "coordinator: join apply",
-                    ..Step::default()
-                });
-                threads[coordinator].push(Step {
-                    accesses: vec![Access::Write(locs.record())],
-                    event: Some(OrderEvent::Retire { seq: s }),
-                    label: "coordinator: retire record",
-                    ..Step::default()
-                });
-            }
-        }
-
-        // Workers.
-        for w in 1..=cfg.workers {
-            let my = chunk(w, cfg.workers, cfg.stacks);
-            threads[w].push(Step {
-                sync: Some(SyncAction::Acquire {
-                    sync: Syncs::stage_go(s),
-                    need: 1,
-                }),
-                label: "worker: wait for stage",
-                ..Step::default()
-            });
-            for t in my.clone() {
-                threads[w].push(Step {
-                    accesses: vec![
-                        Access::Read(locs.volatile(t)),
-                        Access::Write(locs.staging(t)),
-                    ],
-                    event: Some(OrderEvent::Stage {
-                        seq: s,
-                        tid: t as u32,
-                    }),
-                    label: "worker: stage runs",
-                    ..Step::default()
-                });
-            }
-            threads[w].push(Step {
-                sync: Some(SyncAction::Release(Syncs::stage_done(s))),
-                label: "worker: stage done",
-                ..Step::default()
-            });
-            threads[w].push(Step {
-                sync: Some(SyncAction::Acquire {
-                    sync: Syncs::apply_go(s),
-                    need: 1,
-                }),
-                label: "worker: wait for apply",
-                ..Step::default()
-            });
-            for t in my {
-                let mut accesses = vec![
-                    Access::Read(locs.staging(t)),
-                    Access::Write(locs.persistent(t)),
-                ];
-                if cfg.bug == Bug::SharedApplyCursor {
-                    accesses.push(Access::Write(locs.cursor()));
-                }
-                threads[w].push(Step {
-                    accesses,
-                    event: Some(OrderEvent::Apply {
-                        seq: s,
-                        tid: t as u32,
-                    }),
-                    label: "worker: apply staged runs",
-                    ..Step::default()
-                });
-            }
-            threads[w].push(Step {
-                sync: Some(SyncAction::Release(Syncs::apply_done(s))),
-                label: "worker: apply done",
-                ..Step::default()
-            });
-        }
     }
-
-    let mut thread_names = vec!["coordinator".to_owned()];
-    for w in 1..=cfg.workers {
-        thread_names.push(format!("worker[{w}]"));
-    }
-    thread_names.push("tracker".to_owned());
 
     Program {
-        threads,
-        thread_names,
+        threads: vec![coordinator, tracker],
+        thread_names: vec!["coordinator".to_owned(), "tracker".to_owned()],
         locations: locs.names(),
         syncs: Syncs::PER_SEQ * cfg.sequences as usize,
     }
@@ -485,85 +266,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_chunking_covers_all_stacks() {
-        assert_eq!(chunk(1, 2, 4), 0..2);
-        assert_eq!(chunk(2, 2, 4), 2..4);
-        assert_eq!(chunk(1, 4, 2), 0..1);
-        assert_eq!(chunk(3, 4, 2), 2..2); // idle worker
-    }
-
-    #[test]
     fn program_shape() {
         let p = commit_program(&CommitConfig {
-            workers: 2,
             stacks: 2,
             sequences: 1,
-            pipelined: false,
             bug: Bug::None,
         });
-        assert_eq!(p.threads.len(), 4);
-        assert_eq!(p.thread_names.len(), 4);
-        assert_eq!(p.syncs, 6);
-        // Coordinator emits exactly one seal per sequence.
-        let seals = p.threads[0]
-            .iter()
-            .filter(|s| matches!(s.event, Some(OrderEvent::Seal { .. })))
-            .count();
-        assert_eq!(seals, 1);
-    }
-
-    /// The pipelined coordinator releases the next sequence's stage
-    /// gate before joining the prior apply — the structural overlap —
-    /// while still sealing exactly once per sequence.
-    #[test]
-    fn pipelined_program_defers_the_apply_join() {
-        let p = commit_program(&CommitConfig {
-            workers: 2,
-            stacks: 2,
-            sequences: 2,
-            pipelined: true,
-            bug: Bug::None,
-        });
-        let labels: Vec<&str> = p.threads[0].iter().map(|s| s.label).collect();
-        let second_stage_go = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == "coordinator: start stage")
-            .nth(1)
-            .map(|(i, _)| i)
-            .expect("two sequences start staging");
-        let drain = labels
-            .iter()
-            .position(|l| *l == "coordinator: drain prior apply")
-            .expect("the prior apply is drained before the next seal");
-        assert!(
-            second_stage_go < drain,
-            "stage(1) must open before apply(0) is joined: {labels:?}"
+        assert_eq!(p.threads.len(), 2);
+        assert_eq!(p.thread_names.len(), 2);
+        assert_eq!(p.syncs, 2);
+        // Coordinator emits exactly one seal per sequence, after every
+        // stage and before every apply: program order on one thread.
+        let events: Vec<OrderEvent> = p.threads[0].iter().filter_map(|s| s.event).collect();
+        assert_eq!(
+            events,
+            [
+                OrderEvent::Inspect { seq: 0, tid: 0 },
+                OrderEvent::Inspect { seq: 0, tid: 1 },
+                OrderEvent::Stage { seq: 0, tid: 0 },
+                OrderEvent::Stage { seq: 0, tid: 1 },
+                OrderEvent::Seal { seq: 0 },
+                OrderEvent::Apply { seq: 0, tid: 0 },
+                OrderEvent::Apply { seq: 0, tid: 1 },
+                OrderEvent::Retire { seq: 0 },
+            ]
         );
-        let seals = p.threads[0]
-            .iter()
-            .filter(|s| matches!(s.event, Some(OrderEvent::Seal { .. })))
-            .count();
-        assert_eq!(seals, 2);
-        let retires = p.threads[0]
-            .iter()
-            .filter(|s| matches!(s.event, Some(OrderEvent::Retire { .. })))
-            .count();
-        assert_eq!(retires, 2);
     }
 
     #[test]
     fn bugged_programs_differ_from_correct() {
         for &bug in Bug::ALL {
-            // StageBeforePriorSeal only exists on the pipelined path;
-            // a step-count diff cannot see its reordering, so compare
-            // the full per-thread (label, access-count) shape.
-            let pipelined = bug == Bug::StageBeforePriorSeal;
             let cfg = |bug| CommitConfig {
-                workers: 2,
                 stacks: 2,
                 sequences: 2,
-                pipelined,
                 bug,
             };
             let shape = |prog: &Program| {

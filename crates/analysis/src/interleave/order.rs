@@ -22,7 +22,7 @@ pub enum OrderEvent {
         /// Stack/thread id whose bitmap was inspected.
         tid: u32,
     },
-    /// A worker staged one stack's runs.
+    /// The engine staged one stack's runs.
     Stage {
         /// Commit sequence number.
         seq: u64,
@@ -34,7 +34,7 @@ pub enum OrderEvent {
         /// Commit sequence number.
         seq: u64,
     },
-    /// A worker applied one stack's staged runs.
+    /// The engine applied one stack's staged runs.
     Apply {
         /// Commit sequence number.
         seq: u64,
@@ -107,36 +107,15 @@ pub enum OrderViolation {
         /// Offending sequence.
         seq: u64,
     },
-    /// A later sequence staged before the earlier sequence's seal:
-    /// the staged-ahead buffers would belong to a sequence whose
-    /// predecessor can still be discarded wholesale. (Staging *after*
-    /// the prior seal, while the prior apply drains, is the legal
-    /// pipelined overlap.)
-    StageBeforePriorSeal {
-        /// The not-yet-sealed earlier sequence.
+    /// A later sequence staged or sealed while the earlier, sealed
+    /// sequence's record was still live (its retire missing or
+    /// late): the two sequences overlap, so the new staging or commit
+    /// point lands on top of a predecessor that has not finished
+    /// applying.
+    SequenceOverlap {
+        /// The sealed, not-yet-retired earlier sequence.
         earlier: u64,
-        /// The prematurely staged later sequence.
-        later: u64,
-        /// Stack staged early.
-        tid: u32,
-    },
-    /// A later sequence sealed before the earlier sequence finished
-    /// applying: the new commit point lands on top of half-applied
-    /// predecessor state.
-    SealBeforePriorApplyDone {
-        /// The still-applying earlier sequence.
-        earlier: u64,
-        /// The prematurely sealed later sequence.
-        later: u64,
-    },
-    /// A later sequence sealed while the earlier sequence's record
-    /// was still live (retire missing or late): the coordinator moved
-    /// on with the predecessor's drain and record cleanup
-    /// outstanding.
-    SealBeforePriorRetire {
-        /// The not-yet-retired earlier sequence.
-        earlier: u64,
-        /// The prematurely sealed later sequence.
+        /// The later sequence that started early.
         later: u64,
     },
     /// A bitmap inspection happened before the quiescence handshake
@@ -188,26 +167,10 @@ impl fmt::Display for OrderViolation {
             OrderViolation::RetireBeforeApply { seq } => {
                 write!(f, "sequence {seq} retired before all applies finished")
             }
-            OrderViolation::StageBeforePriorSeal {
-                earlier,
-                later,
-                tid,
-            } => {
+            OrderViolation::SequenceOverlap { earlier, later } => {
                 write!(
                     f,
-                    "stack {tid} staged for sequence {later} before sequence {earlier} sealed"
-                )
-            }
-            OrderViolation::SealBeforePriorApplyDone { earlier, later } => {
-                write!(
-                    f,
-                    "sequence {later} sealed before sequence {earlier} finished applying"
-                )
-            }
-            OrderViolation::SealBeforePriorRetire { earlier, later } => {
-                write!(
-                    f,
-                    "sequence {later} sealed before sequence {earlier}'s record retired"
+                    "sequence {later} staged or sealed before sequence {earlier} retired"
                 )
             }
             OrderViolation::InspectBeforeQuiesce { seq, tid } => {
@@ -298,61 +261,30 @@ pub fn check_order(events: &[OrderEvent]) -> Vec<OrderViolation> {
         }
     }
 
-    // The sharpened cross-sequence invariant (PR 7). The pipelined
-    // commit makes one overlap *legal*: stage(N+1) may run inside
-    // apply(N)'s drain window — hiding the next stage behind the
-    // drain is the pipeline's entire win. What stays forbidden is
-    // sharpened accordingly: no stage(N+1) before seal(N) (the
-    // staged-ahead buffers would outlive a discardable predecessor),
-    // and no seal(N+1) before apply(N) fully drains (the new commit
-    // point would land on half-applied predecessor state). Everything
-    // else — apply(N+1), retire(N+1) — is transitively ordered
-    // through its own seal by the per-sequence checks above.
+    // One sequence at a time: once sequence N has sealed, nothing of
+    // N+1 may stage or seal before retire(N) closes N. Everything else
+    // of N+1 — apply, retire — is ordered through its own seal by the
+    // per-sequence checks above. Only enforced when seal(N+1) is in the
+    // trace, so a crash-truncated stream is not penalized for a retire
+    // it never reached.
     for window in seqs.windows(2) {
         let (earlier, later) = (window[0], window[1]);
-        let seal_earlier = events
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Seal { seq: s } if *s == earlier));
-        if let Some(se) = seal_earlier {
-            for e in events.iter().take(se) {
-                if let OrderEvent::Stage { seq: s, tid } = *e {
-                    if s == later {
-                        out.push(OrderViolation::StageBeforePriorSeal {
-                            earlier,
-                            later,
-                            tid,
-                        });
-                    }
-                }
-            }
+        let sealed = |seq: u64| {
+            events
+                .iter()
+                .any(|e| matches!(e, OrderEvent::Seal { seq: s } if *s == seq))
+        };
+        if !sealed(earlier) || !sealed(later) {
+            continue;
         }
-        let seal_later = events
-            .iter()
-            .position(|e| matches!(e, OrderEvent::Seal { seq: s } if *s == later));
-        let last_apply_earlier = events
-            .iter()
-            .rposition(|e| matches!(e, OrderEvent::Apply { seq: s, .. } if *s == earlier));
-        if let (Some(sl), Some(la)) = (seal_later, last_apply_earlier) {
-            if sl < la {
-                out.push(OrderViolation::SealBeforePriorApplyDone { earlier, later });
-            }
-        }
-        // The retire closes the earlier sequence's drain window (it
-        // follows the last apply by the per-sequence rule above); the
-        // next commit point must not pass a still-open window. Only
-        // enforced when the later seal is in the trace, so a
-        // crash-truncated stream is not penalized for a retire it
-        // never reached.
         let retire_earlier = events
             .iter()
             .position(|e| matches!(e, OrderEvent::Retire { seq: s } if *s == earlier));
-        if let Some(sl) = seal_later {
-            let sealed_earlier = events
-                .iter()
-                .any(|e| matches!(e, OrderEvent::Seal { seq: s } if *s == earlier));
-            if sealed_earlier && retire_earlier.is_none_or(|r| sl < r) {
-                out.push(OrderViolation::SealBeforePriorRetire { earlier, later });
-            }
+        let first_later = events.iter().position(|e| {
+            matches!(e, OrderEvent::Stage { seq: s, .. } | OrderEvent::Seal { seq: s } if *s == later)
+        });
+        if first_later.is_some_and(|l| retire_earlier.is_none_or(|r| l < r)) {
+            out.push(OrderViolation::SequenceOverlap { earlier, later });
         }
     }
 
@@ -437,48 +369,52 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_overlap_after_prior_seal_is_legal() {
-        // PR 7: sequence 2 stages inside sequence 1's apply drain —
-        // after seal(1), before retire(1). This was a violation under
-        // the pre-pipeline checker and is the legal overlap now.
+    fn pipelined_overlap_after_prior_seal_is_flagged() {
+        // Sequence 2 stages inside sequence 1's apply — after seal(1),
+        // before retire(1). The engine commits one sequence at a time,
+        // so this overlap is a violation.
         let mut t = good_trace();
         t.insert(5, OrderEvent::Stage { seq: 2, tid: 0 });
         t.push(OrderEvent::Seal { seq: 2 });
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.is_empty(), "legal pipelined overlap rejected: {v:?}");
+        assert_eq!(
+            v,
+            [OrderViolation::SequenceOverlap {
+                earlier: 1,
+                later: 2
+            }]
+        );
+        // A trace cut inside apply(1), before anything of sequence 2
+        // sealed, stays clean: its missing retire(1) is no violation.
+        assert!(check_order(&good_trace()[..6]).is_empty());
     }
 
     #[test]
     fn detects_stage_before_prior_seal() {
-        // The sharpened boundary: the same staged-ahead work becomes a
-        // violation the moment it slides before seal(1).
         let mut t = good_trace();
         t.insert(2, OrderEvent::Stage { seq: 2, tid: 0 });
         t.push(OrderEvent::Seal { seq: 2 });
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.contains(&OrderViolation::StageBeforePriorSeal {
+        assert!(v.contains(&OrderViolation::SequenceOverlap {
             earlier: 1,
-            later: 2,
-            tid: 0
+            later: 2
         }));
     }
 
     #[test]
     fn detects_seal_before_prior_apply_done() {
-        // Sequence 2 stages legally (after seal(1)) but seals while
-        // apply(1) is still draining: the second commit point must
-        // wait for the drain.
+        // Sequence 2 seals while apply(1) is still running.
         let mut t = good_trace();
         t.insert(5, OrderEvent::Stage { seq: 2, tid: 0 });
         t.insert(6, OrderEvent::Seal { seq: 2 });
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.contains(&OrderViolation::SealBeforePriorApplyDone {
+        assert!(v.contains(&OrderViolation::SequenceOverlap {
             earlier: 1,
             later: 2
         }));
@@ -486,10 +422,8 @@ mod tests {
 
     #[test]
     fn detects_seal_before_prior_retire() {
-        // Sequence 2 stages and seals only after apply(1) drained, but
-        // the coordinator never closed sequence 1's record (retire
-        // missing): the overlap left the predecessor's cleanup
-        // outstanding.
+        // Sequence 2 stages and seals only after apply(1) finished, but
+        // sequence 1's record never retired.
         let mut t = good_trace();
         t.pop(); // drop Retire { seq: 1 }
         t.push(OrderEvent::Stage { seq: 2, tid: 0 });
@@ -497,7 +431,7 @@ mod tests {
         t.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t.push(OrderEvent::Retire { seq: 2 });
         let v = check_order(&t);
-        assert!(v.contains(&OrderViolation::SealBeforePriorRetire {
+        assert!(v.contains(&OrderViolation::SequenceOverlap {
             earlier: 1,
             later: 2
         }));
@@ -510,7 +444,7 @@ mod tests {
         t2.push(OrderEvent::Apply { seq: 2, tid: 0 });
         t2.push(OrderEvent::Retire { seq: 2 });
         let v2 = check_order(&t2);
-        assert!(v2.contains(&OrderViolation::SealBeforePriorRetire {
+        assert!(v2.contains(&OrderViolation::SequenceOverlap {
             earlier: 1,
             later: 2
         }));

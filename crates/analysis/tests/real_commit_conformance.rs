@@ -57,11 +57,11 @@ fn to_trace(events: &[CommitProbeEvent]) -> Vec<OrderEvent> {
         .collect()
 }
 
-/// Commits `batches` through the commit engine with `probe` attached
+/// Commits `runs` through the commit engine with `probe` attached
 /// (and `inj`, when given).
 fn commit_probed(
     p: &mut PersistentProcess,
-    batches: &[BTreeMap<u32, Vec<CopyRun>>],
+    runs: &BTreeMap<u32, Vec<CopyRun>>,
     probe: &CommitProbe,
     inj: Option<&mut FaultInjector>,
 ) {
@@ -70,7 +70,7 @@ fn commit_probed(
         probe: Some(probe),
         acct: None,
     };
-    p.commit_with(batches, hooks)
+    p.commit_with(runs, hooks)
         .expect("no injector that fires is attached");
 }
 
@@ -79,19 +79,8 @@ fn probe_commit(threads: u32, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        commit_probed(&mut p, std::slice::from_ref(&runs), &probe, None);
+        commit_probed(&mut p, &runs, &probe, None);
     }
-    to_trace(&probe.events())
-}
-
-/// Drives the real pipelined burst (a multi-batch `commit_with`) and
-/// returns its probe stream as a checker trace.
-fn probe_pipelined(threads: u32, batches: usize) -> Vec<OrderEvent> {
-    let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
-    let runs = full_runs(&p, threads);
-    let batches: Vec<_> = (0..batches).map(|_| runs.clone()).collect();
-    let probe = CommitProbe::new();
-    commit_probed(&mut p, &batches, &probe, None);
     to_trace(&probe.events())
 }
 
@@ -105,28 +94,22 @@ fn probe_spine(threads: u32, commits: u64) -> Vec<OrderEvent> {
     let runs = full_runs(&p, threads);
     let probe = CommitProbe::new();
     for _ in 0..commits {
-        commit_probed(&mut p, std::slice::from_ref(&runs), &probe, None);
+        commit_probed(&mut p, &runs, &probe, None);
     }
     to_trace(&probe.events())
 }
 
 /// Probe streams of commits run with a disabled injector attached, as
-/// the crash matrix runs them: an eager commit
-/// followed by a 3-batch pipelined burst, and three spine commits that
-/// merge. One trace per process.
+/// the crash matrix runs them: four eager commits, and three spine
+/// commits that merge. One trace per process.
 fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
     let mut inj = FaultInjector::disabled();
     let mut eager = PersistentProcess::new(&ranges(u64::from(threads)));
     let runs = full_runs(&eager, threads);
     let probe = CommitProbe::new();
-    commit_probed(
-        &mut eager,
-        std::slice::from_ref(&runs),
-        &probe,
-        Some(&mut inj),
-    );
-    let burst = [runs.clone(), runs.clone(), runs.clone()];
-    commit_probed(&mut eager, &burst, &probe, Some(&mut inj));
+    for _ in 0..4 {
+        commit_probed(&mut eager, &runs, &probe, Some(&mut inj));
+    }
     let eager_trace = to_trace(&probe.events());
 
     let mut spine = PersistentProcess::new_with_spine(
@@ -135,12 +118,7 @@ fn probe_crash_windowed(threads: u32) -> [Vec<OrderEvent>; 2] {
     );
     let probe = CommitProbe::new();
     for _ in 0..3 {
-        commit_probed(
-            &mut spine,
-            std::slice::from_ref(&runs),
-            &probe,
-            Some(&mut inj),
-        );
+        commit_probed(&mut spine, &runs, &probe, Some(&mut inj));
     }
     [eager_trace, to_trace(&probe.events())]
 }
@@ -159,7 +137,7 @@ fn crash_windowed_commit_conforms() {
         );
     }
     // Per sequence: 3 stages + 1 seal + 3 applies + 1 retire.
-    assert_eq!(eager.len(), 4 * 8, "one commit + a 3-batch burst");
+    assert_eq!(eager.len(), 4 * 8, "four commits");
     assert!(
         spine.iter().any(|e| matches!(e, OrderEvent::Merge { .. })),
         "merge_always spine commits must emit merges"
@@ -236,51 +214,17 @@ fn real_commit_trace_has_single_seal_per_sequence() {
 }
 
 #[test]
-fn real_pipelined_commit_conforms_and_overlaps() {
-    // PR 7: the pipelined burst's probe stream passes the sharpened
-    // checker, and the stream witnesses the overlap itself —
-    // stage(N+1) lands inside apply(N)'s drain window, before
-    // retire(N).
-    let trace = probe_pipelined(4, 3);
-    // Per batch: 4 stages + 1 seal + 4 applies + 1 retire.
-    assert_eq!(trace.len(), 30, "unexpected event count");
-    let violations = check_order(&trace);
-    assert!(
-        violations.is_empty(),
-        "pipelined commit violated protocol order: {violations:?}\ntrace: {trace:?}"
-    );
-    let second_seq = trace
-        .iter()
-        .map(OrderEvent::seq)
-        .filter(|s| *s > trace[0].seq())
-        .min()
-        .expect("burst commits more than one sequence");
-    let first_stage_n1 = trace
-        .iter()
-        .position(|e| matches!(e, OrderEvent::Stage { seq, .. } if *seq == second_seq))
-        .expect("sequence N+1 stages");
-    let retire_n = trace
-        .iter()
-        .position(|e| matches!(e, OrderEvent::Retire { seq } if *seq == second_seq - 1))
-        .expect("sequence N retires");
-    assert!(
-        first_stage_n1 < retire_n,
-        "stage(N+1) should land inside apply(N)'s drain window: {trace:?}"
-    );
-}
-
-#[test]
 fn checker_rejects_pipelined_stage_before_prior_seal_forgery() {
-    // Slide a genuine staged-ahead event back past the prior seal:
-    // the sharpened invariant's first half must catch exactly this.
-    let mut trace = probe_pipelined(2, 2);
+    // Pipeline a genuine stage of sequence N+1 back past seal(N): the
+    // one-sequence-at-a-time rule must catch exactly this.
+    let mut trace = probe_commit(2, 2);
     assert!(check_order(&trace).is_empty());
     let second_seq = trace
         .iter()
         .map(OrderEvent::seq)
         .filter(|s| *s > trace[0].seq())
         .min()
-        .expect("burst commits two sequences");
+        .expect("two commits, two sequences");
     let seal_n = trace
         .iter()
         .position(|e| matches!(e, OrderEvent::Seal { seq } if *seq == second_seq - 1))
@@ -296,7 +240,7 @@ fn checker_rejects_pipelined_stage_before_prior_seal_forgery() {
     assert!(
         violations.iter().any(|v| matches!(
             v,
-            prosper_analysis::interleave::OrderViolation::StageBeforePriorSeal { .. }
+            prosper_analysis::interleave::OrderViolation::SequenceOverlap { .. }
         )),
         "checker accepted a stage-before-prior-seal forgery: {violations:?}"
     );

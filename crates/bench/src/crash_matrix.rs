@@ -51,7 +51,6 @@ pub fn site_kind(site: &CrashSite) -> &'static str {
         CrashSite::PreSeal => "pre-seal",
         CrashSite::PostSeal => "post-seal",
         CrashSite::MidApply { .. } => "mid-apply",
-        CrashSite::MidPipelineStage { .. } => "mid-pipeline-stage",
         CrashSite::PostApplyThread { .. } => "post-apply-thread",
         CrashSite::PostApplyPreRegisters => "post-apply-pre-registers",
         CrashSite::MidRegisterApply { .. } => "mid-register-apply",
@@ -73,7 +72,6 @@ pub fn kind_coverage(report: &CrashMatrixReport) -> Vec<KindCoverage> {
         "pre-seal",
         "post-seal",
         "mid-apply",
-        "mid-pipeline-stage",
         "post-apply-thread",
         "post-apply-pre-registers",
         "mid-register-apply",
@@ -136,16 +134,6 @@ pub fn default_suite() -> Vec<(&'static str, CrashMatrixConfig)> {
             },
         ),
         (
-            "2 threads x 2 intervals + pipelined pair",
-            CrashMatrixConfig {
-                threads: 2,
-                intervals: 2,
-                stores_per_interval: 10,
-                pipelined_epilogue: true,
-                ..Default::default()
-            },
-        ),
-        (
             "2 threads x 3 intervals + spine merge-always",
             CrashMatrixConfig {
                 threads: 2,
@@ -195,16 +183,6 @@ pub fn quick_suite() -> Vec<(&'static str, CrashMatrixConfig)> {
                 threads: 2,
                 intervals: 2,
                 stores_per_interval: 6,
-                ..Default::default()
-            },
-        ),
-        (
-            "2 threads x 1 interval + pipelined pair",
-            CrashMatrixConfig {
-                threads: 2,
-                intervals: 1,
-                stores_per_interval: 5,
-                pipelined_epilogue: true,
                 ..Default::default()
             },
         ),
@@ -385,15 +363,14 @@ mod tests {
 
     #[test]
     fn kind_coverage_spans_the_taxonomy() {
-        // The pipelined epilogue is the only schedule that crosses the
-        // overlap window (mid-pipeline-stage); the spine schedule is
-        // the only one that crosses batch-seal/mid-merge/merge-retire.
-        // Together the two shapes cover the whole taxonomy.
+        // The spine schedule is the only one that crosses
+        // batch-seal/mid-merge/merge-retire, the eager schedule the
+        // only one with an apply copy. Together the two shapes cover
+        // the whole taxonomy.
         let eager_cfg = CrashMatrixConfig {
             threads: 2,
             intervals: 2,
             stores_per_interval: 6,
-            pipelined_epilogue: true,
             ..Default::default()
         };
         let spine_cfg = CrashMatrixConfig {
@@ -405,8 +382,8 @@ mod tests {
         };
         let eager_cov = kind_coverage(&run_crash_matrix(&eager_cfg));
         let spine_cov = kind_coverage(&run_crash_matrix(&spine_cfg));
-        assert_eq!(eager_cov.len(), 16, "one row per site kind");
-        assert_eq!(spine_cov.len(), 16, "one row per site kind");
+        assert_eq!(eager_cov.len(), 15, "one row per site kind");
+        assert_eq!(spine_cov.len(), 15, "one row per site kind");
         for (e, s) in eager_cov.iter().zip(&spine_cov) {
             assert!(
                 e.exercised + s.exercised > 0,
@@ -436,6 +413,6 @@ mod tests {
             .iter()
             .map(|(_, cfg)| enumerate_crash_sites(cfg).len())
             .collect();
-        assert_eq!(sizes, [43, 85, 115, 63, 19]);
+        assert_eq!(sizes, [43, 85, 63, 19]);
     }
 }

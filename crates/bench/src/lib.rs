@@ -40,6 +40,5 @@ pub mod obs;
 pub mod perf;
 pub mod report;
 pub mod scale;
-pub mod scheduler;
 pub mod trace_capture;
 pub mod verify;

@@ -315,7 +315,7 @@ fn spine_commit_cost(
             ..CommitHooks::default()
         };
         process
-            .commit_with(std::slice::from_ref(runs), hooks)
+            .commit_with(runs, hooks)
             .expect("no injector is attached, so the commit cannot crash");
     }
     let snap = acct.snapshot();

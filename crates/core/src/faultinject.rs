@@ -63,17 +63,6 @@ pub struct CrashMatrixConfig {
     pub stores_per_interval: u32,
     /// Seed for the deterministic store pattern.
     pub seed: u64,
-    /// After a verified recovery, resume the workload from the
-    /// recovered checkpoint and require the final state to equal an
-    /// uninterrupted run's.
-    pub resume_after_recovery: bool,
-    /// Append a pipelined two-interval epilogue: two extra store
-    /// rounds dirtying disjoint halves of each stack, committed as a
-    /// pipelined pair where stage(N+1) overlaps apply(N). Crash
-    /// windows inside the overlap ([`CrashSite::MidPipelineStage`])
-    /// only exist on this schedule. Off by default so the recorded
-    /// PR-3/PR-6 baselines keep their exact site counts.
-    pub pipelined_epilogue: bool,
     /// Staged-delta spine mode: commits append delta batches instead
     /// of eagerly applying, governed by this merge policy. Crash
     /// windows at the batch-seal, mid-merge, and merge-retire
@@ -91,8 +80,6 @@ impl Default for CrashMatrixConfig {
             intervals: 3,
             stores_per_interval: 12,
             seed: 0x9E37_79B9,
-            resume_after_recovery: true,
-            pipelined_epilogue: false,
             spine: None,
         }
     }
@@ -170,24 +157,6 @@ fn store_pattern(cfg: &CrashMatrixConfig, interval: u32, tid: u32, j: u32) -> (u
     );
     let offset = (m % (STACK_BYTES - 8)) & !7;
     (offset, mix(m, 1, 2, 3).to_le_bytes())
-}
-
-/// Epilogue stores: round 0 dirties only the lower half of each
-/// stack, round 1 only the upper half. The rounds must be
-/// address-disjoint because the pipelined pair stages round 1 (for
-/// sequence N+1) from the same volatile image that round 0's apply
-/// (sequence N) copies from — a shared byte would tear checkpoint N's
-/// ground truth.
-fn epilogue_store_pattern(cfg: &CrashMatrixConfig, round: u32, tid: u32, j: u32) -> (u64, [u8; 8]) {
-    let m = mix(
-        cfg.seed ^ 0xE147_0E17,
-        u64::from(round) + 1,
-        u64::from(tid) + 1,
-        u64::from(j) + 1,
-    );
-    let half = STACK_BYTES / 2;
-    let offset = ((m % (half - 8)) & !7) + u64::from(round) * half;
-    (offset, mix(m, 4, 5, 6).to_le_bytes())
 }
 
 const STACK_BYTES: u64 = 0x8000;
@@ -273,14 +242,11 @@ impl Driver {
         self.acct = Some(acct);
     }
 
-    /// Runs intervals `[from, cfg.intervals)` and then, if configured,
-    /// the pipelined epilogue pair; stops at the first injected crash.
+    /// Runs intervals `[from, cfg.intervals)`; stops at the first
+    /// injected crash.
     fn run_from(&mut self, from: u32, inj: &mut FaultInjector) -> Result<(), CrashInjected> {
         for interval in from..self.cfg.intervals {
             self.interval(interval, inj)?;
-        }
-        if self.cfg.pipelined_epilogue {
-            self.epilogue(inj)?;
         }
         Ok(())
     }
@@ -330,7 +296,12 @@ impl Driver {
         // Whole-process two-phase commit.
         let sequence = self.commits_completed + 1;
         let snapshot = self.snapshot_now();
-        match self.commit(&[runs_per_thread], inj) {
+        let hooks = CommitHooks {
+            faults: Some(inj),
+            probe: None,
+            acct: self.acct.as_deref(),
+        };
+        match self.process.commit_with(&runs_per_thread, hooks) {
             Ok(()) => {
                 self.commits_completed = sequence;
                 self.expected_sequence = sequence;
@@ -349,23 +320,6 @@ impl Driver {
         }
     }
 
-    /// Commits `batches` through the commit engine with the injector
-    /// and the accountant attached as hooks.
-    fn commit(
-        &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
-        inj: &mut FaultInjector,
-    ) -> Result<(), CrashInjected> {
-        self.process.commit_with(
-            batches,
-            CommitHooks {
-                faults: Some(inj),
-                probe: None,
-                acct: self.acct.as_deref(),
-            },
-        )
-    }
-
     /// Ground truth of the process's volatile state right now.
     fn snapshot_now(&self) -> Snapshot {
         Snapshot {
@@ -375,130 +329,6 @@ impl Driver {
             regs: (0..self.cfg.threads)
                 .map(|tid| *self.process.regs(tid))
                 .collect(),
-        }
-    }
-
-    /// One epilogue round: each thread is scheduled and performs the
-    /// round's half-stack stores, then every bitmap is inspected to
-    /// produce the round's copy runs — the same crash windows as a
-    /// regular interval.
-    fn epilogue_round(
-        &mut self,
-        round: u32,
-        inj: &mut FaultInjector,
-    ) -> Result<BTreeMap<u32, Vec<CopyRun>>, CrashInjected> {
-        let interval = self.cfg.intervals + round;
-        for tid in 0..self.cfg.threads {
-            self.mt.schedule_with_faults(&mut self.machine, tid, inj)?;
-            for j in 0..self.cfg.stores_per_interval {
-                let (offset, bytes) = epilogue_store_pattern(&self.cfg, round, tid, j);
-                let addr = thread_range(tid).start() + offset;
-                self.mt.observe_store(&mut self.machine, addr, 8);
-                self.process.record_store(tid, addr, &bytes);
-            }
-            let regs = self.process.regs_mut(tid);
-            regs.rip = u64::from(interval) + 1;
-            regs.gpr[0] = u64::from(tid) ^ mix(self.cfg.seed, u64::from(interval), 0, 0);
-        }
-        let mut runs_per_thread: BTreeMap<u32, Vec<CopyRun>> = BTreeMap::new();
-        for tid in 0..self.cfg.threads {
-            self.mt.schedule_with_faults(&mut self.machine, tid, inj)?;
-            self.mt.tracker_mut().flush();
-            let geom = self.mt.tracker().geometry();
-            let (runs, _) = self
-                .mt
-                .tracker_mut()
-                .bitmap_mut()
-                .inspect_and_clear(&geom, thread_range(tid));
-            runs_per_thread.insert(tid, runs);
-            if inj.observe(CrashSite::MidBitmapClear { tid }) {
-                return Err(CrashInjected {
-                    site: CrashSite::MidBitmapClear { tid },
-                });
-            }
-        }
-        Ok(runs_per_thread)
-    }
-
-    /// The pipelined epilogue: two store rounds committed as a
-    /// pipelined pair — stage(N+1) runs inside apply(N)'s drain
-    /// window, crossing [`CrashSite::MidPipelineStage`] boundaries.
-    ///
-    /// Expected-sequence bookkeeping uses the seal-counting rule: a
-    /// crash anywhere in the run leaves exactly as many durable
-    /// checkpoints as [`CrashSite::PostSeal`] boundaries crossed
-    /// (every sealed sequence crosses it exactly once, pair or not),
-    /// so recovery must land on that count — sequence N after a crash
-    /// inside the overlap window, N+1 only once the second seal is
-    /// durable.
-    ///
-    /// On resume after a recovery that landed on N, only round 1 is
-    /// replayed (as a plain commit); a recovery at or before the last
-    /// regular interval replays the whole pair.
-    fn epilogue(&mut self, inj: &mut FaultInjector) -> Result<(), CrashInjected> {
-        let n = u64::from(self.cfg.intervals) + 1;
-        let done = self.process.committed_sequence();
-        if done > n {
-            return Ok(());
-        }
-        if done == n {
-            // Resume path: checkpoint N is durable, redo round 1 only.
-            let runs = self.epilogue_round(1, inj)?;
-            let snapshot = self.snapshot_now();
-            return match self.commit(&[runs], inj) {
-                Ok(()) => {
-                    self.commits_completed = n + 1;
-                    self.expected_sequence = n + 1;
-                    self.snapshots.insert(n + 1, snapshot);
-                    Ok(())
-                }
-                Err(err) => {
-                    if err.site.is_post_seal() {
-                        self.expected_sequence = n + 1;
-                        self.snapshots.insert(n + 1, snapshot);
-                    }
-                    Err(err)
-                }
-            };
-        }
-
-        let runs_n = self.epilogue_round(0, inj)?;
-        // Checkpoint N's image ground truth predates round 1's stores
-        // (the rounds are address-disjoint, so round 1 cannot
-        // invalidate it) …
-        let images_n = self.snapshot_now().images;
-        let runs_n1 = self.epilogue_round(1, inj)?;
-        // … but both records capture the register file live at the
-        // pair commit, i.e. round 1's values.
-        let snap_n1 = self.snapshot_now();
-        let snap_n = Snapshot {
-            images: images_n,
-            regs: snap_n1.regs.clone(),
-        };
-        match self.commit(&[runs_n, runs_n1], inj) {
-            Ok(()) => {
-                self.commits_completed = n + 1;
-                self.expected_sequence = n + 1;
-                self.snapshots.insert(n, snap_n);
-                self.snapshots.insert(n + 1, snap_n1);
-                Ok(())
-            }
-            Err(err) => {
-                let seals = inj
-                    .crossed()
-                    .iter()
-                    .filter(|s| **s == CrashSite::PostSeal)
-                    .count() as u64;
-                if seals >= n {
-                    self.expected_sequence = n;
-                    self.snapshots.insert(n, snap_n);
-                }
-                if seals > n {
-                    self.expected_sequence = n + 1;
-                    self.snapshots.insert(n + 1, snap_n1);
-                }
-                Err(err)
-            }
         }
     }
 
@@ -634,17 +464,6 @@ fn reference_final_state(cfg: &CrashMatrixConfig) -> Snapshot {
             regs[tid as usize].rip = u64::from(interval) + 1;
         }
     }
-    if cfg.pipelined_epilogue {
-        for round in 0..2 {
-            for tid in 0..cfg.threads {
-                for j in 0..cfg.stores_per_interval {
-                    let (offset, bytes) = epilogue_store_pattern(cfg, round, tid, j);
-                    images[tid as usize].write(thread_range(tid).start() + offset, &bytes);
-                }
-                regs[tid as usize].rip = u64::from(cfg.intervals + round) + 1;
-            }
-        }
-    }
     Snapshot { images, regs }
 }
 
@@ -660,8 +479,7 @@ pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> Vec<CrashSite> {
 }
 
 /// Runs the workload with a crash injected at boundary `index`,
-/// recovers, verifies every invariant, and (per the config) resumes
-/// to completion.
+/// recovers, verifies every invariant, and resumes to completion.
 ///
 /// # Errors
 ///
@@ -676,9 +494,7 @@ pub fn run_with_crash_at(cfg: &CrashMatrixConfig, index: u64) -> Result<CrashOut
         }),
         Err(crash) => {
             let recovered = driver.verify_after_crash()?;
-            if cfg.resume_after_recovery {
-                driver.resume_and_finish(recovered)?;
-            }
+            driver.resume_and_finish(recovered)?;
             Ok(CrashOutcome {
                 fired: Some(crash.site),
                 recovered_sequence: recovered,
@@ -741,8 +557,8 @@ pub fn run_attributed(cfg: &CrashMatrixConfig) -> AttributedRun {
 /// stall accountant attached, recovers (attributing the replay to
 /// [`prosper_telemetry::StallCause::Recovery`]), verifies the
 /// recovery invariants, and returns the outcome together with the
-/// attribution snapshot covering the torn commit, the crash, and the
-/// recovery.
+/// attribution snapshot covering the torn commit, the crash, the
+/// recovery and the resumed run.
 ///
 /// # Errors
 ///
@@ -762,9 +578,7 @@ pub fn run_crash_attributed(
         },
         Err(crash) => {
             let recovered = driver.verify_after_crash()?;
-            if cfg.resume_after_recovery {
-                driver.resume_and_finish(recovered)?;
-            }
+            driver.resume_and_finish(recovered)?;
             CrashOutcome {
                 fired: Some(crash.site),
                 recovered_sequence: recovered,
@@ -809,18 +623,12 @@ mod tests {
 
     #[test]
     fn enumeration_is_deterministic_and_covers_taxonomy() {
-        let cfg = CrashMatrixConfig {
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
+        let cfg = CrashMatrixConfig::default();
         let a = enumerate_crash_sites(&cfg);
         let b = enumerate_crash_sites(&cfg);
         assert_eq!(a, b, "same config, same schedule");
         assert!(a.len() > 40, "multi-thread run crosses many boundaries");
-        // The taxonomy is exercised end to end.
-        assert!(a
-            .iter()
-            .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })));
+        // The eager taxonomy is exercised end to end.
         assert!(a.contains(&CrashSite::PreStage));
         assert!(a.iter().any(|s| matches!(s, CrashSite::MidStage { .. })));
         assert!(a.contains(&CrashSite::PreSeal));
@@ -886,70 +694,6 @@ mod tests {
             report.total(),
             report.failures.first()
         );
-    }
-
-    #[test]
-    fn pipelined_epilogue_sweep_survives_every_crash_point() {
-        // Exhaustive sweep over a schedule ending in the pipelined
-        // pair: every overlap-window crash must recover onto exactly
-        // sequence N or N+1 (decided by the seal count) and resume to
-        // the uninterrupted final state.
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 5,
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
-        let report = run_crash_matrix(&cfg);
-        assert!(
-            report
-                .sites
-                .iter()
-                .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })),
-            "the pair schedule must cross the overlap window"
-        );
-        assert!(
-            report.all_survived(),
-            "{} of {} crash points failed, first: {:?}",
-            report.failures.len(),
-            report.total(),
-            report.failures.first()
-        );
-    }
-
-    #[test]
-    fn overlap_crashes_conserve_and_land_on_n_or_n_plus_one() {
-        // Attributed sweep restricted to the overlap window: each
-        // MidPipelineStage crash must leave checkpoint N durable (the
-        // second seal hasn't happened yet) and a conserving ledger.
-        let cfg = CrashMatrixConfig {
-            threads: 2,
-            intervals: 1,
-            stores_per_interval: 5,
-            pipelined_epilogue: true,
-            ..Default::default()
-        };
-        let sites = enumerate_crash_sites(&cfg);
-        let n = u64::from(cfg.intervals) + 1;
-        let mut overlap = 0;
-        for (index, site) in sites.iter().enumerate() {
-            if !matches!(site, CrashSite::MidPipelineStage { .. }) {
-                continue;
-            }
-            overlap += 1;
-            let (outcome, run) = run_crash_attributed(&cfg, index as u64)
-                .unwrap_or_else(|e| panic!("overlap crash at {index}: {e}"));
-            assert_eq!(outcome.fired, Some(*site));
-            assert_eq!(
-                outcome.recovered_sequence, n,
-                "a crash inside apply(N)'s drain recovers onto N, never N+1"
-            );
-            run.snapshot
-                .verify_conservation()
-                .unwrap_or_else(|e| panic!("overlap crash at {index}: {e}"));
-        }
-        assert!(overlap >= 2, "both threads stage ahead in the overlap");
     }
 
     #[test]

@@ -393,10 +393,13 @@ pub struct PersistentStack {
     /// a spine seal takes it whole and coalesces it into the batch.
     staging: RunBuffer,
     /// Sequence the open staging buffer belongs to (0 when no buffer
-    /// is open). Written with `begin_stage_at`, so after a crash
-    /// recovery can tell a buffer staged for sequence N from one staged
-    /// ahead for N+1 while N's apply was still draining (the pipelined
-    /// commit overlap window).
+    /// is open). Written with `begin_stage_at` and cleared when the
+    /// buffer is applied, sealed to the spine or discarded. It is
+    /// crash-recovery state: spine redo of a sealed record N appends
+    /// the buffer only while it is still tagged N, so a batch already
+    /// sealed to the spine is not appended twice; and a recovered
+    /// stack must hold no tag, which the crash matrix checks after
+    /// every recovery.
     staging_sequence: u64,
     /// Sequence number of the last fully-applied commit.
     committed_sequence: u64,
@@ -460,10 +463,9 @@ impl PersistentStack {
     }
 
     /// Opens a fresh staging buffer for `sequence`, discarding any
-    /// previous one: the first step of the commit. The pipelined
-    /// whole-process commit stages sequence N+1's runs while N's apply
-    /// drains; the tag is what lets recovery replay a sealed record N
-    /// without touching buffers staged ahead for N+1.
+    /// previous one: the first step of the commit. The tag is what
+    /// recovery's redo of sealed record `sequence` reads to tell a
+    /// buffer it still has to apply or seal from one already retired.
     pub(crate) fn begin_stage_at(&mut self, sequence: u64) {
         self.staging.clear();
         self.staging_sequence = sequence;
@@ -769,10 +771,10 @@ mod tests {
     #[test]
     fn staging_sequence_tags_survive_crash_and_clear_on_retire() {
         let mut s = store();
-        s.record_store(VirtAddr::new(0x7000_0100), b"ahead");
+        s.record_store(VirtAddr::new(0x7000_0100), b"staged");
         assert_eq!(s.staging_sequence(), 0, "no open buffer yet");
-        // A buffer staged ahead for a later whole-process sequence
-        // keeps its tag across the crash (it lives in NVM)...
+        // A buffer staged for a whole-process sequence keeps its tag
+        // across the crash (it lives in NVM)...
         s.begin_stage_at(7);
         s.stage_run(&run(0x7000_0100, 8));
         s.crash();

@@ -45,27 +45,6 @@
 //! [`crate::faultinject`] fires a simulated power failure inside the
 //! schedule production commits run, and asserts the invariants above.
 //!
-//! # The pipelined burst
-//!
-//! A [`PersistentProcess::commit_with`] call with several batches
-//! commits them back to back and, in eager mode, overlaps sequence
-//! N's apply drain with sequence N+1's staging. The sharpened protocol
-//! invariant is:
-//!
-//! - **stage(N+1) begins only after seal(N)** — the overlap window
-//!   opens at the commit point, never before, and
-//! - **seal(N+1) happens only after apply(N) fully drains** — at most
-//!   one sealed record ever exists.
-//!
-//! Per stack the hand-off is fused: the pass finishes applying stack
-//! `t`'s sequence-N buffer, retires it, and immediately stages N+1's
-//! runs into the same (single) buffer, tagged with its sequence
-//! (`PersistentStack::begin_stage_at`). A crash inside the overlap
-//! window ([`CrashSite::MidPipelineStage`]) leaves sealed record N
-//! pending while some stacks hold staging tagged N+1: redo replays
-//! only buffers tagged N and discards the unsealed staged-ahead ones,
-//! so recovery lands on exactly N — or N+1 once seal(N+1) is durable.
-//!
 //! # Spine mode (staged-delta spine)
 //!
 //! With a [`SpineConfig`] installed
@@ -87,8 +66,7 @@
 //! batch: only sealed-and-appended batches are ever folded, and a
 //! crash between merge steps is recovered by simply re-merging — each
 //! completed prefix of the newest-first fold writes a value-identical
-//! subset of the full fold. Spine mode has no apply drain to hide the
-//! next stage behind, so a burst's batches run back to back.
+//! subset of the full fold.
 
 use std::collections::BTreeMap;
 
@@ -125,7 +103,7 @@ struct ProcessCommitRecord {
 /// seal before all applies, no overlap across sequence numbers).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommitProbeEvent {
-    /// Worker finished staging thread `tid`'s runs for `sequence`.
+    /// The engine finished staging thread `tid`'s runs for `sequence`.
     StageThread {
         /// Thread whose runs were staged.
         tid: u32,
@@ -138,7 +116,8 @@ pub enum CommitProbeEvent {
         /// Sequence the seal committed.
         sequence: u64,
     },
-    /// Worker finished applying thread `tid`'s staging buffer.
+    /// The engine finished applying thread `tid`'s staging buffer (or,
+    /// in spine mode, appending it to the spine).
     ApplyThread {
         /// Thread whose staging buffer was applied.
         tid: u32,
@@ -276,13 +255,9 @@ struct Phases<'a> {
 }
 
 impl<'a> Phases<'a> {
-    /// Opens `sequence`'s stall window with `first` as its open phase.
-    fn open(
-        acct: Option<&'a StallAccountant>,
-        tids: &'a [u32],
-        sequence: u64,
-        first: StallCause,
-    ) -> Self {
+    /// Opens `sequence`'s stall window with the stage as its open
+    /// phase.
+    fn open(acct: Option<&'a StallAccountant>, tids: &'a [u32], sequence: u64) -> Self {
         let now = acct.map_or(0, StallAccountant::now_ns);
         Phases {
             acct,
@@ -290,7 +265,7 @@ impl<'a> Phases<'a> {
             sequence,
             window_start: now,
             phase_start: now,
-            open: Some(first),
+            open: Some(StallCause::Stage),
         }
     }
 
@@ -453,29 +428,12 @@ impl PersistentProcess {
         p
     }
 
-    /// The installed spine merge policy (`None` in eager-apply mode).
-    pub fn spine_config(&self) -> Option<SpineConfig> {
-        self.spine_cfg
-    }
-
-    /// Installs or removes the spine merge policy. Switching modes is
-    /// only safe between commits; any batches already on a spine stay
-    /// there and are folded by the next merge or recovery.
-    pub fn set_spine_config(&mut self, cfg: Option<SpineConfig>) {
-        self.spine_cfg = cfg;
-    }
-
     /// Total delta batches currently on all stacks' spines.
     pub fn spine_batches(&self) -> usize {
         self.stacks
             .values()
             .map(PersistentStack::spine_batches)
             .sum()
-    }
-
-    /// Total payload bytes currently on all stacks' spines.
-    pub fn spine_bytes(&self) -> u64 {
-        self.stacks.values().map(PersistentStack::spine_bytes).sum()
     }
 
     /// Folds every stack's spine into its persistent image regardless
@@ -564,17 +522,12 @@ impl PersistentProcess {
 
     /// Modelled cost of the phase-two pass over `batch` — an apply copy
     /// per run, or one flat batch append per stack in spine mode —
-    /// fused with staging `ahead`, plus the register tail.
-    fn apply_cost(
-        batch: &BTreeMap<u32, Vec<CopyRun>>,
-        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
-        spine: bool,
-        tids: &[u32],
-    ) -> u64 {
+    /// plus the register tail.
+    fn apply_cost(batch: &BTreeMap<u32, Vec<CopyRun>>, spine: bool, tids: &[u32]) -> u64 {
         let per_stack: u64 = tids
             .iter()
             .map(|&tid| {
-                let phase_two = if spine {
+                if spine {
                     commit_cost::BATCH_APPEND_NS
                 } else {
                     share_cost(
@@ -583,16 +536,7 @@ impl PersistentProcess {
                         commit_cost::APPLY_RUN_NS,
                         commit_cost::APPLY_BYTE_NS,
                     )
-                };
-                phase_two
-                    + ahead.map_or(0, |next| {
-                        share_cost(
-                            next,
-                            tid,
-                            commit_cost::STAGE_RUN_NS,
-                            commit_cost::STAGE_BYTE_NS,
-                        )
-                    })
+                }
             })
             .sum();
         commit_cost::PHASE_BASE_NS + per_stack + tids.len() as u64 * commit_cost::REGISTER_SLOT_NS
@@ -607,29 +551,21 @@ impl PersistentProcess {
     /// Panics if `runs_per_thread` misses a registered thread.
     pub fn commit(&mut self, runs_per_thread: &BTreeMap<u32, Vec<CopyRun>>) {
         // Without an injector no crash window can fire.
-        let _ = self.commit_with(
-            std::slice::from_ref(runs_per_thread),
-            CommitHooks::default(),
-        );
+        let _ = self.commit_with(runs_per_thread, CommitHooks::default());
     }
 
-    /// The commit engine: commits `batches` as consecutive sequences
-    /// under the stage → seal → apply protocol, running each per-stack
-    /// pass on the calling thread in tid order. In eager mode a
-    /// multi-batch call is a pipelined burst: staging batch N+1 is
-    /// fused into batch N's apply pass, after seal(N) and before
-    /// seal(N+1) (see the module docs). Spine mode runs the batches
-    /// back to back. Per sequence the boundaries are, in order:
+    /// The commit engine: commits `batch` as the next sequence under
+    /// the stage → seal → apply protocol, running each per-stack pass
+    /// on the calling thread in tid order. The boundaries are, in
+    /// order:
     ///
     /// 1. stage — [`CrashSite::PreStage`], then
-    ///    [`CrashSite::MidStage`] after each staged run (a burst's
-    ///    later batches in eager mode were staged ahead and skip this);
+    ///    [`CrashSite::MidStage`] after each staged run;
     /// 2. seal — [`CrashSite::PreSeal`], the one seal write,
     ///    [`CrashSite::PostSeal`];
     /// 3. per-stack phase two — [`CrashSite::MidApply`] after each
     ///    applied run and [`CrashSite::PostApplyThread`] (eager), or
-    ///    [`CrashSite::BatchSeal`] (spine), then
-    ///    [`CrashSite::MidPipelineStage`] after each run staged ahead;
+    ///    [`CrashSite::BatchSeal`] (spine);
     /// 4. register tail — [`CrashSite::PostApplyPreRegisters`], then
     ///    [`CrashSite::MidRegisterApply`] after each slot;
     /// 5. retire — [`CrashSite::PostCommit`];
@@ -640,8 +576,7 @@ impl PersistentProcess {
     /// phase-two pass the stacks follow one another in tid order, so
     /// the boundary order above is deterministic whether or not an
     /// injector is attached. The telemetry is
-    /// `prosper.commit.phase.{stage,seal,apply,merge}_ns` per sequence
-    /// (a burst's staged-ahead work is timed inside apply),
+    /// `prosper.commit.phase.{stage,seal,apply,merge}_ns`,
     /// `prosper.commit.workers` (always 1) and the `prosper.spine.*`
     /// instruments.
     ///
@@ -654,43 +589,27 @@ impl PersistentProcess {
     ///
     /// # Panics
     ///
-    /// Panics if any batch misses a registered thread.
+    /// Panics if `batch` misses a registered thread.
     pub fn commit_with(
         &mut self,
-        batches: &[BTreeMap<u32, Vec<CopyRun>>],
+        batch: &BTreeMap<u32, Vec<CopyRun>>,
         mut hooks: CommitHooks<'_>,
     ) -> Result<(), CrashInjected> {
-        for batch in batches {
-            for tid in self.stacks.keys() {
-                assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
-            }
+        for tid in self.stacks.keys() {
+            assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
         }
         let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let eager = self.spine_cfg.is_none();
-        for (i, batch) in batches.iter().enumerate() {
-            let staged = eager && i > 0;
-            let ahead = batches.get(i + 1).filter(|_| eager);
-            let first = if staged {
-                StallCause::Seal
-            } else {
-                StallCause::Stage
-            };
-            let mut phases = Phases::open(hooks.acct, &tids, self.next_sequence, first);
-            let result = self.commit_sequence(batch, staged, ahead, &mut hooks, &mut phases);
-            phases.close();
-            result?;
-        }
-        Ok(())
+        let mut phases = Phases::open(hooks.acct, &tids, self.next_sequence);
+        let result = self.commit_sequence(batch, &mut hooks, &mut phases);
+        phases.close();
+        result
     }
 
-    /// One sequence of [`Self::commit_with`]: stage `batch` unless it
-    /// was `staged` ahead, seal, run phase two (staging `ahead` on the
-    /// way), retire, merge.
+    /// The body of [`Self::commit_with`]: stage `batch`, seal, run
+    /// phase two, retire, merge.
     fn commit_sequence(
         &mut self,
         batch: &BTreeMap<u32, Vec<CopyRun>>,
-        staged: bool,
-        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
         hooks: &mut CommitHooks<'_>,
         phases: &mut Phases<'_>,
     ) -> Result<(), CrashInjected> {
@@ -700,21 +619,24 @@ impl PersistentProcess {
         // only the staging pass; staging the register file into the
         // record is seal bookkeeping and is charged to the seal.
         let stage_watch = telemetry::Stopwatch::start();
-        if !staged {
-            cross(&mut hooks.faults, CrashSite::PreStage)?;
-            for (&tid, stack) in &mut self.stacks {
-                Self::stage_stack(
-                    stack,
-                    tid,
-                    sequence,
-                    &batch[&tid],
+        cross(&mut hooks.faults, CrashSite::PreStage)?;
+        for (&tid, stack) in &mut self.stacks {
+            stack.begin_stage_at(sequence);
+            for (k, run) in batch[&tid].iter().enumerate() {
+                stack.stage_run(run);
+                cross(
                     &mut hooks.faults,
-                    probe,
-                    |tid, runs_staged| CrashSite::MidStage { tid, runs_staged },
+                    CrashSite::MidStage {
+                        tid,
+                        runs_staged: k as u32 + 1,
+                    },
                 )?;
             }
-            phases.end(|tids| Self::stage_cost(batch, tids), Some(StallCause::Seal));
+            if let Some(p) = probe {
+                p.record(CommitProbeEvent::StageThread { tid, sequence });
+            }
         }
+        phases.end(|tids| Self::stage_cost(batch, tids), Some(StallCause::Seal));
         let stage_ns = stage_watch.elapsed_ns();
         // 2. Seal: the register file is staged into the commit record,
         // then the single durable write — the single serialization
@@ -738,12 +660,9 @@ impl PersistentProcess {
         // 3–5. Phase two, the register tail, retire.
         let apply_watch = telemetry::Stopwatch::start();
         let spine = self.spine_cfg;
-        self.apply_record(&record, spine.is_some(), ahead, hooks)?;
+        self.apply_record(&record, spine.is_some(), hooks)?;
         let apply_ns = apply_watch.elapsed_ns();
-        phases.end(
-            |tids| Self::apply_cost(batch, ahead, spine.is_some(), tids),
-            None,
-        );
+        phases.end(|tids| Self::apply_cost(batch, spine.is_some(), tids), None);
         cross(&mut hooks.faults, CrashSite::PostCommit)?;
         // 6. Spine merge, off the critical path.
         let merge_watch = telemetry::Stopwatch::start();
@@ -757,10 +676,8 @@ impl PersistentProcess {
             telemetry::with(|t| {
                 let r = t.registry();
                 r.gauge("prosper.commit.workers").set(1);
-                if !staged {
-                    r.histogram("prosper.commit.phase.stage_ns")
-                        .record(stage_ns);
-                }
+                r.histogram("prosper.commit.phase.stage_ns")
+                    .record(stage_ns);
                 r.histogram("prosper.commit.phase.seal_ns").record(seal_ns);
                 r.histogram("prosper.commit.phase.apply_ns")
                     .record(apply_ns);
@@ -778,39 +695,15 @@ impl PersistentProcess {
         Ok(())
     }
 
-    /// Stages thread `tid`'s `runs` for `sequence` into its staging
-    /// buffer, crossing `site(tid, runs_staged)` after each run.
-    fn stage_stack(
-        stack: &mut PersistentStack,
-        tid: u32,
-        sequence: u64,
-        runs: &[CopyRun],
-        faults: &mut Option<&mut FaultInjector>,
-        probe: Option<&CommitProbe>,
-        site: fn(u32, u32) -> CrashSite,
-    ) -> Result<(), CrashInjected> {
-        stack.begin_stage_at(sequence);
-        for (k, run) in runs.iter().enumerate() {
-            stack.stage_run(run);
-            cross(faults, site(tid, k as u32 + 1))?;
-        }
-        if let Some(p) = probe {
-            p.record(CommitProbeEvent::StageThread { tid, sequence });
-        }
-        Ok(())
-    }
-
     /// Phase two and the register tail of the sealed `record`: every
-    /// stack's phase two ([`Self::apply_record_stack`]), fused with
-    /// staging `ahead` for the next sequence when a burst continues,
-    /// then every register slot, then the record retires. Idempotent,
-    /// so recovery's redo replays it from any interruption point;
+    /// stack's phase two ([`Self::apply_record_stack`]), then every
+    /// register slot, then the record retires. Idempotent, so
+    /// recovery's redo replays it from any interruption point;
     /// recovery surface, so it stays panic-free (`PA-PANIC004`).
     fn apply_record(
         &mut self,
         record: &ProcessCommitRecord,
         spine: bool,
-        ahead: Option<&BTreeMap<u32, Vec<CopyRun>>>,
         hooks: &mut CommitHooks<'_>,
     ) -> Result<(), CrashInjected> {
         debug_assert!(record.sealed, "apply before the seal");
@@ -818,21 +711,6 @@ impl PersistentProcess {
         let probe = hooks.probe;
         for (&tid, stack) in &mut self.stacks {
             Self::apply_record_stack(stack, tid, sequence, spine, &mut hooks.faults, probe)?;
-            // A stack stages ahead only once its own phase two
-            // finished, so its single staging buffer is never torn
-            // between sequences.
-            if let Some(next) = ahead {
-                let runs = next.get(&tid).map_or(&[][..], Vec::as_slice);
-                Self::stage_stack(
-                    stack,
-                    tid,
-                    sequence + 1,
-                    runs,
-                    &mut hooks.faults,
-                    probe,
-                    |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged },
-                )?;
-            }
         }
         cross(&mut hooks.faults, CrashSite::PostApplyPreRegisters)?;
         for (tid, regs) in record.staged_regs.iter().enumerate() {
@@ -853,10 +731,12 @@ impl PersistentProcess {
 
     /// Phase two of sealed `sequence` for one stack: its staging
     /// buffer is applied to the persistent image, or in `spine` mode
-    /// retired to the spine as an immutable delta batch. Redo-safe: a
-    /// buffer staged ahead for a later, never-sealed sequence (a crash
-    /// inside a burst's overlap window) is discarded, a batch already
-    /// appended is not appended twice, and re-applying is idempotent.
+    /// retired to the spine as an immutable delta batch. Redo-safe,
+    /// keyed on the buffer's sequence tag: a buffer tagged past
+    /// `sequence` belongs to no sealed record and is discarded rather
+    /// than applied under this one; a spine seal already done cleared
+    /// the tag, so redo does not append the batch twice; and
+    /// re-applying an eager buffer is idempotent.
     fn apply_record_stack(
         stack: &mut PersistentStack,
         tid: u32,
@@ -1049,7 +929,7 @@ impl PersistentProcess {
                 // it must land on top of them as a batch too.
                 let spine = self.spine_cfg.is_some() || self.spine_batches() > 0;
                 // Without an injector no crash window can fire.
-                let _ = self.apply_record(&record, spine, None, &mut CommitHooks::default());
+                let _ = self.apply_record(&record, spine, &mut CommitHooks::default());
             }
             Some(_) => {
                 // The commit never sealed: discard it wholesale.
@@ -1151,12 +1031,6 @@ mod tests {
             .collect()
     }
 
-    /// Commits `batches` through the engine, with no hooks.
-    fn commit_at(p: &mut PersistentProcess, batches: &[BTreeMap<u32, Vec<CopyRun>>]) {
-        p.commit_with(batches, CommitHooks::default())
-            .expect("no injector is attached");
-    }
-
     /// One commit through the engine with `inj` attached.
     fn commit_faulted(
         p: &mut PersistentProcess,
@@ -1164,7 +1038,7 @@ mod tests {
         inj: &mut FaultInjector,
     ) -> Result<(), CrashInjected> {
         p.commit_with(
-            std::slice::from_ref(runs),
+            runs,
             CommitHooks {
                 faults: Some(inj),
                 ..CommitHooks::default()
@@ -1382,23 +1256,18 @@ mod tests {
     }
 
     /// Pins the engine's boundary order literally — one 2-thread
-    /// commit with two runs per thread, eager, spine with a merge due,
-    /// and a 2-batch pipelined burst — so a reordering fails here even
-    /// where a crash sweep would still recover from every site.
+    /// commit with two runs per thread, eager and spine with a merge
+    /// due — so a reordering fails here even where a crash sweep would
+    /// still recover from every site.
     #[test]
     fn commit_crosses_boundaries_in_protocol_order() {
         use CrashSite::{
             MergeRetire, PostApplyPreRegisters, PostApplyThread, PostCommit, PostSeal, PreSeal,
             PreStage,
         };
-        let record = |p: &mut PersistentProcess, batches: &[BTreeMap<u32, Vec<CopyRun>>]| {
+        let record = |p: &mut PersistentProcess, runs: &BTreeMap<u32, Vec<CopyRun>>| {
             let mut inj = FaultInjector::new(CrashPlan::Record);
-            let hooks = CommitHooks {
-                faults: Some(&mut inj),
-                ..CommitHooks::default()
-            };
-            p.commit_with(batches, hooks)
-                .expect("record mode never fires");
+            commit_faulted(p, runs, &mut inj).expect("record mode never fires");
             inj.crossed().to_vec()
         };
         let two_runs = |p: &PersistentProcess| -> BTreeMap<u32, Vec<CopyRun>> {
@@ -1415,7 +1284,6 @@ mod tests {
         };
         let stage = |tid, runs_staged| CrashSite::MidStage { tid, runs_staged };
         let apply = |tid, runs_applied| CrashSite::MidApply { tid, runs_applied };
-        let ahead = |tid, runs_staged| CrashSite::MidPipelineStage { tid, runs_staged };
         let batch = |tid| CrashSite::BatchSeal { tid };
         let regs = |tid| CrashSite::MidRegisterApply { tid };
         let fold = |tid, batches_folded| CrashSite::MidMerge {
@@ -1426,7 +1294,7 @@ mod tests {
         let mut eager = PersistentProcess::new(&ranges(2));
         let runs = two_runs(&eager);
         assert_eq!(
-            record(&mut eager, std::slice::from_ref(&runs)),
+            record(&mut eager, &runs),
             vec![
                 PreStage,
                 stage(0, 1),
@@ -1452,9 +1320,9 @@ mod tests {
         // folds both spines after the recorded second commit.
         let mut spine = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always());
         let runs = two_runs(&spine);
-        commit_at(&mut spine, std::slice::from_ref(&runs));
+        spine.commit(&runs);
         assert_eq!(
-            record(&mut spine, std::slice::from_ref(&runs)),
+            record(&mut spine, &runs),
             vec![
                 PreStage,
                 stage(0, 1),
@@ -1477,47 +1345,6 @@ mod tests {
                 MergeRetire { tid: 1 },
             ]
         );
-
-        let mut burst = PersistentProcess::new(&ranges(2));
-        let runs = two_runs(&burst);
-        assert_eq!(
-            record(&mut burst, &[runs.clone(), runs]),
-            vec![
-                PreStage,
-                stage(0, 1),
-                stage(0, 2),
-                stage(1, 1),
-                stage(1, 2),
-                PreSeal,
-                PostSeal,
-                apply(0, 1),
-                apply(0, 2),
-                PostApplyThread { tid: 0 },
-                ahead(0, 1),
-                ahead(0, 2),
-                apply(1, 1),
-                apply(1, 2),
-                PostApplyThread { tid: 1 },
-                ahead(1, 1),
-                ahead(1, 2),
-                PostApplyPreRegisters,
-                regs(0),
-                regs(1),
-                PostCommit,
-                PreSeal,
-                PostSeal,
-                apply(0, 1),
-                apply(0, 2),
-                PostApplyThread { tid: 0 },
-                apply(1, 1),
-                apply(1, 2),
-                PostApplyThread { tid: 1 },
-                PostApplyPreRegisters,
-                regs(0),
-                regs(1),
-                PostCommit,
-            ]
-        );
     }
 
     /// Satellite regression (PR 7): the stage phase covers only
@@ -1535,7 +1362,7 @@ mod tests {
         let runs = full_runs(&p, &tids);
         let acct = StallAccountant::new_virtual();
         p.commit_with(
-            std::slice::from_ref(&runs),
+            &runs,
             CommitHooks {
                 acct: Some(&acct),
                 ..CommitHooks::default()
@@ -1575,113 +1402,33 @@ mod tests {
         }
     }
 
-    /// The pipelined burst must land byte-identical persistent state
-    /// to the same batches committed one by one.
+    /// Three commits on four stacks leave one literal probe stream:
+    /// every pass runs in tid order, and each sequence stages, seals,
+    /// applies and retires before the next one stages.
     #[test]
-    fn pipelined_burst_matches_sequential_commits() {
-        let build = || {
-            let mut p = PersistentProcess::new(&ranges(4));
-            for tid in 0..4u32 {
-                let r = p.stack(tid).range();
-                for k in 0..12u64 {
-                    p.record_store(tid, r.start() + k * 256, &[tid as u8 + k as u8; 32]);
-                }
-                p.regs_mut(tid).rip = 0x4000 + u64::from(tid);
-            }
-            p
-        };
-        // Batch i covers a distinct slice of each stack.
-        let mut sequential = build();
-        let mut pipelined = build();
-        let batches: Vec<BTreeMap<u32, Vec<CopyRun>>> = (0..3u64)
-            .map(|i| {
-                (0..4u32)
-                    .map(|tid| {
-                        let r = sequential.stack(tid).range();
-                        (
-                            tid,
-                            vec![CopyRun {
-                                start: r.start() + i * 1024,
-                                len: 1024,
-                            }],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        for batch in &batches {
-            commit_at(&mut sequential, std::slice::from_ref(batch));
-        }
-        commit_at(&mut pipelined, &batches);
-        assert_eq!(
-            sequential.committed_sequence(),
-            pipelined.committed_sequence()
-        );
-        sequential.crash();
-        pipelined.crash();
-        let rs = sequential.recover().unwrap();
-        let rp = pipelined.recover().unwrap();
-        assert_eq!(rs.sequence, rp.sequence);
-        assert_eq!(pipelined.verify_coherent().unwrap(), 3);
-        for tid in 0..4u32 {
-            let r = sequential.stack(tid).range();
-            assert_eq!(
-                sequential.stack(tid).volatile().read(r.start(), 4096),
-                pipelined.stack(tid).volatile().read(r.start(), 4096),
-                "thread {tid}: identical recovered bytes"
-            );
-            assert_eq!(rs.regs[tid as usize], rp.regs[tid as usize]);
-        }
-    }
-
-    /// The pipelined probe stream shows exactly the legal overlap:
-    /// stage(N+1) after seal(N) but before retire(N), and seal(N+1)
-    /// only after every apply(N). Every pass runs in tid order, so the
-    /// stream is one literal list.
-    #[test]
-    fn pipelined_probe_stream_overlaps_legally() {
+    fn probe_stream_runs_one_sequence_at_a_time() {
         use CommitProbeEvent as E;
         let stage = |tid, sequence| E::StageThread { tid, sequence };
         let apply = |tid, sequence| E::ApplyThread { tid, sequence };
         let seal = |sequence| E::Seal { sequence };
         let retire = |sequence| E::Retire { sequence };
-        let probed = |threads: u32, batches: usize| {
-            let tids: Vec<u32> = (0..threads).collect();
-            let mut p = PersistentProcess::new(&ranges(u64::from(threads)));
-            for &tid in &tids {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 16, &[7; 8]);
-            }
-            let batches = vec![full_runs(&p, &tids); batches];
-            let probe = CommitProbe::new();
+        let tids: Vec<u32> = (0..4).collect();
+        let mut p = PersistentProcess::new(&ranges(4));
+        for &tid in &tids {
+            let r = p.stack(tid).range();
+            p.record_store(tid, r.start() + 16, &[7; 8]);
+        }
+        let runs = full_runs(&p, &tids);
+        let probe = CommitProbe::new();
+        for _ in 0..3 {
             let hooks = CommitHooks {
                 probe: Some(&probe),
                 ..CommitHooks::default()
             };
-            p.commit_with(&batches, hooks).unwrap();
-            probe.events()
-        };
+            p.commit_with(&runs, hooks).unwrap();
+        }
         assert_eq!(
-            probed(2, 2),
-            vec![
-                stage(0, 1),
-                stage(1, 1),
-                seal(1),
-                apply(0, 1),
-                stage(0, 2),
-                apply(1, 1),
-                stage(1, 2),
-                retire(1),
-                seal(2),
-                apply(0, 2),
-                apply(1, 2),
-                retire(2),
-            ],
-            "stage(2) interleaves apply(1) — after seal(1), before retire(1)"
-        );
-        let ev4 = probed(4, 3);
-        assert_eq!(
-            ev4,
+            probe.events(),
             vec![
                 stage(0, 1),
                 stage(1, 1),
@@ -1689,24 +1436,24 @@ mod tests {
                 stage(3, 1),
                 seal(1),
                 apply(0, 1),
-                stage(0, 2),
                 apply(1, 1),
-                stage(1, 2),
                 apply(2, 1),
-                stage(2, 2),
                 apply(3, 1),
-                stage(3, 2),
                 retire(1),
+                stage(0, 2),
+                stage(1, 2),
+                stage(2, 2),
+                stage(3, 2),
                 seal(2),
                 apply(0, 2),
-                stage(0, 3),
                 apply(1, 2),
-                stage(1, 3),
                 apply(2, 2),
-                stage(2, 3),
                 apply(3, 2),
-                stage(3, 3),
                 retire(2),
+                stage(0, 3),
+                stage(1, 3),
+                stage(2, 3),
+                stage(3, 3),
                 seal(3),
                 apply(0, 3),
                 apply(1, 3),
@@ -1715,145 +1462,6 @@ mod tests {
                 retire(3),
             ]
         );
-        // The sharpened invariant, checked on the stream itself.
-        let pos_seal = |seq: u64| ev4.iter().position(|e| *e == seal(seq)).unwrap();
-        for seq in 2..=3u64 {
-            let seal_prior = pos_seal(seq - 1);
-            let seal_this = pos_seal(seq);
-            for (i, e) in ev4.iter().enumerate() {
-                if let E::StageThread { sequence, .. } = e {
-                    if *sequence == seq {
-                        assert!(i > seal_prior, "stage({seq}) before seal({})", seq - 1);
-                    }
-                }
-                if let E::ApplyThread { sequence, .. } = e {
-                    if *sequence == seq - 1 {
-                        assert!(
-                            i < seal_this,
-                            "seal({seq}) before apply({}) drained",
-                            seq - 1
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exhaustive sweep of the pipelined pair's crash windows: from
-    /// any site — including every `MidPipelineStage` inside the
-    /// overlap — recovery lands on exactly N or N+1 (decided by how
-    /// many seals went durable), stays coherent, and the stall ledger
-    /// still conserves.
-    #[test]
-    fn pipelined_pair_crash_sweep_lands_on_n_or_n_plus_one() {
-        let base = || {
-            let mut p = PersistentProcess::new(&ranges(2));
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 0x100, &[0xaa; 16]);
-            }
-            let prior = full_runs(&p, &[0, 1]);
-            p.commit(&prior);
-            // Distinct per-sequence payloads at disjoint offsets.
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                p.record_store(tid, r.start() + 0x200, &[0xbb; 16]);
-                p.record_store(tid, r.start() + 0x400, &[0xcc; 16]);
-            }
-            let runs_n: BTreeMap<u32, Vec<CopyRun>> = (0..2u32)
-                .map(|tid| {
-                    let r = p.stack(tid).range();
-                    (
-                        tid,
-                        vec![
-                            CopyRun {
-                                start: r.start() + 0x200,
-                                len: 16,
-                            },
-                            CopyRun {
-                                start: r.start() + 0x210,
-                                len: 16,
-                            },
-                        ],
-                    )
-                })
-                .collect();
-            let runs_n1: BTreeMap<u32, Vec<CopyRun>> = (0..2u32)
-                .map(|tid| {
-                    let r = p.stack(tid).range();
-                    (
-                        tid,
-                        vec![
-                            CopyRun {
-                                start: r.start() + 0x400,
-                                len: 16,
-                            },
-                            CopyRun {
-                                start: r.start() + 0x410,
-                                len: 16,
-                            },
-                        ],
-                    )
-                })
-                .collect();
-            (p, [runs_n, runs_n1])
-        };
-        // Enumerate every crash window of the pair.
-        let (mut p, pair) = base();
-        let mut rec_inj = FaultInjector::disabled();
-        let hooks = CommitHooks {
-            faults: Some(&mut rec_inj),
-            ..CommitHooks::default()
-        };
-        p.commit_with(&pair, hooks).unwrap();
-        assert_eq!(p.verify_coherent().unwrap(), 3, "clean pair lands on N+1");
-        let sites: Vec<CrashSite> = rec_inj.crossed().to_vec();
-        assert!(
-            sites
-                .iter()
-                .any(|s| matches!(s, CrashSite::MidPipelineStage { .. })),
-            "the pair schedule must cross the overlap window"
-        );
-        for (index, site) in sites.iter().enumerate() {
-            let (mut p, pair) = base();
-            let acct = StallAccountant::new_virtual();
-            let mut inj = FaultInjector::at_index(index as u64);
-            let hooks = CommitHooks {
-                faults: Some(&mut inj),
-                probe: None,
-                acct: Some(&acct),
-            };
-            let err = p.commit_with(&pair, hooks).unwrap_err();
-            assert_eq!(err.site, *site, "deterministic site order");
-            let seals = inj
-                .crossed()
-                .iter()
-                .filter(|s| **s == CrashSite::PostSeal)
-                .count() as u64;
-            let expected = 1 + seals; // pre-pair sequence was 1
-            p.crash();
-            let rec = p.recover_attributed(Some(&acct)).unwrap();
-            assert_eq!(
-                rec.sequence, expected,
-                "site {site}: recovery must land on exactly N or N+1"
-            );
-            assert!(
-                (2..=3).contains(&expected) || expected == 1,
-                "expected sequence in the pair's range"
-            );
-            assert_eq!(p.verify_coherent().unwrap(), expected);
-            // Payload visibility follows the recovered sequence.
-            for tid in 0..2u32 {
-                let r = p.stack(tid).range();
-                let has_n = p.stack(tid).volatile().read(r.start() + 0x200, 16) == vec![0xbb; 16];
-                let has_n1 = p.stack(tid).volatile().read(r.start() + 0x400, 16) == vec![0xcc; 16];
-                assert_eq!(has_n, expected >= 2, "site {site}: N payload");
-                assert_eq!(has_n1, expected >= 3, "site {site}: N+1 payload");
-            }
-            acct.snapshot()
-                .verify_conservation()
-                .unwrap_or_else(|e| panic!("site {site}: torn pair must conserve: {e}"));
-        }
     }
 
     /// Drives `commits` identical store/commit rounds through a spine
@@ -1975,12 +1583,12 @@ mod tests {
         let r1 = p.stack(1).range();
         p.record_store(1, r1.start() + 0x40, b"seq-one");
         let both = full_runs(&p, &[0, 1]);
-        commit_at(&mut p, &[both]);
+        p.commit(&both);
         assert_eq!(p.stack(1).spine_batches(), 1);
         // Sequence 2 stages nothing for thread 1.
         let mut idle = full_runs(&p, &[0]);
         idle.insert(1, Vec::new());
-        commit_at(&mut p, &[idle]);
+        p.commit(&idle);
         assert_eq!(p.stack(1).committed_sequence(), 2);
         assert_eq!(
             p.stack(1).spine_batches(),
@@ -2097,48 +1705,6 @@ mod tests {
     }
 
     #[test]
-    fn spine_pipelined_burst_degenerates_to_sequential_commits() {
-        let mut spine = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::lazy(64));
-        let mut eager = PersistentProcess::new(&ranges(2));
-        for p in [&mut spine, &mut eager] {
-            let mut batches = Vec::new();
-            for seq in 0..3u64 {
-                for tid in 0..2u32 {
-                    let r = p.stack(tid).range();
-                    p.record_store(tid, r.start() + 0x40 * (seq + 1), &[seq as u8 + 1; 8]);
-                }
-                batches.push(
-                    (0..2u32)
-                        .map(|tid| {
-                            let r = p.stack(tid).range();
-                            (
-                                tid,
-                                vec![CopyRun {
-                                    start: r.start() + 0x40 * (seq + 1),
-                                    len: 8,
-                                }],
-                            )
-                        })
-                        .collect::<BTreeMap<_, _>>(),
-                );
-            }
-            commit_at(p, &batches);
-        }
-        assert_eq!(spine.committed_sequence(), 3);
-        assert_eq!(eager.committed_sequence(), 3);
-        spine.merge_all_spines();
-        for tid in 0..2u32 {
-            assert!(
-                spine
-                    .stack(tid)
-                    .persistent()
-                    .matches(eager.stack(tid).persistent(), spine.stack(tid).range()),
-                "thread {tid}: pipelined spine burst differs from eager"
-            );
-        }
-    }
-
-    #[test]
     fn spine_commit_attributes_merge_stalls() {
         let acct = StallAccountant::new_virtual();
         let mut p = PersistentProcess::new_with_spine(&ranges(2), SpineConfig::merge_always());
@@ -2152,7 +1718,7 @@ mod tests {
                 acct: Some(&acct),
                 ..CommitHooks::default()
             };
-            p.commit_with(std::slice::from_ref(&runs), hooks).unwrap();
+            p.commit_with(&runs, hooks).unwrap();
         }
         let snap = acct.snapshot();
         snap.verify_conservation().unwrap();

@@ -85,7 +85,7 @@ fn commit_counted(p: &mut PersistentProcess, runs: &BTreeMap<u32, Vec<CopyRun>>,
         p.record_store(0, run.start, &[seed; RUN_BYTES as usize]);
     }
     allocations(|| {
-        p.commit_with(std::slice::from_ref(runs), CommitHooks::default())
+        p.commit_with(runs, CommitHooks::default())
             .expect("no injector is attached");
     })
 }

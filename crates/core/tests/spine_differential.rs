@@ -154,7 +154,7 @@ fn arb_spine_cfg() -> impl Strategy<Value = SpineConfig> {
 
 /// One commit through the commit engine with no hooks attached.
 fn commit_clean(p: &mut PersistentProcess, runs: &BTreeMap<u32, Vec<CopyRun>>) {
-    p.commit_with(std::slice::from_ref(runs), CommitHooks::default())
+    p.commit_with(runs, CommitHooks::default())
         .expect("no injector is attached");
 }
 
@@ -371,7 +371,7 @@ proptest! {
             faults: Some(&mut inj),
             ..CommitHooks::default()
         };
-        let crashed = d.spine.commit_with(std::slice::from_ref(&runs), hooks).is_err();
+        let crashed = d.spine.commit_with(&runs, hooks).is_err();
         d.spine.crash();
         let recovered = d
             .spine
@@ -441,7 +441,7 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
             faults: Some(&mut inj),
             ..CommitHooks::default()
         };
-        let outcome = d.spine.commit_with(std::slice::from_ref(&runs), hooks);
+        let outcome = d.spine.commit_with(&runs, hooks);
         match outcome {
             Err(CrashInjected { site }) => match site {
                 CrashSite::BatchSeal { .. } => hit_batch_seal = true,

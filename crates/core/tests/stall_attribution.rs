@@ -198,7 +198,7 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
             probe: Some(&probe),
             acct: Some(&acct),
         };
-        p.commit_with(std::slice::from_ref(&runs), hooks)
+        p.commit_with(&runs, hooks)
             .expect("no injector is attached");
     }
     let snap = acct.snapshot();

@@ -46,18 +46,6 @@ pub enum CrashSite {
         /// Runs applied so far.
         runs_applied: u32,
     },
-    /// Pipelined-commit overlap window: thread `tid` has staged
-    /// `runs_staged` of sequence N+1's copy runs while sealed record
-    /// N's apply is still draining on other threads. The N+1 staging
-    /// is unsealed (seal(N+1) cannot happen before apply(N) finishes),
-    /// so recovery redoes record N and discards the staged-ahead
-    /// buffers.
-    MidPipelineStage {
-        /// Thread staging ahead for the next sequence.
-        tid: u32,
-        /// Next-sequence runs staged so far on that thread.
-        runs_staged: u32,
-    },
     /// Thread `tid`'s staging buffer is fully applied and its stack
     /// sequence bumped; later threads are not yet applied.
     PostApplyThread {
@@ -124,9 +112,6 @@ impl std::fmt::Display for CrashSite {
             CrashSite::MidApply { tid, runs_applied } => {
                 write!(f, "mid-apply(tid={tid}, runs={runs_applied})")
             }
-            CrashSite::MidPipelineStage { tid, runs_staged } => {
-                write!(f, "mid-pipeline-stage(tid={tid}, runs={runs_staged})")
-            }
             CrashSite::PostApplyThread { tid } => write!(f, "post-apply-thread(tid={tid})"),
             CrashSite::PostApplyPreRegisters => write!(f, "post-apply-pre-registers"),
             CrashSite::MidRegisterApply { tid } => write!(f, "mid-register-apply(tid={tid})"),
@@ -161,7 +146,6 @@ impl CrashSite {
         "PreSeal",
         "PostSeal",
         "MidApply",
-        "MidPipelineStage",
         "PostApplyThread",
         "PostApplyPreRegisters",
         "MidRegisterApply",
@@ -176,10 +160,7 @@ impl CrashSite {
 
     /// `true` for sites at or after the seal: the commit point has
     /// passed, so recovery must redo (finish) the interrupted commit
-    /// rather than discard it. `MidPipelineStage` is post-seal for the
-    /// *draining* sequence N — the overlap window opens only after
-    /// seal(N), and the staged-ahead N+1 buffers are still unsealed —
-    /// so recovery lands on N. The spine sites (`BatchSeal`,
+    /// rather than discard it. The spine sites (`BatchSeal`,
     /// `MidMerge`, `MergeRetire`) only exist after the process record
     /// sealed — the batch append and the deferred merge both operate
     /// on committed data — so they are post-seal too.
@@ -188,7 +169,6 @@ impl CrashSite {
             self,
             CrashSite::PostSeal
                 | CrashSite::MidApply { .. }
-                | CrashSite::MidPipelineStage { .. }
                 | CrashSite::PostApplyThread { .. }
                 | CrashSite::PostApplyPreRegisters
                 | CrashSite::MidRegisterApply { .. }
@@ -357,14 +337,6 @@ mod tests {
             runs_applied: 1
         }
         .is_post_seal());
-        assert!(
-            CrashSite::MidPipelineStage {
-                tid: 1,
-                runs_staged: 1
-            }
-            .is_post_seal(),
-            "overlap window opens only after seal(N); recovery lands on N"
-        );
         assert!(CrashSite::PostApplyPreRegisters.is_post_seal());
         assert!(CrashSite::PostCommit.is_post_seal());
         assert!(!CrashSite::MidBitmapClear { tid: 0 }.is_post_seal());

@@ -9,12 +9,11 @@
 use proptest::prelude::*;
 use prosper_repro::core::bitmap::CopyRun;
 use prosper_repro::core::faultinject::{
-    enumerate_crash_sites, run_crash_attributed, run_crash_matrix, run_with_crash_at,
-    CrashMatrixConfig,
+    enumerate_crash_sites, run_crash_matrix, run_with_crash_at, CrashMatrixConfig,
 };
 use prosper_repro::core::recovery::{CommitHooks, PersistentProcess};
 use prosper_repro::core::SpineConfig;
-use prosper_repro::gemos::crash::{CrashSite, FaultInjector};
+use prosper_repro::gemos::crash::FaultInjector;
 use prosper_repro::gemos::image::MemoryImage;
 use prosper_repro::gemos::process::RegisterFile;
 use prosper_repro::memsim::addr::{VirtAddr, VirtRange};
@@ -51,18 +50,15 @@ proptest! {
     fn random_crash_placement_always_recovers(
         params in (
             (1u32..4, 1u32..4, 1u32..9),
-            (any::<u64>(), any::<u64>(), any::<bool>(), 0u8..3),
+            (any::<u64>(), any::<u64>(), 0u8..3),
         )
     ) {
-        let ((threads, intervals, stores_per_interval), (seed, pick, pipelined_epilogue, spine_mode)) =
-            params;
+        let ((threads, intervals, stores_per_interval), (seed, pick, spine_mode)) = params;
         let cfg = CrashMatrixConfig {
             threads,
             intervals,
             stores_per_interval,
             seed,
-            resume_after_recovery: true,
-            pipelined_epilogue,
             spine: match spine_mode {
                 0 => None,
                 1 => Some(SpineConfig::merge_always()),
@@ -75,58 +71,6 @@ proptest! {
         let outcome = run_with_crash_at(&cfg, index)
             .unwrap_or_else(|reason| panic!("crash at boundary {index}: {reason}"));
         prop_assert_eq!(outcome.fired, Some(sites[index as usize]));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random crash placements in and after the pipelined pair's
-    /// overlap window (PR 7): recovery lands on exactly sequence N or
-    /// N+1 — one checkpoint per durable seal, so a crash inside
-    /// stage(N+1)-over-apply(N) lands on N and only the second seal
-    /// moves it to N+1 — and the stall ledger still conserves across
-    /// the torn pipelined commit plus its recovery.
-    #[test]
-    fn pipelined_overlap_crashes_recover_onto_n_or_n_plus_one(
-        params in (1u32..3, 1u32..3, 1u32..7, any::<u64>(), any::<u64>())
-    ) {
-        let (threads, intervals, stores_per_interval, seed, pick) = params;
-        let cfg = CrashMatrixConfig {
-            threads,
-            intervals,
-            stores_per_interval,
-            seed,
-            resume_after_recovery: true,
-            pipelined_epilogue: true,
-            spine: None,
-        };
-        let sites = enumerate_crash_sites(&cfg);
-        let first_overlap = sites
-            .iter()
-            .position(|s| matches!(s, CrashSite::MidPipelineStage { .. }))
-            .expect("the pair schedule crosses the overlap window");
-        let index = first_overlap as u64 + pick % (sites.len() - first_overlap) as u64;
-        let (outcome, run) = run_crash_attributed(&cfg, index)
-            .unwrap_or_else(|reason| panic!("crash at boundary {index}: {reason}"));
-        prop_assert_eq!(outcome.fired, Some(sites[index as usize]));
-        // One durable checkpoint per crossed seal — nothing else.
-        let seals = sites[..=index as usize]
-            .iter()
-            .filter(|s| **s == CrashSite::PostSeal)
-            .count() as u64;
-        prop_assert_eq!(outcome.recovered_sequence, seals);
-        let n = u64::from(intervals) + 1;
-        prop_assert!((n..=n + 1).contains(&outcome.recovered_sequence));
-        if matches!(sites[index as usize], CrashSite::MidPipelineStage { .. }) {
-            prop_assert_eq!(
-                outcome.recovered_sequence, n,
-                "staged-ahead N+1 state is unsealed: the overlap recovers onto N"
-            );
-        }
-        run.snapshot
-            .verify_conservation()
-            .unwrap_or_else(|e| panic!("crash at boundary {index}: {e}"));
     }
 }
 
@@ -210,7 +154,7 @@ proptest! {
                         faults: Some(&mut inj),
                         ..CommitHooks::default()
                     };
-                    match p.commit_with(std::slice::from_ref(&full_runs), hooks) {
+                    match p.commit_with(&full_runs, hooks) {
                         Ok(()) => {
                             effective_commits += 1;
                             committed.clone_from(&live);

@@ -119,7 +119,7 @@ fn crash_between_stage_and_apply_is_idempotent() {
     // Seal the process record, then crash before the apply.
     let mut inj = FaultInjector::at_site(CrashSite::PostSeal);
     let crashed = process.commit_with(
-        std::slice::from_ref(&runs),
+        &runs,
         CommitHooks {
             faults: Some(&mut inj),
             ..CommitHooks::default()

@@ -116,7 +116,7 @@ fn register_state_restores_with_memory() {
     write_state(&mut p, slot, 5);
     let mut inj = FaultInjector::at_site(CrashSite::PreSeal);
     let crashed = p.commit_with(
-        std::slice::from_ref(&runs),
+        &runs,
         CommitHooks {
             faults: Some(&mut inj),
             ..CommitHooks::default()
