@@ -2,7 +2,7 @@
 //!
 //! The deterministic fault injector is only as good as its coverage:
 //! a `CrashSite` variant that exists in the enum but is never
-//! injected (no `crash_window!`/`observe` site references it) or
+//! injected (no `FaultInjector::cross` site references it) or
 //! never exercised by the crash matrix is a crash point the test
 //! suite silently does not test. This rule parses the enum from
 //! source and demands, for every variant, at least one reference in

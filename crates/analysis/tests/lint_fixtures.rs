@@ -92,10 +92,10 @@ fn crash002_exhaustiveness() {
 
 #[test]
 fn tel003_name_hygiene() {
-    // Typo + kind mismatch + ill-formed name, plus the slo/tax
-    // misuse corpus (typo, two kind mismatches, one unregistered
-    // name) and the spine/write-amp misuse corpus (typo, kind
-    // mismatch, unregistered phase counter).
+    // Typo + kind mismatch + ill-formed name, plus the
+    // crash-matrix/tracker misuse corpus (typo, two kind mismatches,
+    // one unregistered name) and the spine/write-amp misuse corpus
+    // (typo, kind mismatch, unregistered phase counter).
     assert_rule("PA-TEL003", 10);
 }
 

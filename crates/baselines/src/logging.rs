@@ -13,7 +13,6 @@
 //! charges its per-access persistence work, with and without SP
 //! awareness, normalized to a DRAM-resident run with no persistence.
 
-use prosper_memsim::addr::VirtAddr;
 use prosper_memsim::machine::Machine;
 use prosper_memsim::Cycles;
 use prosper_trace::interval::IntervalCollector;
@@ -208,12 +207,6 @@ pub fn replay_baseline<S: TraceSource>(
         }
     }
     machine.now()
-}
-
-/// Helper for tests and the Figure 3 harness: (addr used only to vary
-/// the trace deterministically).
-pub fn _doc_anchor() -> VirtAddr {
-    VirtAddr::new(0)
 }
 
 #[cfg(test)]

@@ -41,8 +41,8 @@ struct AllResults {
 struct FigureTiming {
     name: String,
     wall_ms: f64,
-    /// Metric deltas attributable to this figure (absent when the
-    /// telemetry feature is compiled out).
+    /// Metric deltas attributable to this figure (absent only when no
+    /// telemetry context is installed).
     metrics: Option<MetricsSnapshot>,
 }
 

@@ -10,8 +10,8 @@
 //! cargo run --release -p prosper-bench --bin crash_matrix
 //! cargo run --release -p prosper-bench --bin crash_matrix -- --quick
 //! # additionally archive the cause-tagged stall attribution of the
-//! # full matrix (every point re-run with an accountant attached,
-//! # conservation verified at each one):
+//! # full matrix (the ledger every point's run carries, conservation
+//! # verified at each one):
 //! cargo run --release -p prosper-bench --bin crash_matrix -- \
 //!     --telemetry-snapshot matrix_attribution.json
 //! ```
@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use prosper_bench::crash_matrix::{
-    attributed_sweep, default_suite, kind_coverage, quick_suite, run_suite,
+    default_suite, kind_coverage, matrix_attribution, quick_suite, run_suite,
 };
 use prosper_telemetry as telemetry;
 use prosper_telemetry::{NoopSink, Telemetry};
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
         println!(
             "  crash points exercised: {:>4}   survived: {:>4}   failed: {}",
             row.report.total(),
-            row.report.survived,
+            row.report.survived(),
             row.report.failures.len()
         );
         for kc in kind_coverage(&row.report) {
@@ -93,24 +93,17 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &snapshot_path {
-        match attributed_sweep(&suite) {
-            Ok(archive) => {
-                let total_points: u64 = archive.rows.iter().map(|r| r.points).sum();
-                let json = serde_json::to_string_pretty(&archive).expect("archive serializes");
-                if let Err(e) = std::fs::write(path, json + "\n") {
-                    eprintln!("failed to write {path}: {e}");
-                    any_failed = true;
-                } else {
-                    println!(
-                        "\narchived stall attribution of {total_points} crash points \
-                         (conservation verified at every one) to {path}"
-                    );
-                }
-            }
-            Err(e) => {
-                println!("\nATTRIBUTION FAIL: {e}");
-                any_failed = true;
-            }
+        let archive = matrix_attribution(&rows);
+        let total_points: u64 = archive.rows.iter().map(|r| r.points).sum();
+        let json = serde_json::to_string_pretty(&archive).expect("archive serializes");
+        if let Err(e) = std::fs::write(path, json + "\n") {
+            eprintln!("failed to write {path}: {e}");
+            any_failed = true;
+        } else {
+            println!(
+                "\narchived stall attribution of {total_points} crash points \
+                 (conservation verified at every one) to {path}"
+            );
         }
     }
 

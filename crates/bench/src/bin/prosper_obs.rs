@@ -5,7 +5,7 @@
 //! the whole-process commit (`commit`) and a crash and its recovery
 //! replay (`crash_recover`) — verifies the conservation invariant on
 //! every ledger, and renders the results as a text HUD, a
-//! `prosper-checkpoint-tax/v2` JSON report, and a Chrome-trace
+//! `prosper-checkpoint-tax/v3` JSON report, and a Chrome-trace
 //! interference timeline of the commit run.
 //!
 //! ```sh
@@ -22,10 +22,7 @@
 
 use std::process::ExitCode;
 
-use prosper_bench::obs::{
-    collect, commit_cfg, diff_reports, render_text, timeline_json, TaxReport,
-};
-use prosper_core::faultinject::run_attributed;
+use prosper_bench::obs::{collect, diff_reports, render_text, timeline_json, TaxReport};
 
 struct Args {
     quick: bool,
@@ -60,7 +57,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let report = collect(args.quick)?;
+    let (report, commit_ledger) = collect(args.quick)?;
     print!("{}", render_text(&report));
 
     if let Some(path) = &args.out {
@@ -73,9 +70,8 @@ fn run() -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {dir}: {e}"))?;
         // The commit run's per-thread interference picture, which the
         // HUD aggregates away.
-        let run = run_attributed(&commit_cfg(args.quick));
         let path = format!("{dir}/stall_timeline.json");
-        std::fs::write(&path, timeline_json(&run.snapshot))
+        std::fs::write(&path, timeline_json(&commit_ledger))
             .map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote timeline to {path}");
     }

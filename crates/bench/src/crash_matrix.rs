@@ -7,14 +7,12 @@
 //! handful of manual kills, every step boundary of the checkpoint
 //! pipeline is enumerated and crashed exactly once, per workload
 //! shape. Results are mirrored into telemetry counters
-//! (`prosper.crashmatrix.*`) when a context is installed.
+//! (`prosper.crashmatrix.*`) when a context is installed, and the stall
+//! ledgers the sweep's runs carry aggregate into an attribution archive.
 
 use std::collections::BTreeMap;
 
-use prosper_core::faultinject::{
-    enumerate_crash_sites, run_crash_attributed, run_crash_matrix, CrashMatrixConfig,
-    CrashMatrixReport,
-};
+use prosper_core::faultinject::{run_crash_matrix, CrashMatrixConfig, CrashMatrixReport};
 use prosper_core::SpineConfig;
 use prosper_gemos::crash::CrashSite;
 use prosper_telemetry as telemetry;
@@ -226,7 +224,7 @@ pub fn run_suite(suite: &[(&'static str, CrashMatrixConfig)]) -> Vec<MatrixRow> 
             reg.counter("prosper.crashmatrix.sites")
                 .add(row.report.total());
             reg.counter("prosper.crashmatrix.survived")
-                .add(row.report.survived);
+                .add(row.report.survived());
             reg.counter("prosper.crashmatrix.failures")
                 .add(row.report.failures.len() as u64);
         }
@@ -237,8 +235,8 @@ pub fn run_suite(suite: &[(&'static str, CrashMatrixConfig)]) -> Vec<MatrixRow> 
 /// Schema tag of the crash-matrix attribution archive.
 pub const MATRIX_ATTR_SCHEMA: &str = "prosper-crashmatrix-attribution/v1";
 
-/// Attribution aggregate of one workload shape's full sweep: every
-/// enumerated crash point re-run with a stall accountant attached.
+/// Attribution aggregate of one workload shape's full sweep: the stall
+/// ledgers of its crash points.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MatrixAttributionRow {
     /// The shape label.
@@ -263,52 +261,44 @@ pub struct MatrixAttribution {
     pub rows: Vec<MatrixAttributionRow>,
 }
 
-/// Re-runs every crash point of every shape with a stall accountant
-/// attached, verifies the conservation invariant at each point
-/// (torn commits and recovery replays included), and aggregates the
-/// cause-tagged totals into an archive.
+/// Aggregates the cause-tagged stall ledgers of every survived crash
+/// point of `rows` into an archive. The sweep's runner verified each
+/// ledger's conservation — torn commits and recovery replays included
+/// — and failed any point whose ledger does not tile.
 ///
 /// Deterministic: equal suites produce byte-identical archives.
-///
-/// # Errors
-///
-/// Returns the first recovery-invariant or conservation violation.
-pub fn attributed_sweep(
-    suite: &[(&'static str, CrashMatrixConfig)],
-) -> Result<MatrixAttribution, String> {
-    let mut rows = Vec::new();
-    for (label, cfg) in suite {
-        let sites = enumerate_crash_sites(cfg);
-        let mut row = MatrixAttributionRow {
-            label: (*label).to_string(),
-            ..Default::default()
-        };
-        for index in 0..sites.len() as u64 {
-            let (_, run) = run_crash_attributed(cfg, index)
-                .map_err(|e| format!("{label}: crash at {index}: {e}"))?;
-            run.snapshot
-                .verify_conservation()
-                .map_err(|e| format!("{label}: crash at {index}: {e}"))?;
-            for (_, totals) in run.snapshot.per_thread() {
-                for (cause, ns) in &totals.by_cause {
-                    *row.by_cause.entry(cause.clone()).or_insert(0) += ns;
+#[must_use]
+pub fn matrix_attribution(rows: &[MatrixRow]) -> MatrixAttribution {
+    let rows = rows
+        .iter()
+        .map(|matrix_row| {
+            let mut row = MatrixAttributionRow {
+                label: matrix_row.label.clone(),
+                ..Default::default()
+            };
+            for run in &matrix_row.report.ledgers {
+                for (_, totals) in run.snapshot.per_thread() {
+                    for (cause, ns) in &totals.by_cause {
+                        *row.by_cause.entry(cause.clone()).or_insert(0) += ns;
+                    }
+                    row.stall_ns += totals.window_ns;
                 }
-                row.stall_ns += totals.window_ns;
+                row.wall_ns += run.total_cycles;
+                row.points += 1;
             }
-            row.wall_ns += run.total_cycles;
-            row.points += 1;
-        }
-        rows.push(row);
-    }
-    Ok(MatrixAttribution {
+            row
+        })
+        .collect();
+    MatrixAttribution {
         schema: MATRIX_ATTR_SCHEMA.to_string(),
         rows,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prosper_core::faultinject::enumerate_crash_sites;
     use prosper_telemetry::{NoopSink, Telemetry};
 
     #[test]
@@ -322,8 +312,17 @@ mod tests {
                 ..Default::default()
             },
         )];
-        let a = attributed_sweep(&suite).expect("sweep conserves");
-        let b = attributed_sweep(&suite).expect("sweep conserves");
+        let sweep = || {
+            let rows = run_suite(&suite);
+            assert!(
+                rows[0].report.all_survived(),
+                "sweep conserves: {:?}",
+                rows[0].report.failures.first()
+            );
+            matrix_attribution(&rows)
+        };
+        let a = sweep();
+        let b = sweep();
         assert_eq!(a, b);
         assert_eq!(a.schema, MATRIX_ATTR_SCHEMA);
         let row = &a.rows[0];
@@ -411,7 +410,7 @@ mod tests {
     fn quick_suite_shape_sizes_are_pinned() {
         let sizes: Vec<usize> = quick_suite()
             .iter()
-            .map(|(_, cfg)| enumerate_crash_sites(cfg).len())
+            .map(|(_, cfg)| enumerate_crash_sites(cfg).sites.len())
             .collect();
         assert_eq!(sizes, [43, 85, 63, 19]);
     }

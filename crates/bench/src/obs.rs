@@ -7,7 +7,7 @@
 //! [`prosper_telemetry::StallAccountant`] probes wired through the
 //! core crate. This module turns those ledgers into:
 //!
-//! * the **checkpoint-tax report** (`prosper-checkpoint-tax/v2`
+//! * the **checkpoint-tax report** (`prosper-checkpoint-tax/v3`
 //!   JSON): per section and per thread, the run's wall time split
 //!   into `{useful, inspect, stage, seal, apply, merge, quiesce,
 //!   recovery}`, plus per-phase NVM write volume (write
@@ -30,30 +30,20 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use prosper_core::faultinject::{
-    enumerate_crash_sites, run_attributed, run_crash_attributed, AttributedRun, CrashMatrixConfig,
+    enumerate_crash_sites, run_with_crash_at, AttributedRun, CrashMatrixConfig,
 };
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::CheckpointManager;
 use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
-use prosper_telemetry::{
-    chrome_trace, AttributionSnapshot, Event, SloReport, SloTracker, StallCause,
-};
+use prosper_telemetry::{chrome_trace, AttributionSnapshot, Event, StallCause};
 use prosper_trace::micro::{MicroBench, MicroSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::report::Table;
 
 /// Schema tag of the checkpoint-tax report.
-pub const TAX_SCHEMA: &str = "prosper-checkpoint-tax/v2";
-
-/// Stall-latency objective per checkpoint window, in virtual ns: the
-/// SLO the error budget burns against. One interval's whole-process
-/// stall should stay under this.
-pub const SLO_OBJECTIVE_NS: u64 = 50_000;
-
-/// Fraction of windows allowed over the objective.
-pub const SLO_ERROR_BUDGET: f64 = 0.05;
+pub const TAX_SCHEMA: &str = "prosper-checkpoint-tax/v3";
 
 /// One thread's share of a section's wall time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -99,8 +89,6 @@ pub struct TaxSection {
     pub useful_ns: u64,
     /// Per-thread breakdown, tid-ascending.
     pub threads: Vec<TaxThreadRow>,
-    /// Stall-latency SLO over this section's windows.
-    pub slo: SloReport,
     /// Per-phase NVM write volume, when the section drives the
     /// memory simulator (micro sections); `None` elsewhere.
     pub nvm_bytes: Option<NvmBytesRow>,
@@ -170,10 +158,6 @@ pub fn section_from_run(name: &str, run: &AttributedRun) -> Result<TaxSection, S
     run.snapshot
         .verify_conservation()
         .map_err(|e| format!("section {name}: {e}"))?;
-    let slo = SloTracker::new(SLO_OBJECTIVE_NS, SLO_ERROR_BUDGET);
-    for w in &run.snapshot.windows {
-        slo.record(w.tid, w.duration_ns());
-    }
     let per = run.snapshot.per_thread();
     let mut threads = Vec::with_capacity(per.len());
     let mut stall_total = 0u64;
@@ -201,7 +185,6 @@ pub fn section_from_run(name: &str, run: &AttributedRun) -> Result<TaxSection, S
         stall_ns: stall_total,
         useful_ns: (run.total_cycles * thread_count).saturating_sub(stall_total),
         threads,
-        slo: slo.report(),
         nvm_bytes: None,
     })
 }
@@ -238,8 +221,7 @@ fn micro_run(
 
 /// The crash-matrix workload behind the `commit` and `crash_recover`
 /// sections: 2 threads × 2 intervals when `quick`, else 4 × 3.
-#[must_use]
-pub fn commit_cfg(quick: bool) -> CrashMatrixConfig {
+fn commit_cfg(quick: bool) -> CrashMatrixConfig {
     if quick {
         CrashMatrixConfig {
             threads: 2,
@@ -259,16 +241,17 @@ pub fn commit_cfg(quick: bool) -> CrashMatrixConfig {
 
 /// Collects the full tax report: the PR-3 micro-workload (eager and
 /// staged-delta-spine commits, each with its per-phase NVM write
-/// volume), the whole-process commit path, and a crash+recover run (power failure at the last enumerated boundary —
-/// deep in the final commit — followed by attributed recovery
-/// replay).
+/// volume), the whole-process commit path, and a crash+recover run
+/// (power failure at the last enumerated boundary — deep in the final
+/// commit — followed by attributed recovery replay). Returns it with
+/// the commit run's ledger, which the interference timeline renders.
 ///
 /// Fully deterministic: two calls produce equal reports.
 ///
 /// # Errors
 ///
 /// Returns the first conservation violation or crash-run failure.
-pub fn collect(quick: bool) -> Result<TaxReport, String> {
+pub fn collect(quick: bool) -> Result<(TaxReport, AttributionSnapshot), String> {
     let mut sections = Vec::new();
     let (run, nvm) = micro_run(quick, None);
     let mut micro = section_from_run("micro", &run)?;
@@ -279,31 +262,17 @@ pub fn collect(quick: bool) -> Result<TaxReport, String> {
     micro_spine.nvm_bytes = Some(nvm);
     sections.push(micro_spine);
     let cfg = commit_cfg(quick);
-    sections.push(section_from_run("commit", &run_attributed(&cfg))?);
-    let sites = enumerate_crash_sites(&cfg);
-    let last = (sites.len() as u64).saturating_sub(1);
-    let (_, crash_run) = run_crash_attributed(&cfg, last)?;
-    sections.push(section_from_run("crash_recover", &crash_run)?);
-    Ok(TaxReport {
+    let schedule = enumerate_crash_sites(&cfg);
+    sections.push(section_from_run("commit", &schedule.ledger)?);
+    let last = (schedule.sites.len() as u64).saturating_sub(1);
+    let crashed = run_with_crash_at(&cfg, last)?;
+    sections.push(section_from_run("crash_recover", &crashed.ledger)?);
+    let report = TaxReport {
         schema: TAX_SCHEMA.to_string(),
         quick,
         sections,
-    })
-}
-
-/// Publishes a tax report into a metrics registry: per-section
-/// stall/useful totals accumulate under the registered
-/// `prosper.tax.*` counters, and each section's SLO lands on the
-/// `prosper.slo.*` gauges via
-/// [`prosper_telemetry::slo_to_registry`] (last section wins the
-/// gauges; violations accumulate).
-pub fn publish_to_registry(report: &TaxReport, registry: &prosper_telemetry::Registry) {
-    for s in &report.sections {
-        registry.counter("prosper.tax.reports").inc();
-        registry.counter("prosper.tax.stall_ns").add(s.stall_ns);
-        registry.counter("prosper.tax.useful_ns").add(s.useful_ns);
-        prosper_telemetry::slo_to_registry(&s.slo, registry);
-    }
+    };
+    Ok((report, schedule.ledger.snapshot))
 }
 
 /// Renders a snapshot's cause-tagged segments as Chrome-trace span
@@ -420,12 +389,6 @@ pub fn render_text(report: &TaxReport) -> String {
                 n.write_amp_milli as f64 / 1000.0
             ));
         }
-        for (tid, slo) in &s.slo.per_thread {
-            out.push_str(&format!(
-                "  slo tid {tid}: p50={} p95={} p99={} p999={} viol={} burn={:.2}\n",
-                slo.p50_ns, slo.p95_ns, slo.p99_ns, slo.p999_ns, slo.violations, slo.burn_rate
-            ));
-        }
         out.push('\n');
     }
     out
@@ -492,7 +455,6 @@ pub fn diff_reports(base: &TaxReport, current: &TaxReport) -> Vec<String> {
                         ));
                     }
                 }
-                field_drift(&mut out, name, "slo", &b.slo, &c.slo);
                 field_drift(&mut out, name, "nvm_bytes", &b.nvm_bytes, &c.nvm_bytes);
             }
         }
@@ -511,9 +473,10 @@ mod tests {
 
     #[test]
     fn collect_is_deterministic() {
-        let a = collect(true).expect("collect");
-        let b = collect(true).expect("collect");
+        let (a, a_commit) = collect(true).expect("collect");
+        let (b, b_commit) = collect(true).expect("collect");
         assert_eq!(a, b);
+        assert_eq!(a_commit, b_commit);
         let ja = serde_json::to_string_pretty(&a).unwrap();
         let jb = serde_json::to_string_pretty(&b).unwrap();
         assert_eq!(ja, jb, "tax JSON must be byte-identical across runs");
@@ -521,7 +484,7 @@ mod tests {
 
     #[test]
     fn report_has_expected_sections_and_conserves() {
-        let rep = collect(true).expect("collect");
+        let (rep, _) = collect(true).expect("collect");
         let names: Vec<&str> = rep.sections.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["micro", "micro_spine", "commit", "crash_recover"]);
         for s in &rep.sections {
@@ -560,7 +523,7 @@ mod tests {
 
     #[test]
     fn spine_section_reports_write_amplification_win() {
-        let rep = collect(true).expect("collect");
+        let (rep, _) = collect(true).expect("collect");
         let micro = rep.sections.iter().find(|s| s.name == "micro").unwrap();
         let spine = rep
             .sections
@@ -591,7 +554,7 @@ mod tests {
 
     #[test]
     fn timeline_events_balance_and_are_sorted() {
-        let rep = run_attributed(&commit_cfg(true));
+        let rep = enumerate_crash_sites(&commit_cfg(true)).ledger;
         let evs = timeline_events(&rep.snapshot);
         let mut ts = 0;
         let mut depth: BTreeMap<u32, i64> = BTreeMap::new();
@@ -611,7 +574,7 @@ mod tests {
 
     #[test]
     fn diff_reports_flags_drift_and_nothing_else() {
-        let a = collect(true).expect("collect");
+        let (a, _) = collect(true).expect("collect");
         assert!(diff_reports(&a, &a).is_empty(), "self-diff is empty");
         let mut b = a.clone();
         assert_eq!(b.sections[2].name, "commit");
@@ -632,40 +595,11 @@ mod tests {
         let d = diff_reports(&a, &c);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].starts_with("section micro: nvm_bytes "), "{d:?}");
-
-        // So is a tail-latency shift alone.
-        let mut e = a.clone();
-        assert_eq!(e.sections[2].name, "commit");
-        e.sections[2]
-            .slo
-            .per_thread
-            .values_mut()
-            .next()
-            .expect("commit has an SLO series")
-            .p99_ns += 1;
-        let d = diff_reports(&a, &e);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].starts_with("section commit: slo "), "{d:?}");
-    }
-
-    #[test]
-    fn publish_lands_on_registered_names() {
-        let rep = collect(true).expect("collect");
-        let registry = prosper_telemetry::Registry::new();
-        publish_to_registry(&rep, &registry);
-        let snap = registry.snapshot();
-        let stall: u64 = rep.sections.iter().map(|s| s.stall_ns).sum();
-        assert_eq!(snap.counters.get("prosper.tax.stall_ns"), Some(&stall));
-        assert_eq!(
-            snap.counters.get("prosper.tax.reports"),
-            Some(&(rep.sections.len() as u64))
-        );
-        assert!(snap.gauges.get("prosper.slo.p99_ns").copied().unwrap_or(0) > 0);
     }
 
     #[test]
     fn tax_json_roundtrips() {
-        let rep = collect(true).expect("collect");
+        let (rep, _) = collect(true).expect("collect");
         let json = serde_json::to_string(&rep).unwrap();
         let back: TaxReport = serde_json::from_str(&json).unwrap();
         assert_eq!(rep, back);

@@ -64,10 +64,6 @@ mod tests {
     fn capture_has_nested_checkpoint_phases() {
         let cap = capture_prosper_run(2);
         assert_eq!(cap.result.intervals, 2);
-        if cap.events.is_empty() {
-            // Telemetry compiled out (`enabled` feature off).
-            return;
-        }
         // Each interval must contain the Prosper phases nested inside
         // the manager's commit span.
         for phase in [

@@ -20,6 +20,11 @@
 //!    recovered checkpoint and must finish with a state identical to
 //!    an uninterrupted run.
 //!
+//! Every run carries a stall accountant through tracker quiescence,
+//! the commit engine and recovery, so the one runner per crash point,
+//! [`run_with_crash_at`], returns the outcome together with the run's
+//! cause-tagged stall ledger.
+//!
 //! The invariants checked after every injected crash:
 //!
 //! * the recovered sequence equals the last *sealed* commit — one
@@ -33,7 +38,10 @@
 //! * the restarted tracker is quiescent with an empty lookup table —
 //!   bitmap and lookup table hold no stale state;
 //! * no stack still holds staging — no runs and no sequence tag — so a
-//!   buffer no sealed record covers never outlives recovery.
+//!   buffer no sealed record covers never outlives recovery;
+//! * the run's stall ledger conserves: its cause-tagged segments tile
+//!   its stall windows, the torn commit and the recovery replay
+//!   included.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,7 +52,7 @@ use prosper_gemos::process::RegisterFile;
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
-use prosper_telemetry::{AttributionSnapshot, StallAccountant};
+use prosper_telemetry::{AttributionSnapshot, StallAccountant, StallCause};
 
 use crate::bitmap::CopyRun;
 use crate::multithread::MultiThreadTracker;
@@ -97,12 +105,24 @@ pub struct CrashFailure {
 }
 
 /// Outcome of one injected crash that survived verification.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CrashOutcome {
     /// The site the crash fired at, if the index was in range.
     pub fired: Option<CrashSite>,
     /// Sequence number of the checkpoint recovery landed on.
     pub recovered_sequence: u64,
+    /// The run's stall ledger — the torn commit, the recovery replay
+    /// and the resumed run — verified to conserve.
+    pub ledger: AttributedRun,
+}
+
+/// The recording run: the workload run once without a crash.
+#[derive(Clone, Debug)]
+pub struct CrashSchedule {
+    /// Every boundary the workload crosses, in schedule order.
+    pub sites: Vec<CrashSite>,
+    /// The uncrashed run's stall ledger.
+    pub ledger: AttributedRun,
 }
 
 /// Result of an exhaustive crash-point sweep.
@@ -110,8 +130,9 @@ pub struct CrashOutcome {
 pub struct CrashMatrixReport {
     /// Every boundary the workload crosses, in schedule order.
     pub sites: Vec<CrashSite>,
-    /// Crash points whose recovery satisfied every invariant.
-    pub survived: u64,
+    /// The stall ledger of every crash point whose recovery satisfied
+    /// every invariant, in schedule order.
+    pub ledgers: Vec<AttributedRun>,
     /// Crash points that broke an invariant.
     pub failures: Vec<CrashFailure>,
 }
@@ -119,7 +140,12 @@ pub struct CrashMatrixReport {
 impl CrashMatrixReport {
     /// `true` when every enumerated crash point was survived.
     pub fn all_survived(&self) -> bool {
-        self.failures.is_empty() && self.survived == self.sites.len() as u64
+        self.failures.is_empty() && self.survived() == self.total()
+    }
+
+    /// Count of crash points whose recovery satisfied every invariant.
+    pub fn survived(&self) -> u64 {
+        self.ledgers.len() as u64
     }
 
     /// Count of enumerated crash points.
@@ -195,18 +221,19 @@ struct Driver {
     /// have been written.
     expected_sequence: u64,
     /// Stall accountant wired through quiescence, commit, and
-    /// recovery when the run is attributed.
-    acct: Option<Arc<StallAccountant>>,
+    /// recovery.
+    acct: Arc<StallAccountant>,
     /// Cycles retired by machine epochs that ended in a power
     /// failure; the live machine's clock restarts from zero.
     prior_epochs_cycles: u64,
 }
 
-fn fresh_tracker(threads: u32) -> MultiThreadTracker {
+fn fresh_tracker(threads: u32, acct: &Arc<StallAccountant>) -> MultiThreadTracker {
     let mut mt = MultiThreadTracker::new(TrackerConfig::default());
     for tid in 0..threads {
         mt.register_thread(tid, thread_range(tid), thread_bitmap_base(tid));
     }
+    mt.set_attribution(Arc::clone(acct));
     mt
 }
 
@@ -214,10 +241,11 @@ impl Driver {
     fn new(cfg: CrashMatrixConfig) -> Self {
         assert!(cfg.threads > 0, "crash matrix needs at least one thread");
         let ranges: Vec<VirtRange> = (0..cfg.threads).map(thread_range).collect();
+        let acct = Arc::new(StallAccountant::new_virtual());
         Self {
             cfg,
             machine: Machine::new(MachineConfig::setup_i()),
-            mt: fresh_tracker(cfg.threads),
+            mt: fresh_tracker(cfg.threads, &acct),
             process: match cfg.spine {
                 Some(spine) => PersistentProcess::new_with_spine(&ranges, spine),
                 None => PersistentProcess::new(&ranges),
@@ -225,21 +253,24 @@ impl Driver {
             snapshots: BTreeMap::new(),
             commits_completed: 0,
             expected_sequence: 0,
-            acct: None,
+            acct,
             prior_epochs_cycles: 0,
         }
     }
 
-    /// Total simulated cycles across every machine epoch of the run.
-    fn total_cycles(&self) -> u64 {
-        self.prior_epochs_cycles + self.machine.now()
-    }
-
-    /// Wires a stall accountant through every layer the workload
-    /// stalls in: tracker quiescence, the commit path, and recovery.
-    fn set_attribution(&mut self, acct: Arc<StallAccountant>) {
-        self.mt.set_attribution(Arc::clone(&acct));
-        self.acct = Some(acct);
+    /// Freezes the run's stall ledger. Off-machine time is everything
+    /// the virtual clock advanced by except the quiesce phases, which
+    /// mirror machine cycles already counted in the machine epochs.
+    fn ledger(&self) -> AttributedRun {
+        let snapshot = self.acct.snapshot();
+        let modelled = self
+            .acct
+            .now_ns()
+            .saturating_sub(snapshot.cause_total_ns(StallCause::Quiesce));
+        AttributedRun {
+            total_cycles: self.prior_epochs_cycles + self.machine.now() + modelled,
+            snapshot,
+        }
     }
 
     /// Runs intervals `[from, cfg.intervals)`; stops at the first
@@ -286,11 +317,7 @@ impl Driver {
             runs_per_thread.insert(tid, runs);
             // Crash window: the bitmap words are cleared but the runs
             // they produced are not yet committed anywhere.
-            if inj.observe(CrashSite::MidBitmapClear { tid }) {
-                return Err(CrashInjected {
-                    site: CrashSite::MidBitmapClear { tid },
-                });
-            }
+            inj.cross(CrashSite::MidBitmapClear { tid })?;
         }
 
         // Whole-process two-phase commit.
@@ -299,7 +326,7 @@ impl Driver {
         let hooks = CommitHooks {
             faults: Some(inj),
             probe: None,
-            acct: self.acct.as_deref(),
+            acct: Some(&self.acct),
         };
         match self.process.commit_with(&runs_per_thread, hooks) {
             Ok(()) => {
@@ -340,16 +367,13 @@ impl Driver {
         self.process.crash();
         self.prior_epochs_cycles += self.machine.now();
         self.machine = Machine::new(MachineConfig::setup_i());
-        self.mt = fresh_tracker(self.cfg.threads);
-        if let Some(acct) = &self.acct {
-            self.mt.set_attribution(Arc::clone(acct));
-        }
+        self.mt = fresh_tracker(self.cfg.threads, &self.acct);
         if !self.mt.tracker().quiescent() || self.mt.tracker().resident_entries() != 0 {
             return Err("restarted tracker is not quiescent/empty".into());
         }
 
         let expected = self.expected_sequence;
-        let recovered = self.process.recover_attributed(self.acct.as_deref());
+        let recovered = self.process.recover_attributed(Some(&self.acct));
         for tid in 0..self.cfg.threads {
             let stack = self.process.stack(tid);
             if stack.staged_runs() != 0 || stack.staging_sequence() != 0 {
@@ -468,18 +492,24 @@ fn reference_final_state(cfg: &CrashMatrixConfig) -> Snapshot {
 }
 
 /// Enumerates every crash-point boundary the workload crosses, in
-/// deterministic schedule order, via one recording run.
-pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> Vec<CrashSite> {
+/// deterministic schedule order, via one recording run, and returns
+/// them with that uncrashed run's stall ledger.
+pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> CrashSchedule {
     let mut driver = Driver::new(*cfg);
     let mut inj = FaultInjector::new(CrashPlan::Record);
     driver
         .run_from(0, &mut inj)
         .expect("a recording injector never fires");
-    inj.crossed().to_vec()
+    CrashSchedule {
+        sites: inj.crossed().to_vec(),
+        ledger: driver.ledger(),
+    }
 }
 
 /// Runs the workload with a crash injected at boundary `index`,
-/// recovers, verifies every invariant, and resumes to completion.
+/// recovers, verifies every invariant, and resumes to completion. The
+/// outcome carries the run's stall ledger; an index past the schedule
+/// runs the workload uncrashed.
 ///
 /// # Errors
 ///
@@ -487,28 +517,32 @@ pub fn enumerate_crash_sites(cfg: &CrashMatrixConfig) -> Vec<CrashSite> {
 pub fn run_with_crash_at(cfg: &CrashMatrixConfig, index: u64) -> Result<CrashOutcome, String> {
     let mut driver = Driver::new(*cfg);
     let mut inj = FaultInjector::at_index(index);
-    match driver.run_from(0, &mut inj) {
-        Ok(()) => Ok(CrashOutcome {
-            fired: None,
-            recovered_sequence: driver.commits_completed,
-        }),
+    let (fired, recovered_sequence) = match driver.run_from(0, &mut inj) {
+        Ok(()) => (None, driver.commits_completed),
         Err(crash) => {
             let recovered = driver.verify_after_crash()?;
             driver.resume_and_finish(recovered)?;
-            Ok(CrashOutcome {
-                fired: Some(crash.site),
-                recovered_sequence: recovered,
-            })
+            (Some(crash.site), recovered)
         }
-    }
+    };
+    let ledger = driver.ledger();
+    ledger
+        .snapshot
+        .verify_conservation()
+        .map_err(|e| format!("stall ledger: {e}"))?;
+    Ok(CrashOutcome {
+        fired,
+        recovered_sequence,
+        ledger,
+    })
 }
 
-/// An attributed run: the cause-tagged stall snapshot plus the
-/// simulated wall time of the run, for computing useful —
-/// non-stalled — time in checkpoint-tax reports.
+/// A run's cause-tagged stall ledger plus the simulated wall time of
+/// the run, for computing useful — non-stalled — time in
+/// checkpoint-tax reports.
 #[derive(Clone, Debug)]
 pub struct AttributedRun {
-    /// The cause-tagged stall ledger; always conserves.
+    /// The cause-tagged stall ledger.
     pub snapshot: AttributionSnapshot,
     /// Simulated wall ns of the run: machine cycles retired across
     /// every epoch **plus** the modelled commit/recovery stall time,
@@ -519,80 +553,11 @@ pub struct AttributedRun {
     pub total_cycles: u64,
 }
 
-/// Freezes the accountant into an [`AttributedRun`]. Off-machine
-/// time = everything the virtual clock advanced by except the
-/// quiesce advances, which mirror machine cycles already counted in
-/// `Driver::total_cycles`.
-fn freeze_attributed(acct: &StallAccountant, driver: &Driver) -> AttributedRun {
-    let snapshot = acct.snapshot();
-    let modelled = acct
-        .now_ns()
-        .saturating_sub(snapshot.cause_total_ns(prosper_telemetry::StallCause::Quiesce));
-    AttributedRun {
-        total_cycles: driver.total_cycles() + modelled,
-        snapshot,
-    }
-}
-
-/// Runs the uninterrupted workload with a virtual-clock stall
-/// accountant wired through tracker quiescence and the commit engine,
-/// and returns the cause-tagged attribution snapshot.
-///
-/// The virtual clock advances only by the deterministic commit cost
-/// model and quiescence cycle counts, so two calls with the same
-/// config yield identical snapshots — and the snapshot always
-/// satisfies [`AttributionSnapshot::verify_conservation`].
-pub fn run_attributed(cfg: &CrashMatrixConfig) -> AttributedRun {
-    let acct = Arc::new(StallAccountant::new_virtual());
-    let mut driver = Driver::new(*cfg);
-    driver.set_attribution(Arc::clone(&acct));
-    let mut inj = FaultInjector::disabled();
-    driver
-        .run_from(0, &mut inj)
-        .expect("a disabled injector never fires");
-    freeze_attributed(&acct, &driver)
-}
-
-/// Runs the workload with a crash injected at boundary `index` and a
-/// stall accountant attached, recovers (attributing the replay to
-/// [`prosper_telemetry::StallCause::Recovery`]), verifies the
-/// recovery invariants, and returns the outcome together with the
-/// attribution snapshot covering the torn commit, the crash, the
-/// recovery and the resumed run.
-///
-/// # Errors
-///
-/// Returns a description of the first violated recovery invariant.
-pub fn run_crash_attributed(
-    cfg: &CrashMatrixConfig,
-    index: u64,
-) -> Result<(CrashOutcome, AttributedRun), String> {
-    let acct = Arc::new(StallAccountant::new_virtual());
-    let mut driver = Driver::new(*cfg);
-    driver.set_attribution(Arc::clone(&acct));
-    let mut inj = FaultInjector::at_index(index);
-    let outcome = match driver.run_from(0, &mut inj) {
-        Ok(()) => CrashOutcome {
-            fired: None,
-            recovered_sequence: driver.commits_completed,
-        },
-        Err(crash) => {
-            let recovered = driver.verify_after_crash()?;
-            driver.resume_and_finish(recovered)?;
-            CrashOutcome {
-                fired: Some(crash.site),
-                recovered_sequence: recovered,
-            }
-        }
-    };
-    Ok((outcome, freeze_attributed(&acct, &driver)))
-}
-
 /// The exhaustive sweep: enumerates every crash point of the workload
 /// and injects a crash at each one, collecting survivals and
 /// failures.
 pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
-    let sites = enumerate_crash_sites(cfg);
+    let sites = enumerate_crash_sites(cfg).sites;
     let mut report = CrashMatrixReport {
         sites: sites.clone(),
         ..Default::default()
@@ -605,7 +570,7 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> CrashMatrixReport {
                     Some(*site),
                     "deterministic schedule: index {index} fired a different site"
                 );
-                report.survived += 1;
+                report.ledgers.push(outcome.ledger);
             }
             Err(reason) => report.failures.push(CrashFailure {
                 index: index as u64,
@@ -624,8 +589,8 @@ mod tests {
     #[test]
     fn enumeration_is_deterministic_and_covers_taxonomy() {
         let cfg = CrashMatrixConfig::default();
-        let a = enumerate_crash_sites(&cfg);
-        let b = enumerate_crash_sites(&cfg);
+        let a = enumerate_crash_sites(&cfg).sites;
+        let b = enumerate_crash_sites(&cfg).sites;
         assert_eq!(a, b, "same config, same schedule");
         assert!(a.len() > 40, "multi-thread run crosses many boundaries");
         // The eager taxonomy is exercised end to end.
@@ -652,7 +617,7 @@ mod tests {
     #[test]
     fn single_injected_crash_recovers_and_resumes() {
         let cfg = CrashMatrixConfig::default();
-        let sites = enumerate_crash_sites(&cfg);
+        let sites = enumerate_crash_sites(&cfg).sites;
         // A post-seal site mid-run: recovery must redo the commit.
         let (index, _) = sites
             .iter()
@@ -670,7 +635,7 @@ mod tests {
             intervals: 2,
             ..Default::default()
         };
-        let sites = enumerate_crash_sites(&cfg);
+        let sites = enumerate_crash_sites(&cfg).sites;
         let outcome = run_with_crash_at(&cfg, sites.len() as u64 + 100).unwrap();
         assert_eq!(outcome.fired, None);
         assert_eq!(outcome.recovered_sequence, 2, "all commits completed");
@@ -717,8 +682,8 @@ mod tests {
             spine: Some(SpineConfig::merge_always()),
             ..Default::default()
         };
-        let a = enumerate_crash_sites(&cfg);
-        let b = enumerate_crash_sites(&cfg);
+        let a = enumerate_crash_sites(&cfg).sites;
+        let b = enumerate_crash_sites(&cfg).sites;
         assert_eq!(a, b, "same config, same schedule");
         assert!(a.iter().any(|s| matches!(s, CrashSite::BatchSeal { .. })));
         assert!(a.iter().any(|s| matches!(s, CrashSite::MidMerge { .. })));
@@ -763,7 +728,7 @@ mod tests {
             spine: Some(SpineConfig::lazy(64)),
             ..Default::default()
         };
-        let sites = enumerate_crash_sites(&cfg);
+        let sites = enumerate_crash_sites(&cfg).sites;
         assert!(
             !sites
                 .iter()
@@ -783,7 +748,7 @@ mod tests {
             spine: Some(SpineConfig::merge_always()),
             ..Default::default()
         };
-        let sites = enumerate_crash_sites(&cfg);
+        let sites = enumerate_crash_sites(&cfg).sites;
         let mut merges = 0;
         for (index, site) in sites.iter().enumerate() {
             if !matches!(
@@ -793,18 +758,22 @@ mod tests {
                 continue;
             }
             merges += 1;
-            let (outcome, run) = run_crash_attributed(&cfg, index as u64)
+            let outcome = run_with_crash_at(&cfg, index as u64)
                 .unwrap_or_else(|e| panic!("merge crash at {index}: {e}"));
             assert_eq!(outcome.fired, Some(*site));
             assert!(
                 outcome.recovered_sequence >= 2,
                 "merges only run once the spine holds two batches"
             );
-            run.snapshot
+            outcome
+                .ledger
+                .snapshot
                 .verify_conservation()
                 .unwrap_or_else(|e| panic!("merge crash at {index}: {e}"));
             assert!(
-                run.snapshot
+                outcome
+                    .ledger
+                    .snapshot
                     .segments
                     .iter()
                     .any(|s| s.cause == prosper_telemetry::StallCause::Merge),

@@ -21,7 +21,7 @@ use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_memsim::addr::{VirtAddr, VirtRange};
 use prosper_memsim::machine::Machine;
 use prosper_memsim::Cycles;
-use prosper_telemetry::{StallAccountant, StallCause};
+use prosper_telemetry::{Stall, StallAccountant, StallCause};
 
 use crate::msr::{MsrBank, MSR_READ_CYCLES, MSR_WRITE_CYCLES};
 use crate::tracker::{DirtyTracker, TrackerConfig};
@@ -94,13 +94,10 @@ impl MultiThreadTracker {
     /// Charges one quiescence handshake of `cycles` simulated cycles
     /// to thread `tid`.
     fn attribute_quiesce(&self, tid: u32, cycles: Cycles) {
-        if let Some(acct) = &self.attribution {
-            let start = acct.now_ns();
-            acct.advance(cycles);
-            let end = acct.now_ns();
-            acct.record_segment(tid, StallCause::Quiesce, 0, start, end);
-            acct.record_window(tid, start, end);
-        }
+        let tids = [tid];
+        let mut stall = Stall::open(self.attribution.as_deref(), &tids, 0, StallCause::Quiesce);
+        stall.end(|_| cycles, None);
+        stall.close();
     }
 
     /// Injects drained bitmap ops as batched background traffic.
@@ -185,11 +182,7 @@ impl MultiThreadTracker {
             let quiesce = self.flush_and_quiesce(machine);
             self.attribute_quiesce(out_tid, quiesce);
             cost += quiesce;
-            if inj.observe(CrashSite::MidSwitchSave) {
-                return Err(CrashInjected {
-                    site: CrashSite::MidSwitchSave,
-                });
-            }
+            inj.cross(CrashSite::MidSwitchSave)?;
             let state = self
                 .saved
                 .get_mut(&out_tid)
@@ -203,11 +196,7 @@ impl MultiThreadTracker {
         let restore = 5 * MSR_WRITE_CYCLES;
         machine.advance(restore);
         cost += restore;
-        if inj.observe(CrashSite::MidSwitchRestore) {
-            return Err(CrashInjected {
-                site: CrashSite::MidSwitchRestore,
-            });
-        }
+        inj.cross(CrashSite::MidSwitchRestore)?;
         self.current = Some(tid);
         Ok(cost)
     }

@@ -546,35 +546,24 @@ impl MemoryPersistence for ProsperMechanism {
         phases.merge = machine.now() - merge_start;
 
         // Stall attribution: the foreground thread is stalled for the
-        // whole interval; tile its stall window with cause-tagged
-        // segments at the phase boundaries captured above. The
-        // accountant's virtual clock advances by the simulated cycle
-        // deltas (1 cycle = 1 ns), so segments telescope exactly and
-        // conservation holds by construction.
+        // whole interval; one stall window charges each phase its
+        // simulated cycles (1 cycle = 1 ns), so conservation holds by
+        // construction.
         let seq = self.interval_seq;
         self.interval_seq += 1;
         if let Some((acct, tid)) = self.attribution.as_ref() {
-            use prosper_telemetry::StallCause;
-            let tid = *tid;
-            let s0 = acct.now_ns();
-            acct.advance(meta_start - ckpt_start);
-            let s1 = acct.now_ns();
-            acct.advance(metadata_cycles);
-            let s2 = acct.now_ns();
-            acct.advance(phases.stage);
-            let s3 = acct.now_ns();
-            acct.advance(phases.apply);
-            let s4 = acct.now_ns();
-            acct.advance(phases.merge);
-            let s5 = acct.now_ns();
-            acct.record_segment(tid, StallCause::Quiesce, seq, s0, s1);
-            acct.record_segment(tid, StallCause::Inspect, seq, s1, s2);
-            acct.record_segment(tid, StallCause::Stage, seq, s2, s3);
-            acct.record_segment(tid, StallCause::Apply, seq, s3, s4);
-            if s5 > s4 {
-                acct.record_segment(tid, StallCause::Merge, seq, s4, s5);
+            use prosper_telemetry::{Stall, StallCause};
+            let tids = [*tid];
+            let merged = phases.merge > 0;
+            let mut stall = Stall::open(Some(&**acct), &tids, seq, StallCause::Quiesce);
+            stall.end(|_| meta_start - ckpt_start, Some(StallCause::Inspect));
+            stall.end(|_| metadata_cycles, Some(StallCause::Stage));
+            stall.end(|_| phases.stage, Some(StallCause::Apply));
+            stall.end(|_| phases.apply, merged.then_some(StallCause::Merge));
+            if merged {
+                stall.end(|_| phases.merge, None);
             }
-            acct.record_window(tid, s0, s5);
+            stall.close();
         }
 
         stats.runs = self.last_runs.len() as u64;

@@ -71,7 +71,7 @@
 use std::collections::BTreeMap;
 
 use prosper_telemetry as telemetry;
-use prosper_telemetry::{StallAccountant, StallCause};
+use prosper_telemetry::{Stall, StallAccountant, StallCause};
 
 use prosper_gemos::crash::{CrashInjected, CrashSite, FaultInjector};
 use prosper_gemos::process::RegisterFile;
@@ -185,7 +185,7 @@ pub mod commit_cost {
     /// the columnar staging buffer made a staged run cheaper on the
     /// host, but the attribution virtual clock (and so `prosper_obs`)
     /// reads this constant, so it stays until a calibration sweep fits
-    /// every constant here together (ROADMAP.md item 1).
+    /// every constant here together (ROADMAP.md item 5).
     pub const STAGE_RUN_NS: u64 = 60;
     /// Staging: per staged byte.
     pub const STAGE_BYTE_NS: u64 = 1;
@@ -237,81 +237,12 @@ pub struct CommitHooks<'a> {
     pub acct: Option<&'a StallAccountant>,
 }
 
-/// Stall attribution of one commit sequence under the engine's one
-/// charging rule: when a phase ends, the engine advances the clock by
-/// the phase's modelled cost and charges the phase to every thread as
-/// one segment — during a whole-process commit *every* thread is
-/// stalled, so the per-thread segments share one set of phase
-/// boundaries. A crash closes the open phase at the
-/// crash instant without charging it, so even a torn commit's window
-/// is exactly tiled by its segments. A no-op without an accountant.
-struct Phases<'a> {
-    acct: Option<&'a StallAccountant>,
-    tids: &'a [u32],
-    sequence: u64,
-    window_start: u64,
-    phase_start: u64,
-    open: Option<StallCause>,
-}
-
-impl<'a> Phases<'a> {
-    /// Opens `sequence`'s stall window with the stage as its open
-    /// phase.
-    fn open(acct: Option<&'a StallAccountant>, tids: &'a [u32], sequence: u64) -> Self {
-        let now = acct.map_or(0, StallAccountant::now_ns);
-        Phases {
-            acct,
-            tids,
-            sequence,
-            window_start: now,
-            phase_start: now,
-            open: Some(StallCause::Stage),
-        }
-    }
-
-    /// Ends the open phase, charging its modelled `cost` (evaluated
-    /// only under an accountant), and opens `next`.
-    fn end(&mut self, cost: impl FnOnce(&[u32]) -> u64, next: Option<StallCause>) {
-        if let Some(a) = self.acct {
-            a.advance(cost(self.tids));
-        }
-        self.close_phase();
-        self.open = next;
-    }
-
-    /// Records the open phase's segment up to now.
-    fn close_phase(&mut self) {
-        let (Some(a), Some(cause)) = (self.acct, self.open) else {
-            return;
-        };
-        let now = a.now_ns();
-        for &tid in self.tids {
-            a.record_segment(tid, cause, self.sequence, self.phase_start, now);
-        }
-        self.phase_start = now;
-    }
-
-    /// Closes the stall window: at the sequence's end, or at the crash
-    /// instant if a crash window fired.
-    fn close(mut self) {
-        self.close_phase();
-        if let Some(a) = self.acct {
-            for &tid in self.tids {
-                a.record_window(tid, self.window_start, self.phase_start);
-            }
-        }
-    }
-}
-
-/// Crosses crash window `site`: the attached injector, if any,
-/// observes it and may fire, aborting the interrupted operation
-/// exactly as a power failure would — persistent state is left as-is
-/// and the operation never continues.
+/// Crosses crash window `site` through the attached injector, if
+/// any: a firing aborts the interrupted operation exactly as a power
+/// failure would — persistent state is left as-is and the operation
+/// never continues.
 fn cross(faults: &mut Option<&mut FaultInjector>, site: CrashSite) -> Result<(), CrashInjected> {
-    if faults.as_deref_mut().is_some_and(|inj| inj.observe(site)) {
-        return Err(CrashInjected { site });
-    }
-    Ok(())
+    faults.as_deref_mut().map_or(Ok(()), |inj| inj.cross(site))
 }
 
 /// Thread `tid`'s share of `batch` at `per_run_ns` a run and
@@ -598,10 +529,12 @@ impl PersistentProcess {
         for tid in self.stacks.keys() {
             assert!(batch.contains_key(tid), "no runs supplied for thread {tid}");
         }
+        // Every thread is stalled for the whole commit: one stall
+        // window, charged one phase at a time under the modelled costs.
         let tids: Vec<u32> = self.stacks.keys().copied().collect();
-        let mut phases = Phases::open(hooks.acct, &tids, self.next_sequence);
-        let result = self.commit_sequence(batch, &mut hooks, &mut phases);
-        phases.close();
+        let mut stall = Stall::open(hooks.acct, &tids, self.next_sequence, StallCause::Stage);
+        let result = self.commit_sequence(batch, &mut hooks, &mut stall);
+        stall.close();
         result
     }
 
@@ -611,7 +544,7 @@ impl PersistentProcess {
         &mut self,
         batch: &BTreeMap<u32, Vec<CopyRun>>,
         hooks: &mut CommitHooks<'_>,
-        phases: &mut Phases<'_>,
+        stall: &mut Stall<'_>,
     ) -> Result<(), CrashInjected> {
         let sequence = self.next_sequence;
         let probe = hooks.probe;
@@ -636,7 +569,7 @@ impl PersistentProcess {
                 p.record(CommitProbeEvent::StageThread { tid, sequence });
             }
         }
-        phases.end(|tids| Self::stage_cost(batch, tids), Some(StallCause::Seal));
+        stall.end(|tids| Self::stage_cost(batch, tids), Some(StallCause::Seal));
         let stage_ns = stage_watch.elapsed_ns();
         // 2. Seal: the register file is staged into the commit record,
         // then the single durable write — the single serialization
@@ -655,19 +588,19 @@ impl PersistentProcess {
             p.record(CommitProbeEvent::Seal { sequence });
         }
         let seal_ns = seal_watch.elapsed_ns();
-        phases.end(|tids| Self::seal_cost(tids.len()), Some(StallCause::Apply));
+        stall.end(|tids| Self::seal_cost(tids.len()), Some(StallCause::Apply));
         cross(&mut hooks.faults, CrashSite::PostSeal)?;
         // 3–5. Phase two, the register tail, retire.
         let apply_watch = telemetry::Stopwatch::start();
         let spine = self.spine_cfg;
         self.apply_record(&record, spine.is_some(), hooks)?;
         let apply_ns = apply_watch.elapsed_ns();
-        phases.end(|tids| Self::apply_cost(batch, spine.is_some(), tids), None);
+        stall.end(|tids| Self::apply_cost(batch, spine.is_some(), tids), None);
         cross(&mut hooks.faults, CrashSite::PostCommit)?;
         // 6. Spine merge, off the critical path.
         let merge_watch = telemetry::Stopwatch::start();
         let merged = match spine {
-            Some(cfg) => Some(self.merge_spines(cfg, sequence, hooks, phases)?),
+            Some(cfg) => Some(self.merge_spines(cfg, sequence, hooks, stall)?),
             None => None,
         };
         let merge_ns = merge_watch.elapsed_ns();
@@ -785,7 +718,7 @@ impl PersistentProcess {
         cfg: SpineConfig,
         sequence: u64,
         hooks: &mut CommitHooks<'_>,
-        phases: &mut Phases<'_>,
+        stall: &mut Stall<'_>,
     ) -> Result<(u64, u64), CrashInjected> {
         let (mut merges, mut folded, mut written) = (0u64, 0u64, 0u64);
         for (&tid, stack) in &mut self.stacks {
@@ -793,7 +726,7 @@ impl PersistentProcess {
                 continue;
             }
             if merges == 0 {
-                phases.open = Some(StallCause::Merge);
+                stall.begin(StallCause::Merge);
             }
             merges += 1;
             let stats = stack.merge_spine_with(|done| {
@@ -816,7 +749,7 @@ impl PersistentProcess {
             cross(&mut hooks.faults, CrashSite::MergeRetire { tid })?;
         }
         if merges > 0 {
-            phases.end(
+            stall.end(
                 |_| {
                     commit_cost::PHASE_BASE_NS
                         + folded * commit_cost::MERGE_RUN_NS
@@ -875,8 +808,20 @@ impl PersistentProcess {
         let Some(acct) = acct else {
             return self.recover_inner();
         };
-        // Spine mode also re-folds any surviving batches during the
-        // replay; in eager mode the spines are empty and this is zero.
+        let (sequence, replay_ns) = self.replay_cost();
+        let tids: Vec<u32> = self.stacks.keys().copied().collect();
+        let mut stall = Stall::open(Some(acct), &tids, sequence, StallCause::Recovery);
+        let result = self.recover_inner();
+        stall.end(|_| replay_ns, None);
+        stall.close();
+        result
+    }
+
+    /// The sequence a recovery replays (0 when nothing was sealed) and
+    /// the replay's modelled cost: the base, any sealed record's staged
+    /// runs and bytes, and in spine mode the surviving batches, which
+    /// the replay re-folds (in eager mode the spines are empty).
+    fn replay_cost(&self) -> (u64, u64) {
         let spine_fold_ns: u64 = self
             .stacks
             .values()
@@ -886,7 +831,7 @@ impl PersistentProcess {
                     + s.spine_bytes() * commit_cost::RECOVERY_BYTE_NS
             })
             .sum();
-        let (sequence, redo_ns) = match &self.pending {
+        match &self.pending {
             Some(record) if record.sealed => (
                 record.sequence,
                 commit_cost::RECOVERY_BASE_NS
@@ -901,16 +846,7 @@ impl PersistentProcess {
                         .sum::<u64>(),
             ),
             _ => (0, commit_cost::RECOVERY_BASE_NS + spine_fold_ns),
-        };
-        let start = acct.now_ns();
-        let result = self.recover_inner();
-        acct.advance(redo_ns);
-        let end = acct.now_ns();
-        for tid in self.stacks.keys() {
-            acct.record_segment(*tid, StallCause::Recovery, sequence, start, end);
-            acct.record_window(*tid, start, end);
         }
-        result
     }
 
     /// Redoes a sealed record through the engine's phase-two and

@@ -443,7 +443,7 @@ fn exhaustive_crash_sweep_covers_spine_sites() {
         };
         let outcome = d.spine.commit_with(&runs, hooks);
         match outcome {
-            Err(CrashInjected { site }) => match site {
+            Err(CrashInjected { site, .. }) => match site {
                 CrashSite::BatchSeal { .. } => hit_batch_seal = true,
                 CrashSite::MidMerge { .. } => hit_mid_merge = true,
                 CrashSite::MergeRetire { .. } => hit_merge_retire = true,

@@ -11,9 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use prosper_core::bitmap::CopyRun;
-use prosper_core::faultinject::{
-    enumerate_crash_sites, run_attributed, run_crash_attributed, CrashMatrixConfig,
-};
+use prosper_core::faultinject::{enumerate_crash_sites, run_with_crash_at, CrashMatrixConfig};
 use prosper_core::recovery::{CommitHooks, CommitProbe, CommitProbeEvent, PersistentProcess};
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::CheckpointManager;
@@ -34,7 +32,7 @@ fn small() -> CrashMatrixConfig {
 
 #[test]
 fn clean_commit_runs_conserve() {
-    let run = run_attributed(&small());
+    let run = enumerate_crash_sites(&small()).ledger;
     run.snapshot
         .verify_conservation()
         .unwrap_or_else(|e| panic!("{e}"));
@@ -68,8 +66,8 @@ fn clean_commit_runs_conserve() {
 
 #[test]
 fn attributed_runs_are_deterministic() {
-    let a = run_attributed(&small());
-    let b = run_attributed(&small());
+    let a = enumerate_crash_sites(&small()).ledger;
+    let b = enumerate_crash_sites(&small()).ledger;
     assert_eq!(a.snapshot, b.snapshot, "same config ⇒ identical ledger");
     assert_eq!(a.total_cycles, b.total_cycles);
 }
@@ -77,16 +75,17 @@ fn attributed_runs_are_deterministic() {
 #[test]
 fn crash_and_recover_runs_conserve_with_recovery_attributed() {
     let cfg = small();
-    let sites = enumerate_crash_sites(&cfg);
+    let sites = enumerate_crash_sites(&cfg).sites;
     assert!(!sites.is_empty());
     // Sweep a spread of crash points, always including the last one
     // (deep in the final commit, post-seal ⇒ redo recovery).
     let picks = [0, sites.len() as u64 / 2, sites.len() as u64 - 1];
     let mut saw_recovery = false;
     for &index in &picks {
-        let (outcome, run) =
-            run_crash_attributed(&cfg, index).unwrap_or_else(|e| panic!("crash at {index}: {e}"));
+        let outcome =
+            run_with_crash_at(&cfg, index).unwrap_or_else(|e| panic!("crash at {index}: {e}"));
         assert!(outcome.fired.is_some(), "index {index} in range must fire");
+        let run = &outcome.ledger;
         run.snapshot
             .verify_conservation()
             .unwrap_or_else(|e| panic!("crash at {index}: {e}"));
@@ -112,11 +111,13 @@ fn torn_commit_ledger_closes_at_the_crash_instant() {
         stores_per_interval: 4,
         ..Default::default()
     };
-    let total = enumerate_crash_sites(&cfg).len() as u64;
+    let total = enumerate_crash_sites(&cfg).sites.len() as u64;
     for index in 0..total {
-        let (_, run) =
-            run_crash_attributed(&cfg, index).unwrap_or_else(|e| panic!("crash at {index}: {e}"));
-        run.snapshot
+        let outcome =
+            run_with_crash_at(&cfg, index).unwrap_or_else(|e| panic!("crash at {index}: {e}"));
+        outcome
+            .ledger
+            .snapshot
             .verify_conservation()
             .unwrap_or_else(|e| panic!("crash at {index}: {e}"));
     }
@@ -255,7 +256,7 @@ fn probe_event_stream_is_the_causal_witness_for_the_ledger() {
 
 #[test]
 fn snapshot_survives_serde_roundtrip() {
-    let run = run_attributed(&small());
+    let run = enumerate_crash_sites(&small()).ledger;
     let json = serde_json::to_string(&run.snapshot).expect("serialize");
     let back: AttributionSnapshot = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(run.snapshot, back);

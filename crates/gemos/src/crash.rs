@@ -4,7 +4,7 @@
 //! and confirming that the application inside GemOS resumes from its
 //! last checkpoint. We model the same discipline deterministically:
 //! every step boundary of the checkpoint pipeline is a named
-//! [`CrashSite`], and pipeline code reports each one to a
+//! [`CrashSite`], and pipeline code crosses each one through a
 //! [`FaultInjector`], which fires a simulated power failure
 //! ([`CrashInjected`]) where its [`CrashPlan`] says. The commit and
 //! recovery they interrupt are `prosper_core::recovery`'s; the
@@ -196,8 +196,10 @@ pub enum CrashPlan {
 
 /// The error returned through the pipeline when an injected crash
 /// fires: the interrupted operation must stop immediately, leaving
-/// persistent state exactly as a real power failure would.
+/// persistent state exactly as a real power failure would. Only
+/// [`FaultInjector::cross`] builds one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[non_exhaustive]
 pub struct CrashInjected {
     /// The boundary at which the simulated power failure fired.
     pub site: CrashSite,
@@ -213,7 +215,7 @@ impl std::error::Error for CrashInjected {}
 
 /// Deterministic crash-point fault injector.
 ///
-/// Pipeline code calls [`FaultInjector::observe`] at every named step
+/// Pipeline code calls [`FaultInjector::cross`] at every named step
 /// boundary; the injector records the boundary and, per its
 /// [`CrashPlan`], decides whether the simulated power failure fires
 /// there. A `Record` run enumerates every boundary a workload crosses;
@@ -226,9 +228,10 @@ impl std::error::Error for CrashInjected {}
 /// use prosper_gemos::crash::{CrashPlan, CrashSite, FaultInjector};
 ///
 /// let mut inj = FaultInjector::new(CrashPlan::AtIndex(1));
-/// assert!(!inj.observe(CrashSite::PreStage));
-/// assert!(inj.observe(CrashSite::PreSeal)); // fires here
-/// assert!(!inj.observe(CrashSite::PostSeal)); // at most one firing
+/// assert!(inj.cross(CrashSite::PreStage).is_ok());
+/// let err = inj.cross(CrashSite::PreSeal).unwrap_err(); // fires here
+/// assert_eq!(err.site, CrashSite::PreSeal);
+/// assert!(inj.cross(CrashSite::PostSeal).is_ok()); // at most one firing
 /// assert_eq!(inj.fired().unwrap().1, CrashSite::PreSeal);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -263,24 +266,30 @@ impl FaultInjector {
         Self::new(CrashPlan::AtSite(site))
     }
 
-    /// Reports crossing a step boundary; returns `true` if the
-    /// simulated power failure fires here. Fires at most once per
-    /// injector.
-    pub fn observe(&mut self, site: CrashSite) -> bool {
+    /// Crosses step boundary `site`: records it and, if the plan says
+    /// so, fires the simulated power failure here. Fires at most once
+    /// per injector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CrashInjected`] at the boundary the crash fires at;
+    /// the caller stops there, as the interrupted operation would.
+    pub fn cross(&mut self, site: CrashSite) -> Result<(), CrashInjected> {
         let idx = self.crossed.len() as u64;
         self.crossed.push(site);
         if self.fired.is_some() {
-            return false;
+            return Ok(());
         }
         let fire = match self.plan {
             CrashPlan::Record => false,
             CrashPlan::AtIndex(n) => idx == n,
             CrashPlan::AtSite(s) => s == site,
         };
-        if fire {
-            self.fired = Some((idx, site));
+        if !fire {
+            return Ok(());
         }
-        fire
+        self.fired = Some((idx, site));
+        Err(CrashInjected { site })
     }
 
     /// Every boundary crossed so far, in order.
@@ -301,25 +310,41 @@ mod tests {
     #[test]
     fn injector_at_site_fires_once_on_match() {
         let mut inj = FaultInjector::at_site(CrashSite::PostSeal);
-        assert!(!inj.observe(CrashSite::PreStage));
-        assert!(!inj.observe(CrashSite::PreSeal));
-        assert!(inj.observe(CrashSite::PostSeal));
-        assert!(!inj.observe(CrashSite::PostSeal), "fires at most once");
+        assert_eq!(inj.cross(CrashSite::PreStage), Ok(()));
+        assert_eq!(inj.cross(CrashSite::PreSeal), Ok(()));
+        assert_eq!(
+            inj.cross(CrashSite::PostSeal),
+            Err(CrashInjected {
+                site: CrashSite::PostSeal
+            })
+        );
+        assert_eq!(inj.cross(CrashSite::PostSeal), Ok(()), "fires at most once");
         assert_eq!(inj.fired(), Some((2, CrashSite::PostSeal)));
-        assert_eq!(inj.crossed().len(), 4);
+        assert_eq!(
+            inj.crossed(),
+            [
+                CrashSite::PreStage,
+                CrashSite::PreSeal,
+                CrashSite::PostSeal,
+                CrashSite::PostSeal
+            ]
+        );
     }
 
     #[test]
     fn recording_injector_never_fires() {
-        let mut inj = FaultInjector::disabled();
-        for _ in 0..8 {
-            assert!(!inj.observe(CrashSite::MidStage {
+        let mut inj = FaultInjector::new(CrashPlan::Record);
+        let sites: Vec<CrashSite> = (1..=8)
+            .map(|k| CrashSite::MidStage {
                 tid: 1,
-                runs_staged: 2
-            }));
+                runs_staged: k,
+            })
+            .collect();
+        for &site in &sites {
+            assert_eq!(inj.cross(site), Ok(()));
         }
         assert_eq!(inj.fired(), None);
-        assert_eq!(inj.crossed().len(), 8);
+        assert_eq!(inj.crossed(), sites, "every crossing recorded, in order");
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!   trait implemented by Prosper and every baseline, plus the
 //!   [`checkpoint::CheckpointManager`] that drives periodic-interval
 //!   experiments end to end;
-//! * [`context`] — the baseline OS context-switch cost (the tracker's
-//!   save/restore is `prosper_core::multithread`'s);
 //! * [`crash`] — the named crash sites of the checkpoint pipeline and
 //!   the deterministic fault injector that fires at them;
 //! * [`restore`] — torn-write-safe register slots (ping-pong, validity
@@ -32,7 +30,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod checkpoint;
-pub mod context;
 pub mod crash;
 pub mod image;
 pub mod pagetable;

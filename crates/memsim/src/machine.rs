@@ -502,7 +502,7 @@ impl Model {
 
 /// The line addresses a `size`-byte access at `addr` touches (one line
 /// for a zero-size access).
-fn lines_of(addr: u64, size: u64) -> impl Iterator<Item = u64> {
+pub(crate) fn lines_of(addr: u64, size: u64) -> impl Iterator<Item = u64> {
     let first = addr & !(CACHE_LINE - 1);
     let last = if size == 0 {
         first

@@ -10,10 +10,10 @@
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::cache::{AccessKind, Cache};
 use crate::config::{CacheConfig, MachineConfig, L1D_WAYS, L2_WAYS, L3_WAYS};
-use crate::machine::{DirectMap, LineTransfer};
+use crate::machine::{lines_of, DirectMap, LineTransfer};
 use crate::memctrl::MemoryController;
 use crate::stats::LevelStats;
-use crate::{Cycles, CACHE_LINE};
+use crate::Cycles;
 
 /// Per-core private state.
 #[derive(Debug)]
@@ -94,11 +94,6 @@ impl MultiCoreMachine {
             bus_free: 0,
             cfg,
         }
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// Core-local clock of core `c`.
@@ -184,24 +179,12 @@ impl MultiCoreMachine {
         }
     }
 
-    fn lines_of(vaddr: VirtAddr, size: u64) -> impl Iterator<Item = VirtAddr> {
-        let first = vaddr.cache_line().raw();
-        let last = if size == 0 {
-            first
-        } else {
-            (vaddr.raw() + size - 1) & !(CACHE_LINE - 1)
-        };
-        (first..=last)
-            .step_by(CACHE_LINE as usize)
-            .map(VirtAddr::new)
-    }
-
     /// Demand load on core `c`; advances that core's clock.
     pub fn load(&mut self, c: usize, vaddr: VirtAddr, size: u64) -> Cycles {
         self.cores[c].loads += 1;
         let mut total = 0;
-        for line in Self::lines_of(vaddr, size) {
-            let paddr = self.translator.translate(line);
+        for line in lines_of(vaddr.raw(), size) {
+            let paddr = self.translator.translate(VirtAddr::new(line));
             total += self.line_access(c, paddr, AccessKind::Read, true);
         }
         self.cores[c].now += total;
@@ -212,8 +195,8 @@ impl MultiCoreMachine {
     pub fn store(&mut self, c: usize, vaddr: VirtAddr, size: u64) -> Cycles {
         self.cores[c].stores += 1;
         let mut total = 0;
-        for line in Self::lines_of(vaddr, size) {
-            let paddr = self.translator.translate(line);
+        for line in lines_of(vaddr.raw(), size) {
+            let paddr = self.translator.translate(VirtAddr::new(line));
             total += self.line_access(c, paddr, AccessKind::Write, true);
         }
         self.cores[c].now += total;
@@ -224,8 +207,8 @@ impl MultiCoreMachine {
     /// charge, but cache and bus effects are real.
     pub fn inject_store(&mut self, c: usize, vaddr: VirtAddr, size: u64) {
         self.cores[c].injected += 1;
-        for line in Self::lines_of(vaddr, size) {
-            let paddr = self.translator.translate(line);
+        for line in lines_of(vaddr.raw(), size) {
+            let paddr = self.translator.translate(VirtAddr::new(line));
             self.line_access(c, paddr, AccessKind::Write, false);
         }
     }
@@ -233,8 +216,8 @@ impl MultiCoreMachine {
     /// Background load issued from core `c`.
     pub fn inject_load(&mut self, c: usize, vaddr: VirtAddr, size: u64) {
         self.cores[c].injected += 1;
-        for line in Self::lines_of(vaddr, size) {
-            let paddr = self.translator.translate(line);
+        for line in lines_of(vaddr.raw(), size) {
+            let paddr = self.translator.translate(VirtAddr::new(line));
             self.line_access(c, paddr, AccessKind::Read, false);
         }
     }
@@ -243,6 +226,7 @@ impl MultiCoreMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CACHE_LINE;
 
     fn machine(n: usize) -> MultiCoreMachine {
         MultiCoreMachine::new(MachineConfig::setup_i(), n)

@@ -87,18 +87,6 @@ pub struct MemStats {
     pub injected_stores: u64,
 }
 
-impl MemStats {
-    /// Total demand accesses.
-    pub fn demand_accesses(&self) -> u64 {
-        self.loads + self.stores
-    }
-
-    /// Total bytes moved to/from NVM assuming line-sized transfers.
-    pub fn nvm_line_transfers(&self) -> u64 {
-        self.nvm_reads + self.nvm_writes
-    }
-}
-
 impl Sub for MemStats {
     type Output = MemStats;
 

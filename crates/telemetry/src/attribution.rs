@@ -11,28 +11,31 @@
 //!   `[start_ns, end_ns)`);
 //! * a [`StallWindow`] is one independently-measured interval in which
 //!   a thread was *known to be stalled*, with no cause attached;
-//! * the [`StallAccountant`] collects both from instrumented probe
-//!   sites and freezes them into an [`AttributionSnapshot`].
+//! * the [`StallAccountant`] collects both and freezes them into an
+//!   [`AttributionSnapshot`];
+//! * a [`Stall`] is the one way a probe site charges a stall: it opens
+//!   a window for a set of threads, ends each phase with its cost, and
+//!   closes the window, recording the segments and the window from the
+//!   same clock readings.
 //!
 //! The load-bearing invariant is **conservation**, checked by
 //! [`AttributionSnapshot::verify_conservation`]: for every thread, the
 //! cause-tagged segments must *exactly tile* the measured windows —
 //! same total, no gaps, no overlaps, nothing outside a window. Because
-//! every probe site records the window and its segments from the same
-//! clock readings, the phase boundaries telescope and the check is
-//! exact, not approximate: an uninstrumented phase inside a stall
-//! window shows up as a gap and fails the check, so the tax report is
-//! provably complete rather than vibes.
+//! every segment and window comes out of a [`Stall`], the phase
+//! boundaries telescope and the check is exact, not approximate: an
+//! uninstrumented phase inside a stall window shows up as a gap and
+//! fails the check, so the tax report is provably complete rather than
+//! vibes.
 //!
 //! # One virtual clock
 //!
 //! The accountant owns a single monotone time axis: a deterministic
-//! counter advanced only by [`StallAccountant::advance`]. Simulator
-//! probe sites advance it by simulated-cycle deltas (1 cycle = 1
-//! virtual ns); the parallel commit path advances it from a
-//! deterministic cost model computed on the coordinator, so timelines
-//! are byte-reproducible and still sensitive to worker count. Host
-//! time is measured elsewhere, through [`crate::Stopwatch`].
+//! counter advanced only when a [`Stall`] phase ends. Simulator probe
+//! sites charge simulated-cycle deltas (1 cycle = 1 virtual ns); the
+//! commit engine and recovery charge a deterministic cost model, so
+//! timelines are byte-reproducible. Host time is measured elsewhere,
+//! through [`crate::Stopwatch`].
 //!
 //! Like the rest of the crate, the accountant must never take the
 //! simulation down: lock poisoning degrades to dropped records, never
@@ -43,8 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-
-use crate::metrics::Histogram;
 
 /// Why a thread was stalled. The taxonomy mirrors the checkpoint-tax
 /// split reported by `prosper-obs`: everything that is not one of
@@ -144,7 +145,7 @@ struct Ledger {
     windows: Vec<StallWindow>,
 }
 
-/// Collects stall segments and windows from probe sites. `Sync` by
+/// Collects stall segments and windows from [`Stall`]s. `Sync` by
 /// design: one accountant is shared, behind an `Arc`, by the tracker's
 /// quiescence probe, the commit engine and recovery.
 #[derive(Debug)]
@@ -170,17 +171,15 @@ impl StallAccountant {
         self.virtual_ns.load(Ordering::Relaxed)
     }
 
-    /// Advances the clock by `ns`. Probe sites in simulator code call
-    /// this with simulated-cycle deltas; the commit engine and
-    /// recovery call it with modelled costs.
-    pub fn advance(&self, ns: u64) {
+    /// Advances the clock by `ns`: the cost of a [`Stall`] phase.
+    fn advance(&self, ns: u64) {
         self.virtual_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Records one cause-tagged segment. Inverted intervals are
     /// clamped to zero length rather than rejected — telemetry never
     /// panics the caller.
-    pub fn record_segment(
+    fn record_segment(
         &self,
         tid: u32,
         cause: StallCause,
@@ -201,7 +200,7 @@ impl StallAccountant {
     }
 
     /// Records one measured stall window.
-    pub fn record_window(&self, tid: u32, start_ns: u64, end_ns: u64) {
+    fn record_window(&self, tid: u32, start_ns: u64, end_ns: u64) {
         let end_ns = end_ns.max(start_ns);
         if let Ok(mut ledger) = self.ledger.lock() {
             ledger.windows.push(StallWindow {
@@ -401,141 +400,102 @@ impl AttributionSnapshot {
     }
 }
 
-/// Tracks one latency objective per thread: p50/p95/p99/p999
-/// percentiles and error-budget burn rate, built on the crate's
-/// log-linear histograms.
+/// One stall window in progress — the only way to charge a stall.
+///
+/// It is opened for the stalled threads and the commit sequence the
+/// stall belongs to, with its first phase open. When a phase ends, the
+/// accountant's clock advances by the phase's cost and the phase is
+/// charged to every thread as one segment: the threads share one set of
+/// phase boundaries. [`Stall::close`] records the window. A crash that
+/// cuts the window short leaves a phase open; closing then records that
+/// phase up to the crash instant without charging it, so even a torn
+/// window is exactly tiled by its segments. A no-op without an
+/// accountant.
 #[derive(Debug)]
-pub struct SloTracker {
-    objective_ns: u64,
-    /// Allowed violation fraction (e.g. `0.001` = 99.9% target).
-    error_budget: f64,
-    inner: Mutex<SloInner>,
+#[must_use = "a stall window records nothing until it is closed"]
+pub struct Stall<'a> {
+    acct: Option<&'a StallAccountant>,
+    tids: &'a [u32],
+    sequence: u64,
+    window_start: u64,
+    phase_start: u64,
+    open: Option<StallCause>,
 }
 
-#[derive(Debug, Default)]
-struct SloInner {
-    per_thread: BTreeMap<u32, (Histogram, u64)>, // (latencies, violations)
-}
-
-/// Frozen SLO stats for one thread.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SloThreadStats {
-    pub count: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub p999_ns: u64,
-    pub violations: u64,
-    /// Fraction of samples over the objective.
-    pub violation_rate: f64,
-    /// `violation_rate / error_budget`; > 1.0 means the budget is
-    /// burning faster than allowed.
-    pub burn_rate: f64,
-}
-
-/// Frozen SLO report across threads. Keys are decimal tids (string
-/// keys keep the report directly JSON-serializable).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SloReport {
-    pub objective_ns: u64,
-    pub error_budget: f64,
-    pub per_thread: BTreeMap<String, SloThreadStats>,
-}
-
-impl SloTracker {
-    /// `objective_ns` is the latency target; `error_budget` the
-    /// allowed violation fraction (clamped to a sane positive range
-    /// so burn rate is always finite).
-    #[must_use]
-    pub fn new(objective_ns: u64, error_budget: f64) -> Self {
-        SloTracker {
-            objective_ns,
-            error_budget: error_budget.clamp(1e-9, 1.0),
-            inner: Mutex::new(SloInner::default()),
+impl<'a> Stall<'a> {
+    /// Opens a window for `tids` and `sequence` with `first` as its
+    /// open phase.
+    #[inline]
+    pub fn open(
+        acct: Option<&'a StallAccountant>,
+        tids: &'a [u32],
+        sequence: u64,
+        first: StallCause,
+    ) -> Self {
+        let now = acct.map_or(0, StallAccountant::now_ns);
+        Stall {
+            acct,
+            tids,
+            sequence,
+            window_start: now,
+            phase_start: now,
+            open: Some(first),
         }
     }
 
-    /// Records one observed latency for `tid`.
-    pub fn record(&self, tid: u32, latency_ns: u64) {
-        if let Ok(mut inner) = self.inner.lock() {
-            let (hist, violations) = inner.per_thread.entry(tid).or_default();
-            hist.record(latency_ns);
-            if latency_ns > self.objective_ns {
-                *violations += 1;
-            }
+    /// Ends the open phase, charging its `cost` (evaluated only under
+    /// an accountant, with the window's threads), and opens `next`;
+    /// with `None` no phase is open until [`Stall::begin`].
+    #[inline]
+    pub fn end(&mut self, cost: impl FnOnce(&[u32]) -> u64, next: Option<StallCause>) {
+        if let Some(a) = self.acct {
+            a.advance(cost(self.tids));
+            self.close_phase(a);
+        }
+        self.open = next;
+    }
+
+    /// Opens `cause` when no phase is open.
+    #[inline]
+    pub fn begin(&mut self, cause: StallCause) {
+        debug_assert!(self.open.is_none(), "a phase is already open");
+        self.open = Some(cause);
+    }
+
+    /// Closes the window: after its last phase ended, or at the crash
+    /// instant with a phase still open.
+    #[inline]
+    pub fn close(mut self) {
+        if let Some(a) = self.acct {
+            self.close_window(a);
         }
     }
 
-    /// Freezes percentiles and burn rates per thread.
-    #[must_use]
-    pub fn report(&self) -> SloReport {
-        let mut per_thread = BTreeMap::new();
-        if let Ok(inner) = self.inner.lock() {
-            for (tid, (hist, violations)) in &inner.per_thread {
-                let snap = hist.snapshot();
-                let violation_rate = if snap.count == 0 {
-                    0.0
-                } else {
-                    *violations as f64 / snap.count as f64
-                };
-                per_thread.insert(
-                    tid.to_string(),
-                    SloThreadStats {
-                        count: snap.count,
-                        p50_ns: snap.quantile(0.50),
-                        p95_ns: snap.quantile(0.95),
-                        p99_ns: snap.quantile(0.99),
-                        p999_ns: snap.quantile(0.999),
-                        violations: *violations,
-                        violation_rate,
-                        burn_rate: violation_rate / self.error_budget,
-                    },
-                );
-            }
-        }
-        SloReport {
-            objective_ns: self.objective_ns,
-            error_budget: self.error_budget,
-            per_thread,
-        }
-    }
-}
+    // The recording paths are cold: only attribution runs attach an
+    // accountant, so an unattributed commit inlines one branch per
+    // call and keeps the recording code out of its instruction stream.
 
-/// Publishes an SLO report into the registry under the registered
-/// `prosper.slo.*` names: the percentile gauges hold the worst
-/// per-thread value (the thread closest to blowing the objective),
-/// `violations` accumulates across threads, and the burn rate is
-/// exported in milli-units (1000 = the whole error budget).
-pub fn slo_to_registry(report: &SloReport, registry: &crate::Registry) {
-    let mut worst = SloThreadStats::default();
-    for stats in report.per_thread.values() {
-        worst.p50_ns = worst.p50_ns.max(stats.p50_ns);
-        worst.p95_ns = worst.p95_ns.max(stats.p95_ns);
-        worst.p99_ns = worst.p99_ns.max(stats.p99_ns);
-        worst.p999_ns = worst.p999_ns.max(stats.p999_ns);
-        worst.violations += stats.violations;
-        worst.burn_rate = worst.burn_rate.max(stats.burn_rate);
+    /// Records the open phase's segment up to now.
+    #[cold]
+    fn close_phase(&mut self, a: &StallAccountant) {
+        let Some(cause) = self.open else {
+            return;
+        };
+        let now = a.now_ns();
+        for &tid in self.tids {
+            a.record_segment(tid, cause, self.sequence, self.phase_start, now);
+        }
+        self.phase_start = now;
     }
-    let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-    registry
-        .gauge("prosper.slo.p50_ns")
-        .set(as_i64(worst.p50_ns));
-    registry
-        .gauge("prosper.slo.p95_ns")
-        .set(as_i64(worst.p95_ns));
-    registry
-        .gauge("prosper.slo.p99_ns")
-        .set(as_i64(worst.p99_ns));
-    registry
-        .gauge("prosper.slo.p999_ns")
-        .set(as_i64(worst.p999_ns));
-    registry
-        .counter("prosper.slo.violations")
-        .add(worst.violations);
-    let milli = (worst.burn_rate * 1000.0).clamp(0.0, i64::MAX as f64);
-    registry
-        .gauge("prosper.slo.burn_rate_milli")
-        .set(milli as i64);
+
+    /// Records the open phase, if any, and the window.
+    #[cold]
+    fn close_window(&mut self, a: &StallAccountant) {
+        self.close_phase(a);
+        for &tid in self.tids {
+            a.record_window(tid, self.window_start, self.phase_start);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -660,22 +620,93 @@ mod tests {
     }
 
     #[test]
-    fn slo_tracker_percentiles_and_burn_rate() {
-        let slo = SloTracker::new(100, 0.01);
-        for v in 1..=100u64 {
-            slo.record(0, v); // zero violations
+    fn stall_is_a_noop_without_an_accountant() {
+        let mut stall = Stall::open(None, &[0, 1], 1, StallCause::Stage);
+        stall.end(
+            |_| panic!("cost evaluated without an accountant"),
+            Some(StallCause::Seal),
+        );
+        stall.end(|_| panic!("cost evaluated without an accountant"), None);
+        stall.begin(StallCause::Merge);
+        stall.close();
+    }
+
+    #[test]
+    fn stall_charges_every_thread_one_segment_per_phase() {
+        let acct = StallAccountant::new_virtual();
+        let mut stall = Stall::open(Some(&acct), &[0, 1], 7, StallCause::Stage);
+        stall.end(|tids| 10 * tids.len() as u64, Some(StallCause::Seal));
+        // A phase ended at cost 0 still leaves a zero-length segment.
+        stall.end(|_| 0, Some(StallCause::Apply));
+        stall.end(|_| 5, None);
+        stall.begin(StallCause::Merge);
+        stall.end(|_| 3, None);
+        stall.close();
+        assert_eq!(acct.now_ns(), 28);
+        let snap = acct.snapshot();
+        snap.verify_conservation().unwrap();
+        for tid in [0, 1] {
+            let segs: Vec<(StallCause, u64, u64, u64)> = snap
+                .segments
+                .iter()
+                .filter(|s| s.tid == tid)
+                .map(|s| (s.cause, s.sequence, s.start_ns, s.end_ns))
+                .collect();
+            assert_eq!(
+                segs,
+                [
+                    (StallCause::Stage, 7, 0, 20),
+                    (StallCause::Seal, 7, 20, 20),
+                    (StallCause::Apply, 7, 20, 25),
+                    (StallCause::Merge, 7, 25, 28),
+                ]
+            );
         }
-        for v in 1..=100u64 {
-            slo.record(1, v * 10); // 90 of 100 over objective
-        }
-        let rep = slo.report();
-        assert_eq!(rep.per_thread["0"].violations, 0);
-        assert_eq!(rep.per_thread["0"].burn_rate, 0.0);
-        let t1 = &rep.per_thread["1"];
-        assert_eq!(t1.count, 100);
-        assert_eq!(t1.violations, 90);
-        assert!((t1.violation_rate - 0.9).abs() < 1e-9);
-        assert!((t1.burn_rate - 90.0).abs() < 1e-6);
-        assert!(t1.p50_ns <= t1.p95_ns && t1.p95_ns <= t1.p99_ns && t1.p99_ns <= t1.p999_ns);
+        assert_eq!(
+            snap.windows,
+            [
+                StallWindow {
+                    tid: 0,
+                    start_ns: 0,
+                    end_ns: 28
+                },
+                StallWindow {
+                    tid: 1,
+                    start_ns: 0,
+                    end_ns: 28
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn closing_after_a_crash_leaves_the_torn_phase_uncharged() {
+        let acct = StallAccountant::new_virtual();
+        let mut torn = Stall::open(Some(&acct), &[3], 2, StallCause::Stage);
+        torn.end(|_| 40, Some(StallCause::Seal));
+        // Another thread's stall moves the clock on before the crash.
+        let mut other = Stall::open(Some(&acct), &[9], 0, StallCause::Quiesce);
+        other.end(|_| 15, None);
+        other.close();
+        // The crash hits with the seal phase open.
+        torn.close();
+        assert_eq!(acct.now_ns(), 55, "closing charges nothing");
+        let snap = acct.snapshot();
+        snap.verify_conservation().unwrap();
+        let torn_segs: Vec<(StallCause, u64, u64)> = snap
+            .segments
+            .iter()
+            .filter(|s| s.tid == 3)
+            .map(|s| (s.cause, s.start_ns, s.end_ns))
+            .collect();
+        assert_eq!(
+            torn_segs,
+            [(StallCause::Stage, 0, 40), (StallCause::Seal, 40, 55)]
+        );
+        assert!(snap.windows.contains(&StallWindow {
+            tid: 3,
+            start_ns: 0,
+            end_ns: 55
+        }));
     }
 }

@@ -3,11 +3,11 @@
 //! tracing with pluggable sinks, and exporters (Prometheus-style text,
 //! Chrome `trace_event` for Perfetto).
 //!
-//! The hot-path contract: with no context installed — or with the
-//! `enabled` feature compiled out — every instrumentation call is a
-//! thread-local boolean load and a predictable branch. Simulator code
-//! keeps its own plain counters on per-store paths and reports into
-//! telemetry only at interval boundaries.
+//! The hot-path contract: with no context installed every
+//! instrumentation call is a thread-local boolean load and a
+//! predictable branch. Simulator code keeps its own plain counters on
+//! per-store paths and reports into telemetry only at interval
+//! boundaries.
 
 #![forbid(unsafe_code)]
 pub mod attribution;
@@ -19,8 +19,8 @@ pub mod summary;
 pub mod time;
 
 pub use attribution::{
-    slo_to_registry, AttributionSnapshot, ConservationError, SloReport, SloThreadStats, SloTracker,
-    StallAccountant, StallCause, StallSegment, StallWindow, ThreadStallTotals,
+    AttributionSnapshot, ConservationError, Stall, StallAccountant, StallCause, StallSegment,
+    StallWindow, ThreadStallTotals,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use sink::{chrome_trace, EventSink, NoopSink, RingBufferSink};

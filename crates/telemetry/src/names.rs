@@ -116,12 +116,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.mem.demand_store_cycles", InstrumentKind::Histogram),
     ("prosper.mem.injected_ops", InstrumentKind::Counter),
     ("prosper.retune.granularity", InstrumentKind::Span),
-    ("prosper.slo.burn_rate_milli", InstrumentKind::Gauge),
-    ("prosper.slo.p50_ns", InstrumentKind::Gauge),
-    ("prosper.slo.p95_ns", InstrumentKind::Gauge),
-    ("prosper.slo.p999_ns", InstrumentKind::Gauge),
-    ("prosper.slo.p99_ns", InstrumentKind::Gauge),
-    ("prosper.slo.violations", InstrumentKind::Counter),
     ("prosper.spine.batches", InstrumentKind::Gauge),
     ("prosper.spine.merged_bytes", InstrumentKind::Counter),
     ("prosper.spine.merges", InstrumentKind::Counter),
@@ -140,9 +134,6 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ),
     ("prosper.table.hits", InstrumentKind::Counter),
     ("prosper.table.searches", InstrumentKind::Counter),
-    ("prosper.tax.reports", InstrumentKind::Counter),
-    ("prosper.tax.stall_ns", InstrumentKind::Counter),
-    ("prosper.tax.useful_ns", InstrumentKind::Counter),
     ("prosper.tracker.granularity", InstrumentKind::Gauge),
 ];
 
@@ -197,12 +188,12 @@ mod tests {
         );
         assert_eq!(lookup(SPAN_CKPT_QUIESCE), Some(InstrumentKind::Span));
         assert_eq!(
-            lookup("prosper.tax.stall_ns"),
+            lookup("prosper.crashmatrix.sites"),
             Some(InstrumentKind::Counter)
         );
-        assert_eq!(lookup("prosper.slo.p999_ns"), Some(InstrumentKind::Gauge));
+        assert_eq!(lookup("prosper.spine.batches"), Some(InstrumentKind::Gauge));
         assert_eq!(
-            lookup("prosper.tax.useful_ns"),
+            lookup("prosper.spine.merged_bytes"),
             Some(InstrumentKind::Counter)
         );
         assert_eq!(lookup("prosper.not.a.metric"), None);

@@ -157,7 +157,7 @@ thread_local! {
 pub fn install(t: Telemetry) -> Rc<Telemetry> {
     let rc = Rc::new(t);
     CTX.with(|c| *c.borrow_mut() = Some(rc.clone()));
-    ENABLED.with(|e| e.set(cfg!(feature = "enabled")));
+    ENABLED.with(|e| e.set(true));
     rc
 }
 
@@ -168,17 +168,11 @@ pub fn uninstall() -> Option<Rc<Telemetry>> {
     CTX.with(|c| c.borrow_mut().take())
 }
 
-/// Fast path: is a context installed (and the `enabled` feature
-/// compiled in)? One thread-local load; with the feature off this is
-/// a compile-time `false`.
+/// Fast path: is a context installed? One thread-local load.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    if cfg!(feature = "enabled") {
-        ENABLED.with(Cell::get)
-    } else {
-        false
-    }
+    ENABLED.with(Cell::get)
 }
 
 /// Runs `f` against the installed context, if any.
@@ -287,18 +281,14 @@ mod tests {
     fn install_routes_free_functions() {
         let (sink, events) = RingBufferSink::new(8);
         install(Telemetry::new(Box::new(sink)));
-        assert_eq!(enabled(), cfg!(feature = "enabled"));
+        assert!(enabled());
         set_tid(3);
         span_begin("s", "test", 5);
         span_end("s", 9);
         let t = uninstall().expect("context was installed");
         drop(t);
         let evs = events.take();
-        if cfg!(feature = "enabled") {
-            assert_eq!(evs.len(), 2);
-            assert!(matches!(&evs[0], Event::SpanBegin { tid: 3, ts: 5, .. }));
-        } else {
-            assert!(evs.is_empty());
-        }
+        assert_eq!(evs.len(), 2);
+        assert!(matches!(&evs[0], Event::SpanBegin { tid: 3, ts: 5, .. }));
     }
 }

@@ -13,10 +13,9 @@
 
 /// Measures elapsed wall-clock time for telemetry histograms.
 ///
-/// When no telemetry context is installed (or the `enabled` feature is
-/// compiled out) starting a stopwatch does not touch the clock and
-/// [`Stopwatch::elapsed_ns`] reports zero, keeping the hot path free
-/// of syscalls.
+/// When no telemetry context is installed starting a stopwatch does
+/// not touch the clock and [`Stopwatch::elapsed_ns`] reports zero,
+/// keeping the hot path free of syscalls.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch(Option<std::time::Instant>);
 

@@ -4,13 +4,11 @@
 //! to derive: the stack share of memory operations (Fig. 1), writes
 //! beyond the interval-final SP (Fig. 2), and checkpoint copy sizes at
 //! different tracking granularities (Fig. 4). This module packages
-//! those analyses over any [`TraceSource`], so the figure harnesses
-//! and tests share one implementation.
+//! the operation mix and the SP trajectory over any [`TraceSource`];
+//! the Fig. 4 copy sizes come from `Interval::checkpoint_bytes`.
 
-use prosper_memsim::Cycles;
 use serde::{Deserialize, Serialize};
 
-use crate::interval::IntervalCollector;
 use crate::record::{AccessKind, Region, TraceEvent};
 use crate::source::TraceSource;
 
@@ -76,61 +74,6 @@ pub fn operation_mix<S: TraceSource>(source: &mut S, ops: u64) -> OperationMix {
     mix
 }
 
-/// Per-interval copy-size comparison across tracking granularities
-/// (the Fig. 4 analysis generalised to any granularity list).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CopySizeProfile {
-    /// The granularities analysed, in the order given.
-    pub granularities: Vec<u64>,
-    /// Mean per-interval copy bytes for each granularity.
-    pub mean_bytes: Vec<f64>,
-    /// Intervals analysed.
-    pub intervals: u64,
-}
-
-impl CopySizeProfile {
-    /// Reduction factor of granularity `fine` relative to `coarse`
-    /// (both must be in the profile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either granularity was not analysed.
-    pub fn reduction(&self, coarse: u64, fine: u64) -> f64 {
-        let idx = |g: u64| {
-            self.granularities
-                .iter()
-                .position(|&x| x == g)
-                .unwrap_or_else(|| panic!("granularity {g} not analysed"))
-        };
-        self.mean_bytes[idx(coarse)] / self.mean_bytes[idx(fine)].max(1.0)
-    }
-}
-
-/// Runs the copy-size analysis over `intervals` intervals.
-pub fn copy_size_profile<S: TraceSource>(
-    source: S,
-    granularities: &[u64],
-    interval_budget: Cycles,
-    intervals: u64,
-) -> CopySizeProfile {
-    let mut collector = IntervalCollector::new(source, interval_budget);
-    let mut sums = vec![0u64; granularities.len()];
-    for _ in 0..intervals {
-        let iv = collector.next_interval();
-        for (i, &g) in granularities.iter().enumerate() {
-            sums[i] += iv.checkpoint_bytes(g);
-        }
-    }
-    CopySizeProfile {
-        granularities: granularities.to_vec(),
-        mean_bytes: sums
-            .into_iter()
-            .map(|s| s as f64 / intervals.max(1) as f64)
-            .collect(),
-        intervals,
-    }
-}
-
 /// SP-trajectory statistics over a trace window: how deep the stack
 /// grows and how often it moves (the grow/shrink usage pattern of
 /// Section I).
@@ -187,24 +130,6 @@ mod tests {
         assert_eq!(m.total(), 0);
         assert_eq!(m.stack_fraction(), 0.0);
         assert_eq!(m.stack_write_share(), 0.0);
-    }
-
-    #[test]
-    fn copy_profile_monotone() {
-        let b = MicroBench::new(MicroSpec::Sparse { pages: 12 }, 2);
-        let p = copy_size_profile(b, &[8, 64, 4096], 20_000, 4);
-        assert_eq!(p.intervals, 4);
-        assert!(p.mean_bytes[0] <= p.mean_bytes[1]);
-        assert!(p.mean_bytes[1] <= p.mean_bytes[2]);
-        assert!(p.reduction(4096, 8) > 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not analysed")]
-    fn unknown_granularity_panics() {
-        let b = MicroBench::new(MicroSpec::Recursive { depth: 2 }, 2);
-        let p = copy_size_profile(b, &[8], 5_000, 1);
-        p.reduction(4096, 8);
     }
 
     #[test]

@@ -168,11 +168,6 @@ impl<S: TraceSource> IntervalCollector<S> {
     pub fn take_intervals(&mut self, n: usize) -> Vec<Interval> {
         (0..n).map(|_| self.next_interval()).collect()
     }
-
-    /// Consumes the collector, returning the source.
-    pub fn into_inner(self) -> S {
-        self.source
-    }
 }
 
 #[cfg(test)]

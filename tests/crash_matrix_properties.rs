@@ -65,7 +65,7 @@ proptest! {
                 _ => Some(SpineConfig::lazy(64)),
             },
         };
-        let sites = enumerate_crash_sites(&cfg);
+        let sites = enumerate_crash_sites(&cfg).sites;
         prop_assert!(!sites.is_empty());
         let index = pick % sites.len() as u64;
         let outcome = run_with_crash_at(&cfg, index)
