@@ -1,7 +1,7 @@
-//! Fixture: misuse of the spine / write-amplification namespaces — a
-//! typo, a kind mismatch, and an unregistered phase counter.
+//! Fixture: misuse of the spine and commit names — a typo, a kind
+//! mismatch, and an unregistered spine counter.
 pub fn report(r: &Registry) {
-    r.counter("prosper.spine.mergez").inc(); // typo: unregistered
-    r.counter("prosper.spine.batches").inc(); // registered as gauge
-    r.counter("prosper.ckpt.nvm_bytes_retire").add(16); // unregistered phase
+    r.counter("prosper.spine.mergez").add(1); // typo: unregistered
+    r.counter("prosper.commit.workers").add(1); // registered as gauge
+    r.counter("prosper.spine.retired_bytes").add(16); // unregistered (merged_bytes exists)
 }

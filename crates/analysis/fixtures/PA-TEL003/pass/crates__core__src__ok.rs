@@ -1,6 +1,6 @@
 //! Fixture: registered, kind-correct telemetry names.
 pub fn report(r: &Registry) {
-    r.counter("prosper.ckpt.intervals").inc();
-    r.histogram("prosper.ckpt.interval_cycles").record(10);
-    r.gauge("prosper.tracker.granularity").set(4096);
+    r.counter("prosper.spine.merges").add(1);
+    r.histogram("prosper.ckpt.phase.inspect_cycles").record(10);
+    r.gauge("prosper.commit.workers").set(1);
 }

@@ -21,10 +21,8 @@
 use std::process::ExitCode;
 
 use prosper_bench::crash_matrix::{
-    default_suite, kind_coverage, matrix_attribution, quick_suite, run_suite,
+    default_suite, kind_coverage, matrix_attribution, quick_suite, run_suite, MatrixRow,
 };
-use prosper_telemetry as telemetry;
-use prosper_telemetry::{NoopSink, Telemetry};
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().collect();
@@ -45,9 +43,7 @@ fn main() -> ExitCode {
         default_suite()
     };
 
-    telemetry::install(Telemetry::new(Box::new(NoopSink)));
     let rows = run_suite(&suite);
-    let t = telemetry::uninstall().expect("context was installed");
 
     println!("Crash-point matrix: exhaustive sweep of the checkpoint pipeline");
     println!(
@@ -83,13 +79,12 @@ fn main() -> ExitCode {
         println!();
     }
 
-    let snap = t.registry().snapshot();
-    let get = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let sum = |f: fn(&MatrixRow) -> u64| rows.iter().map(f).sum::<u64>();
     println!(
         "total: {} crash points, {} survived, {} failed",
-        get("prosper.crashmatrix.sites"),
-        get("prosper.crashmatrix.survived"),
-        get("prosper.crashmatrix.failures")
+        sum(|r| r.report.total()),
+        sum(|r| r.report.survived()),
+        sum(|r| r.report.failures.len() as u64)
     );
 
     if let Some(path) = &snapshot_path {

@@ -6,16 +6,14 @@
 //! mid-run and check the application resumes" validation: instead of a
 //! handful of manual kills, every step boundary of the checkpoint
 //! pipeline is enumerated and crashed exactly once, per workload
-//! shape. Results are mirrored into telemetry counters
-//! (`prosper.crashmatrix.*`) when a context is installed, and the stall
-//! ledgers the sweep's runs carry aggregate into an attribution archive.
+//! shape. The stall ledgers the sweep's runs carry aggregate into an
+//! attribution archive.
 
 use std::collections::BTreeMap;
 
 use prosper_core::faultinject::{run_crash_matrix, CrashMatrixConfig, CrashMatrixReport};
 use prosper_core::SpineConfig;
 use prosper_gemos::crash::CrashSite;
-use prosper_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 /// One suite entry: a labelled workload shape and its sweep result.
@@ -206,30 +204,16 @@ pub fn quick_suite() -> Vec<(&'static str, CrashMatrixConfig)> {
     ]
 }
 
-/// Runs every shape of `suite` through the exhaustive sweep,
-/// reporting aggregate counters into telemetry (if a context is
-/// installed): `prosper.crashmatrix.sites`, `.survived`, `.failures`.
+/// Runs every shape of `suite` through the exhaustive sweep.
 pub fn run_suite(suite: &[(&'static str, CrashMatrixConfig)]) -> Vec<MatrixRow> {
-    let rows: Vec<MatrixRow> = suite
+    suite
         .iter()
         .map(|(label, cfg)| MatrixRow {
             label: (*label).to_string(),
             cfg: *cfg,
             report: run_crash_matrix(cfg),
         })
-        .collect();
-    telemetry::with(|t| {
-        let reg = t.registry();
-        for row in &rows {
-            reg.counter("prosper.crashmatrix.sites")
-                .add(row.report.total());
-            reg.counter("prosper.crashmatrix.survived")
-                .add(row.report.survived());
-            reg.counter("prosper.crashmatrix.failures")
-                .add(row.report.failures.len() as u64);
-        }
-    });
-    rows
+        .collect()
 }
 
 /// Schema tag of the crash-matrix attribution archive.
@@ -299,7 +283,6 @@ pub fn matrix_attribution(rows: &[MatrixRow]) -> MatrixAttribution {
 mod tests {
     use super::*;
     use prosper_core::faultinject::enumerate_crash_sites;
-    use prosper_telemetry::{NoopSink, Telemetry};
 
     #[test]
     fn attributed_sweep_conserves_and_is_deterministic() {
@@ -338,26 +321,14 @@ mod tests {
 
     #[test]
     fn quick_suite_survives_everything() {
-        telemetry::install(Telemetry::new(Box::new(NoopSink)));
-        let rows = run_suite(&quick_suite());
-        let t = telemetry::uninstall().expect("context was installed");
-        let mut total = 0;
-        for row in &rows {
+        for row in &run_suite(&quick_suite()) {
             assert!(
                 row.report.all_survived(),
                 "{}: {:?}",
                 row.label,
                 row.report.failures.first()
             );
-            total += row.report.total();
         }
-        let snap = t.registry().snapshot();
-        assert_eq!(snap.counters.get("prosper.crashmatrix.sites"), Some(&total));
-        assert_eq!(
-            snap.counters.get("prosper.crashmatrix.survived"),
-            Some(&total)
-        );
-        assert_eq!(snap.counters.get("prosper.crashmatrix.failures"), Some(&0));
     }
 
     #[test]

@@ -4,7 +4,6 @@ use prosper_baselines::logging::{replay_baseline, replay_logging, LoggingScheme}
 use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
 use prosper_trace::interval::IntervalCollector;
-use prosper_trace::record::{AccessKind, Region, TraceEvent};
 use prosper_trace::workloads::{Workload, WorkloadProfile};
 use serde::Serialize;
 
@@ -28,27 +27,18 @@ pub fn fig1() -> (Vec<Fig1Row>, Table) {
     for profile in WorkloadProfile::applications() {
         let name = profile.name.to_string();
         let mut w = Workload::new(profile, SEED);
-        let mut stack = 0u64;
-        let mut stack_writes = 0u64;
-        let mut total = 0u64;
+        let (mut stack_writes, mut stack_reads, mut other) = (0u64, 0u64, 0u64);
         let mut collector = IntervalCollector::new(&mut w, INTERVAL_10MS);
         for _ in 0..DEFAULT_INTERVALS {
-            let iv = collector.next_interval();
-            for ev in &iv.events {
-                if let TraceEvent::Access(a) = ev {
-                    total += 1;
-                    if a.region == Region::Stack {
-                        stack += 1;
-                        if a.kind == AccessKind::Store {
-                            stack_writes += 1;
-                        }
-                    }
-                }
-            }
+            let s = collector.next_interval().stack_stats();
+            stack_writes += s.stack_writes;
+            stack_reads += s.stack_reads;
+            other += s.other_accesses;
         }
+        let stack = stack_writes + stack_reads;
         rows.push(Fig1Row {
             workload: name,
-            stack_fraction: stack as f64 / total as f64,
+            stack_fraction: stack as f64 / (stack + other) as f64,
             stack_write_share: stack_writes as f64 / stack.max(1) as f64,
         });
     }

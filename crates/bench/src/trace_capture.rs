@@ -4,17 +4,16 @@
 //!
 //! The capture installs a dedicated telemetry context with a
 //! ring-buffer sink, replays a workload under the Prosper mechanism,
-//! and returns the recorded span/event stream plus the metrics the
-//! run reported. Because each simulated run starts its clock at zero,
-//! tracing one run at a time is what keeps the exported timeline
-//! well-formed.
+//! and returns the recorded span/event stream. Because each simulated
+//! run starts its clock at zero, tracing one run at a time is what
+//! keeps the exported timeline well-formed.
 
 use prosper_core::ProsperMechanism;
 use prosper_gemos::checkpoint::{CheckpointManager, RunResult};
 use prosper_memsim::config::MachineConfig;
 use prosper_memsim::machine::Machine;
 use prosper_telemetry as telemetry;
-use prosper_telemetry::{Event, MetricsSnapshot, RingBufferSink, Telemetry};
+use prosper_telemetry::{Event, RingBufferSink, Telemetry};
 use prosper_trace::workloads::{Workload, WorkloadProfile};
 
 use crate::scale;
@@ -24,15 +23,13 @@ use crate::scale;
 pub struct TraceCapture {
     /// The span/instant event stream, in emission order.
     pub events: Vec<Event>,
-    /// Metrics reported during the traced run.
-    pub metrics: MetricsSnapshot,
     /// The run's aggregate result (for cross-checking).
     pub result: RunResult,
 }
 
 /// Runs `intervals` checkpoint intervals of the GAPBS PageRank
 /// workload under Prosper with a telemetry context installed, and
-/// returns the captured events and metrics.
+/// returns the captured events.
 ///
 /// Any previously installed telemetry context is replaced and the
 /// capture's own context is uninstalled on return; callers install
@@ -41,17 +38,14 @@ pub struct TraceCapture {
 pub fn capture_prosper_run(intervals: u64) -> TraceCapture {
     let (sink, handle) = RingBufferSink::new(1 << 20);
     telemetry::install(Telemetry::new(Box::new(sink)));
-    // The machine must be built under the installed context so it
-    // resolves its metric handles.
     let mut machine = Machine::new(MachineConfig::setup_i());
     let mut mgr = CheckpointManager::new(&mut machine, scale::INTERVAL_10MS);
     let mut mech = ProsperMechanism::with_defaults();
     let workload = Workload::new(WorkloadProfile::gapbs_pr(), scale::SEED);
     let result = mgr.run_stack_only(workload, &mut mech, intervals);
-    let t = telemetry::uninstall().expect("capture context was installed");
+    telemetry::uninstall().expect("capture context was installed");
     TraceCapture {
         events: handle.take(),
-        metrics: t.registry().snapshot(),
         result,
     }
 }
@@ -83,7 +77,6 @@ mod tests {
             |e| matches!(e, Event::SpanBegin { name, depth, .. } if name == "prosper.ckpt.quiesce" && *depth >= 2),
         );
         assert!(nested, "phases nest inside interval and commit spans");
-        assert!(cap.metrics.counters.get("prosper.ckpt.intervals") == Some(&2));
     }
 
     #[test]

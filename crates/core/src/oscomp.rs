@@ -30,7 +30,7 @@
 //! consecutive intervals re-dirty the same hot bytes, the merge writes
 //! far fewer NVM bytes than the eager per-interval applies it
 //! replaces, which is exactly the write-amplification win the
-//! per-phase `prosper.ckpt.nvm_bytes_*` accounting measures.
+//! machine's per-phase tally ([`Machine::ckpt_nvm_bytes`]) measures.
 //!
 //! The cycle model keeps no batches of its own, only their
 //! `SpineShape`: the same type the data plane builds from its
@@ -48,7 +48,7 @@ use prosper_telemetry as telemetry;
 
 use crate::adaptive::GranularityAdapter;
 use crate::bitmap::{BitmapGeometry, CopyRun, PAGE_SPAN_BYTES};
-use crate::lookup::{partition_ops, BitmapOp, LookupStats};
+use crate::lookup::{partition_ops, BitmapOp};
 use crate::msr::{MSR_READ_CYCLES, MSR_WRITE_CYCLES};
 use crate::persist::{SpineConfig, SpineShape};
 use crate::tracker::{DirtyTracker, TrackerConfig};
@@ -122,7 +122,7 @@ fn paired_addrs(words: &[u64], out: &mut Vec<u64>) {
     }
 }
 
-/// Per-interval telemetry for the Figure 10/11 analyses.
+/// Per-interval statistics for the Figure 10/11 analyses.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct ProsperIntervalStats {
     /// Copy runs produced by inspection.
@@ -172,9 +172,6 @@ pub struct ProsperMechanism {
     last_runs: Vec<CopyRun>,
     /// Optional dynamic-granularity policy (future-work extension).
     granularity_adapter: Option<GranularityAdapter>,
-    /// Lookup-table counters already reported to telemetry, so each
-    /// interval reports only its own delta.
-    reported_lookup: LookupStats,
     /// Scratch: bitmap ops the tracker emits for one store.
     store_ops: Vec<BitmapOp>,
     /// Scratch: load addresses of the current injected-op batch.
@@ -205,7 +202,6 @@ impl ProsperMechanism {
             last_interval: ProsperIntervalStats::default(),
             last_runs: Vec::new(),
             granularity_adapter: None,
-            reported_lookup: LookupStats::default(),
             store_ops: Vec::new(),
             op_loads: Vec::new(),
             op_stores: Vec::new(),
@@ -294,34 +290,12 @@ impl ProsperMechanism {
         machine.inject_store_batch(&self.op_stores, 4);
     }
 
-    /// Reports the just-finished interval into the installed telemetry
-    /// context: interval stats as counters plus the lookup-table flush
-    /// reasons as deltas since the previous report. Runs only at
-    /// interval boundaries, never on the per-store path.
-    fn report_interval_metrics(
-        &mut self,
-        stats: ProsperIntervalStats,
-        total_cycles: Cycles,
-        metadata_cycles: Cycles,
-        phases: PhaseCycles,
-    ) {
-        let cur = self.tracker.lookup_stats();
-        let prev = self.reported_lookup;
+    /// Records the just-finished interval's per-phase cycles into the
+    /// installed telemetry context's histograms. Runs only at interval
+    /// boundaries, never on the per-store path.
+    fn report_phase_cycles(&self, phases: PhaseCycles) {
         telemetry::with(|t| {
             let r = t.registry();
-            r.counter("prosper.ckpt.intervals").inc();
-            r.counter("prosper.ckpt.runs").add(stats.runs);
-            r.counter("prosper.ckpt.bytes").add(stats.bytes);
-            r.counter("prosper.ckpt.bitmap_words_read")
-                .add(stats.words_read);
-            r.counter("prosper.ckpt.bitmap_words_cleared")
-                .add(stats.words_cleared);
-            r.counter("prosper.ckpt.bitmap_pages_probed")
-                .add(stats.pages_probed);
-            r.histogram("prosper.ckpt.interval_cycles")
-                .record(total_cycles);
-            r.histogram("prosper.ckpt.metadata_cycles")
-                .record(metadata_cycles);
             r.histogram("prosper.ckpt.phase.inspect_cycles")
                 .record(phases.inspect);
             r.histogram("prosper.ckpt.phase.clear_cycles")
@@ -330,38 +304,11 @@ impl ProsperMechanism {
                 .record(phases.stage);
             r.histogram("prosper.ckpt.phase.apply_cycles")
                 .record(phases.apply);
-            if let Some((_, shape)) = self.spine.as_ref() {
+            if self.spine.is_some() {
                 r.histogram("prosper.ckpt.phase.merge_cycles")
                     .record(phases.merge);
-                r.gauge("prosper.spine.batches").set(shape.batches() as i64);
-                if stats.merges > 0 {
-                    r.counter("prosper.spine.merges").add(stats.merges);
-                    r.counter("prosper.spine.merged_bytes")
-                        .add(stats.merged_bytes);
-                }
             }
-            let d = |a: u64, b: u64| a.saturating_sub(b);
-            r.counter("prosper.table.searches")
-                .add(d(cur.searches, prev.searches));
-            r.counter("prosper.table.hits").add(d(cur.hits, prev.hits));
-            r.counter("prosper.table.flush.hwm")
-                .add(d(cur.hwm_flushes, prev.hwm_flushes));
-            r.counter("prosper.table.flush.lwm_eviction")
-                .add(d(cur.lwm_evictions, prev.lwm_evictions));
-            r.counter("prosper.table.flush.random_eviction")
-                .add(d(cur.random_evictions, prev.random_evictions));
-            r.counter("prosper.table.flush.interval")
-                .add(d(cur.interval_flushes, prev.interval_flushes));
-            r.counter("prosper.table.flush.context_switch")
-                .add(d(cur.ctx_switch_flushes, prev.ctx_switch_flushes));
-            r.counter("prosper.table.bitmap_loads")
-                .add(d(cur.bitmap_loads, prev.bitmap_loads));
-            r.counter("prosper.table.bitmap_stores")
-                .add(d(cur.bitmap_stores, prev.bitmap_stores));
-            r.gauge("prosper.tracker.granularity")
-                .set(self.tracker.config().granularity as i64);
         });
-        self.reported_lookup = cur;
     }
 }
 
@@ -592,12 +539,7 @@ impl MemoryPersistence for ProsperMechanism {
         }
 
         if tel {
-            self.report_interval_metrics(
-                stats,
-                machine.now() - ckpt_start,
-                metadata_cycles,
-                phases,
-            );
+            self.report_phase_cycles(phases);
         }
 
         CheckpointOutcome {

@@ -368,10 +368,9 @@ impl PersistentProcess {
     }
 
     /// Folds every stack's spine into its persistent image regardless
-    /// of the merge policy and returns the aggregate stats — the
-    /// steady-state drain the perf suite uses to measure total NVM
-    /// write volume, and a way to force quiescence before inspecting
-    /// persistent images directly.
+    /// of the merge policy and returns the aggregate stats. Tests call
+    /// it to force quiescence before inspecting persistent images
+    /// directly.
     pub fn merge_all_spines(&mut self) -> MergeStats {
         let mut total = MergeStats::default();
         for stack in self.stacks.values_mut() {
@@ -605,7 +604,6 @@ impl PersistentProcess {
         };
         let merge_ns = merge_watch.elapsed_ns();
         if telemetry::enabled() {
-            let spine_total = self.spine_batches() as i64;
             telemetry::with(|t| {
                 let r = t.registry();
                 r.gauge("prosper.commit.workers").set(1);
@@ -617,7 +615,6 @@ impl PersistentProcess {
                 if let Some((merges, merged_bytes)) = merged {
                     r.histogram("prosper.commit.phase.merge_ns")
                         .record(merge_ns);
-                    r.gauge("prosper.spine.batches").set(spine_total);
                     if merges > 0 {
                         r.counter("prosper.spine.merges").add(merges);
                         r.counter("prosper.spine.merged_bytes").add(merged_bytes);

@@ -455,27 +455,11 @@ impl<'m> CheckpointManager<'m> {
             let ckpt_cycles = machine.now() - ckpt_start;
             if tel {
                 telemetry::span_end(telemetry::names::SPAN_CKPT_INTERVAL, machine.now());
-                telemetry::with(|t| {
-                    let r = t.registry();
-                    r.counter("prosper.gemos.ckpt.intervals").inc();
-                    r.counter("prosper.gemos.ckpt.bytes_copied")
-                        .add(outcome.bytes_copied);
-                    r.histogram("prosper.gemos.ckpt.cycles").record(ckpt_cycles);
-                });
             }
             result.checkpoint_cycles += ckpt_cycles;
             result.metadata_cycles += outcome.metadata_cycles;
             result.bytes_copied += outcome.bytes_copied;
             result.intervals += 1;
-        }
-        if tel {
-            telemetry::with(|t| {
-                let r = t.registry();
-                r.counter("prosper.gemos.run.stack_stores")
-                    .add(result.stack_stores);
-                r.counter("prosper.gemos.run.heap_stores")
-                    .add(result.heap_stores);
-            });
         }
         result.total_cycles = machine.now();
         result

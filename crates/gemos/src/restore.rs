@@ -28,7 +28,6 @@ struct RegSlot {
 #[derive(Clone, Default, Debug, Serialize, Deserialize)]
 pub struct RegisterStore {
     slots: [RegSlot; 2],
-    next_sequence: u64,
 }
 
 /// Error returned when no valid register checkpoint exists.
@@ -49,40 +48,18 @@ impl RegisterStore {
         Self::default()
     }
 
-    /// Persists `regs` into the older slot (ping-pong), marking it
-    /// valid only after the payload is "written".
-    pub fn checkpoint(&mut self, regs: RegisterFile) {
-        self.next_sequence += 1;
+    /// Persists `regs` at an externally-supplied sequence number (the
+    /// whole-process commit record's) into the older slot (ping-pong),
+    /// marking it valid only after the payload is "written". Idempotent
+    /// for a given `(regs, sequence)` pair: recovery can re-apply an
+    /// interrupted register apply and recover the same state.
+    pub fn checkpoint_at(&mut self, regs: RegisterFile, sequence: u64) {
         let idx = self.older_slot();
         // Model the write order: invalidate, write payload, validate.
         self.slots[idx].valid = false;
         self.slots[idx].regs = regs;
-        self.slots[idx].sequence = self.next_sequence;
-        self.slots[idx].valid = true;
-    }
-
-    /// Persists `regs` at an externally-supplied sequence number (the
-    /// whole-process commit record's), into the older slot. Idempotent
-    /// for a given `(regs, sequence)` pair: recovery can re-apply an
-    /// interrupted register apply and recover the same state.
-    pub fn checkpoint_at(&mut self, regs: RegisterFile, sequence: u64) {
-        self.next_sequence = self.next_sequence.max(sequence);
-        let idx = self.older_slot();
-        self.slots[idx].valid = false;
-        self.slots[idx].regs = regs;
         self.slots[idx].sequence = sequence;
         self.slots[idx].valid = true;
-    }
-
-    /// Begins a checkpoint but "crashes" before the validity marker is
-    /// written — for crash-injection tests.
-    pub fn checkpoint_torn(&mut self, regs: RegisterFile) {
-        self.next_sequence += 1;
-        let idx = self.older_slot();
-        self.slots[idx].valid = false;
-        self.slots[idx].regs = regs;
-        self.slots[idx].sequence = self.next_sequence;
-        // valid stays false: the crash hit here.
     }
 
     fn older_slot(&self) -> usize {
@@ -127,11 +104,6 @@ impl ProcessCheckpointStore {
         }
     }
 
-    /// Number of threads covered.
-    pub fn threads(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Applies one thread's registers at an explicit whole-process
     /// sequence number — phase two of the two-phase process commit.
     /// Idempotent, so recovery can replay an interrupted apply.
@@ -171,11 +143,6 @@ impl ProcessCheckpointStore {
     pub fn recover_detailed(&self) -> Result<Vec<(RegisterFile, u64)>, NoValidCheckpoint> {
         self.registers.iter().map(|s| s.recover()).collect()
     }
-
-    /// Access to one thread's register store (crash-injection tests).
-    pub fn thread_store_mut(&mut self, tid: usize) -> &mut RegisterStore {
-        &mut self.registers[tid]
-    }
 }
 
 #[cfg(test)]
@@ -189,6 +156,18 @@ mod tests {
         r
     }
 
+    /// Begins the write of `checkpoint_at(regs, sequence)` but
+    /// "crashes" before the validity marker: the older slot holds the
+    /// payload and stays invalid.
+    fn checkpoint_torn_at(s: &mut RegisterStore, regs: RegisterFile, sequence: u64) {
+        let idx = s.older_slot();
+        s.slots[idx] = RegSlot {
+            regs,
+            sequence,
+            valid: false,
+        };
+    }
+
     #[test]
     fn empty_store_cannot_recover() {
         let s = RegisterStore::new();
@@ -199,9 +178,9 @@ mod tests {
     #[test]
     fn recover_returns_latest() {
         let mut s = RegisterStore::new();
-        s.checkpoint(regs(1));
-        s.checkpoint(regs(2));
-        s.checkpoint(regs(3));
+        s.checkpoint_at(regs(1), 1);
+        s.checkpoint_at(regs(2), 2);
+        s.checkpoint_at(regs(3), 3);
         let (r, seq) = s.recover().unwrap();
         assert_eq!(r.gpr[0], 3);
         assert_eq!(seq, 3);
@@ -210,9 +189,9 @@ mod tests {
     #[test]
     fn torn_write_falls_back_to_previous() {
         let mut s = RegisterStore::new();
-        s.checkpoint(regs(1));
-        s.checkpoint(regs(2));
-        s.checkpoint_torn(regs(3));
+        s.checkpoint_at(regs(1), 1);
+        s.checkpoint_at(regs(2), 2);
+        checkpoint_torn_at(&mut s, regs(3), 3);
         let (r, seq) = s.recover().unwrap();
         assert_eq!(r.gpr[0], 2, "torn slot skipped");
         assert_eq!(seq, 2);
@@ -221,18 +200,18 @@ mod tests {
     #[test]
     fn torn_first_checkpoint_recovers_nothing() {
         let mut s = RegisterStore::new();
-        s.checkpoint_torn(regs(1));
+        checkpoint_torn_at(&mut s, regs(1), 1);
         assert_eq!(s.recover(), Err(NoValidCheckpoint));
     }
 
     #[test]
     fn ping_pong_alternates_slots() {
         let mut s = RegisterStore::new();
-        s.checkpoint(regs(1));
-        s.checkpoint(regs(2));
+        s.checkpoint_at(regs(1), 1);
+        s.checkpoint_at(regs(2), 2);
         // Both slots now valid with sequences 1 and 2; a torn third
         // write may only destroy the *older* one.
-        s.checkpoint_torn(regs(3));
+        checkpoint_torn_at(&mut s, regs(3), 3);
         let (r, _) = s.recover().unwrap();
         assert_eq!(r.gpr[0], 2);
     }
@@ -263,8 +242,8 @@ mod tests {
     #[test]
     fn one_torn_thread_fails_whole_recovery() {
         let mut p = ProcessCheckpointStore::new(2);
-        p.thread_store_mut(0).checkpoint(regs(1));
-        p.thread_store_mut(1).checkpoint_torn(regs(2));
+        p.apply_thread_at(0, regs(1), 1);
+        checkpoint_torn_at(&mut p.registers[1], regs(2), 1);
         assert!(p.recover().is_err());
     }
 }

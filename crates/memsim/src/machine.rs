@@ -95,7 +95,7 @@ impl LineTransfer {
 }
 
 /// Checkpoint phase a bulk NVM write is charged to, for the
-/// write-amplification accounting (`prosper.ckpt.nvm_bytes_*`).
+/// write-amplification accounting ([`Machine::ckpt_nvm_bytes`]).
 ///
 /// Write amplification — NVM bytes written divided by dirty bytes — is
 /// only meaningful when the writes are split by *why* they happened:
@@ -147,59 +147,6 @@ impl NvmPhaseBytes {
             seal: self.seal.saturating_sub(earlier.seal),
             apply: self.apply.saturating_sub(earlier.apply),
             merge: self.merge.saturating_sub(earlier.merge),
-        }
-    }
-}
-
-/// Pre-resolved telemetry handles, created at machine construction
-/// only when a telemetry context is installed on that thread. `None`
-/// reduces every record site to a single predictable branch.
-#[derive(Debug)]
-struct MachineTelemetry {
-    /// Visible latency of each demand load (cycles).
-    demand_load_cycles: prosper_telemetry::Histogram,
-    /// Visible latency of each demand store (cycles).
-    demand_store_cycles: prosper_telemetry::Histogram,
-    /// Bytes moved by bulk checkpoint copies (DRAM→NVM and NVM→NVM).
-    bulk_copy_bytes: prosper_telemetry::Counter,
-    /// Background (injected/persist) memory operations.
-    injected_ops: prosper_telemetry::Counter,
-    /// NVM bytes written by stage copies.
-    nvm_bytes_stage: prosper_telemetry::Counter,
-    /// NVM bytes written by seal records.
-    nvm_bytes_seal: prosper_telemetry::Counter,
-    /// NVM bytes written by apply copies / batch appends.
-    nvm_bytes_apply: prosper_telemetry::Counter,
-    /// NVM bytes written by spine merges.
-    nvm_bytes_merge: prosper_telemetry::Counter,
-}
-
-impl MachineTelemetry {
-    fn resolve() -> Option<Self> {
-        if !prosper_telemetry::enabled() {
-            return None;
-        }
-        prosper_telemetry::with(|t| {
-            let r = t.registry();
-            MachineTelemetry {
-                demand_load_cycles: r.histogram("prosper.mem.demand_load_cycles"),
-                demand_store_cycles: r.histogram("prosper.mem.demand_store_cycles"),
-                bulk_copy_bytes: r.counter("prosper.mem.bulk_copy_bytes"),
-                injected_ops: r.counter("prosper.mem.injected_ops"),
-                nvm_bytes_stage: r.counter("prosper.ckpt.nvm_bytes_stage"),
-                nvm_bytes_seal: r.counter("prosper.ckpt.nvm_bytes_seal"),
-                nvm_bytes_apply: r.counter("prosper.ckpt.nvm_bytes_apply"),
-                nvm_bytes_merge: r.counter("prosper.ckpt.nvm_bytes_merge"),
-            }
-        })
-    }
-
-    fn nvm_phase_counter(&self, phase: CkptPhase) -> &prosper_telemetry::Counter {
-        match phase {
-            CkptPhase::Stage => &self.nvm_bytes_stage,
-            CkptPhase::Seal => &self.nvm_bytes_seal,
-            CkptPhase::Apply => &self.nvm_bytes_apply,
-            CkptPhase::Merge => &self.nvm_bytes_merge,
         }
     }
 }
@@ -298,7 +245,6 @@ struct Model {
     stats: MemStats,
     /// NVM bytes written per checkpoint phase (cumulative).
     ckpt_nvm: NvmPhaseBytes,
-    tel: Option<MachineTelemetry>,
 }
 
 impl Model {
@@ -312,7 +258,6 @@ impl Model {
             bus_free: 0,
             stats: MemStats::default(),
             ckpt_nvm: NvmPhaseBytes::default(),
-            tel: MachineTelemetry::resolve(),
         }
     }
 
@@ -390,9 +335,6 @@ impl Model {
             total += self.line_access(paddr, AccessKind::Read, true);
         }
         self.now += total;
-        if let Some(tel) = &self.tel {
-            tel.demand_load_cycles.record(total);
-        }
         total
     }
 
@@ -404,9 +346,6 @@ impl Model {
             total += self.line_access(paddr, AccessKind::Write, true);
         }
         self.now += total;
-        if let Some(tel) = &self.tel {
-            tel.demand_store_cycles.record(total);
-        }
         total
     }
 
@@ -424,9 +363,6 @@ impl Model {
             self.stats.injected_loads += n;
             AccessKind::Read
         };
-        if let Some(tel) = &self.tel {
-            tel.injected_ops.add(n);
-        }
         for &addr in addrs {
             for line in lines_of(addr, size) {
                 let paddr = self.translator.translate(VirtAddr::new(line));
@@ -461,9 +397,6 @@ impl Model {
     /// Charges a bulk copy of `bytes` that the controller prices at
     /// `cycles`: the core clock advances and the bus waits for it.
     fn bulk_copy(&mut self, bytes: u64, cycles: Cycles) -> Cycles {
-        if let Some(tel) = &self.tel {
-            tel.bulk_copy_bytes.add(bytes);
-        }
         self.ctrl.nvm_mut().record_bulk_write(bytes);
         self.now += cycles;
         self.bus_free = self.bus_free.max(self.now);
@@ -485,17 +418,13 @@ impl Model {
     }
 
     /// Tallies `bytes` of NVM writes against `phase` in the
-    /// write-amplification accounting and bumps the matching
-    /// `prosper.ckpt.nvm_bytes_*` counter.
+    /// write-amplification accounting ([`Machine::ckpt_nvm_bytes`]).
     fn charge_ckpt_nvm(&mut self, phase: CkptPhase, bytes: u64) {
         match phase {
             CkptPhase::Stage => self.ckpt_nvm.stage += bytes,
             CkptPhase::Seal => self.ckpt_nvm.seal += bytes,
             CkptPhase::Apply => self.ckpt_nvm.apply += bytes,
             CkptPhase::Merge => self.ckpt_nvm.merge += bytes,
-        }
-        if let Some(tel) = &self.tel {
-            tel.nvm_phase_counter(phase).add(bytes);
         }
     }
 }
@@ -892,18 +821,17 @@ impl Machine {
 
     /// Injects a batch of background loads — one access of `size`
     /// bytes per address. Equivalent to calling [`Self::inject_load`]
-    /// per address, but with a single stats/telemetry update for the
-    /// whole batch: the interval flush path drains dozens of
-    /// lookup-table entries at once, and per-op bookkeeping was
-    /// measurable there. Posted inside a window, one operation per
-    /// address.
+    /// per address, but with a single stats update for the whole
+    /// batch: the interval flush path drains dozens of lookup-table
+    /// entries at once, and per-op bookkeeping was measurable there.
+    /// Posted inside a window, one operation per address.
     #[inline]
     pub fn inject_load_batch(&mut self, addrs: &[u64], size: u64) {
         self.inject_batch::<false>(addrs, size);
     }
 
     /// Injects a batch of background stores — one access of `size`
-    /// bytes per address, with a single stats/telemetry update (see
+    /// bytes per address, with a single stats update (see
     /// [`Self::inject_load_batch`]). Posted inside a window.
     #[inline]
     pub fn inject_store_batch(&mut self, addrs: &[u64], size: u64) {

@@ -1,7 +1,7 @@
 //! Unified telemetry for the Prosper reproduction: a metrics registry
 //! (counters, gauges, log-linear histograms), structured span/event
-//! tracing with pluggable sinks, and exporters (Prometheus-style text,
-//! Chrome `trace_event` for Perfetto).
+//! tracing with pluggable sinks and a Chrome `trace_event` exporter
+//! for Perfetto, and the stall-attribution ledger.
 //!
 //! The hot-path contract: with no context installed every
 //! instrumentation call is a thread-local boolean load and a
@@ -15,7 +15,6 @@ pub mod metrics;
 pub mod names;
 pub mod sink;
 pub mod span;
-pub mod summary;
 pub mod time;
 
 pub use attribution::{
@@ -23,9 +22,8 @@ pub use attribution::{
     StallWindow, ThreadStallTotals,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
-pub use sink::{chrome_trace, EventSink, NoopSink, RingBufferSink};
+pub use sink::{chrome_trace, EventSink, RingBufferSink};
 pub use span::{
     enabled, install, instant, set_tid, span_begin, span_end, uninstall, with, Event, Telemetry,
 };
-pub use summary::prometheus_text;
 pub use time::Stopwatch;

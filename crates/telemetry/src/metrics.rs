@@ -3,27 +3,17 @@
 //!
 //! Handles are `Arc<Atomic*>` — incrementing one is a single relaxed
 //! atomic op with no lock. The registry's mutex is taken only on
-//! registration and snapshotting, both off the hot path. Snapshots
-//! subtract (`Sub`) with saturating semantics, matching the
-//! `MemStats` interval-diffing idiom used across the simulator.
+//! registration and snapshotting, both off the hot path.
 
 use std::collections::BTreeMap;
-use std::ops::Sub;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use serde::{Deserialize, Serialize};
 
 /// Monotonic event count.
 #[derive(Debug, Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -43,11 +33,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     #[must_use]
@@ -152,69 +137,13 @@ impl Histogram {
 
 /// Frozen view of one histogram: `(bucket_lower_bound, count)` pairs
 /// for non-empty buckets only.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
     pub min: u64,
     pub max: u64,
     pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Mean of recorded values, 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Lower bound of the bucket containing the q-quantile
-    /// (`0.0 ..= 1.0`).
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil() as u64;
-        let mut seen = 0u64;
-        for &(lower, n) in &self.buckets {
-            seen += n;
-            if seen >= target.max(1) {
-                return lower;
-            }
-        }
-        self.max
-    }
-}
-
-impl Sub for HistogramSnapshot {
-    type Output = HistogramSnapshot;
-
-    /// Interval delta: later minus earlier, saturating. Bucket counts
-    /// subtract pairwise by lower bound; min/max are taken from the
-    /// later snapshot (they are not recoverable for an interval).
-    fn sub(self, earlier: HistogramSnapshot) -> HistogramSnapshot {
-        let before: BTreeMap<u64, u64> = earlier.buckets.into_iter().collect();
-        let buckets: Vec<(u64, u64)> = self
-            .buckets
-            .into_iter()
-            .filter_map(|(lower, n)| {
-                let delta = n.saturating_sub(before.get(&lower).copied().unwrap_or(0));
-                (delta > 0).then_some((lower, delta))
-            })
-            .collect();
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            min: self.min,
-            max: self.max,
-            buckets,
-        }
-    }
 }
 
 #[derive(Default)]
@@ -283,41 +212,12 @@ impl Registry {
     }
 }
 
-/// Frozen view of a whole registry; `Sub` yields the interval delta.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Frozen view of a whole registry.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl Sub for MetricsSnapshot {
-    type Output = MetricsSnapshot;
-
-    /// Later minus earlier, saturating. Gauges keep the later level
-    /// (a level, not a rate). Metrics absent from `earlier` pass
-    /// through unchanged.
-    fn sub(self, earlier: MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .into_iter()
-                .map(|(k, v)| {
-                    let before = earlier.counters.get(&k).copied().unwrap_or(0);
-                    (k, v.saturating_sub(before))
-                })
-                .collect(),
-            gauges: self.gauges,
-            histograms: self
-                .histograms
-                .into_iter()
-                .map(|(k, v)| {
-                    let before = earlier.histograms.get(&k).cloned().unwrap_or_default();
-                    (k, v - before)
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -356,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stats_and_quantiles() {
+    fn histogram_stats() {
         let h = Histogram::default();
         for v in 1..=100u64 {
             h.record(v);
@@ -366,33 +266,8 @@ mod tests {
         assert_eq!(s.sum, 5050);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 100);
-        assert!((s.mean() - 50.5).abs() < 1e-9);
-        // p50 bucket lower bound must be within 25% below 50.
-        let p50 = s.quantile(0.5);
-        assert!((38..=50).contains(&p50), "p50 = {p50}");
-        assert!(s.quantile(1.0) <= 100);
-        assert_eq!(HistogramSnapshot::default().quantile(0.5), 0);
-    }
-
-    #[test]
-    fn snapshot_sub_saturates() {
-        let h = Histogram::default();
-        h.record(10);
-        h.record(10);
-        let early = h.snapshot();
-        h.record(10);
-        h.record(1 << 20);
-        let late = h.snapshot();
-        let delta = late.clone() - early.clone();
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum, 10 + (1 << 20));
-        let lower10 = bucket_lower_bound(bucket_index(10));
-        assert!(delta.buckets.contains(&(lower10, 1)));
-        // Reversed subtraction saturates to zero rather than panicking.
-        let reversed = early - late;
-        assert_eq!(reversed.count, 0);
-        assert_eq!(reversed.sum, 0);
-        assert!(reversed.buckets.is_empty());
+        assert_eq!(s.buckets.iter().map(|&(_, n)| n).sum::<u64>(), 100);
+        assert_eq!(Histogram::default().snapshot().min, 0, "empty min");
     }
 
     #[test]
@@ -400,7 +275,7 @@ mod tests {
         let r = Registry::new();
         let c = r.counter("stores");
         c.add(5);
-        r.counter("stores").inc(); // same underlying cell
+        r.counter("stores").add(1); // same underlying cell
         assert_eq!(r.counter("stores").get(), 6);
         r.gauge("depth").set(3);
         r.histogram("lat").record(7);
@@ -409,9 +284,11 @@ mod tests {
         c.add(4);
         r.gauge("depth").set(1);
         r.histogram("lat").record(9);
-        let delta = r.snapshot() - early;
-        assert_eq!(delta.counters["stores"], 4);
-        assert_eq!(delta.gauges["depth"], 1, "gauges keep the later level");
-        assert_eq!(delta.histograms["lat"].count, 1);
+        let late = r.snapshot();
+        // A snapshot is frozen: later updates move only later snapshots.
+        assert_eq!(late.counters["stores"] - early.counters["stores"], 4);
+        assert_eq!((early.gauges["depth"], late.gauges["depth"]), (3, 1));
+        assert_eq!(early.histograms["lat"].count, 1);
+        assert_eq!(late.histograms["lat"].count, 2);
     }
 }

@@ -6,7 +6,7 @@
 //! a string literal passed to `counter`/`gauge`/`histogram`/
 //! `span_begin` that is not registered here — or is registered under a
 //! different kind — fails the workspace lint. That makes typos
-//! (`prosper.ckpt.interval` vs `prosper.ckpt.intervals`) and
+//! (`prosper.spine.merge` vs `prosper.spine.merges`) and
 //! kind collisions (one name used as both counter and histogram)
 //! compile-adjacent errors instead of silently forked time series.
 //!
@@ -67,24 +67,15 @@ pub const SPAN_CKPT_COMMIT_HEAP: &str = "prosper.ckpt.commit.heap";
 /// Register-file checkpoint inside an interval.
 pub const SPAN_CKPT_REGISTERS: &str = "prosper.ckpt.registers";
 
-/// Every registered name with its kind, sorted by name.
+/// Every registered name with its kind, sorted by name: the metrics
+/// a program reads back, plus the checkpoint spans and instants.
 pub const REGISTERED: &[(&str, InstrumentKind)] = &[
-    ("prosper.ckpt.bitmap_pages_probed", InstrumentKind::Counter),
-    ("prosper.ckpt.bitmap_words_cleared", InstrumentKind::Counter),
-    ("prosper.ckpt.bitmap_words_read", InstrumentKind::Counter),
-    ("prosper.ckpt.bytes", InstrumentKind::Counter),
     (SPAN_CKPT_APPLY, InstrumentKind::Span),
     (SPAN_CKPT_CLEAR, InstrumentKind::Span),
     (SPAN_CKPT_COMMIT_HEAP, InstrumentKind::Span),
     (SPAN_CKPT_COMMIT_STACK, InstrumentKind::Span),
+    (SPAN_CKPT_COPY, InstrumentKind::Span),
     (SPAN_CKPT_INTERVAL, InstrumentKind::Span),
-    ("prosper.ckpt.interval_cycles", InstrumentKind::Histogram),
-    ("prosper.ckpt.intervals", InstrumentKind::Counter),
-    ("prosper.ckpt.metadata_cycles", InstrumentKind::Histogram),
-    ("prosper.ckpt.nvm_bytes_apply", InstrumentKind::Counter),
-    ("prosper.ckpt.nvm_bytes_merge", InstrumentKind::Counter),
-    ("prosper.ckpt.nvm_bytes_seal", InstrumentKind::Counter),
-    ("prosper.ckpt.nvm_bytes_stage", InstrumentKind::Counter),
     ("prosper.ckpt.phase.apply_cycles", InstrumentKind::Histogram),
     ("prosper.ckpt.phase.clear_cycles", InstrumentKind::Histogram),
     (
@@ -95,46 +86,15 @@ pub const REGISTERED: &[(&str, InstrumentKind)] = &[
     ("prosper.ckpt.phase.stage_cycles", InstrumentKind::Histogram),
     (SPAN_CKPT_QUIESCE, InstrumentKind::Span),
     (SPAN_CKPT_REGISTERS, InstrumentKind::Span),
-    ("prosper.ckpt.runs", InstrumentKind::Counter),
     (SPAN_CKPT_SCAN, InstrumentKind::Span),
-    (SPAN_CKPT_COPY, InstrumentKind::Span),
     ("prosper.commit.phase.apply_ns", InstrumentKind::Histogram),
     ("prosper.commit.phase.merge_ns", InstrumentKind::Histogram),
     ("prosper.commit.phase.seal_ns", InstrumentKind::Histogram),
     ("prosper.commit.phase.stage_ns", InstrumentKind::Histogram),
     ("prosper.commit.workers", InstrumentKind::Gauge),
-    ("prosper.crashmatrix.failures", InstrumentKind::Counter),
-    ("prosper.crashmatrix.sites", InstrumentKind::Counter),
-    ("prosper.crashmatrix.survived", InstrumentKind::Counter),
-    ("prosper.gemos.ckpt.bytes_copied", InstrumentKind::Counter),
-    ("prosper.gemos.ckpt.cycles", InstrumentKind::Histogram),
-    ("prosper.gemos.ckpt.intervals", InstrumentKind::Counter),
-    ("prosper.gemos.run.heap_stores", InstrumentKind::Counter),
-    ("prosper.gemos.run.stack_stores", InstrumentKind::Counter),
-    ("prosper.mem.bulk_copy_bytes", InstrumentKind::Counter),
-    ("prosper.mem.demand_load_cycles", InstrumentKind::Histogram),
-    ("prosper.mem.demand_store_cycles", InstrumentKind::Histogram),
-    ("prosper.mem.injected_ops", InstrumentKind::Counter),
     ("prosper.retune.granularity", InstrumentKind::Span),
-    ("prosper.spine.batches", InstrumentKind::Gauge),
     ("prosper.spine.merged_bytes", InstrumentKind::Counter),
     ("prosper.spine.merges", InstrumentKind::Counter),
-    ("prosper.table.bitmap_loads", InstrumentKind::Counter),
-    ("prosper.table.bitmap_stores", InstrumentKind::Counter),
-    (
-        "prosper.table.flush.context_switch",
-        InstrumentKind::Counter,
-    ),
-    ("prosper.table.flush.hwm", InstrumentKind::Counter),
-    ("prosper.table.flush.interval", InstrumentKind::Counter),
-    ("prosper.table.flush.lwm_eviction", InstrumentKind::Counter),
-    (
-        "prosper.table.flush.random_eviction",
-        InstrumentKind::Counter,
-    ),
-    ("prosper.table.hits", InstrumentKind::Counter),
-    ("prosper.table.searches", InstrumentKind::Counter),
-    ("prosper.tracker.granularity", InstrumentKind::Gauge),
 ];
 
 /// The kind `name` is registered under, if any.
@@ -188,14 +148,14 @@ mod tests {
         );
         assert_eq!(lookup(SPAN_CKPT_QUIESCE), Some(InstrumentKind::Span));
         assert_eq!(
-            lookup("prosper.crashmatrix.sites"),
-            Some(InstrumentKind::Counter)
+            lookup("prosper.ckpt.phase.merge_cycles"),
+            Some(InstrumentKind::Histogram)
         );
-        assert_eq!(lookup("prosper.spine.batches"), Some(InstrumentKind::Gauge));
         assert_eq!(
             lookup("prosper.spine.merged_bytes"),
             Some(InstrumentKind::Counter)
         );
+        assert_eq!(lookup("prosper.spine.batches"), None, "copy retired");
         assert_eq!(lookup("prosper.not.a.metric"), None);
         assert!(!is_registered("ckpt.intervals"), "legacy name retired");
     }

@@ -14,17 +14,6 @@ use crate::span::Event;
 /// I/O trouble — telemetry must never take the simulation down.
 pub trait EventSink {
     fn record(&mut self, ev: &Event);
-
-    fn flush(&mut self) {}
-}
-
-/// Discards everything. The disabled-telemetry fast path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl EventSink for NoopSink {
-    #[inline]
-    fn record(&mut self, _ev: &Event) {}
 }
 
 /// Shared view onto a [`RingBufferSink`]'s storage, for tests and
@@ -39,22 +28,6 @@ impl RingBufferHandle {
     #[must_use]
     pub fn take(&self) -> Vec<Event> {
         self.buf.borrow_mut().drain(..).collect()
-    }
-
-    /// Copies out the recorded events without draining.
-    #[must_use]
-    pub fn events(&self) -> Vec<Event> {
-        self.buf.borrow().iter().cloned().collect()
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.borrow().len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.borrow().is_empty()
     }
 }
 
@@ -162,10 +135,10 @@ mod tests {
         for ev in sample_events() {
             sink.record(&ev);
         }
-        assert_eq!(handle.len(), 2, "oldest event evicted at capacity");
         let evs = handle.take();
+        assert_eq!(evs.len(), 2, "oldest event evicted at capacity");
         assert_eq!(evs[0].name(), "hwm");
-        assert!(handle.is_empty());
+        assert!(handle.take().is_empty(), "take drains the buffer");
     }
 
     #[test]

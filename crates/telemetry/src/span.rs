@@ -141,10 +141,6 @@ impl Telemetry {
             tid: self.tid.get(),
         });
     }
-
-    pub fn flush(&self) {
-        self.sink.borrow_mut().flush();
-    }
 }
 
 thread_local! {

@@ -55,7 +55,8 @@ mod tests {
 
     #[test]
     fn stopwatch_with_context_measures() {
-        crate::install(crate::Telemetry::new(Box::new(crate::NoopSink)));
+        let (sink, _events) = crate::RingBufferSink::new(1);
+        crate::install(crate::Telemetry::new(Box::new(sink)));
         let sw = Stopwatch::start();
         // Elapsed is monotone; we only assert it does not panic and is
         // readable twice.
